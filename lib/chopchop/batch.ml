@@ -24,6 +24,18 @@ type dense = {
 
 type entries = Explicit of entry array | Dense of dense
 
+(* Roots derived from exactly these field values (compared physically for
+   the arrays).  A copy made with [{ b with number = ... }] shares them; a
+   rebuild with new [entries], [stragglers] or [agg_seq] fails the key
+   check and derives its own. *)
+type roots = {
+  of_entries : entries;
+  of_stragglers : straggler array;
+  of_agg_seq : Types.sequence_number;
+  mutable reduction : string option;
+  mutable identity : string option;
+}
+
 type t = {
   broker : int;
   number : int;
@@ -31,7 +43,28 @@ type t = {
   agg_seq : Types.sequence_number;
   stragglers : straggler array;
   agg_sig : Multisig.signature option;
+  mutable roots : roots;
 }
+
+let no_roots =
+  { of_entries =
+      Dense { first_id = -1; count = 0; msg_bytes = 0; tag = 0;
+              straggler_count = 0; straggler_sample = [||] };
+    of_stragglers = [||]; of_agg_seq = 0; reduction = None; identity = None }
+
+let roots t =
+  let r = t.roots in
+  if r.of_entries == t.entries && r.of_stragglers == t.stragglers
+     && r.of_agg_seq = t.agg_seq
+  then r
+  else begin
+    let r =
+      { of_entries = t.entries; of_stragglers = t.stragglers;
+        of_agg_seq = t.agg_seq; reduction = None; identity = None }
+    in
+    t.roots <- r;
+    r
+  end
 
 let count t =
   match t.entries with Explicit a -> Array.length a | Dense d -> d.count
@@ -49,7 +82,7 @@ let dense_message d id =
   let rec pad s = if String.length s >= d.msg_bytes then String.sub s 0 d.msg_bytes else pad (s ^ s) in
   pad base
 
-let leaf ~id ~seq msg = Printf.sprintf "%d|%d|%s" id seq msg
+let leaf ~id ~seq msg = String.concat "|" [ string_of_int id; string_of_int seq; msg ]
 
 let dense_straggler_seq d = d.tag
 (* Dense stragglers carry their own per-round sequence number (the round
@@ -62,41 +95,95 @@ let dense_root kind d agg_seq =
     (Printf.sprintf "dense-root|%s|%d|%d|%d|%d|%d" kind d.first_id d.count d.tag
        d.straggler_count agg_seq)
 
-let explicit_tree ~identity t entries =
-  let leaves =
-    Array.map
-      (fun e ->
-        let seq =
-          if identity then
-            match
-              Array.find_opt (fun s -> s.s_id = e.e_id) t.stragglers
-            with
-            | Some s -> s.s_seq
-            | None -> t.agg_seq
-          else t.agg_seq
-        in
-        leaf ~id:e.e_id ~seq e.e_msg)
-      entries
+let strictly_sorted (key : _ -> int) a =
+  let ok = ref true in
+  for i = 1 to Array.length a - 1 do
+    if key a.(i - 1) >= key a.(i) then ok := false
+  done;
+  !ok
+
+(* Binary search for [id] in [a], sorted strictly by [key]: its index,
+   or -1. *)
+let search (key : _ -> int) a id =
+  let rec go lo hi =
+    if lo >= hi then -1
+    else
+      let mid = (lo + hi) / 2 in
+      let k = key a.(mid) in
+      if k = id then mid else if k < id then go (mid + 1) hi else go lo mid
   in
-  Merkle.build leaves
+  go 0 (Array.length a)
+
+(* The straggler lookup every consumer of a batch needs: for an id, the
+   FIRST element of [stragglers] carrying it — what a left-to-right scan
+   returns — in O(log s) after O(s log s) indexing.  A correct broker's
+   stragglers are strictly sorted already and are searched in place; a
+   Byzantine list (unsorted, duplicated) is stably sorted and thinned to
+   its first occurrence per id. *)
+let straggler_finder stragglers =
+  let index =
+    if strictly_sorted (fun s -> s.s_id) stragglers then stragglers
+    else begin
+      let a = Array.copy stragglers in
+      Array.stable_sort (fun x y -> Int.compare x.s_id y.s_id) a;
+      let firsts = ref [] in
+      Array.iteri
+        (fun i s -> if i = 0 || a.(i - 1).s_id <> s.s_id then firsts := s :: !firsts)
+        a;
+      Array.of_list (List.rev !firsts)
+    end
+  in
+  fun id ->
+    let i = search (fun s -> s.s_id) index id in
+    if i < 0 then None else Some index.(i)
+
+let entry_seqs t =
+  match t.entries with
+  | Explicit entries ->
+    let find = straggler_finder t.stragglers in
+    Array.map
+      (fun e -> match find e.e_id with Some s -> s.s_seq | None -> t.agg_seq)
+      entries
+  | Dense _ -> invalid_arg "Batch.entry_seqs: dense batch"
+
+(* Root of the tree whose leaf [i] carries sequence number [seq_of i]. *)
+let explicit_root entries seq_of =
+  Merkle.root
+    (Merkle.build (Array.mapi (fun i e -> leaf ~id:e.e_id ~seq:(seq_of i) e.e_msg) entries))
 
 let reduction_root t =
-  match t.entries with
-  | Explicit entries -> Merkle.root (explicit_tree ~identity:false t entries)
-  | Dense d -> dense_root "reduction" d t.agg_seq
+  let r = roots t in
+  match r.reduction with
+  | Some root -> root
+  | None ->
+    let root =
+      match t.entries with
+      | Explicit entries -> explicit_root entries (fun _ -> t.agg_seq)
+      | Dense d -> dense_root "reduction" d t.agg_seq
+    in
+    r.reduction <- Some root;
+    root
 
 let identity_root t =
-  match t.entries with
-  | Explicit entries -> Merkle.root (explicit_tree ~identity:true t entries)
-  | Dense d -> dense_root "identity" d t.agg_seq
+  let r = roots t in
+  match r.identity with
+  | Some root -> root
+  | None ->
+    let root =
+      match t.entries with
+      | Explicit entries -> explicit_root entries (Array.get (entry_seqs t))
+      | Dense d -> dense_root "identity" d t.agg_seq
+    in
+    r.identity <- Some root;
+    root
 
 let reducer_ids t =
   match t.entries with
   | Explicit entries ->
-    let strag = Array.to_list t.stragglers in
-    Array.to_list entries
-    |> List.filter_map (fun e ->
-           if List.exists (fun s -> s.s_id = e.e_id) strag then None else Some e.e_id)
+    let find = straggler_finder t.stragglers in
+    Array.fold_right
+      (fun e acc -> if Option.is_none (find e.e_id) then e.e_id :: acc else acc)
+      entries []
   | Dense d ->
     List.init (d.count - d.straggler_count) (fun i -> d.first_id + i)
 
@@ -110,27 +197,22 @@ let wire_bytes ~clients t =
   Wire.distilled_batch_bytes ~clients ~count:(count t)
     ~msg_bytes:(payload_bytes_per_entry t) ~stragglers:(straggler_count t)
 
-let sorted_strictly entries =
-  let ok = ref true in
-  for i = 1 to Array.length entries - 1 do
-    if entries.(i - 1).e_id >= entries.(i).e_id then ok := false
-  done;
-  !ok
-
 let verify dir t =
   match t.entries with
   | Explicit entries ->
-    sorted_strictly entries
+    strictly_sorted (fun e -> e.e_id) entries
     && Array.for_all
          (fun s ->
            match Directory.find dir s.s_id with
            | None -> false
            | Some card ->
-             (match Array.find_opt (fun e -> e.e_id = s.s_id) entries with
-              | None -> false
-              | Some e ->
+             (* [entries] passed [strictly_sorted]: a binary search finds
+                the one entry with this id. *)
+             (match search (fun e -> e.e_id) entries s.s_id with
+              | -1 -> false
+              | i ->
                 Schnorr.verify card.Types.sig_pk
-                  (Types.message_statement ~id:s.s_id ~seq:s.s_seq e.e_msg)
+                  (Types.message_statement ~id:s.s_id ~seq:s.s_seq entries.(i).e_msg)
                   s.s_sig))
          t.stragglers
     &&
@@ -194,11 +276,12 @@ let non_witness_cpu_work t =
       +. (float_of_int (n * (msg + 4)) *. Cost.serialize_per_byte))
 
 let make_explicit ~broker ~number ~entries ~agg_seq ~stragglers ~agg_sig =
-  if not (sorted_strictly entries) then
+  if not (strictly_sorted (fun e -> e.e_id) entries) then
     invalid_arg "Batch.make_explicit: entries must be sorted strictly by id";
   let stragglers = Array.copy stragglers in
   Array.sort (fun a b -> Int.compare a.s_id b.s_id) stragglers;
-  { broker; number; entries = Explicit entries; agg_seq; stragglers; agg_sig }
+  { broker; number; entries = Explicit entries; agg_seq; stragglers; agg_sig;
+    roots = no_roots }
 
 let forge_dense dir ~broker ~number ~first_id ~count ~msg_bytes ~tag ~straggler_count =
   if straggler_count < 0 || straggler_count > count then
@@ -222,7 +305,8 @@ let forge_dense dir ~broker ~number ~first_id ~count ~msg_bytes ~tag ~straggler_
   in
   let d = { d0 with straggler_sample = sample } in
   let t =
-    { broker; number; entries = Dense d; agg_seq; stragglers = [||]; agg_sig = None }
+    { broker; number; entries = Dense d; agg_seq; stragglers = [||]; agg_sig = None;
+      roots = no_roots }
   in
   let agg_sig =
     if reduced = 0 then None

@@ -48,6 +48,10 @@ type entries =
   | Explicit of entry array (* sorted by id, distinct *)
   | Dense of dense
 
+type roots
+(** The memoised {!reduction_root} and {!identity_root} of a batch, tagged
+    with the [entries], [stragglers] and [agg_seq] they were derived from. *)
+
 type t = {
   broker : int;
   number : int; (* broker-local batch number *)
@@ -55,6 +59,11 @@ type t = {
   agg_seq : Types.sequence_number;
   stragglers : straggler array; (* Explicit only; sorted by id *)
   agg_sig : Repro_crypto.Multisig.signature option;
+  mutable roots : roots;
+      (* root memo, owned by this module: a batch rebuilt with
+         [{ b with entries | stragglers | agg_seq = ... }] re-derives its
+         roots instead of inheriting stale ones.  The [entries] and
+         [stragglers] arrays must not be mutated once wrapped in a batch. *)
 }
 
 val count : t -> int
@@ -68,9 +77,20 @@ val leaf : id:Types.client_id -> seq:Types.sequence_number -> Types.message -> s
 
 val reduction_root : t -> string
 val identity_root : t -> string
+(** Both roots are computed once per batch value and memoised on it (see
+    the [roots] field); the simulated cost of recomputing them is charged
+    by {!witness_cpu_work}, not by these functions. *)
+
+val entry_seqs : t -> Types.sequence_number array
+(** Explicit batches only: the sequence number each entry carries in the
+    identity root, in entry order — that of the first straggler with the
+    entry's id, otherwise [agg_seq].  O((n + s) log s) for any straggler
+    list, sorted or not.
+    @raise Invalid_argument on a dense batch. *)
 
 val reducer_ids : t -> Types.client_id list
-(** Explicit batches only; Dense reducers are the leading range. *)
+(** Entries without a straggler, in entry order.  Explicit batches only;
+    Dense reducers are the leading range. *)
 
 val wire_bytes : clients:int -> t -> int
 (** Bytes on the wire per {!Wire.distilled_batch_bytes}. *)

@@ -45,7 +45,6 @@ type reducing = {
 type in_flight = {
   w_batch : Batch.t;
   w_root : string; (* identity root *)
-  w_reduction_root : string;
   w_base : int; (* witness-set rotation offset (batch number mod n) *)
   mutable w_shards : (int * Multisig.signature) list;
   mutable w_asked : int; (* how many servers were asked to witness *)
@@ -404,8 +403,7 @@ and reduce t root =
                 (fun () ->
                   if not t.crashed then begin
                     Trace.Counter.add t.c_verify ((List.length bad + 1) * 8);
-                    distill_done t st root
-                      (List.filteri (fun i _ -> not (List.mem i bad)) share_list)
+                    distill_done t st root (Multisig.drop_indices bad share_list)
                   end)
             end
           end)
@@ -510,7 +508,6 @@ and launch ?(only = fun _ -> true) ?(force_witness = false) t batch ~on_complete
   let n_act = max 1 (List.length active) in
   let fl =
     { w_batch = batch; w_root = root;
-      w_reduction_root = Batch.reduction_root batch;
       w_base =
         (* Hash-spread, not plain [number mod n]: many brokers start their
            numbering at 0 simultaneously, which would pile the witness
@@ -544,7 +541,7 @@ and launch ?(only = fun _ -> true) ?(force_witness = false) t batch ~on_complete
               followed end to end across the root change. *)
            Trace.instant s ~now ~actor ~cat:"broker" ~name:"launch" ~id
              ~attrs:
-               [ ("reduction", Trace.A_int (Trace.key fl.w_reduction_root));
+               [ ("reduction", Trace.A_int (Trace.key (Batch.reduction_root batch)));
                  ("number", Trace.A_int batch.Batch.number);
                  ("entries", Trace.A_int (Batch.count batch));
                  ("stragglers", Trace.A_int (Batch.straggler_count batch)) ];
@@ -694,28 +691,19 @@ and finish t fl ~counter ~exceptions shards =
         batch, with its inclusion proof in the identity root. *)
      (match fl.w_batch.Batch.entries with
       | Batch.Explicit entries ->
-        let leaves =
-          Array.map
-            (fun e ->
-              let seq =
-                match
-                  Array.find_opt
-                    (fun s -> s.Batch.s_id = e.Batch.e_id)
-                    fl.w_batch.Batch.stragglers
-                with
-                | Some s -> s.s_seq
-                | None -> fl.w_batch.Batch.agg_seq
-              in
-              (e.Batch.e_id, seq, Batch.leaf ~id:e.Batch.e_id ~seq e.Batch.e_msg))
-            entries
+        let seqs = Batch.entry_seqs fl.w_batch in
+        let tree =
+          Merkle.build
+            (Array.mapi
+               (fun i e -> Batch.leaf ~id:e.Batch.e_id ~seq:seqs.(i) e.Batch.e_msg)
+               entries)
         in
-        let tree = Merkle.build (Array.map (fun (_, _, l) -> l) leaves) in
         Array.iteri
-          (fun i (id, seq, _) ->
+          (fun i e ->
             let proof = Merkle.prove tree i in
-            t.send_client ~client:id ~bytes:Wire.delivery_cert_bytes
-              (Deliver_cert { cert; seq; proof = Some proof }))
-          leaves
+            t.send_client ~client:e.Batch.e_id ~bytes:Wire.delivery_cert_bytes
+              (Deliver_cert { cert; seq = seqs.(i); proof = Some proof }))
+          entries
       | Batch.Dense _ -> ()));
   Hashtbl.remove t.flight fl.w_root
 

@@ -407,15 +407,11 @@ let rec witness_batch ?(attempt = 0) t batch =
 let deliver_explicit t (batch : Batch.t) entries =
   let exceptions = ref [] in
   let delivered = ref [] in
-  let straggler_seq id =
-    match Array.find_opt (fun s -> s.Batch.s_id = id) batch.stragglers with
-    | Some s -> Some s.s_seq
-    | None -> None
-  in
-  Array.iter
-    (fun e ->
+  let seqs = Batch.entry_seqs batch in
+  Array.iteri
+    (fun i e ->
       let id = e.Batch.e_id in
-      let seq = Option.value (straggler_seq id) ~default:batch.agg_seq in
+      let seq = seqs.(i) in
       let last = Hashtbl.find_opt t.last_msg id in
       let fresh =
         match last with

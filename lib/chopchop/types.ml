@@ -21,6 +21,6 @@ let keypair_of_seed seed =
 let dense_seed i = "dense-client-" ^ string_of_int i
 
 let message_statement ~id ~seq msg =
-  Printf.sprintf "message|%d|%d|%s" id seq msg
+  String.concat "|" [ "message"; string_of_int id; string_of_int seq; msg ]
 
 let reduction_statement ~root = "reduction|" ^ root

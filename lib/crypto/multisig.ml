@@ -60,6 +60,16 @@ let find_invalid entries msg =
   search 0 n;
   List.rev !bad
 
+let drop_indices bad l =
+  let rec go i bad l acc =
+    match (l, bad) with
+    | [], _ -> List.rev acc
+    | _ :: rest, b :: bad' when b = i -> go (i + 1) bad' rest acc
+    | _, b :: bad' when b < i -> go i bad' l acc
+    | x :: rest, _ -> go (i + 1) bad rest (x :: acc)
+  in
+  go 0 bad l []
+
 let forge_garbage () = Field61.of_int 1
 
 let aggregate_secret_keys sks = List.fold_left Field61.add Field61.zero sks

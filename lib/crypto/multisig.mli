@@ -65,6 +65,13 @@ val find_invalid : (public_key * signature) list -> string -> int list
     multi-signatures on the same message (§5.1 "Tree-search invalid
     multi-signatures"): verifies the aggregate of the whole range, recurses
     into halves only when a range fails, and returns the indices of bad
-    shares.  Verification count is O(b log n) for b bad shares. *)
+    shares in ascending order.  Verification count is O(b log n) for b
+    bad shares. *)
+
+val drop_indices : int list -> 'a list -> 'a list
+(** [drop_indices bad l] is [l] without the elements at the positions in
+    [bad], which must be ascending (as {!find_invalid} returns them).  One
+    merge pass, O(|l| + |bad|): Byzantine signers choose how long [bad]
+    is. *)
 
 val forge_garbage : unit -> signature

@@ -1,6 +1,6 @@
 (* SHA-256 on native ints: 32-bit words live in the low bits of an int and
-   are masked after every addition.  Rotations are implemented on the
-   masked representation. *)
+   are masked after every addition.  Rotations work on the masked word
+   doubled into the high half (see [dbl]). *)
 
 let mask = 0xFFFF_FFFF
 
@@ -22,7 +22,6 @@ type ctx = {
   buf : Bytes.t;              (* 64-byte block buffer *)
   mutable buf_len : int;      (* bytes pending in [buf] *)
   mutable total : int;        (* total message length in bytes *)
-  w : int array;              (* 64-word message schedule, reused *)
 }
 
 let init () = {
@@ -31,40 +30,47 @@ let init () = {
   buf = Bytes.create 64;
   buf_len = 0;
   total = 0;
-  w = Array.make 64 0;
 }
 
-let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
+(* The 64-word message schedule only lives inside one [compress] call, so
+   every context of a domain shares one scratch copy instead of each
+   allocating its own. *)
+let schedule = Domain.DLS.new_key (fun () -> Array.make 64 0)
+
+(* Rotations on a value doubled into the high half ([x lor (x lsl 32)]):
+   bits [n, n+32) of the doubled value are [x] rotated right by [n].  All
+   rotation amounts SHA-256 uses are below 32, so the doubled value never
+   needs bit 63, which a native int does not have. *)
+let dbl x = x lor (x lsl 32)
 
 let compress ctx block off =
-  let w = ctx.w in
+  let w = Domain.DLS.get schedule in
   for i = 0 to 15 do
-    let j = off + (4 * i) in
-    w.(i) <-
-      (Char.code (Bytes.get block j) lsl 24)
-      lor (Char.code (Bytes.get block (j + 1)) lsl 16)
-      lor (Char.code (Bytes.get block (j + 2)) lsl 8)
-      lor Char.code (Bytes.get block (j + 3))
+    Array.unsafe_set w i
+      (Int32.to_int (Bytes.get_int32_be block (off + (4 * i))) land mask)
   done;
   for i = 16 to 63 do
-    let s0 = rotr w.(i - 15) 7 lxor rotr w.(i - 15) 18 lxor (w.(i - 15) lsr 3) in
-    let s1 = rotr w.(i - 2) 17 lxor rotr w.(i - 2) 19 lxor (w.(i - 2) lsr 10) in
-    w.(i) <- (w.(i - 16) + s0 + w.(i - 7) + s1) land mask
+    let x = Array.unsafe_get w (i - 15) and y = Array.unsafe_get w (i - 2) in
+    let x2 = dbl x and y2 = dbl y in
+    let s0 = ((x2 lsr 7) lxor (x2 lsr 18)) land mask lxor (x lsr 3) in
+    let s1 = ((y2 lsr 17) lxor (y2 lsr 19)) land mask lxor (y lsr 10) in
+    Array.unsafe_set w i
+      ((Array.unsafe_get w (i - 16) + s0 + Array.unsafe_get w (i - 7) + s1) land mask)
   done;
   let h = ctx.h in
   let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
   let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
   for i = 0 to 63 do
-    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
-    let ch = (!e land !f) lxor (lnot !e land !g) land mask in
-    let t1 = (!hh + s1 + ch + k.(i) + w.(i)) land mask in
-    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
+    let e2 = dbl !e and a2 = dbl !a in
+    let s1 = ((e2 lsr 6) lxor (e2 lsr 11) lxor (e2 lsr 25)) land mask in
+    let ch = (!e land !f) lxor (lnot !e land !g) in
+    let t1 = !hh + s1 + ch + Array.unsafe_get k i + Array.unsafe_get w i in
+    let s0 = ((a2 lsr 2) lxor (a2 lsr 13) lxor (a2 lsr 22)) land mask in
     let maj = (!a land !b) lxor (!a land !c) lxor (!b land !c) in
-    let t2 = (s0 + maj) land mask in
     hh := !g; g := !f; f := !e;
     e := (!d + t1) land mask;
     d := !c; c := !b; b := !a;
-    a := (t1 + t2) land mask
+    a := (t1 + s0 + maj) land mask
   done;
   h.(0) <- (h.(0) + !a) land mask;
   h.(1) <- (h.(1) + !b) land mask;
@@ -100,38 +106,48 @@ let feed ctx s =
     ctx.buf_len <- n - !pos
   end
 
+let feed_char ctx c =
+  Bytes.set ctx.buf ctx.buf_len c;
+  ctx.total <- ctx.total + 1;
+  ctx.buf_len <- ctx.buf_len + 1;
+  if ctx.buf_len = 64 then begin
+    compress ctx ctx.buf 0;
+    ctx.buf_len <- 0
+  end
+
 let finalize ctx =
-  let bitlen = ctx.total * 8 in
-  (* Padding: 0x80, zeros, 8-byte big-endian bit length. *)
-  feed ctx "\x80";
-  ctx.total <- ctx.total - 1;
-  while ctx.buf_len <> 56 do
-    feed ctx "\x00";
-    ctx.total <- ctx.total - 1
-  done;
-  let len = Bytes.create 8 in
-  for i = 0 to 7 do
-    Bytes.set len i (Char.chr ((bitlen lsr (8 * (7 - i))) land 0xFF))
-  done;
-  feed ctx (Bytes.to_string len);
+  (* Padding, written in place: 0x80, zeros up to byte 56 of a block (a
+     second block when fewer than 9 bytes are left), then the 8-byte
+     big-endian bit length. *)
+  let buf = ctx.buf in
+  Bytes.set buf ctx.buf_len '\x80';
+  let used = ctx.buf_len + 1 in
+  if used > 56 then begin
+    Bytes.fill buf used (64 - used) '\x00';
+    compress ctx buf 0;
+    Bytes.fill buf 0 56 '\x00'
+  end
+  else Bytes.fill buf used (56 - used) '\x00';
+  Bytes.set_int64_be buf 56 (Int64.of_int (ctx.total * 8));
+  compress ctx buf 0;
   let out = Bytes.create 32 in
   for i = 0 to 7 do
-    let v = ctx.h.(i) in
-    Bytes.set out (4 * i) (Char.chr ((v lsr 24) land 0xFF));
-    Bytes.set out ((4 * i) + 1) (Char.chr ((v lsr 16) land 0xFF));
-    Bytes.set out ((4 * i) + 2) (Char.chr ((v lsr 8) land 0xFF));
-    Bytes.set out ((4 * i) + 3) (Char.chr (v land 0xFF))
+    Bytes.set_int32_be out (4 * i) (Int32.of_int ctx.h.(i))
   done;
-  Bytes.to_string out
+  Bytes.unsafe_to_string out
 
 let digest s =
   let ctx = init () in
   feed ctx s;
   finalize ctx
 
+let rec feed_all ctx = function
+  | [] -> ()
+  | s :: rest -> feed ctx s; feed_all ctx rest
+
 let digest_list ss =
   let ctx = init () in
-  List.iter (feed ctx) ss;
+  feed_all ctx ss;
   finalize ctx
 
 let hmac ~key msg =
@@ -143,7 +159,13 @@ let hmac ~key msg =
   in
   digest (pad 0x5c ^ digest (pad 0x36 ^ msg))
 
+let hex_digits = "0123456789abcdef"
+
 let to_hex s =
-  let b = Buffer.create (2 * String.length s) in
-  String.iter (fun c -> Buffer.add_string b (Printf.sprintf "%02x" (Char.code c))) s;
-  Buffer.contents b
+  let b = Bytes.create (2 * String.length s) in
+  for i = 0 to String.length s - 1 do
+    let c = Char.code s.[i] in
+    Bytes.set b (2 * i) hex_digits.[c lsr 4];
+    Bytes.set b ((2 * i) + 1) hex_digits.[c land 0xF]
+  done;
+  Bytes.unsafe_to_string b

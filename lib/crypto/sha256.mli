@@ -11,6 +11,10 @@ val init : unit -> ctx
 val feed : ctx -> string -> unit
 (** Absorb bytes; may be called repeatedly. *)
 
+val feed_char : ctx -> char -> unit
+(** Absorb one byte, e.g. a domain-separation prefix, without allocating
+    a one-byte string. *)
+
 val finalize : ctx -> string
 (** Produce the 32-byte digest.  The context must not be reused. *)
 

@@ -102,6 +102,18 @@ grep -q '"phase"' "$prof_dir/diag.json" \
   || { echo "doctor smoke: diagnosis JSON empty or missing phase"; exit 1; }
 rm -rf "$prof_dir"
 
+echo "== perfbench full-size correctness smoke =="
+# The dune tests run every perfbench workload shrunk (Workload.Small).
+# These two run at full batch size, through the memoised batch roots and
+# the linear straggler joins, and must pass the benchmark's own delivery
+# check (agreement, no duplicates, everything delivered).
+dune build ./perfbench/main.exe
+for w in classic-fleet distill-clients; do
+  ./_build/default/perfbench/main.exe --workload "$w" --seed 2 \
+    | grep -q '"correct": true' \
+    || { echo "perfbench smoke: $w failed its correctness check"; exit 1; }
+done
+
 echo "== bench baseline regression gate =="
 # Regenerate the machine-readable baseline and diff it against the
 # committed one; the sim is deterministic, so any gated drift is a real

@@ -457,6 +457,26 @@ let test_byzantine_clients_straggle () =
   checki "bad client completed (as straggler)" 1 (Client.completed bad);
   checki "mute client completed (as straggler)" 1 (Client.completed mute)
 
+let test_every_share_bad () =
+  (* Every client of the batch sends a bad reduction share: the broker's
+     tree search rejects all of them, the batch ships fully classic, and
+     every message is still delivered and certified. *)
+  let d = mk_deployment () in
+  let delivered = ref 0 in
+  Deployment.server_deliver_hook d (fun srv del ->
+      if srv = 0 then delivered := !delivered + Proto.delivery_count del);
+  let clients = List.init 6 (fun _ -> Deployment.add_client d ()) in
+  List.iter Client.signup clients;
+  Deployment.run d ~until:3.0;
+  List.iteri
+    (fun i c ->
+      Client.misbehave_bad_share c;
+      Client.broadcast c (Printf.sprintf "bad-share-%d" i))
+    clients;
+  Deployment.run d ~until:60.0;
+  checki "all six delivered" 6 !delivered;
+  List.iter (fun c -> checki "completed as straggler" 1 (Client.completed c)) clients
+
 let test_forged_batch_never_delivered () =
   (* A Byzantine (load) broker submits a malformed batch: no correct
      server witnesses it, so it cannot enter the total order. *)
@@ -628,8 +648,150 @@ let test_stob_item_bytes () =
           { card = (Types.keypair_of_seed "s").card; reply_broker = 0; nonce = 1 })
      >= 64)
 
+(* Quadratic reference implementations of the straggler joins, as written
+   before the joins went linear: every lookup is a first-match scan. *)
+module Ref_batch = struct
+  module Merkle = Repro_crypto.Merkle
+
+  let find_straggler (b : Batch.t) id =
+    Array.find_opt (fun s -> s.Batch.s_id = id) b.Batch.stragglers
+
+  let entries (b : Batch.t) =
+    match b.Batch.entries with Batch.Explicit es -> es | Batch.Dense _ -> assert false
+
+  let root b seq_of =
+    Merkle.root
+      (Merkle.build
+         (Array.map (fun e -> Batch.leaf ~id:e.Batch.e_id ~seq:(seq_of e) e.Batch.e_msg)
+            (entries b)))
+
+  let reduction_root (b : Batch.t) = root b (fun _ -> b.Batch.agg_seq)
+
+  let identity_root (b : Batch.t) =
+    root b (fun e ->
+        match find_straggler b e.Batch.e_id with
+        | Some s -> s.Batch.s_seq
+        | None -> b.Batch.agg_seq)
+
+  let reducer_ids b =
+    Array.to_list (entries b)
+    |> List.filter_map (fun e ->
+           if find_straggler b e.Batch.e_id = None then Some e.Batch.e_id else None)
+
+  let verify dir (b : Batch.t) =
+    let es = entries b in
+    let sorted = ref true in
+    for i = 1 to Array.length es - 1 do
+      if es.(i - 1).Batch.e_id >= es.(i).Batch.e_id then sorted := false
+    done;
+    !sorted
+    && Array.for_all
+         (fun s ->
+           match Directory.find dir s.Batch.s_id with
+           | None -> false
+           | Some card ->
+             (match Array.find_opt (fun e -> e.Batch.e_id = s.Batch.s_id) es with
+              | None -> false
+              | Some e ->
+                Schnorr.verify card.Types.sig_pk
+                  (Types.message_statement ~id:s.Batch.s_id ~seq:s.Batch.s_seq e.Batch.e_msg)
+                  s.Batch.s_sig))
+         b.Batch.stragglers
+    &&
+    match (reducer_ids b, b.Batch.agg_sig) with
+    | [], None -> true
+    | [], Some _ | _ :: _, None -> false
+    | reducers, Some agg ->
+      Multisig.verify
+        (Directory.aggregate_ms_pks dir reducers)
+        (Types.reduction_statement ~root:(reduction_root b))
+        agg
+end
+
+let straggler_for id ~seq ~valid =
+  let msg = Printf.sprintf "m%d" id in
+  { Batch.s_id = id; s_seq = seq;
+    s_sig =
+      (if valid then
+         Schnorr.sign (Directory.dense_keypair id).Types.sig_sk
+           (Types.message_statement ~id ~seq msg)
+       else Schnorr.forge_garbage ()) }
+
+let agrees_with_reference dir b =
+  Batch.identity_root b = Ref_batch.identity_root b
+  && Batch.reduction_root b = Ref_batch.reduction_root b
+  && Batch.reducer_ids b = Ref_batch.reducer_ids b
+  && Batch.verify dir b = Ref_batch.verify dir b
+
+let test_batch_memo_invalidation () =
+  let dir = Directory.create ~dense_count:100 () in
+  let good = explicit_batch dir ~ids:[ 1; 5; 9; 42 ] ~agg_seq:3 ~straggler_ids:[ 5; 42 ] in
+  checkb "good verifies" true (Batch.verify dir good);
+  let id0 = Batch.identity_root good and red0 = Batch.reduction_root good in
+  let renumbered = { good with Batch.number = 7 } in
+  checkb "renumbered copy keeps its roots" true
+    (Batch.identity_root renumbered = id0 && Batch.reduction_root renumbered = red0);
+  let fresh name (bad : Batch.t) =
+    checkb (name ^ ": identity root re-derived") true
+      (Batch.identity_root bad = Ref_batch.identity_root bad);
+    checkb (name ^ ": reduction root re-derived") true
+      (Batch.reduction_root bad = Ref_batch.reduction_root bad);
+    checkb (name ^ ": rejected") false (Batch.verify dir bad)
+  in
+  let tampered = Array.copy (Ref_batch.entries good) in
+  tampered.(0) <- { (tampered.(0)) with Batch.e_msg = "EVIL" };
+  let bad_entries = { good with Batch.entries = Batch.Explicit tampered } in
+  fresh "tampered entries" bad_entries;
+  checkb "tampered entries: roots moved" true
+    (Batch.identity_root bad_entries <> id0 && Batch.reduction_root bad_entries <> red0);
+  let forged =
+    Array.map (fun s -> { s with Batch.s_seq = s.Batch.s_seq + 1 }) good.Batch.stragglers
+  in
+  let bad_stragglers = { good with Batch.stragglers = forged } in
+  fresh "forged stragglers" bad_stragglers;
+  checkb "forged stragglers: identity root moved" true
+    (Batch.identity_root bad_stragglers <> id0);
+  let bad_seq = { good with Batch.agg_seq = 4 } in
+  fresh "new agg_seq" bad_seq;
+  checkb "new agg_seq: roots moved" true
+    (Batch.identity_root bad_seq <> id0 && Batch.reduction_root bad_seq <> red0);
+  checkb "the original still has its roots and verifies" true
+    (Batch.identity_root good = id0 && Batch.reduction_root good = red0
+     && Batch.verify dir good)
+
 let suite_batch_props =
-  [ qtest ~count:40 "random straggler subsets verify; any corruption fails"
+  [ qtest ~count:150 "joins match the quadratic reference on Byzantine stragglers"
+      QCheck.(
+        triple
+          (list_of_size (Gen.int_range 1 12) (int_bound 40))
+          (list_of_size (Gen.int_range 0 10) (pair (int_bound 45) bool))
+          (int_bound 3))
+      (fun (raw_ids, spec, mode) ->
+        let dir = Directory.create ~dense_count:100 () in
+        let ids = List.sort_uniq compare raw_ids in
+        let half = List.filteri (fun i _ -> i mod 2 = 0) ids in
+        let good = explicit_batch dir ~ids ~agg_seq:5 ~straggler_ids:half in
+        (* Unsorted, duplicated and not-in-entries stragglers, some with a
+           sequence number of their own and some badly signed. *)
+        let extra =
+          Array.of_list
+            (List.mapi (fun i (id, valid) -> straggler_for id ~seq:(i mod 3) ~valid) spec)
+        in
+        let b =
+          match mode with
+          | 0 -> good
+          | 1 -> { good with Batch.stragglers = extra }
+          | 2 -> { good with Batch.stragglers = Array.append good.Batch.stragglers extra }
+          | _ ->
+            let es = Array.copy (Ref_batch.entries good) in
+            let n = Array.length es in
+            { good with
+              Batch.entries = Batch.Explicit (Array.init n (fun i -> es.(n - 1 - i)));
+              stragglers = Array.append extra good.Batch.stragglers }
+        in
+        agrees_with_reference dir b
+        && (mode <> 0 || Batch.verify dir b));
+    qtest ~count:40 "random straggler subsets verify; any corruption fails"
       QCheck.(pair (list_of_size (Gen.int_range 1 12) (int_bound 60)) (int_bound 2))
       (fun (raw_ids, mutation) ->
         let dir = Directory.create ~dense_count:100 () in
@@ -684,6 +846,7 @@ let () =
          Alcotest.test_case "rejects unsorted/duplicate" `Quick test_batch_rejects_unsorted;
          Alcotest.test_case "rejects forgery" `Quick test_batch_rejects_forgery;
          Alcotest.test_case "rejects bad straggler sig" `Quick test_batch_rejects_bad_straggler_sig;
+         Alcotest.test_case "root memo follows rebuilt fields" `Quick test_batch_memo_invalidation;
          Alcotest.test_case "dense verifies" `Quick test_batch_dense_verifies;
          Alcotest.test_case "dense rejects" `Quick test_batch_dense_rejects;
          Alcotest.test_case "dense/explicit equivalence" `Quick test_batch_dense_explicit_equivalence;
@@ -697,6 +860,7 @@ let () =
          Alcotest.test_case "sequence numbers increase" `Quick test_sequence_numbers_increase;
          Alcotest.test_case "consecutive duplicate dropped" `Quick test_consecutive_duplicate_dropped;
          Alcotest.test_case "byzantine clients straggle" `Quick test_byzantine_clients_straggle;
+         Alcotest.test_case "every reduction share bad" `Quick test_every_share_bad;
          Alcotest.test_case "forged batch never delivered" `Quick test_forged_batch_never_delivered;
          Alcotest.test_case "replayed batch deduplicated" `Quick test_replayed_batch_deduplicated;
          Alcotest.test_case "illegitimate sequence rejected" `Quick test_illegitimate_sequence_rejected;

@@ -58,6 +58,66 @@ let test_sha_digest_list () =
   checkb "digest_list = digest of concat" true
     (Sha256.digest_list [ "foo"; "bar"; "baz" ] = Sha256.digest "foobarbaz")
 
+(* Lengths around the padding boundaries: 55 is the longest message whose
+   padding fits its last block, 56..63 spill into a second block, and 64,
+   119/120 and 128 land on or next to block edges.  Byte i of each message
+   is (7i + 3) mod 256; the digests were produced once with Python's
+   hashlib:
+   python3 -c 'import hashlib; print(hashlib.sha256(bytes((i*7+3)&255
+     for i in range(N))).hexdigest())' *)
+let boundary_message n = String.init n (fun i -> Char.chr (((i * 7) + 3) land 255))
+
+let sha_boundary_vectors =
+  [ (55, "e7313d333c272e639f790978283f9eb392e843d0f29b7016828bb1daa4aac70b");
+    (56, "4324d65f3c103567f5589c710bc08f8523f929a9272e3af36fc968e52abc6c27");
+    (63, "81c80242132f230c3bd41b3e63bbcff16107339549214a99614ff26664625055");
+    (64, "39e3d7b6b5d075d37d053ad89b24b41bef4f3c29760c84447cab3f3be1882241");
+    (65, "aacca6ff74fdbb296d165a45cecfa04e5127bc008770fbbdd48006f2d2fae95e");
+    (119, "9ce7368e4daf32341631b492e80359dc9f594b48453cd0dd5bf0b19279cc177e");
+    (120, "7836b787757e95e58b3ca5aec90b1b004e8deba1e50e9675af9cabf1a13a04b5");
+    (128, "d2742f1f4ac6bb7ca2b239ee18402ba8b3f9f8e652d2a72973c2b9ba11c08cf6") ]
+
+let feed_parts parts =
+  let ctx = Sha256.init () in
+  List.iter (Sha256.feed ctx) parts;
+  Sha256.finalize ctx
+
+let test_sha_boundaries () =
+  List.iter
+    (fun (n, expected) ->
+      let m = boundary_message n in
+      let name what = Printf.sprintf "%d bytes, %s" n what in
+      check Alcotest.string (name "one shot") expected (Sha256.to_hex (Sha256.digest m));
+      check Alcotest.string (name "1-byte chunks") expected
+        (Sha256.to_hex (feed_parts (List.init n (fun i -> String.make 1 m.[i]))));
+      let ctx = Sha256.init () in
+      String.iter (Sha256.feed_char ctx) m;
+      check Alcotest.string (name "feed_char") expected (Sha256.to_hex (Sha256.finalize ctx));
+      List.iter
+        (fun cut ->
+          if cut <= n then
+            check Alcotest.string
+              (name (Printf.sprintf "%d+%d split" cut (n - cut)))
+              expected
+              (Sha256.to_hex
+                 (feed_parts [ String.sub m 0 cut; String.sub m cut (n - cut) ])))
+        [ 63; 64 ];
+      check Alcotest.string (name "digest_list") expected
+        (Sha256.to_hex
+           (Sha256.digest_list
+              [ String.sub m 0 (n / 3); String.sub m (n / 3) (n - (n / 3)) ])))
+    sha_boundary_vectors
+
+let printf_hex s =
+  String.to_seq s
+  |> Seq.map (fun c -> Printf.sprintf "%02x" (Char.code c))
+  |> List.of_seq |> String.concat ""
+
+let suite_sha_props =
+  [ qtest ~count:200 "to_hex matches the %02x rendering"
+      QCheck.(string_of_size (Gen.return 32))
+      (fun s -> Sha256.to_hex s = printf_hex s) ]
+
 let test_hmac_rfc4231 () =
   check Alcotest.string "case 1"
     "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
@@ -232,8 +292,27 @@ let test_find_invalid () =
   let all_good = List.map (fun (sk, pk) -> (pk, Multisig.sign sk "m")) ks in
   Alcotest.(check (list int)) "no false positives" [] (Multisig.find_invalid all_good "m")
 
+let test_drop_every_share () =
+  (* Every share of the batch is bad: the tree search names all of them
+     and nothing survives the filter. *)
+  let ks = keys 64 in
+  let shares = List.map (fun (_, pk) -> (pk, Multisig.forge_garbage ())) ks in
+  let bad = Multisig.find_invalid shares "m" in
+  Alcotest.(check (list int)) "all bad" (List.init 64 Fun.id) bad;
+  Alcotest.(check int) "none kept" 0 (List.length (Multisig.drop_indices bad shares))
+
 let suite_multisig_props =
-  [ qtest ~count:60 "find_invalid locates arbitrary corruption patterns"
+  [ qtest ~count:200 "drop_indices = filteri over List.mem"
+      QCheck.(pair (list small_nat) (list bool))
+      (fun (l, marks) ->
+        let n = List.length l in
+        let bad =
+          List.filteri (fun i _ -> i < n + 2) marks
+          |> List.mapi (fun i b -> (i, b))
+          |> List.filter_map (fun (i, b) -> if b then Some i else None)
+        in
+        Multisig.drop_indices bad l = List.filteri (fun i _ -> not (List.mem i bad)) l);
+    qtest ~count:60 "find_invalid locates arbitrary corruption patterns"
       QCheck.(list_of_size (Gen.int_range 1 24) bool)
       (fun pattern ->
         let entries =
@@ -323,7 +402,9 @@ let () =
          Alcotest.test_case "million a" `Slow test_sha_million_a;
          Alcotest.test_case "incremental feeding" `Quick test_sha_incremental;
          Alcotest.test_case "digest_list" `Quick test_sha_digest_list;
-         Alcotest.test_case "hmac rfc4231" `Quick test_hmac_rfc4231 ]);
+         Alcotest.test_case "padding boundaries and splits" `Quick test_sha_boundaries;
+         Alcotest.test_case "hmac rfc4231" `Quick test_hmac_rfc4231 ]
+       @ suite_sha_props);
       ("field61",
        Alcotest.test_case "basics" `Quick test_field_basics
        :: Alcotest.test_case "random range" `Quick test_field_random_range
@@ -340,6 +421,7 @@ let () =
        :: Alcotest.test_case "secret aggregation" `Quick test_multisig_secret_aggregation
        :: Alcotest.test_case "diff secrets" `Quick test_multisig_diff_secrets
        :: Alcotest.test_case "find_invalid" `Quick test_find_invalid
+       :: Alcotest.test_case "every share bad" `Quick test_drop_every_share
        :: suite_multisig_props);
       ("merkle",
        Alcotest.test_case "roundtrip all sizes" `Quick test_merkle_roundtrip
