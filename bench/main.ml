@@ -287,6 +287,9 @@ let run_trace_smoke () =
 let run_bench_json () =
   let module B = Repro_metrics.Baseline in
   let module Cell = Repro_experiments.Cell in
+  (* Wall time on lib/prof's monotonic clock ([Sys.time] is CPU time). *)
+  let now = Repro_prof.Prof.Clock.now in
+  let info direction value = { B.value; tolerance = None; direction } in
   (* Store on: WAL appends are fire-and-forget on a separate simulated
      device, so the protocol metrics are unchanged and the run also
      yields the gated WAL-overhead ratio.  [Cell.default] is exactly the
@@ -297,11 +300,11 @@ let run_bench_json () =
       ("quick-hotstuff", { Cell.default with Cell.underlay = "hotstuff" }) ]
   in
   let bench_config (name, cell) =
-    let t0 = Sys.time () in
+    let t0 = now () in
     (* The profiler is write-only (no events, no RNG reads), so attaching
        it here does not move any gated metric — proved by test_prof. *)
     let out = Cell.run ~profile:true cell in
-    let wall = Sys.time () -. t0 in
+    let wall = now () -. t0 in
     let metric m =
       match List.assoc_opt m out.Cell.metrics with
       | Some v -> v
@@ -310,7 +313,6 @@ let run_bench_json () =
     let gated tol direction m =
       { B.value = metric m; tolerance = Some tol; direction }
     in
-    let info value = { B.value; tolerance = None; direction = B.Lower_better } in
     (* Simulator-efficiency metrics.  events_per_delivery is deterministic
        (engine events per delivered message) and gated: event-count bloat
        is a real scheduling regression.  minor_words_per_event is also
@@ -340,13 +342,15 @@ let run_bench_json () =
         ( "events_per_delivery",
           { B.value = events_per_delivery; tolerance = Some 0.05;
             direction = B.Lower_better } );
-        ("minor_words_per_event", info minor_words_per_event);
-        ("wall_time_s", info wall);
+        ("minor_words_per_event", info B.Lower_better minor_words_per_event);
+        ("wall_time_s", info B.Lower_better wall);
         (* Sim-speed self-benchmark: how fast the simulator itself runs on
            this machine.  Machine-dependent, hence ungated. *)
         ( "sim_events_per_wall_s",
-          info (float_of_int out.Cell.sim_events /. Float.max wall 1e-9) );
-        ("sim_s_per_wall_s", info (out.Cell.sim_seconds /. Float.max wall 1e-9))
+          info B.Higher_better
+            (float_of_int out.Cell.sim_events /. Float.max wall 1e-9) );
+        ( "sim_s_per_wall_s",
+          info B.Higher_better (out.Cell.sim_seconds /. Float.max wall 1e-9) )
       ] )
   in
   (* Reconfiguration under load (quick scale): gates the dynamic-membership
@@ -357,19 +361,18 @@ let run_bench_json () =
      changes land relative to the snapshot marks. *)
   let reconfig_config () =
     let module R = Repro_experiments.Reconfig_load in
-    let t0 = Sys.time () in
+    let t0 = now () in
     let r = R.metrics ~scale:Repro_experiments.Figures.Quick in
-    let wall = Sys.time () -. t0 in
+    let wall = now () -. t0 in
     let gated tol direction value = { B.value; tolerance = Some tol; direction } in
-    let info value = { B.value; tolerance = None; direction = B.Lower_better } in
     ( "quick-reconfig",
       [ ("tput_before_msg_s", gated 0.05 B.Higher_better r.R.tput_before);
         ("tput_after_msg_s", gated 0.05 B.Higher_better r.R.tput_after);
         ("join_recovery_s", gated 0.25 B.Lower_better r.R.join_recovery_s);
-        ("tput_reconfig_msg_s", info r.R.tput_reconfig);
-        ("client_latency_mean_s", info r.R.client_latency_mean);
+        ("tput_reconfig_msg_s", info B.Higher_better r.R.tput_reconfig);
+        ("client_latency_mean_s", info B.Lower_better r.R.client_latency_mean);
         ("final_epoch", gated 0.0 B.Higher_better (float_of_int r.R.final_epoch));
-        ("wall_time_s", info wall) ] )
+        ("wall_time_s", info B.Lower_better wall) ] )
   in
   (* Broker scale-out (lib/fleet, quick scale): gates the multi-broker
      extension.  The metric is the 4-broker fleet's delivered throughput
@@ -380,46 +383,14 @@ let run_bench_json () =
      percent across intentional pipeline changes. *)
   let scaleout_config () =
     let module S = Repro_experiments.Broker_scaleout in
-    let t0 = Sys.time () in
+    let t0 = now () in
     let speedup = S.speedup_4x () in
-    let wall = Sys.time () -. t0 in
+    let wall = now () -. t0 in
     ( "quick-scaleout",
       [ ( "scaleout_speedup_4x",
           { B.value = speedup; tolerance = Some 0.10;
             direction = B.Higher_better } );
-        ("wall_time_s", { B.value = wall; tolerance = None;
-                          direction = B.Lower_better }) ] )
-  in
-  (* Engine self-benchmark (lib/sim hot loop): calendar queue + event pool
-     vs the legacy heap on a pure queue-churn workload.  Dispatch-order
-     equality and pool effectiveness are deterministic and gated at
-     tolerance 0; CPU seconds and the speedup are machine-dependent and
-     informational (the CLI path `chopchop run engine-speed` hard-asserts
-     the 2x separately). *)
-  let engine_speed_config () =
-    let module E = Repro_experiments.Engine_speed in
-    let t0 = Sys.time () in
-    let r = E.measure ~scale:Repro_experiments.Figures.Quick in
-    let wall = Sys.time () -. t0 in
-    let pin direction value =
-      { B.value; tolerance = Some 0.0; direction }
-    in
-    let info value = { B.value; tolerance = None; direction = B.Lower_better } in
-    ( "quick-engine-speed",
-      [ ( "order_match",
-          pin B.Higher_better (if r.E.order_match then 1.0 else 0.0) );
-        ("events", pin B.Higher_better (float_of_int r.E.events));
-        ("allocs_per_event", pin B.Lower_better r.E.allocs_per_event);
-        ( "pool_reuse_ratio",
-          pin B.Higher_better
-            (float_of_int r.E.pool_reused
-            /. Float.max 1. (float_of_int r.E.pool_fresh)) );
-        ("heap_cpu_s", info r.E.heap_cpu_s);
-        ("calendar_cpu_s", info r.E.cal_cpu_s);
-        ("speedup_vs_heap", info r.E.speedup);
-        ( "events_per_cpu_s",
-          info (float_of_int r.E.events /. Float.max 1e-9 r.E.cal_cpu_s) );
-        ("wall_time_s", info wall) ] )
+        ("wall_time_s", info B.Lower_better wall) ] )
   in
   print_endline "=== Bench baseline (quick-scale, deterministic) ===";
   let doc =
@@ -453,17 +424,11 @@ let run_bench_json () =
           "  the measurement window move it a few percent across";
           "  intentional pipeline changes; a drop below tolerance means";
           "  the fleet no longer scales past one broker's NIC).";
-          "quick-engine-speed gates the lib/sim hot loop: order_match,";
-          "  events, allocs_per_event and pool_reuse_ratio are";
-          "  deterministic (tolerance 0) -- the calendar queue must";
-          "  dispatch bit-identically to the legacy heap and keep pooling";
-          "  effective.  CPU seconds / speedup are machine noise, info";
-          "  only; `chopchop run engine-speed` hard-asserts the 2x.";
           "Compared by scripts/bench_compare (bench/compare.ml), which";
           "  scripts/ci.sh runs against a fresh `bench json` run." ];
       configs =
         List.map bench_config configs
-        @ [ reconfig_config (); scaleout_config (); engine_speed_config () ] }
+        @ [ reconfig_config (); scaleout_config () ] }
   in
   let out =
     match Sys.getenv_opt "CHOPCHOP_BENCH_OUT" with

@@ -38,8 +38,6 @@ let experiments : (string * string * (Format.formatter -> F.scale -> unit)) list
     ("ablation-timeout", "reduce-timeout sweep", F.ablation_timeout);
     ("ablation-margin", "witness-margin sweep", F.ablation_margin);
     ("ablation-loss", "client/broker packet-loss sweep", F.ablation_loss);
-    ("engine-speed", "sim hot loop: calendar queue + event pool vs heap",
-     Repro_experiments.Engine_speed.print);
     ("broker-cores", "broker worker lanes until the NIC binds",
      Repro_experiments.Broker_cores.print);
     ("broker-scaleout", "fleet size until the network is the limit",

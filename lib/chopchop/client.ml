@@ -10,7 +10,6 @@ type config = {
   brokers : int list;
   resubmit_timeout : float;
   max_resubmit_timeout : float;
-  n_servers : int;
   clients : int;
 }
 
@@ -18,7 +17,6 @@ type in_flight = {
   fl_msg : Types.message;
   fl_seq : int; (* sequence number submitted (#2) *)
   mutable fl_adopted : int; (* aggregate sequence number adopted, >= fl_seq *)
-  mutable fl_signed_roots : string list;
   fl_started : float;
 }
 
@@ -26,10 +24,7 @@ type t = {
   engine : Engine.t;
   cfg : config;
   kp : Types.keypair;
-  f : int;
-  membership : Membership.t option;
-      (* live committee view (shared with the deployment); [None] falls
-         back to the static f derived from [config.n_servers] *)
+  membership : Membership.t; (* live committee view (the deployment's) *)
   server_ms_pk : int -> Multisig.public_key;
   send_broker : broker:int -> bytes:int -> Proto.client_to_broker -> unit;
   on_delivered : Types.message -> latency:float -> unit;
@@ -47,23 +42,20 @@ type t = {
   mutable crashed : bool;
   mutable bad_share : bool;
   mutable mute_reduction : bool;
-  mutable signup_in_progress : bool;
   k_timer : int; (* Engine kind attributing client timer events *)
   c_verify : Trace.Counter.t; (* signature verifications (certificates) *)
 }
 
-(* Per-client jitter stream, seeded from the deployment-unique nonce.
-   Shared with [Repro_workload.Cohort] so a cohort member draws exactly
-   the jitter its per-client twin would. *)
+(* Per-client jitter stream, seeded from the deployment-unique nonce:
+   resubmission jitter never touches engine randomness. *)
 let jitter_rng ~nonce =
   Rng.create
     (Int64.logxor 0x6A09E667F3BCC909L
        (Int64.mul (Int64.of_int (nonce + 1)) 0x9E3779B97F4A7C15L))
 
-let create ~engine ~config ~keypair ?membership ~server_ms_pk ~send_broker
+let create ~engine ~config ~keypair ~membership ~server_ms_pk ~send_broker
     ?(on_delivered = fun _ ~latency:_ -> ()) ?(nonce = 0) () =
-  { engine; cfg = config; kp = keypair; f = (config.n_servers - 1) / 3;
-    membership;
+  { engine; cfg = config; kp = keypair; membership;
     server_ms_pk; send_broker; on_delivered; nonce;
     id = None; broker_idx = 0; seq = 0; evidence = None;
     queue = Queue.create (); flight = None; epoch = 0;
@@ -71,7 +63,6 @@ let create ~engine ~config ~keypair ?membership ~server_ms_pk ~send_broker
     backoff = config.resubmit_timeout;
     completed = 0;
     crashed = false; bad_share = false; mute_reduction = false;
-    signup_in_progress = false;
     k_timer = Engine.kind engine "client.timer";
     c_verify =
       Trace.Sink.counter (Engine.trace engine) ~cat:"crypto" ~name:"verify_ops" }
@@ -95,8 +86,7 @@ let tr_actor ~id = 2000 + id
    on every server, and the deployment applies the committee view shared
    with the clients at the same instant — so certificates are always
    checked against the thresholds of the epoch that produced them. *)
-let cquorum t =
-  match t.membership with Some m -> Membership.quorum m | None -> t.f + 1
+let cquorum t = Membership.quorum t.membership
 
 let current_broker t = List.nth t.cfg.brokers (t.broker_idx mod List.length t.cfg.brokers)
 
@@ -128,7 +118,6 @@ let reset_backoff t = t.backoff <- t.cfg.resubmit_timeout
 
 let rec signup t =
   if t.id = None && not t.crashed then begin
-    t.signup_in_progress <- true;
     t.send_broker ~broker:(current_broker t)
       ~bytes:(Wire.header_bytes + (2 * Wire.pk_bytes) + 8)
       (Signup_request { card = t.kp.card; nonce = t.nonce });
@@ -168,7 +157,7 @@ let launch_next t =
     let msg = Queue.pop t.queue in
     t.flight <-
       Some { fl_msg = msg; fl_seq = t.seq; fl_adopted = t.seq;
-             fl_signed_roots = []; fl_started = Engine.now t.engine };
+             fl_started = Engine.now t.engine };
     (let s = Engine.trace t.engine in
      if Trace.enabled s then
        match t.id with
@@ -205,7 +194,6 @@ let on_inclusion t ~root ~proof ~agg_seq ~evidence =
             Certs.verify_delivery ~server_ms_pk:t.server_ms_pk ~quorum:(cquorum t) e)
     then begin
       fl.fl_adopted <- max fl.fl_adopted agg_seq;
-      fl.fl_signed_roots <- root :: fl.fl_signed_roots;
       let share =
         if t.bad_share then Multisig.forge_garbage ()
         else Multisig.sign t.kp.ms_sk (Types.reduction_statement ~root)
@@ -276,7 +264,6 @@ let receive t msg =
     | Proto.Signup_response { nonce; id } ->
       if nonce = t.nonce && t.id = None then begin
         t.id <- Some id;
-        t.signup_in_progress <- false;
         t.epoch <- t.epoch + 1;
         reset_backoff t;
         launch_next t

@@ -23,7 +23,6 @@ type config = {
   brokers : int list; (* broker ids, in preference order *)
   resubmit_timeout : float; (* initial resubmission delay *)
   max_resubmit_timeout : float; (* backoff cap *)
-  n_servers : int; (* to size f+1 quorums *)
   clients : int; (* directory size, for wire arithmetic *)
 }
 (** Resubmissions back off exponentially from [resubmit_timeout] to
@@ -34,7 +33,7 @@ val create :
   engine:Repro_sim.Engine.t ->
   config:config ->
   keypair:Types.keypair ->
-  ?membership:Membership.t ->
+  membership:Membership.t ->
   server_ms_pk:(int -> Repro_crypto.Multisig.public_key) ->
   send_broker:(broker:int -> bytes:int -> Proto.client_to_broker -> unit) ->
   ?on_delivered:(Types.message -> latency:float -> unit) ->
@@ -44,9 +43,8 @@ val create :
 (** [nonce] must be unique per client in the deployment (used to route the
     sign-up response); defaults are assigned by {!Deployment}.
     [membership] is the live committee view shared with the deployment:
-    when given, delivery certificates are verified against the current
-    epoch's quorum instead of the static f+1 derived from
-    [config.n_servers]. *)
+    delivery certificates are verified against the current epoch's
+    quorum. *)
 
 val signup : t -> unit
 (** Start the sign-up; queued messages flow once the id is assigned. *)
@@ -77,21 +75,3 @@ val misbehave_bad_share : t -> unit
 val misbehave_mute_reduction : t -> unit
 (** Fault injection: never answer inclusion proofs (a crashed/slow client
     during distillation, §4.2). *)
-
-(** {2 Cohort support}
-
-    Deterministic per-client ingredients shared with the flat-array
-    cohort model ([Repro_workload.Cohort]), so a cohort member is
-    bit-identical to the per-client state machine it stands in for. *)
-
-val jitter_rng : nonce:int -> Repro_sim.Rng.t
-(** The client's private jitter stream for the deployment-unique [nonce]
-    (the network node id); resubmission jitter never touches engine
-    randomness. *)
-
-val msg_key : id:Types.client_id -> seq:int -> int
-(** Correlation id of one (client, sequence-number) message attempt: the
-    same key is emitted at send time and at delivery-certificate time. *)
-
-val tr_actor : id:Types.client_id -> int
-(** Trace actor id for client [id]. *)

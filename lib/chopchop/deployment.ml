@@ -156,11 +156,8 @@ let b2c_sender t ~broker_node ~client_node =
             ~bytes:(Repro_sim.Rudp.packet_bytes pkt) (B2c_udp pkt))
         ())
 
-(* The receiving end at the client's node.  [deliver] is the protocol
-   state machine behind the node: a [Client.t] for {!add_client}, a
-   cohort member's dispatch for {!add_thin_client} — the reliable-UDP
-   channel (and therefore the wire/byte accounting) is identical either
-   way. *)
+(* The receiving end at the client's node; [deliver] hands each message
+   to the [Client.t] behind the node. *)
 let b2c_receiver_to t ~deliver ~broker_node ~client_node =
   get_or_create t.b2c_recv (broker_node, client_node) (fun () ->
       Repro_sim.Rudp.receiver
@@ -532,9 +529,8 @@ let pick_client_region t region =
     t.next_client_region <- t.next_client_region + 1;
     r
 
-(* Broker preference order for a client at [node]/[region] — including the
-   fleet homing side effects, so thin-client and per-client deployments
-   partition identically. *)
+(* Broker preference order for a client at [node]/[region], including the
+   fleet homing side effects. *)
 let client_broker_order t ~node ~region ~identity =
   match t.fleet with
   | Some fl when Fleet.size fl > 0 ->
@@ -557,24 +553,6 @@ let client_broker_order t ~node ~region ~identity =
           (Region.latency region (Net.node_region t.net t.brokers.(b).br_node)))
       all
 
-(* The client node's network face, shared between {!add_client} and
-   {!add_thin_client}: t3.small-class NIC (its traffic is tiny anyway,
-   §6.2) and the reliable-UDP data/ack demultiplexer. *)
-let add_client_node t ~node ~region ~deliver =
-  Net.add_node t.net ~id:node ~region ~ingress_bps:5e9 ~egress_bps:5e9
-    ~kind:"net.client" ~handler:(fun ~src m ->
-      match m with
-      | B2c_udp (Repro_sim.Rudp.Data _ as pkt) ->
-        Repro_sim.Rudp.receiver_on_data
-          (b2c_receiver_to t ~deliver ~broker_node:src ~client_node:node) pkt
-      | C2b_udp (Repro_sim.Rudp.Ack { seq }) ->
-        (match Hashtbl.find_opt t.c2b_send (node, src) with
-         | Some sender -> Repro_sim.Rudp.sender_on_ack sender seq
-         | None -> ())
-      | C2b_udp (Repro_sim.Rudp.Data _) | B2c_udp (Repro_sim.Rudp.Ack _)
-      | B2s _ | S2b _ | S2s _ | Stob_seq _ | Stob_pbft _ | Stob_hs _ -> ())
-    ()
-
 let add_client t ?region ?identity ?on_delivered ?brokers () =
   let region = pick_client_region t region in
   let node = t.next_node in
@@ -591,8 +569,7 @@ let add_client t ?region ?identity ?on_delivered ?brokers () =
   in
   let cfg_c =
     { Client.brokers = broker_list; resubmit_timeout = 8.0;
-      max_resubmit_timeout = 60.0;
-      n_servers = t.cfg.n_servers; clients = max t.cfg.dense_clients 1024 }
+      max_resubmit_timeout = 60.0; clients = max t.cfg.dense_clients 1024 }
   in
   let c =
     Client.create ~engine:t.engine ~config:cfg_c ~keypair
@@ -604,7 +581,22 @@ let add_client t ?region ?identity ?on_delivered ?brokers () =
           ~bytes m)
       ?on_delivered ~nonce:node ()
   in
-  add_client_node t ~node ~region ~deliver:(fun m -> Client.receive c m);
+  (* t3.small-class NIC (its traffic is tiny anyway, §6.2) and the
+     reliable-UDP data/ack demultiplexer. *)
+  let deliver m = Client.receive c m in
+  Net.add_node t.net ~id:node ~region ~ingress_bps:5e9 ~egress_bps:5e9
+    ~kind:"net.client" ~handler:(fun ~src m ->
+      match m with
+      | B2c_udp (Repro_sim.Rudp.Data _ as pkt) ->
+        Repro_sim.Rudp.receiver_on_data
+          (b2c_receiver_to t ~deliver ~broker_node:src ~client_node:node) pkt
+      | C2b_udp (Repro_sim.Rudp.Ack { seq }) ->
+        (match Hashtbl.find_opt t.c2b_send (node, src) with
+         | Some sender -> Repro_sim.Rudp.sender_on_ack sender seq
+         | None -> ())
+      | C2b_udp (Repro_sim.Rudp.Data _) | B2c_udp (Repro_sim.Rudp.Ack _)
+      | B2s _ | S2b _ | S2s _ | Stob_seq _ | Stob_pbft _ | Stob_hs _ -> ())
+    ();
   Hashtbl.replace t.clients_by_node node c;
   (match identity with
    | Some id ->
@@ -612,35 +604,6 @@ let add_client t ?region ?identity ?on_delivered ?brokers () =
      Client.force_identity c id
    | None -> ());
   c
-
-type thin_client = {
-  tc_node : int;
-  tc_brokers : int list;
-  tc_send : broker:int -> bytes:int -> Proto.client_to_broker -> unit;
-}
-
-(* A thin client endpoint: the same node-id assignment, region
-   round-robin, broker preference order, NIC and reliable-UDP wiring as
-   {!add_client}, but the protocol state machine lives with the caller
-   (the flat-array cohort in [lib/workload]) instead of a [Client.t]. *)
-let add_thin_client t ?region ~identity ~receive () =
-  let region = pick_client_region t region in
-  let node = t.next_node in
-  t.next_node <- node + 1;
-  let broker_list =
-    client_broker_order t ~node ~region ~identity:(Some identity)
-  in
-  add_client_node t ~node ~region ~deliver:receive;
-  Hashtbl.replace t.client_nodes identity node;
-  { tc_node = node;
-    tc_brokers = broker_list;
-    tc_send =
-      (fun ~broker ~bytes m ->
-        Repro_sim.Rudp.send
-          (c2b_sender t ~client_node:node ~broker_node:t.brokers.(broker).br_node)
-          ~bytes m) }
-
-let server_ms_pk t j = t.server_pks.(j)
 
 let rudp_stats t =
   let retrans = ref 0 and gave_up = ref 0 and dups = ref 0 in

@@ -79,32 +79,6 @@ val add_client :
 (** A fresh client node.  With [identity] the sign-up is skipped (dense,
     pre-provisioned ids); otherwise call {!Client.signup}. *)
 
-type thin_client = {
-  tc_node : int; (* network node id (the client's unique nonce) *)
-  tc_brokers : int list; (* broker preference order, as {!add_client} *)
-  tc_send : broker:int -> bytes:int -> Proto.client_to_broker -> unit;
-}
-
-val add_thin_client :
-  t ->
-  ?region:Repro_sim.Region.t ->
-  identity:Types.client_id ->
-  receive:(Proto.broker_to_client -> unit) ->
-  unit ->
-  thin_client
-(** A client {e endpoint} without a [Client.t]: same node-id assignment,
-    region round-robin, broker preference order (fleet homing included)
-    and reliable-UDP wiring as {!add_client ~identity}, but broker->client
-    messages flow to [receive] — the substrate of the flat-array client
-    cohort ([Repro_workload.Cohort]).  Byte and event accounting are
-    identical to a per-client deployment.  Cohort members are invisible
-    to {!crash_client}/broker-recovery rehoming (use {!add_client} for
-    fault-injection experiments). *)
-
-val server_ms_pk : t -> int -> Repro_crypto.Multisig.public_key
-(** Server [j]'s current multisig public key (follows reconfiguration) —
-    what {!add_client} hands each client for certificate verification. *)
-
 val add_broker :
   t ->
   region:Repro_sim.Region.t ->

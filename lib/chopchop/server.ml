@@ -13,7 +13,7 @@ type config = {
   clients : int;
   gc_period : float;
   fair_rate : float;
-      (* per-broker admission budget on the order queue: token-bucket
+      (* per-broker admission budget on the order queue, as a token-bucket
          refill in batch references/s (0 = unlimited, the default) *)
   fair_burst : float; (* token-bucket depth for the above *)
 }

@@ -19,10 +19,6 @@ type params = {
   n_load_brokers : int;
   n_brokers : int; (* fleet size: 0 keeps the paper roster, no lib/fleet *)
   measure_clients : int;
-  cohort : bool;
-      (* model the measure clients as one flat-array cohort
-         (Repro_workload.Cohort) instead of per-Client.t records;
-         bit-identical on the same seed *)
   duration : float;
   warmup : float;
   cooldown : float;
@@ -44,7 +40,7 @@ let default =
   { n_servers = 64; cores = Repro_sim.Cost.vcpus; underlay = D.Pbft;
     rate = 1_000_000.; batch_count = 65_536;
     msg_bytes = 8; distill_fraction = 1.0; n_load_brokers = 2; n_brokers = 0;
-    measure_clients = 8; cohort = false;
+    measure_clients = 8;
     duration = 20.; warmup = 6.; cooldown = 4.;
     crash = None; dense_clients = 257_000_000; seed = 42L;
     flush_period = 1.0; reduce_timeout = 1.0; witness_margin = None;
@@ -150,49 +146,27 @@ let run p =
     end
   in
   (* Measure identities sit at the top of the id space, far from the load
-     ranges.  Both models pump back-to-back: a new message as soon as the
+     ranges.  Clients pump back-to-back: a new message as soon as the
      previous one completes would need a completion callback per message;
      the client queue does it — keep a couple of messages in flight
      locally. *)
-  let measure_identity i = p.dense_clients - 1 - i in
-  if p.cohort then begin
-    let coh =
-      Repro_workload.Cohort.create ~deployment:d ~members:p.measure_clients
-        ~identity:measure_identity
-        ~on_delivered:(fun _ _ ~latency -> record_latency latency)
-        ()
-    in
-    let k_pump = Engine.kind engine "exp.pump" in
-    let rec pump m () =
-      if Engine.now engine < p.duration then begin
-        if Repro_workload.Cohort.pending coh m < 2 then
-          Repro_workload.Cohort.broadcast coh m (String.make p.msg_bytes 'x');
-        Engine.schedule ~kind:k_pump engine ~delay:0.5 (pump m)
-      end
-    in
-    for m = 0 to p.measure_clients - 1 do
-      Engine.schedule ~kind:k_pump engine ~delay:0.2 (pump m)
-    done
-  end
-  else begin
-    let clients =
-      List.init p.measure_clients (fun i ->
-          D.add_client d ~identity:(measure_identity i)
-            ~on_delivered:(fun _ ~latency -> record_latency latency)
-            ())
-    in
-    let k_pump = Engine.kind engine "exp.pump" in
-    let rec pump c () =
-      if Engine.now engine < p.duration then begin
-        if Client.pending c < 2 then
-          Client.broadcast c (String.make p.msg_bytes 'x');
-        Engine.schedule ~kind:k_pump engine ~delay:0.5 (pump c)
-      end
-    in
-    List.iter
-      (fun c -> Engine.schedule ~kind:k_pump engine ~delay:0.2 (pump c))
-      clients
-  end;
+  let clients =
+    List.init p.measure_clients (fun i ->
+        D.add_client d ~identity:(p.dense_clients - 1 - i)
+          ~on_delivered:(fun _ ~latency -> record_latency latency)
+          ())
+  in
+  let k_pump = Engine.kind engine "exp.pump" in
+  let rec pump c () =
+    if Engine.now engine < p.duration then begin
+      if Client.pending c < 2 then
+        Client.broadcast c (String.make p.msg_bytes 'x');
+      Engine.schedule ~kind:k_pump engine ~delay:0.5 (pump c)
+    end
+  in
+  List.iter
+    (fun c -> Engine.schedule ~kind:k_pump engine ~delay:0.2 (pump c))
+    clients;
   (* Throughput window accounting on server 0 deliveries. *)
   let tp = Stats.Throughput.create engine ~warmup:p.warmup ~cooldown:p.cooldown ~duration:p.duration in
   D.server_deliver_hook d (fun srv del ->

@@ -19,10 +19,6 @@ type params = {
          legacy nearest-first client routing; N > 0 deploys N brokers
          under the lib/fleet hash-partitioned client policy *)
   measure_clients : int;
-  cohort : bool;
-      (* model the measure clients as one flat-array cohort
-         ({!Repro_workload.Cohort}) instead of per-[Client.t] records —
-         bit-identical traffic, counters and results on the same seed *)
   duration : float;
   warmup : float;
   cooldown : float;

@@ -1,12 +1,9 @@
-(* Hot-loop event queue: a two-level calendar/ladder queue with pooled
-   event records, plus the original binary heap kept as a reference
-   implementation ([Heap]) for dispatch-order equivalence tests and
-   before/after self-benchmarks.
+(* The hot-loop event queue is a two-level calendar/ladder queue with
+   pooled event records.
 
-   Dispatch order is (time, seq) in both implementations: the calendar
-   partitions events by time slot and keeps heap order inside a bucket
-   with the same tie-break, so a same-seed run is bit-identical across
-   queue implementations. *)
+   Dispatch order is (time, seq): the calendar partitions events by time
+   slot and keeps heap order inside a bucket with the same tie-break, so
+   the bucketing never changes the order. *)
 
 type event = {
   mutable ev_time : float;
@@ -29,17 +26,14 @@ let nil =
   { ev_time = 0.; ev_seq = -1; ev_kind = 0; ev_born = 0.; ev_fn = noop;
     ev_cancelled = false; ev_gen = 0 }
 
-type queue = Heap | Calendar
-
 type profiler = {
   prof_clock : unit -> float;
   prof_record :
     kind:int -> wall:float -> minor:float -> dwell:float -> depth:int -> unit;
 }
 
-(* A binary min-heap ordered by (time, seq): the whole queue in [Heap]
-   mode; the far-future overflow and each calendar bucket in [Calendar]
-   mode. *)
+(* A binary min-heap ordered by (time, seq): the far-future overflow and
+   each calendar bucket. *)
 type bheap = { mutable bh_arr : event array; mutable bh_n : int }
 
 let bheap_make cap = { bh_arr = Array.make cap nil; bh_n = 0 }
@@ -106,14 +100,13 @@ let cal_width = 1e-3
 let slot time = int_of_float (time /. cal_width)
 
 type t = {
-  queue : queue;
-  heap : bheap; (* [Heap]: the whole queue; [Calendar]: far-future overflow *)
-  buckets : bheap array; (* [Calendar] near-future ring; [||] in [Heap] mode *)
+  overflow : bheap; (* far-future events, past the ring's horizon *)
+  buckets : bheap array; (* near-future ring *)
   mutable cur_slot : int;
   mutable ring_n : int; (* events currently in the ring *)
-  (* Event-record pool ([Calendar] mode): released records are reused by
-     the next [schedule] instead of allocating a fresh record + closure
-     cell per event. *)
+  (* Event-record pool: released records are reused by the next
+     [schedule] instead of allocating a fresh record + closure cell per
+     event. *)
   mutable pool : event array;
   mutable pool_n : int;
   mutable pool_fresh : int; (* records allocated on the OCaml heap *)
@@ -134,16 +127,11 @@ type t = {
 
 type timer = { tm_eng : t; tm_ev : event; tm_gen : int }
 
-let create ?(seed = 1L) ?(queue = Calendar) ?(trace = Repro_trace.Trace.Sink.null ())
-    () =
+let create ?(seed = 1L) ?(trace = Repro_trace.Trace.Sink.null ()) () =
   let kind_ids = Hashtbl.create 64 in
   Hashtbl.add kind_ids "other" 0;
-  { queue;
-    heap = bheap_make 256;
-    buckets =
-      (match queue with
-       | Heap -> [||]
-       | Calendar -> Array.init cal_buckets (fun _ -> bheap_make 4));
+  { overflow = bheap_make 256;
+    buckets = Array.init cal_buckets (fun _ -> bheap_make 4);
     cur_slot = 0;
     ring_n = 0;
     pool = [||];
@@ -212,39 +200,37 @@ let set_profiler t p = t.profiler <- p
 
 let migrate t =
   let horizon = t.cur_slot + cal_buckets in
-  while t.heap.bh_n > 0 && slot t.heap.bh_arr.(0).ev_time < horizon do
-    let ev = bh_pop t.heap in
+  let o = t.overflow in
+  while o.bh_n > 0 && slot o.bh_arr.(0).ev_time < horizon do
+    let ev = bh_pop o in
     bh_push t.buckets.(slot ev.ev_time land cal_mask) ev;
     t.ring_n <- t.ring_n + 1
   done
 
 let insert t ev =
-  (match t.queue with
-   | Heap -> bh_push t.heap ev
-   | Calendar ->
-     let s = slot ev.ev_time in
-     if s < t.cur_slot then begin
-       (* Backdated insert: [run ~until] can scan the cursor past [s]
-          while clamping the clock to [until]; rewind by demoting the
-          whole ring to the overflow, then re-establish the invariant
-          around the new cursor.  Rare (only after a clamped [run]), and
-          dispatch order is unaffected: order lives in (time, seq), the
-          calendar only partitions. *)
-       for i = 0 to cal_buckets - 1 do
-         let b = t.buckets.(i) in
-         while b.bh_n > 0 do
-           bh_push t.heap (bh_pop b)
-         done
-       done;
-       t.ring_n <- 0;
-       t.cur_slot <- s;
-       migrate t
-     end;
-     if slot ev.ev_time < t.cur_slot + cal_buckets then begin
-       bh_push t.buckets.(slot ev.ev_time land cal_mask) ev;
-       t.ring_n <- t.ring_n + 1
-     end
-     else bh_push t.heap ev);
+  let s = slot ev.ev_time in
+  if s < t.cur_slot then begin
+    (* Backdated insert: [run ~until] can scan the cursor past [s] while
+       clamping the clock to [until]; rewind by demoting the whole ring to
+       the overflow, then re-establish the invariant around the new
+       cursor.  Rare (only after a clamped [run]), and dispatch order is
+       unaffected: order lives in (time, seq), the calendar only
+       partitions. *)
+    for i = 0 to cal_buckets - 1 do
+      let b = t.buckets.(i) in
+      while b.bh_n > 0 do
+        bh_push t.overflow (bh_pop b)
+      done
+    done;
+    t.ring_n <- 0;
+    t.cur_slot <- s;
+    migrate t
+  end;
+  if s < t.cur_slot + cal_buckets then begin
+    bh_push t.buckets.(s land cal_mask) ev;
+    t.ring_n <- t.ring_n + 1
+  end
+  else bh_push t.overflow ev;
   t.queued <- t.queued + 1;
   let live = t.queued - t.cancelled in
   if live > t.max_pending then t.max_pending <- live
@@ -253,13 +239,13 @@ let insert t ev =
    overflow's minimum when the ring is empty) and peek the global
    minimum.  Cursor movement migrates overflow events entering the
    window, preserving the invariant. *)
-let rec cal_min t =
+let rec peek t =
   if t.ring_n = 0 then
-    if t.heap.bh_n = 0 then None
+    if t.overflow.bh_n = 0 then None
     else begin
-      t.cur_slot <- slot t.heap.bh_arr.(0).ev_time;
+      t.cur_slot <- slot t.overflow.bh_arr.(0).ev_time;
       migrate t;
-      cal_min t
+      peek t
     end
   else begin
     let b = t.buckets.(t.cur_slot land cal_mask) in
@@ -267,24 +253,16 @@ let rec cal_min t =
     else begin
       t.cur_slot <- t.cur_slot + 1;
       migrate t;
-      cal_min t
+      peek t
     end
   end
 
-let peek t =
-  match t.queue with
-  | Heap -> if t.heap.bh_n = 0 then None else Some t.heap.bh_arr.(0)
-  | Calendar -> cal_min t
-
 let pop_min t =
-  match t.queue with
-  | Heap -> if t.heap.bh_n = 0 then None else Some (bh_pop t.heap)
-  | Calendar ->
-    (match cal_min t with
-     | None -> None
-     | Some _ ->
-       t.ring_n <- t.ring_n - 1;
-       Some (bh_pop t.buckets.(t.cur_slot land cal_mask)))
+  match peek t with
+  | None -> None
+  | Some _ ->
+    t.ring_n <- t.ring_n - 1;
+    Some (bh_pop t.buckets.(t.cur_slot land cal_mask))
 
 (* --- event-record pool ---------------------------------------------------- *)
 
@@ -311,23 +289,20 @@ let alloc t ~time ~kind ~fn =
       ev_fn = fn; ev_cancelled = false; ev_gen = 0 }
   end
 
-(* Release drops the closure (collectable immediately) and bumps the
+(* Release drops the closure (collectable immediately), bumps the
    generation so stale timer handles can no longer cancel a recycled
-   record.  [Heap] mode never pools: it is the preserved pre-rebuild
-   engine, the baseline the self-benchmark measures against. *)
+   record, and returns the record to the pool. *)
 let release t ev =
   ev.ev_fn <- noop;
   ev.ev_gen <- ev.ev_gen + 1;
   ev.ev_cancelled <- false;
-  if t.queue = Calendar then begin
-    if t.pool_n = Array.length t.pool then begin
-      let bigger = Array.make (max 256 (2 * t.pool_n)) nil in
-      Array.blit t.pool 0 bigger 0 t.pool_n;
-      t.pool <- bigger
-    end;
-    t.pool.(t.pool_n) <- ev;
-    t.pool_n <- t.pool_n + 1
-  end
+  if t.pool_n = Array.length t.pool then begin
+    let bigger = Array.make (max 256 (2 * t.pool_n)) nil in
+    Array.blit t.pool 0 bigger 0 t.pool_n;
+    t.pool <- bigger
+  end;
+  t.pool.(t.pool_n) <- ev;
+  t.pool_n <- t.pool_n + 1
 
 (* --- scheduling ------------------------------------------------------------ *)
 

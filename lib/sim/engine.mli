@@ -8,21 +8,12 @@
 
     The queue is a two-level calendar/ladder structure (near-future slot
     ring + far-future overflow, heap order inside a bucket) with pooled
-    event records; the original binary heap survives as {!Heap} for
-    dispatch-order equivalence tests and the [engine-speed]
-    self-benchmark.  Both dispatch in (time, seq) order, so a same-seed
-    run is bit-identical across implementations. *)
+    event records.  It dispatches in (time, seq) order. *)
 
 type t
 
-type queue =
-  | Heap (** pre-rebuild binary heap, one fresh record per event (baseline) *)
-  | Calendar (** calendar queue + event-record pool (default) *)
-
-val create :
-  ?seed:int64 -> ?queue:queue -> ?trace:Repro_trace.Trace.Sink.t -> unit -> t
+val create : ?seed:int64 -> ?trace:Repro_trace.Trace.Sink.t -> unit -> t
 (** Fresh engine with clock at 0.  [seed] (default 1) seeds {!rng};
-    [queue] (default {!Calendar}) picks the event-queue implementation;
     [trace] (default a null sink) receives instrumentation events from
     every component built on this engine. *)
 
@@ -111,9 +102,7 @@ val max_pending : t -> int
 
 val pool_stats : t -> int * int
 (** [(fresh, reused)] event records: heap allocations vs pool recycles.
-    Deterministic for a fixed seed — the [engine-speed] bench gates
-    fresh-allocations-per-event on it.  In {!Heap} mode everything is
-    fresh. *)
+    Deterministic for a fixed seed. *)
 
 (** {2 Profiling}
 

@@ -75,14 +75,6 @@ dune exec bin/main.exe -- sweep --manifest examples/sweep-ci.json \
   || { echo "sweep smoke: resume did not engage"; exit 1; }
 rm -rf "$sweep_out"
 
-echo "== engine hot-loop smoke: calendar queue vs legacy heap =="
-# The engine self-benchmark runs the same deterministic queue-churn
-# workload under both event-queue implementations; the experiment itself
-# fails if the calendar's dispatch order diverges from the heap's, if
-# the event pool is ineffective, or if the calendar loop does not clear
-# 2x the heap's events per CPU second at quick scale.
-dune exec bin/main.exe -- run engine-speed --scale quick
-
 echo "== profiler / doctor smoke =="
 # The engine self-profiler is a pure observer: two same-seed `chopchop
 # profile` runs must produce byte-identical deterministic JSON (--no-wall
@@ -104,11 +96,13 @@ rm -rf "$prof_dir"
 
 echo "== perfbench full-size correctness smoke =="
 # The dune tests run every perfbench workload shrunk (Workload.Small).
-# These two run at full batch size, through the memoised batch roots and
-# the linear straggler joins, and must pass the benchmark's own delivery
-# check (agreement, no duplicates, everything delivered).
+# These run at full size and must pass the benchmark's own delivery check
+# (agreement, no duplicates, everything delivered): classic-fleet and
+# distill-clients through the memoised batch roots and the linear
+# straggler joins, dense-pbft64 through the engine's calendar ring and
+# its overflow on a ~1M-event stream.
 dune build ./perfbench/main.exe
-for w in classic-fleet distill-clients; do
+for w in dense-pbft64 classic-fleet distill-clients; do
   ./_build/default/perfbench/main.exe --workload "$w" --seed 2 \
     | grep -q '"correct": true' \
     || { echo "perfbench smoke: $w failed its correctness check"; exit 1; }

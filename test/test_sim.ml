@@ -196,52 +196,110 @@ let test_engine_every_boundary () =
   checki "exclusive stops strictly before" 4 (fires false 5.0);
   checki "exclusive with off-grid stop" 5 (fires false 5.5)
 
-(* A randomized schedule/cancel workload whose handlers draw from a
-   private stream and log (tag, now): the log is identical between queue
-   implementations iff the dispatch sequences are identical, since each
-   handler's draws depend on every dispatch before it. *)
-let drive_workload queue seed =
-  let e = Engine.create ~queue () in
-  let r = Rng.create seed in
-  let log = ref [] in
-  let timers = ref [] in
-  let emit tag = log := (tag, Engine.now e) :: !log in
-  for i = 0 to 399 do
-    Engine.schedule_at e ~time:(Rng.float r 60.) (fun () ->
-        emit i;
-        if i mod 3 = 0 then
-          (* dense near-future churn (calendar ring) *)
-          Engine.schedule e ~delay:(Rng.float r 0.01) (fun () -> emit (1000 + i));
-        if i mod 4 = 0 then
-          (* far-future events (overflow heap + migration) *)
-          Engine.schedule e ~delay:(10. +. Rng.float r 50.) (fun () ->
-              emit (2000 + i));
-        if i mod 5 = 0 then
-          timers :=
-            Engine.timer e ~delay:(Rng.float r 20.) (fun () -> emit (3000 + i))
-            :: !timers;
-        if i mod 7 = 0 then (
-          match !timers with
-          | tm :: rest ->
-            Engine.cancel tm;
-            timers := rest
-          | [] -> ()))
-  done;
-  (* Clamped run, then backdated inserts: the calendar cursor has scanned
-     past [until] and must rewind correctly. *)
-  Engine.run ~until:30. e;
-  Engine.schedule e ~delay:0.5 (fun () -> emit 5001);
-  Engine.schedule e ~delay:(Rng.float r 5.) (fun () -> emit 5002);
-  Engine.run e;
-  (List.rev !log, Engine.pending e)
+(* A randomized schedule/cancel workload.  Every event gets a scheduling
+   index when it is scheduled and logs (index, now) when it runs; the
+   handlers draw from a private stream, so what is scheduled next depends
+   on every dispatch before it.  The mix covers the calendar's cases:
+   dense near-future churn (the ring), far-future events (the overflow
+   and its migration), delays straddling the ring horizon, same-time ties,
+   cancelled timers, and clamped [run ~until] followed by backdated
+   inserts that force the cursor to rewind. *)
+type drive = {
+  log : (int * float) list; (* dispatches in order: (scheduling index, now) *)
+  due : (int, float) Hashtbl.t; (* scheduling index -> requested time *)
+  cancelled : (int, unit) Hashtbl.t; (* timers cancelled before running *)
+  scheduled : int;
+  left : int; (* [Engine.pending] after the final run *)
+}
 
-let test_engine_queue_equivalence () =
+let drive_workload seed =
+  let e = Engine.create () in
+  let r = Rng.create seed in
+  let log = ref [] and next = ref 0 in
+  let due = Hashtbl.create 1024 and cancelled = Hashtbl.create 64 in
+  let ran = Hashtbl.create 1024 in
+  let wrap time f =
+    let i = !next in
+    incr next;
+    Hashtbl.replace due i time;
+    ( i,
+      fun () ->
+        Hashtbl.replace ran i ();
+        log := (i, Engine.now e) :: !log;
+        f () )
+  in
+  let at time f = Engine.schedule_at e ~time (snd (wrap time f)) in
+  let after delay f =
+    Engine.schedule e ~delay (snd (wrap (Engine.now e +. delay) f))
+  in
+  let timers = ref [] in
+  for i = 0 to 399 do
+    (* Every fourth top-level event lands on a whole second: tie groups. *)
+    let time =
+      if i mod 4 = 0 then float_of_int (Rng.int r 60) else Rng.float r 60.
+    in
+    at time (fun () ->
+        if i mod 3 = 0 then after (Rng.float r 0.01) ignore;
+        if i mod 4 = 0 then after (10. +. Rng.float r 50.) ignore;
+        if i mod 2 = 0 then after (Rng.float r 2.) ignore;
+        if i mod 6 = 0 then after 0. ignore;
+        if i mod 5 = 0 then begin
+          let delay = Rng.float r 20. in
+          let j, f = wrap (Engine.now e +. delay) ignore in
+          timers := (Engine.timer e ~delay f, j) :: !timers
+        end;
+        if i mod 7 = 0 then
+          match !timers with
+          | (tm, j) :: rest ->
+            Engine.cancel tm;
+            if not (Hashtbl.mem ran j) then Hashtbl.replace cancelled j ();
+            timers := rest
+          | [] -> ())
+  done;
+  List.iter
+    (fun until ->
+      Engine.run ~until e;
+      for _ = 1 to 3 do
+        after (Rng.float r 0.05) ignore
+      done)
+    [ 10.; 20.; 30.; 45. ];
+  Engine.run e;
+  { log = List.rev !log; due; cancelled; scheduled = !next;
+    left = Engine.pending e }
+
+let test_engine_dispatch_order () =
   for seed = 1 to 8 do
-    let seed = Int64.of_int seed in
-    let log_h, pend_h = drive_workload Engine.Heap seed in
-    let log_c, pend_c = drive_workload Engine.Calendar seed in
-    checkb "identical dispatch sequence" true (log_h = log_c);
-    checki "both drained" pend_h pend_c
+    let w = drive_workload (Int64.of_int seed) in
+    let ties = ref 0 in
+    ignore
+      (List.fold_left
+         (fun prev (i, now) ->
+           (match prev with
+            | Some (j, t) ->
+              checkb "time never decreases" true (now >= t);
+              if now = t then begin
+                incr ties;
+                checkb "ties dispatch in scheduling order" true (i > j)
+              end
+            | None -> ());
+           Some (i, now))
+         None w.log);
+    checkb "workload produces same-time ties" true (!ties > 0);
+    checkb "workload cancels pending timers" true
+      (Hashtbl.length w.cancelled > 0);
+    let runs = Array.make w.scheduled 0 in
+    List.iter
+      (fun (i, now) ->
+        runs.(i) <- runs.(i) + 1;
+        checkf "dispatched at its requested time" (Hashtbl.find w.due i) now)
+      w.log;
+    Array.iteri
+      (fun i n ->
+        if Hashtbl.mem w.cancelled i then
+          checki "cancelled timer never runs" 0 n
+        else checki "live event dispatched exactly once" 1 n)
+      runs;
+    checki "queue drained" 0 w.left
   done
 
 let test_engine_pool_reuse () =
@@ -259,16 +317,7 @@ let test_engine_pool_reuse () =
   Engine.run e;
   let fresh, reused = Engine.pool_stats e in
   checkb "records recycled" true (reused > 0);
-  checkb "fresh bounded by peak depth" true (fresh <= Engine.max_pending e + 8);
-  (* The legacy heap never pools. *)
-  let eh = Engine.create ~queue:Engine.Heap () in
-  for _ = 1 to 50 do
-    Engine.schedule eh ~delay:1.0 (fun () -> ())
-  done;
-  Engine.run eh;
-  let fresh_h, reused_h = Engine.pool_stats eh in
-  checki "heap mode allocates per event" 50 fresh_h;
-  checki "heap mode never reuses" 0 reused_h
+  checkb "fresh bounded by peak depth" true (fresh <= Engine.max_pending e + 8)
 
 (* --- Region ------------------------------------------------------------- *)
 
@@ -768,8 +817,7 @@ let () =
            test_engine_closure_collectable;
          Alcotest.test_case "every boundary semantics" `Quick
            test_engine_every_boundary;
-         Alcotest.test_case "calendar = heap dispatch order" `Quick
-           test_engine_queue_equivalence;
+         Alcotest.test_case "dispatch order" `Quick test_engine_dispatch_order;
          Alcotest.test_case "event pool reuse" `Quick test_engine_pool_reuse ]);
       ("region",
        [ Alcotest.test_case "symmetric" `Quick test_region_symmetric;

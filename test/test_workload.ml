@@ -7,8 +7,6 @@ module Server = Repro_chopchop.Server
 module Proto = Repro_chopchop.Proto
 module LB = Repro_workload.Load_broker
 module Stats = Repro_sim.Stats
-module R = Repro_experiments.Chopchop_run
-module Trace = Repro_trace.Trace
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -97,49 +95,6 @@ let test_bulk_regeneration_matches () =
       checki "count" 128 count)
     !bulks
 
-(* --- flat-array cohort vs per-client model --------------------------------- *)
-
-(* The cohort claims bit-identity with the per-client model on the same
-   seed: not statistical closeness — the same events in the same order.
-   Run one pinned config both ways with a private trace sink each and
-   compare results field-for-field (floats by bit pattern) plus the full
-   counter registry, which includes [sim.steps] (every engine dispatch),
-   net bytes, and crypto op counts: any divergence in event count,
-   scheduling order or arithmetic shows up in at least one of these. *)
-let cohort_run ~cohort =
-  let sink = Trace.Sink.null () in
-  let r =
-    R.run
-      { R.default with
-        n_servers = 4; underlay = Repro_chopchop.Deployment.Pbft;
-        rate = 100_000.; batch_count = 4096; n_load_brokers = 1;
-        measure_clients = 6; duration = 6.; warmup = 2.; cooldown = 2.;
-        dense_clients = 1_000_000; cohort; trace = sink }
-  in
-  (r, Trace.Sink.counters sink)
-
-let test_cohort_equivalence () =
-  let r_cli, c_cli = cohort_run ~cohort:false in
-  let r_coh, c_coh = cohort_run ~cohort:true in
-  checki "total deliveries identical" r_cli.R.delivered_messages
-    r_coh.R.delivered_messages;
-  let checkbits what a b =
-    Alcotest.(check int64) what (Int64.bits_of_float a) (Int64.bits_of_float b)
-  in
-  checkbits "throughput" r_cli.R.throughput r_coh.R.throughput;
-  checkbits "latency mean" r_cli.R.latency_mean r_coh.R.latency_mean;
-  checkbits "latency std" r_cli.R.latency_std r_coh.R.latency_std;
-  checkbits "network rate" r_cli.R.network_rate_bps r_coh.R.network_rate_bps;
-  checkbits "server cpu" r_cli.R.server_cpu r_coh.R.server_cpu;
-  checkbits "broker cpu" r_cli.R.broker_cpu_busy_s r_coh.R.broker_cpu_busy_s;
-  checki "decisions" r_cli.R.decisions r_coh.R.decisions;
-  checki "stored max" r_cli.R.stored_bytes_max r_coh.R.stored_bytes_max;
-  checkb "delivered something" true (r_cli.R.delivered_messages > 0);
-  Alcotest.(check (list (triple string string int)))
-    "full counter registry identical (sim.steps, net bytes, crypto ops)"
-    (List.map (fun (a, b, c) -> (a, b, c)) c_cli)
-    (List.map (fun (a, b, c) -> (a, b, c)) c_coh)
-
 let () =
   Alcotest.run "workload"
     [ ("load-broker",
@@ -148,7 +103,4 @@ let () =
          Alcotest.test_case "latency sane" `Quick test_latency_sane;
          Alcotest.test_case "partial distillation" `Quick test_partial_distillation;
          Alcotest.test_case "zero distillation" `Quick test_zero_distillation;
-         Alcotest.test_case "bulk content matches forge" `Quick test_bulk_regeneration_matches ]);
-      ("cohort",
-       [ Alcotest.test_case "cohort bit-identical to per-client model" `Slow
-           test_cohort_equivalence ]) ]
+         Alcotest.test_case "bulk content matches forge" `Quick test_bulk_regeneration_matches ]) ]
