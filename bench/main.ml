@@ -1,6 +1,4 @@
-(* Benchmark harness.
-
-   Two parts:
+(* Benchmark harness: the jobs with no `chopchop` twin.
 
    1. A Bechamel micro-suite — one [Test.make] per table/figure whose
       cost structure rests on a measurable primitive: the §3.2
@@ -10,19 +8,13 @@
       sorted-range deduplication vs hash-map deduplication) and the
       Fig. 11b per-operation application costs.
 
-   2. The figure harness — re-runs every simulated experiment of the
-      evaluation (Figs. 7-11, §3.2, §6.2 silk) and prints the series the
-      paper plots.  Scale with CHOPCHOP_BENCH_SCALE=full (default quick).
+   2. The machine-readable baseline behind the CI regression gate.
 
-   Run with:  dune exec bench/main.exe            (everything)
-              dune exec bench/main.exe micro      (bechamel suite only)
-              dune exec bench/main.exe figures    (simulation harness only)
-              dune exec bench/main.exe trace      (traced-run smoke check)
-              dune exec bench/main.exe chaos      (fault-injection scenarios)
+   Run with:  dune exec bench/main.exe            (bechamel suite)
               dune exec bench/main.exe json       (machine-readable baseline)
 
-   With CHOPCHOP_TRACE=1 a traced quick run and its per-phase latency
-   breakdown are appended to the default output. *)
+   The simulated figures, traced runs and chaos scenarios run from
+   `chopchop all`, `chopchop trace` and `chopchop chaos`. *)
 
 open Bechamel
 module Crypto = Repro_crypto
@@ -242,42 +234,6 @@ let run_bechamel () =
         results)
     micro_tests
 
-(* Traced quick run: the smoke check behind `bench trace` and
-   CHOPCHOP_TRACE=1.  Asserts the sink is non-empty, that every layer of
-   the stack emitted events, and that the breakdown decomposed messages. *)
-let run_trace_smoke () =
-  let module Trace = Repro_trace.Trace in
-  let module R = Repro_experiments.Chopchop_run in
-  let module LB = Repro_experiments.Latency_breakdown in
-  print_endline "\n=== Traced run (quick scale) ===";
-  let params =
-    { R.default with
-      n_servers = 4; underlay = Repro_chopchop.Deployment.Pbft;
-      rate = 100_000.; batch_count = 4096; n_load_brokers = 1;
-      measure_clients = 4; duration = 10.; warmup = 4.; cooldown = 2.;
-      dense_clients = 1_000_000 }
-  in
-  let result, breakdown, sink = LB.capture ~params () in
-  assert (Trace.Sink.length sink > 0);
-  let cats =
-    List.fold_left
-      (fun acc (e : Trace.event) ->
-        if List.mem e.ev_cat acc then acc else e.ev_cat :: acc)
-      [] (Trace.Sink.events sink)
-  in
-  List.iter
-    (fun cat ->
-      if not (List.mem cat cats) then
-        failwith (Printf.sprintf "trace smoke: no %S events captured" cat))
-    [ "client"; "broker"; "server"; "stob" ];
-  if LB.complete breakdown = 0 then
-    failwith "trace smoke: no message fully decomposed";
-  Format.printf "%a@.@." R.pp_result result;
-  Format.printf "%a@." LB.pp breakdown;
-  Printf.printf "trace smoke ok: %d events, cats: %s\n%!"
-    (Trace.Sink.length sink)
-    (String.concat " " (List.sort compare cats))
-
 (* `bench json`: the machine-readable baseline behind the CI regression
    gate.  Runs the standard quick-scale configs under a memory trace sink,
    derives the paper's efficiency metrics, and writes a
@@ -382,7 +338,7 @@ let run_bench_json () =
      boundaries landing on the measurement window edges move it by a few
      percent across intentional pipeline changes. *)
   let scaleout_config () =
-    let module S = Repro_experiments.Broker_scaleout in
+    let module S = Repro_experiments.Broker_saturation in
     let t0 = now () in
     let speedup = S.speedup_4x () in
     let wall = now () -. t0 in
@@ -453,38 +409,11 @@ let run_bench_json () =
   Printf.printf "baseline -> %s\n%!" out
 
 let () =
-  let scale =
-    match Sys.getenv_opt "CHOPCHOP_BENCH_SCALE" with
-    | Some "full" -> Repro_experiments.Figures.Full
-    | _ -> Repro_experiments.Figures.Quick
-  in
-  let what = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in
-  if what = "micro" || what = "all" then run_bechamel ();
-  if what = "figures" || what = "all" then begin
-    Printf.printf
-      "\n=== Figure harness (scale: %s; set CHOPCHOP_BENCH_SCALE=full for the 64-server setup) ===\n%!"
-      (match scale with Repro_experiments.Figures.Full -> "full" | _ -> "quick");
-    Repro_experiments.Figures.run_all Format.std_formatter scale;
-    Repro_experiments.Future.print Format.std_formatter scale
-  end;
-  if what = "trace" || Sys.getenv_opt "CHOPCHOP_TRACE" = Some "1" then
-    run_trace_smoke ();
-  if what = "json" then run_bench_json ();
-  if what = "chaos" then begin
-    let module C = Repro_chaos.Chaos in
-    let chaos_scale =
-      match scale with
-      | Repro_experiments.Figures.Full -> C.Full
-      | _ -> C.Quick
-    in
-    Printf.printf "\n=== Chaos scenarios (scale: %s) ===\n%!"
-      (C.scale_to_string chaos_scale);
-    let verdicts = C.run_all ~seed:42L ~scale:chaos_scale in
-    List.iter (fun v -> Format.printf "%a@." C.pp_verdict v) verdicts;
-    let failed = List.filter (fun v -> not v.C.v_pass) verdicts in
-    if failed <> [] then
-      failwith
-        (Printf.sprintf "chaos: %d scenario(s) failed" (List.length failed));
-    Printf.printf "chaos ok: %d/%d scenarios passed\n%!" (List.length verdicts)
-      (List.length verdicts)
-  end
+  match Array.to_list Sys.argv with
+  | [ _ ] -> run_bechamel ()
+  | [ _; "json" ] -> run_bench_json ()
+  | _ ->
+    prerr_endline
+      "usage: main.exe [json]  (no argument: the bechamel suite; json: the \
+       baseline)";
+    exit 2

@@ -39,9 +39,9 @@ let experiments : (string * string * (Format.formatter -> F.scale -> unit)) list
     ("ablation-margin", "witness-margin sweep", F.ablation_margin);
     ("ablation-loss", "client/broker packet-loss sweep", F.ablation_loss);
     ("broker-cores", "broker worker lanes until the NIC binds",
-     Repro_experiments.Broker_cores.print);
+     Repro_experiments.Broker_saturation.print_cores);
     ("broker-scaleout", "fleet size until the network is the limit",
-     Repro_experiments.Broker_scaleout.print);
+     Repro_experiments.Broker_saturation.print_scaleout);
     ("reconfig-load", "ordered join + leave under sustained load",
      Repro_experiments.Reconfig_load.print);
     ("future", "§8 extensions: sharding + pk-aggregation offload",
@@ -94,7 +94,11 @@ let run_cmd =
   Cmd.v (Cmd.info "run" ~doc:"Run one experiment") (Term.ret term)
 
 let all_cmd =
-  let term = Term.(const (fun scale -> F.run_all Format.std_formatter scale) $ scale_term) in
+  let run scale =
+    F.run_all Format.std_formatter scale;
+    Repro_experiments.Future.print Format.std_formatter scale
+  in
+  let term = Term.(const run $ scale_term) in
   Cmd.v (Cmd.info "all" ~doc:"Regenerate every table and figure") term
 
 let trace_params = function
@@ -133,14 +137,14 @@ let trace_cmd =
   let run scale out follow =
     let result, breakdown, sink = LB.capture ~params:(trace_params scale) () in
     warn_drops sink;
-    let events = Repro_trace.Trace.Sink.events sink in
+    let idx = CP.index (Repro_trace.Trace.Sink.events sink) in
     match follow with
     | Some spec ->
       let path =
-        if spec = "auto" then CP.first events
+        if spec = "auto" then CP.first idx
         else
           match int_of_string_opt spec with
-          | Some key -> CP.follow events ~key
+          | Some key -> CP.follow idx ~key
           | None -> None
       in
       (match path with
@@ -163,7 +167,7 @@ let trace_cmd =
            (Repro_trace.Trace.Sink.length sink)
            (Repro_trace.Trace.Sink.dropped sink)
            out;
-         let cands = CP.candidates events in
+         let cands = CP.candidates idx in
          let show = List.filteri (fun i _ -> i < 8) cands in
          if show <> [] then
            Format.printf "follow a message with --follow <id>: %s%s@."

@@ -232,7 +232,6 @@ module Invariant = struct
 
   let violations t = List.rev t.violations
   let ok t = t.violations = []
-  let log_length t server = t.logs.(server).len
 end
 
 (* --- verdicts --------------------------------------------------------------- *)

@@ -127,9 +127,6 @@ module Invariant : sig
   (** Oldest first; empty means all invariants held. *)
 
   val ok : t -> bool
-
-  val log_length : t -> int -> int
-  (** Deliveries observed from one server (diagnostics). *)
 end
 
 (** {1 Scenarios} *)

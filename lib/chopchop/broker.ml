@@ -130,16 +130,6 @@ let batches_in_flight t = Hashtbl.length t.flight + Hashtbl.length t.reducing
 
 let pool_depth t = Hashtbl.length t.pool
 
-let flight_numbers t =
-  Hashtbl.fold (fun _ fl acc -> (fl.w_batch.Batch.number, fl.w_done, fl.w_witness <> None) :: acc) t.flight []
-
-let stage_counts t =
-  let waiting_witness = ref 0 and waiting_completion = ref 0 in
-  Hashtbl.iter
-    (fun _ fl ->
-      if fl.w_witness = None then incr waiting_witness else incr waiting_completion)
-    t.flight;
-  (Hashtbl.length t.reducing, !waiting_witness, !waiting_completion)
 let batches_completed t = t.completed
 
 let distillation_ratio t =
@@ -147,7 +137,6 @@ let distillation_ratio t =
   else
     1.0
     -. (float_of_int t.stragglers_launched /. float_of_int t.entries_launched)
-let best_evidence t = t.evidence
 
 let evidence_counter t = match t.evidence with Some e -> e.Certs.counter | None -> 0
 

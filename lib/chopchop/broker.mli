@@ -99,14 +99,7 @@ val batches_in_flight : t -> int
 val pool_depth : t -> int
 (** Live submissions waiting for the next flush (one per client). *)
 
-val flight_numbers : t -> (int * bool * bool) list
-(** (number, done, witnessed) per in-flight batch — diagnostics. *)
-
-(** [stage_counts t] is (reducing, awaiting witness, awaiting completion)
-    — diagnostics. *)
-val stage_counts : t -> int * int * int
 val batches_completed : t -> int
-val best_evidence : t -> Certs.delivery_cert option
 
 val distillation_ratio : t -> float
 (** Fraction of launched entries covered by the aggregate multi-signature

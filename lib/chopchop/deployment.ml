@@ -184,12 +184,7 @@ let run t ~until = Engine.run ~until t.engine
 
 let server_ingress_bytes t i = Net.bytes_received t.net i
 
-let server_cpu_utilization t i =
-  let cpu = t.server_cpus.(i) in
-  Cpu.utilization cpu ~since:(Cpu.boot cpu)
-
 let server_cpu_backlog t i = Cpu.backlog t.server_cpus.(i)
-let total_delivered_messages t = Server.delivered_messages t.servers.(0)
 
 let server_deliver_hook t hook = t.deliver_hook <- hook
 
@@ -741,8 +736,6 @@ let add_injector t ?region () =
 
 (* --- durable-state introspection (metrics probes, bench gate) ----------- *)
 
-let server_store t i = t.stores.(i)
-
 let with_store t i ~default f =
   match t.stores.(i) with Some s -> f s | None -> default
 
@@ -831,9 +824,6 @@ let recover_broker t i =
 
 let fleet t = t.fleet
 let broker_shard t i = t.brokers.(i).br_shard
-
-let fleet_loads t =
-  match t.fleet with Some fl -> Fleet.loads fl | None -> [||]
 
 let fleet_hottest t =
   match t.fleet with Some fl -> Fleet.hottest fl | None -> None

@@ -180,9 +180,6 @@ val fleet : t -> Repro_fleet.Fleet.t option
 val broker_shard : t -> int -> Directory.shard option
 (** Broker [i]'s Rank partition. *)
 
-val fleet_loads : t -> int array
-(** Clients homed per broker ([[||]] without a fleet). *)
-
 val fleet_hottest : t -> (int * int) option
 (** [(broker, clients)] of the most loaded partition. *)
 
@@ -225,14 +222,7 @@ val server_deliver_hook : t -> (int -> Proto.delivery -> unit) -> unit
 (** Observe application deliveries: [hook server_index delivery].
     Replaces (not chains) the previous hook. *)
 
-val total_delivered_messages : t -> int
-(** Messages delivered by server 0 (all correct servers agree). *)
-
 val server_ingress_bytes : t -> int -> int
-
-val server_cpu_utilization : t -> int -> float
-(** Mean executed-busy fraction of server [i]'s lanes since boot.  For
-    windowed readings take {!Repro_sim.Cpu.mark}s on {!server_cpu}. *)
 
 (** [server_cpu_backlog t i]: seconds of queued CPU work at server [i]
     (sampler probe). *)
@@ -255,9 +245,6 @@ val rudp_stats : t -> int * int * int
 
     Introspection over each server's disk and store; all return the
     neutral value when [store_enabled] is false. *)
-
-val server_store :
-  t -> int -> (Proto.checkpoint, Proto.wal_record) Repro_store.Store.t option
 
 val server_wal_bytes : t -> int -> int
 (** Cumulative WAL bytes ever appended by server [i]. *)

@@ -121,7 +121,6 @@ type shard = {
 let create_shard ?(dense_count = 0) () =
   { sh_dense = dense_count; sh_cards = Hashtbl.create 64 }
 
-let shard_dense_count sh = sh.sh_dense
 let shard_size sh = Hashtbl.length sh.sh_cards
 
 let shard_insert sh ~id card =

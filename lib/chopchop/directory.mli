@@ -64,7 +64,6 @@ val dense_keypair : int -> Types.keypair
 type shard
 
 val create_shard : ?dense_count:int -> unit -> shard
-val shard_dense_count : shard -> int
 val shard_size : shard -> int
 (** Explicit cards held (dense identities are derived, not stored). *)
 

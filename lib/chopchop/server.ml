@@ -87,7 +87,6 @@ type t = {
      its own budget on the order queue. *)
   fair_buckets : (int, bucket) Hashtbl.t;
   fair_rejects : (int, int) Hashtbl.t;
-  mutable fair_weights : int -> float;
   (* Sharded Rank (lib/fleet): observer invoked after every ordered
      signup, so the deployment can route the card to the owning shard. *)
   mutable on_signup :
@@ -138,7 +137,7 @@ let create ~engine ~cpu ~config ?store ?(checkpoint_every = 0)
     restarts = 0; collected_batches = 0;
     app_snapshot = None; app_restore = None;
     fair_buckets = Hashtbl.create 8; fair_rejects = Hashtbl.create 8;
-    fair_weights = (fun _ -> 1.0); on_signup = None;
+    on_signup = None;
     mis_bad_shares = false; mis_refuse_witness = false;
     k_timer = Engine.kind engine "server.timer";
     c_verify =
@@ -163,16 +162,15 @@ let note_instant t name attrs =
       ~name ~id:(Trace.key (string_of_int t.cfg.self)) ~attrs
 
 let directory t = t.dir
-let set_fair_weights t f = t.fair_weights <- f
 let set_on_signup t f = t.on_signup <- Some f
 
 (* Per-broker admission budget on the order queue (lib/fleet).  Mirrors
-   the broker's per-client bucket: refill at [fair_rate * weight], cap at
+   the broker's per-client bucket: refill at [fair_rate], cap at
    [fair_burst], spend one token per accepted batch reference.  Rate 0
    (the default) keeps the gate wide open. *)
 let fair_admit t broker =
-  let rate = t.cfg.fair_rate *. t.fair_weights broker in
-  if t.cfg.fair_rate <= 0. || rate <= 0. then true
+  let rate = t.cfg.fair_rate in
+  if rate <= 0. then true
   else begin
     let now = Engine.now t.engine in
     let b =

@@ -148,10 +148,6 @@ val directory : t -> Directory.t
 
 (** {2 Fleet hooks (lib/fleet)} *)
 
-val set_fair_weights : t -> (int -> float) -> unit
-(** Per-broker weight on the fair-admission budget (default: uniform
-    1.0).  Only consulted when [fair_rate > 0]. *)
-
 val admission_rejects : t -> (int * int) list
 (** [(broker, rejected submits)] pairs, sorted by broker — how often each
     broker exhausted its admission budget ("reject_admission" instants). *)

@@ -25,8 +25,6 @@ let add a b = fold62 (a + b)
 
 let sub a b = if a >= b then a - b else a - b + p
 
-let neg a = if a = 0 then 0 else p - a
-
 (* a, b < 2^61.  Split a = ah*2^31 + al and b = bh*2^31 + bl with
    ah, bh < 2^30 and al, bl < 2^31.  Then
      a*b = ah*bh*2^62 + (ah*bl + al*bh)*2^31 + al*bl
@@ -58,8 +56,6 @@ let pow b e =
 let inv a =
   if a = 0 then raise Division_by_zero;
   pow a (p - 2)
-
-let div a b = mul a (inv b)
 
 let of_bytes s =
   (* Fold 8-byte little-endian words of the input into the accumulator with

@@ -29,8 +29,6 @@ val compare : t -> t -> int
 
 val add : t -> t -> t
 val sub : t -> t -> t
-val neg : t -> t
-
 val mul : t -> t -> t
 (** Full 61x61-bit modular multiplication via 31/30-bit limb splitting. *)
 
@@ -44,8 +42,6 @@ val pow : t -> int -> t
 val inv : t -> t
 (** Multiplicative inverse by Fermat's little theorem.
     @raise Division_by_zero on [zero]. *)
-
-val div : t -> t -> t
 
 val of_bytes : string -> t
 (** Folds an arbitrary byte string (e.g. a SHA-256 digest) into a field

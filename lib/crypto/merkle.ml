@@ -71,4 +71,3 @@ let proof_length p = List.length p.path
 let proof_size_bytes p = (32 * List.length p.path) + 8
 
 let root_equal = String.equal
-let pp_root fmt r = Format.pp_print_string fmt (Sha256.to_hex r)

@@ -42,4 +42,3 @@ val proof_size_bytes : proof -> int
     proofs to clients. *)
 
 val root_equal : root -> root -> bool
-val pp_root : Format.formatter -> root -> unit

@@ -63,7 +63,6 @@ let batch_verify entries =
       entries;
     Field61.equal (scale !lhs) !rhs
 
-let pp_public_key = Field61.pp
 let pp_signature fmt { r; s } = Format.fprintf fmt "(%a,%a)" Field61.pp r Field61.pp s
 
 let signature_equal a b = Field61.equal a.r b.r && Field61.equal a.s b.s

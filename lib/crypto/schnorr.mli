@@ -39,7 +39,6 @@ val batch_verify : (public_key * string * signature) list -> bool
     verifies.  Mirrors [ed25519-dalek]'s [verify_batch], which the paper's
     brokers rely on (§5.1). *)
 
-val pp_public_key : Format.formatter -> public_key -> unit
 val pp_signature : Format.formatter -> signature -> unit
 
 val signature_equal : signature -> signature -> bool

@@ -21,133 +21,143 @@ type t = {
   p_ctx_verified : bool;
 }
 
-let candidates events =
-  let seen = Hashtbl.create 64 in
-  List.filter_map
-    (fun (e : Trace.event) ->
-      match (e.ev_phase, e.ev_cat, e.ev_name) with
-      | Trace.I, "client", "deliver" when not (Hashtbl.mem seen e.ev_id) ->
-        Hashtbl.add seen e.ev_id ();
-        Some e.ev_id
-      | _ -> None)
-    events
+(* The five pipeline phases, in order; each ends where the next begins. *)
+let phases = [ "submission"; "distillation"; "witnessing"; "ordering"; "delivery" ]
 
-let follow events ~key =
-  (* The client-side endpoints of the followed message. *)
-  let send = ref None and deliver = ref None in
-  (* Broker "include" instants for this key: (proposal, hop, time, actor). *)
-  let includes = ref [] in
+type index = {
+  delivers : Trace.event list; (* client "deliver" instants, event order *)
+  candidates : int list; (* their keys, deduplicated, event order *)
+  send : (int, Trace.event) Hashtbl.t; (* first client "send" per key *)
+  deliver : (int, Trace.event) Hashtbl.t; (* first client "deliver" per key *)
+  includes : (int, int * int) Hashtbl.t;
+      (* broker "include" (proposal, hop) per key, all kept (find_all) *)
+  launch : (int, Trace.event * int) Hashtbl.t;
+      (* first broker "launch" per batch, with its reduction key *)
+  distill : (int, Trace.Span.t) Hashtbl.t; (* first "distill" span per proposal *)
+  witness : (int, Trace.Span.t) Hashtbl.t; (* first "witness" span per batch *)
+  ordered : (int, Trace.event) Hashtbl.t; (* earliest server "ordered" per batch *)
+}
+
+let index events =
+  let idx =
+    { delivers = []; candidates = [];
+      send = Hashtbl.create 256; deliver = Hashtbl.create 256;
+      includes = Hashtbl.create 256; launch = Hashtbl.create 64;
+      distill = Hashtbl.create 64; witness = Hashtbl.create 64;
+      ordered = Hashtbl.create 64 }
+  in
+  let add_first tbl k v = if not (Hashtbl.mem tbl k) then Hashtbl.add tbl k v in
+  List.iter
+    (fun (s : Trace.Span.t) ->
+      if s.sp_cat = "broker" then
+        match s.sp_name with
+        | "distill" -> add_first idx.distill s.sp_id s
+        | "witness" -> add_first idx.witness s.sp_id s
+        | _ -> ())
+    (Trace.Span.pair events);
+  let delivers = ref [] and candidates = ref [] in
   List.iter
     (fun (e : Trace.event) ->
-      if e.ev_id = key then
-        match (e.ev_phase, e.ev_cat, e.ev_name) with
-        | Trace.I, "client", "send" -> if !send = None then send := Some e
-        | Trace.I, "client", "deliver" -> if !deliver = None then deliver := Some e
-        | Trace.I, "broker", "include" ->
-          (match
-             ( Trace.attr_int e.ev_attrs "proposal",
-               Trace.attr_int e.ev_attrs "hop" )
-           with
-           | Some proposal, Some hop ->
-             includes := (proposal, hop, e.ev_time, e.ev_actor) :: !includes
-           | _ -> ())
-        | _ -> ())
+      match (e.ev_phase, e.ev_cat, e.ev_name) with
+      | Trace.I, "client", "send" -> add_first idx.send e.ev_id e
+      | Trace.I, "client", "deliver" ->
+        delivers := e :: !delivers;
+        if not (Hashtbl.mem idx.deliver e.ev_id) then begin
+          Hashtbl.add idx.deliver e.ev_id e;
+          candidates := e.ev_id :: !candidates
+        end
+      | Trace.I, "broker", "include" ->
+        (match
+           (Trace.attr_int e.ev_attrs "proposal", Trace.attr_int e.ev_attrs "hop")
+         with
+         | Some proposal, Some hop -> Hashtbl.add idx.includes e.ev_id (proposal, hop)
+         | _ -> ())
+      | Trace.I, "broker", "launch" ->
+        (match Trace.attr_int e.ev_attrs "reduction" with
+         | Some red -> add_first idx.launch e.ev_id (e, red)
+         | None -> ())
+      | Trace.I, "server", "ordered" ->
+        (* The batch is ordered once the first correct server sees it come
+           out of the STOB. *)
+        (match Hashtbl.find_opt idx.ordered e.ev_id with
+         | Some (o : Trace.event) when o.ev_time <= e.ev_time -> ()
+         | _ -> Hashtbl.replace idx.ordered e.ev_id e)
+      | _ -> ())
     events;
-  match (!send, !deliver) with
-  | Some send_e, Some deliver_e ->
-    (* Walk backward from the delivery certificate: its root names the
-       carrying batch, the batch's launch names the proposal. *)
-    Option.bind (Trace.attr_int deliver_e.ev_attrs "root") (fun batch ->
-        let launch = ref None and ordered = ref None in
-        List.iter
-          (fun (e : Trace.event) ->
-            if e.ev_id = batch then
-              match (e.ev_phase, e.ev_cat, e.ev_name) with
-              | Trace.I, "broker", "launch" ->
-                if !launch = None then launch := Some e
-              | Trace.I, "server", "ordered" ->
-                (match !ordered with
-                 | Some (o : Trace.event) when o.ev_time <= e.ev_time -> ()
-                 | _ -> ordered := Some e)
-              | _ -> ())
-          events;
-        Option.bind !launch (fun (launch_e : Trace.event) ->
-            Option.bind (Trace.attr_int launch_e.ev_attrs "reduction")
-              (fun proposal ->
-                let spans = Trace.Span.pair events in
-                let find_span name id =
-                  List.find_opt
-                    (fun (s : Trace.Span.t) ->
-                      s.sp_cat = "broker" && s.sp_name = name && s.sp_id = id)
-                    spans
-                in
-                match
-                  (find_span "distill" proposal, find_span "witness" batch, !ordered)
-                with
-                | Some distill, Some witness, Some ordered_e ->
-                  let inc =
-                    List.find_opt (fun (p, _, _, _) -> p = proposal) !includes
-                  in
-                  let ctx_verified = inc <> None in
-                  let inc_hop =
-                    match inc with Some (_, h, _, _) -> h | None -> 1
-                  in
-                  let t0 = send_e.ev_time in
-                  let td = deliver_e.ev_time in
-                  let hops =
-                    [ { h_phase = "submission"; h_start = t0;
-                        h_finish = distill.sp_begin; h_actor = distill.sp_actor;
-                        h_hop = inc_hop;
-                        h_detail =
-                          Printf.sprintf
-                            "client %d -> broker %d; included in proposal %#x%s"
-                            send_e.ev_actor distill.sp_actor proposal
-                            (if ctx_verified then "" else " (no include hop!)") };
-                      { h_phase = "distillation"; h_start = distill.sp_begin;
-                        h_finish = launch_e.ev_time; h_actor = distill.sp_actor;
-                        h_hop = inc_hop + 1;
-                        h_detail =
-                          Printf.sprintf
-                            "proposal %#x reduced, launched as batch %#x"
-                            proposal batch };
-                      { h_phase = "witnessing"; h_start = launch_e.ev_time;
-                        h_finish = witness.sp_end; h_actor = witness.sp_actor;
-                        h_hop = inc_hop + 2;
-                        h_detail =
-                          Printf.sprintf
-                            "f+1 witness shards aggregated at broker %d"
-                            witness.sp_actor };
-                      { h_phase = "ordering"; h_start = witness.sp_end;
-                        h_finish = ordered_e.ev_time; h_actor = ordered_e.ev_actor;
-                        h_hop = inc_hop + 3;
-                        h_detail =
-                          Printf.sprintf
-                            "(root, witness) through the STOB; first out at server %d"
-                            ordered_e.ev_actor };
-                      { h_phase = "delivery"; h_start = ordered_e.ev_time;
-                        h_finish = td; h_actor = deliver_e.ev_actor;
-                        h_hop = inc_hop + 4;
-                        h_detail =
-                          Printf.sprintf
-                            "delivered server-side; certificate back to client %d"
-                            deliver_e.ev_actor } ]
-                  in
-                  Some
-                    { p_key = key; p_client = send_e.ev_actor;
-                      p_seq = Trace.attr_int send_e.ev_attrs "seq";
-                      p_proposal = proposal; p_batch = batch;
-                      p_send = t0; p_deliver = td; p_hops = hops;
-                      p_ctx_verified = ctx_verified }
-                | _ -> None)))
+  { idx with delivers = List.rev !delivers; candidates = List.rev !candidates }
+
+let candidates idx = idx.candidates
+
+(* The path behind one client "deliver" instant.  Its "root" names the
+   carrying batch (identity key), the batch's launch names the proposal
+   (reduction key), and the broker spans and server instants hang off
+   those two keys.  The hop boundaries
+
+     send .. distill-begin .. launch .. witness-end .. first-order .. deliver
+
+   telescope, so the hops sum to exactly the end-to-end latency. *)
+let path idx (deliver : Trace.event) =
+  let key = deliver.ev_id in
+  match (Hashtbl.find_opt idx.send key, Trace.attr_int deliver.ev_attrs "root") with
+  | Some send, Some batch ->
+    Option.bind (Hashtbl.find_opt idx.launch batch)
+      (fun ((launch : Trace.event), proposal) ->
+        match
+          ( Hashtbl.find_opt idx.distill proposal,
+            Hashtbl.find_opt idx.witness batch,
+            Hashtbl.find_opt idx.ordered batch )
+        with
+        | Some distill, Some witness, Some (ordered : Trace.event) ->
+          (* find_all lists the latest include first. *)
+          let inc =
+            List.find_opt (fun (p, _) -> p = proposal)
+              (Hashtbl.find_all idx.includes key)
+          in
+          let ctx_verified = inc <> None in
+          let inc_hop = match inc with Some (_, h) -> h | None -> 1 in
+          let b =
+            [| send.ev_time; distill.sp_begin; launch.ev_time; witness.sp_end;
+               ordered.ev_time; deliver.ev_time |]
+          in
+          let hop i actor detail =
+            { h_phase = List.nth phases i; h_start = b.(i); h_finish = b.(i + 1);
+              h_actor = actor; h_hop = inc_hop + i; h_detail = detail }
+          in
+          Some
+            { p_key = key; p_client = send.ev_actor;
+              p_seq = Trace.attr_int send.ev_attrs "seq";
+              p_proposal = proposal; p_batch = batch;
+              p_send = b.(0); p_deliver = b.(5);
+              p_hops =
+                [ hop 0 distill.sp_actor
+                    (Printf.sprintf
+                       "client %d -> broker %d; included in proposal %#x%s"
+                       send.ev_actor distill.sp_actor proposal
+                       (if ctx_verified then "" else " (no include hop!)"));
+                  hop 1 distill.sp_actor
+                    (Printf.sprintf
+                       "proposal %#x reduced, launched as batch %#x" proposal
+                       batch);
+                  hop 2 witness.sp_actor
+                    (Printf.sprintf "f+1 witness shards aggregated at broker %d"
+                       witness.sp_actor);
+                  hop 3 ordered.ev_actor
+                    (Printf.sprintf
+                       "(root, witness) through the STOB; first out at server %d"
+                       ordered.ev_actor);
+                  hop 4 deliver.ev_actor
+                    (Printf.sprintf
+                       "delivered server-side; certificate back to client %d"
+                       deliver.ev_actor) ];
+              p_ctx_verified = ctx_verified }
+        | _ -> None)
   | _ -> None
 
-let first events =
-  let rec go = function
-    | [] -> None
-    | key :: rest ->
-      (match follow events ~key with Some p -> Some p | None -> go rest)
-  in
-  go (candidates events)
+let deliveries idx = List.map (path idx) idx.delivers
+
+let follow idx ~key = Option.bind (Hashtbl.find_opt idx.deliver key) (path idx)
+
+let first idx = List.find_map (fun key -> follow idx ~key) idx.candidates
 
 let e2e p = p.p_deliver -. p.p_send
 let hop_sum p = List.fold_left (fun acc h -> acc +. (h.h_finish -. h.h_start)) 0. p.p_hops

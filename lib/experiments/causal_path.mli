@@ -7,8 +7,9 @@
     and emits an ["include"] instant linking that root to the proposal it
     folded the message into.  From the proposal onwards the protocol's
     own roots (reduction root, identity root) {e are} the batch-level
-    trace context, so the remaining hops join on them — the same joins
-    {!Latency_breakdown} uses in aggregate, applied to a single message.
+    trace context, so the remaining hops join on them.  The joins are
+    built once per trace as an {!index}; {!Latency_breakdown} folds every
+    delivery through the same index.
 
     Hop boundaries telescope: the per-hop latencies sum to exactly the
     end-to-end latency of the followed message ([chopchop trace --follow]
@@ -40,15 +41,32 @@ type t = {
           to *)
 }
 
-val candidates : Trace.event list -> int list
+val phases : string list
+(** The five pipeline phases, in order: submission, distillation,
+    witnessing, ordering, delivery. *)
+
+type index
+(** One pass over a trace's events (spans paired once): per message key
+    the first client ["send"], the first ["deliver"] and the broker
+    ["include"] hops; per batch the first broker ["launch"] with its
+    reduction key, the first ["witness"] span and the earliest server
+    ["ordered"]; per proposal the first ["distill"] span. *)
+
+val index : Trace.event list -> index
+
+val candidates : index -> int list
 (** Correlation keys of delivered measurement-client messages, in
     delivery order (deduplicated) — valid inputs to {!follow}. *)
 
-val follow : Trace.event list -> key:int -> t option
+val deliveries : index -> t option list
+(** The path behind every client ["deliver"] instant, in event order;
+    [None] where some stage is missing. *)
+
+val follow : index -> key:int -> t option
 (** [None] when the message was never delivered or some stage is missing
     from the trace (e.g. a ring sink dropped it). *)
 
-val first : Trace.event list -> t option
+val first : index -> t option
 (** The first candidate that reconstructs fully (["--follow auto"]). *)
 
 val e2e : t -> float

@@ -38,18 +38,23 @@ let row fmt = Format.fprintf fmt
 
 (* Shared, memoised heavy runs. *)
 
-let memo_tbl : (string, Chopchop_run.result) Hashtbl.t = Hashtbl.create 16
+(* Keyed on every data field of the params; the record pattern is
+   exhaustive, so a new field must be added here too. *)
+let memo_key
+    { Chopchop_run.n_servers; cores; underlay; rate; batch_count; msg_bytes;
+      distill_fraction; n_load_brokers; n_brokers; measure_clients; duration;
+      warmup; cooldown; crash; dense_clients; seed; flush_period;
+      reduce_timeout; witness_margin; store; checkpoint_every;
+      trace = _; metrics = _; on_delivery = _; profile = _ } =
+  ( n_servers, cores, underlay, rate, batch_count, msg_bytes,
+    distill_fraction, n_load_brokers, n_brokers, measure_clients, duration,
+    warmup, cooldown, crash, dense_clients, seed, flush_period,
+    reduce_timeout, witness_margin, store, checkpoint_every )
 
-let cc_run ?(key = "") params =
-  let key =
-    Printf.sprintf "%s|%d|%s|%g|%d|%g|%b" key params.Chopchop_run.n_servers
-      (match params.underlay with
-       | D.Pbft -> "pbft"
-       | D.Hotstuff -> "hs"
-       | D.Sequencer -> "seq")
-      params.rate params.msg_bytes params.distill_fraction
-      (params.crash <> None)
-  in
+let memo_tbl = Hashtbl.create 16
+
+let cc_run params =
+  let key = memo_key params in
   match Hashtbl.find_opt memo_tbl key with
   | Some r -> r
   | None ->
@@ -98,12 +103,6 @@ let fig3 fmt _scale =
 
 (* --- §3.2 microbenchmark ---------------------------------------------------- *)
 
-let time_rate f =
-  let t0 = Sys.time () in
-  let n = f () in
-  let dt = Sys.time () -. t0 in
-  float_of_int n /. dt
-
 let micro fmt _scale =
   header fmt "§3.2 — Distillation microbenchmark (batches of 65,536 / second)";
   (* Machine rates: single-core batch costs pipelined over the
@@ -117,29 +116,7 @@ let micro fmt _scale =
   row fmt "  CPU cost ratio                       %8.1f x   (paper: 28.2 x)@."
     (distilled /. classic);
   row fmt "  bandwidth ratio (112 B vs 11.5 B)    %8.1f x   (paper: 9.7 x)@."
-    (112. /. 11.5);
-  (* Live rates of the simulation-grade crypto (for the record; the
-     simulator charges calibrated costs, not these). *)
-  let module S = Repro_crypto.Schnorr in
-  let module M = Repro_crypto.Multisig in
-  let sk, pk = S.keygen_deterministic ~seed:"micro" in
-  let sg = S.sign sk "m" in
-  let verify_rate =
-    time_rate (fun () ->
-        for _ = 1 to 200_000 do ignore (S.verify pk "m" sg) done;
-        200_000)
-  in
-  let msk, _ = M.keygen_deterministic ~seed:"micro2" in
-  let share = M.sign msk "m" in
-  let agg_rate =
-    time_rate (fun () ->
-        let acc = ref share in
-        for _ = 1 to 2_000_000 do acc := M.aggregate_signatures [ !acc; share ] done;
-        ignore !acc;
-        2_000_000)
-  in
-  row fmt "  [live] sim-grade Schnorr verify      %8.2g op/s (this host)@." verify_rate;
-  row fmt "  [live] sim-grade share aggregation   %8.2g op/s (this host)@." agg_rate
+    (112. /. 11.5)
 
 (* --- Fig. 7 ------------------------------------------------------------------ *)
 
@@ -306,7 +283,7 @@ let fig10a fmt scale =
       (* Just below each size's witness-CPU capacity: the paper's
          "maximum throughput" bars. *)
       let rate = Float.min (0.82 *. cc_capacity n) (saturation_rate scale) in
-      let r = cc_run ~key:"f10a" { (cc_params scale) with n_servers = n; rate } in
+      let r = cc_run { (cc_params scale) with n_servers = n; rate } in
       row fmt "  ChopChop %2d servers            %10.3g op/s@." n r.throughput)
     sizes;
   let duration, warmup, cooldown = windows scale in
@@ -336,7 +313,7 @@ let fig10b fmt scale =
   let brokers = n in
   let rate_128 = float_of_int (brokers * 65_536) *. 1.05 in
   let r128 =
-    cc_run ~key:"f10b"
+    cc_run
       { (cc_params scale) with rate = rate_128; n_load_brokers = brokers }
   in
   row fmt "  ChopChop, %3d machines         %10.3g op/s  (paper: 4.6M)@."
@@ -380,7 +357,7 @@ let fig11a fmt scale =
           duration; warmup = post_warmup; cooldown;
           crash = (if victims = [] then None else Some (crash_at, victims)) }
       in
-      let r = cc_run ~key:("f11a" ^ label) p in
+      let r = cc_run p in
       row fmt "  ChopChop, %-12s          %10.3g op/s@." label r.throughput)
     cases;
   row fmt "  (paper: 44M -> 43M with one crash; -66%% to 15M with a third crashed)@."
@@ -421,7 +398,7 @@ let ablation_timeout fmt scale =
   List.iter
     (fun reduce ->
       let r =
-        Chopchop_run.run
+        cc_run
           { (cc_params scale) with rate = 2e6; reduce_timeout = reduce; seed = 7L }
       in
       row fmt "  reduce timeout %4.2f s -> lat %5.2f s, tput %10.3g op/s@."
@@ -433,7 +410,7 @@ let ablation_margin fmt scale =
   List.iter
     (fun m ->
       let r =
-        cc_run ~key:(Printf.sprintf "margin%d" m)
+        cc_run
           { (cc_params scale) with
             rate = saturation_rate scale;
             witness_margin = Some m;

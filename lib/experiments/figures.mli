@@ -20,8 +20,8 @@ val fig3 : Format.formatter -> scale -> unit
 
 val micro : Format.formatter -> scale -> unit
 (** §3.2 microbenchmark: classic vs distilled batch authentication rate,
-    from the calibrated cost model and from this repository's real
-    (simulation-grade) cryptography. *)
+    from the calibrated cost model (the bechamel suite times this
+    repository's own cryptography). *)
 
 val fig7 : Format.formatter -> scale -> unit
 (** Throughput–latency for Chop Chop (×2 underlays), Narwhal-Bullshark

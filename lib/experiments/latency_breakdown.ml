@@ -2,17 +2,10 @@
    messages, reconstructed purely from trace events (§6.2: the paper
    reports where a message's ~4 s of latency is spent).
 
-   The chain is joined on correlation ids: the client's "send"/"deliver"
-   instants share a per-message key; "deliver" carries the identity-root
-   key of the carrying batch; the broker's "launch" instant (same identity
-   key) carries the reduction-root key, which names the broker's "distill"
-   span; the "witness" span and the servers' "ordered" instants use the
-   identity key again.  Phase boundaries telescope —
-
-     send .. distill-begin .. launch .. witness-end .. first-order .. deliver
-
-   — so the phase durations sum to exactly the end-to-end latency of every
-   fully-decomposed message. *)
+   Every client "deliver" instant is joined through {!Causal_path.index}
+   (the same join [chopchop trace --follow] prints for one message).  Its
+   phase boundaries telescope, so the phase durations sum to exactly the
+   end-to-end latency of every fully-decomposed message. *)
 
 module Trace = Repro_trace.Trace
 
@@ -23,83 +16,24 @@ type t = {
   partial : int; (* delivered messages missing some stage *)
 }
 
-let phase_names =
-  [ "submission"; "distillation"; "witnessing"; "ordering"; "delivery" ]
-
-let of_events events =
-  let spans = Trace.Span.pair events in
-  (* distill spans by reduction-root key; witness spans by identity key *)
-  let distill : (int, float) Hashtbl.t = Hashtbl.create 64 in
-  let witness_end : (int, float) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (s : Trace.Span.t) ->
-      if s.sp_cat = "broker" then
-        match s.sp_name with
-        | "distill" ->
-          if not (Hashtbl.mem distill s.sp_id) then
-            Hashtbl.add distill s.sp_id s.sp_begin
-        | "witness" ->
-          if not (Hashtbl.mem witness_end s.sp_id) then
-            Hashtbl.add witness_end s.sp_id s.sp_end
-        | _ -> ())
-    spans;
-  let launch : (int, float * int) Hashtbl.t = Hashtbl.create 64 in
-  let ordered : (int, float) Hashtbl.t = Hashtbl.create 64 in
-  let send : (int, float) Hashtbl.t = Hashtbl.create 256 in
-  let delivers = ref [] in
-  List.iter
-    (fun (e : Trace.event) ->
-      match (e.ev_phase, e.ev_cat, e.ev_name) with
-      | Trace.I, "broker", "launch" ->
-        (match Trace.attr_int e.ev_attrs "reduction" with
-         | Some red when not (Hashtbl.mem launch e.ev_id) ->
-           Hashtbl.add launch e.ev_id (e.ev_time, red)
-         | _ -> ())
-      | Trace.I, "server", "ordered" ->
-        (* The batch is ordered once the first correct server sees it come
-           out of the STOB. *)
-        (match Hashtbl.find_opt ordered e.ev_id with
-         | Some t0 when t0 <= e.ev_time -> ()
-         | _ -> Hashtbl.replace ordered e.ev_id e.ev_time)
-      | Trace.I, "client", "send" ->
-        if not (Hashtbl.mem send e.ev_id) then Hashtbl.add send e.ev_id e.ev_time
-      | Trace.I, "client", "deliver" -> delivers := e :: !delivers
-      | _ -> ())
-    events;
-  let phases = List.map (fun n -> (n, Trace.Hist.create ())) phase_names in
-  let hist n = List.assoc n phases in
+let of_index idx =
+  let phases =
+    List.map (fun n -> (n, Trace.Hist.create ())) Causal_path.phases
+  in
   let e2e = Trace.Hist.create () in
   let complete = ref 0 and partial = ref 0 in
   List.iter
-    (fun (e : Trace.event) ->
-      let decomposed =
-        match (Hashtbl.find_opt send e.ev_id, Trace.attr_int e.ev_attrs "root") with
-        | Some t0, Some root ->
-          (match Hashtbl.find_opt launch root with
-           | Some (t_launch, red) ->
-             (match
-                ( Hashtbl.find_opt distill red,
-                  Hashtbl.find_opt witness_end root,
-                  Hashtbl.find_opt ordered root )
-              with
-              | Some t_flush, Some t_wit, Some t_ord ->
-                let t5 = e.ev_time in
-                Trace.Hist.add (hist "submission") (t_flush -. t0);
-                Trace.Hist.add (hist "distillation") (t_launch -. t_flush);
-                Trace.Hist.add (hist "witnessing") (t_wit -. t_launch);
-                Trace.Hist.add (hist "ordering") (t_ord -. t_wit);
-                Trace.Hist.add (hist "delivery") (t5 -. t_ord);
-                Trace.Hist.add e2e (t5 -. t0);
-                true
-              | _ -> false)
-           | None -> false)
-        | _ -> false
-      in
-      if decomposed then incr complete else incr partial)
-    (List.rev !delivers);
+    (function
+      | Some (p : Causal_path.t) ->
+        List.iter2
+          (fun (_, h) (hop : Causal_path.hop) ->
+            Trace.Hist.add h (hop.h_finish -. hop.h_start))
+          phases p.p_hops;
+        Trace.Hist.add e2e (Causal_path.e2e p);
+        incr complete
+      | None -> incr partial)
+    (Causal_path.deliveries idx);
   { phases; e2e; complete = !complete; partial = !partial }
-
-let of_sink sink = of_events (Trace.Sink.events sink)
 
 let phases t = t.phases
 let e2e t = t.e2e
@@ -130,4 +64,4 @@ let pp fmt t =
 let capture ~params () =
   let sink = Trace.Sink.memory () in
   let result = Chopchop_run.run { params with Chopchop_run.trace = sink } in
-  (result, of_sink sink, sink)
+  (result, of_index (Causal_path.index (Trace.Sink.events sink)), sink)

@@ -11,9 +11,6 @@
 
 type t
 
-val of_events : Repro_trace.Trace.event list -> t
-val of_sink : Repro_trace.Trace.Sink.t -> t
-
 val phases : t -> (string * Repro_trace.Trace.Hist.t) list
 (** Per-phase duration histograms, in pipeline order. *)
 

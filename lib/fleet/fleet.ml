@@ -124,12 +124,6 @@ let first_alive t ~key ?region () =
 
 let note_client t b = t.brokers.(b).fb_clients <- t.brokers.(b).fb_clients + 1
 
-let move_client t ~from_ ~to_ =
-  t.brokers.(from_).fb_clients <- t.brokers.(from_).fb_clients - 1;
-  t.brokers.(to_).fb_clients <- t.brokers.(to_).fb_clients + 1
-
-let loads t = Array.map (fun b -> b.fb_clients) t.brokers
-
 let hottest t =
   let best = ref (-1) and load = ref min_int in
   Array.iteri

@@ -48,10 +48,5 @@ val first_alive : t -> key:int -> ?region:Repro_sim.Region.t -> unit -> int
 val note_client : t -> int -> unit
 (** Record one client homed on broker [b] (partition-load accounting). *)
 
-val move_client : t -> from_:int -> to_:int -> unit
-
-val loads : t -> int array
-(** Clients homed per broker. *)
-
 val hottest : t -> (int * int) option
 (** [(broker, clients)] of the most loaded partition (None when empty). *)

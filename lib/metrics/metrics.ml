@@ -118,29 +118,9 @@ let tick_times t = Array.of_list (List.rev t.tick_times)
 type value =
   | V_counter of int
   | V_gauge of float
-  | V_hist of {
-      h_count : int;
-      h_sum : float;
-      h_mean : float;
-      h_min : float;
-      h_max : float;
-      h_p50 : float;
-      h_p90 : float;
-      h_p99 : float;
-    }
+  | V_hist of Trace.Hist.summary
 
 type entry = { m_name : string; m_labels : labels; m_value : value }
-
-let hist_value h =
-  V_hist
-    { h_count = Trace.Hist.count h;
-      h_sum = Trace.Hist.sum h;
-      h_mean = Trace.Hist.mean h;
-      h_min = Trace.Hist.min h;
-      h_max = Trace.Hist.max h;
-      h_p50 = Trace.Hist.percentile h 0.50;
-      h_p90 = Trace.Hist.percentile h 0.90;
-      h_p99 = Trace.Hist.percentile h 0.99 }
 
 let snapshot t =
   let entries = ref [] in
@@ -158,7 +138,10 @@ let snapshot t =
     t.gauges;
   Hashtbl.iter
     (fun (name, labels) h ->
-      entries := { m_name = name; m_labels = labels; m_value = hist_value h } :: !entries)
+      entries :=
+        { m_name = name; m_labels = labels;
+          m_value = V_hist (Trace.Hist.summary h) }
+        :: !entries)
     t.hists;
   List.sort compare !entries
 

@@ -78,16 +78,7 @@ val tick_times : t -> float array
 type value =
   | V_counter of int
   | V_gauge of float
-  | V_hist of {
-      h_count : int;
-      h_sum : float;
-      h_mean : float;
-      h_min : float;
-      h_max : float;
-      h_p50 : float;
-      h_p90 : float;
-      h_p99 : float;
-    }
+  | V_hist of Trace.Hist.summary
 
 type entry = { m_name : string; m_labels : labels; m_value : value }
 

@@ -79,33 +79,15 @@ type row = {
   r_minor_words : float;
 }
 
-type hist = {
-  h_count : int;
-  h_mean : float;
-  h_max : float;
-  h_p50 : float;
-  h_p99 : float;
-}
-
 type report = {
   p_events : int; (* dispatched events observed *)
   p_wall_s : float; (* total self wall-time across handlers *)
   p_minor_words : float; (* total minor-heap allocation, words *)
   p_rows : row list; (* per-kind, sorted by kind name *)
-  p_depth : hist; (* queue depth at dispatch *)
-  p_dwell : hist; (* sim-time dwell (scheduling -> execution) *)
+  p_depth : Trace.Hist.summary; (* queue depth at dispatch *)
+  p_dwell : Trace.Hist.summary; (* sim-time dwell (scheduling -> execution) *)
   p_max_pending : int; (* queue high-water mark *)
 }
-
-let snap_hist h =
-  if Trace.Hist.count h = 0 then
-    { h_count = 0; h_mean = 0.; h_max = 0.; h_p50 = 0.; h_p99 = 0. }
-  else
-    { h_count = Trace.Hist.count h;
-      h_mean = Trace.Hist.mean h;
-      h_max = Trace.Hist.max h;
-      h_p50 = Trace.Hist.percentile h 0.50;
-      h_p99 = Trace.Hist.percentile h 0.99 }
 
 let report t =
   let names = Engine.kinds t.engine in
@@ -125,8 +107,8 @@ let report t =
     p_wall_s = t.total_wall;
     p_minor_words = t.total_minor;
     p_rows = rows;
-    p_depth = snap_hist t.depth;
-    p_dwell = snap_hist t.dwell;
+    p_depth = Trace.Hist.summary t.depth;
+    p_dwell = Trace.Hist.summary t.dwell;
     p_max_pending = Engine.max_pending t.engine }
 
 let attributed_share r =
@@ -141,7 +123,7 @@ let attributed_share r =
 
 (* --- rendering ------------------------------------------------------------ *)
 
-let hist_json h =
+let hist_json (h : Trace.Hist.summary) =
   Json.Obj
     [ ("count", Json.Num (float_of_int h.h_count));
       ("mean", Json.Num h.h_mean);

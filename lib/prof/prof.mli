@@ -39,21 +39,14 @@ type row = {
   r_minor_words : float;
 }
 
-type hist = {
-  h_count : int;
-  h_mean : float;
-  h_max : float;
-  h_p50 : float;
-  h_p99 : float;
-}
-
 type report = {
   p_events : int;
   p_wall_s : float;
   p_minor_words : float;
   p_rows : row list; (* per-kind, sorted by kind name *)
-  p_depth : hist; (* queue depth at dispatch *)
-  p_dwell : hist; (* sim-time dwell (scheduling -> execution) *)
+  p_depth : Repro_trace.Trace.Hist.summary; (* queue depth at dispatch *)
+  p_dwell : Repro_trace.Trace.Hist.summary;
+      (* sim-time dwell (scheduling -> execution) *)
   p_max_pending : int;
 }
 

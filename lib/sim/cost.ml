@@ -58,8 +58,6 @@ let merkle_verify_proof ~leaves =
   let depth = max 1 (ceil_log2 (max 2 leaves)) in
   float_of_int (depth * 64) *. hash_per_byte
 
-let signature_sign = 25e-6
-
 let multisig_sign = 300e-6
 (* BLS signing: one hash-to-curve plus one scalar multiplication. *)
 
@@ -82,5 +80,3 @@ let disk_read_bps = 2.4e9
 let client_factor = 1.5
 
 let client_multisig_sign = multisig_sign *. client_factor
-
-let client_verify_proof ~leaves = merkle_verify_proof ~leaves *. client_factor

@@ -56,9 +56,6 @@ val ceil_log2 : int -> int
 
 val merkle_verify_proof : leaves:int -> float
 
-val signature_sign : float
-(** Producing one Ed25519 signature. *)
-
 val multisig_sign : float
 (** Producing one BLS share (clients; scaled for t3.small below). *)
 
@@ -87,4 +84,3 @@ val client_factor : float
 (** Multiplier turning a single-core server cost into a t3.small cost. *)
 
 val client_multisig_sign : float
-val client_verify_proof : leaves:int -> float

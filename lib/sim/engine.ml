@@ -117,8 +117,8 @@ type t = {
   mutable clock : float;
   mutable next_seq : int;
   rng : Rng.t;
-  mutable trace : Repro_trace.Trace.Sink.t;
-  mutable c_steps : Repro_trace.Trace.Counter.t;
+  trace : Repro_trace.Trace.Sink.t;
+  c_steps : Repro_trace.Trace.Counter.t;
   kind_ids : (string, int) Hashtbl.t;
   mutable kind_names : string array;
   mutable n_kinds : int;
@@ -157,10 +157,6 @@ let pending t = t.queued - t.cancelled
 let max_pending t = t.max_pending
 let pool_stats t = (t.pool_fresh, t.pool_reused)
 let trace t = t.trace
-
-let set_trace t sink =
-  t.trace <- sink;
-  t.c_steps <- Repro_trace.Trace.Sink.counter sink ~cat:"sim" ~name:"steps"
 
 (* Event-kind interning.  Kinds label events for the (optional) profiler;
    they are plain ints on the hot path so tagging costs nothing when

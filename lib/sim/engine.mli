@@ -20,10 +20,6 @@ val create : ?seed:int64 -> ?trace:Repro_trace.Trace.Sink.t -> unit -> t
 val trace : t -> Repro_trace.Trace.Sink.t
 (** The engine's trace sink; components reach instrumentation through it. *)
 
-val set_trace : t -> Repro_trace.Trace.Sink.t -> unit
-(** Replace the sink.  Install before constructing components: counters
-    are registered at component-creation time against the current sink. *)
-
 val now : t -> float
 (** Current virtual time, in seconds. *)
 

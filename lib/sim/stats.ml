@@ -88,16 +88,3 @@ module Throughput = struct
 
   let window t = (t.win_start, t.win_end)
 end
-
-let mean_of xs =
-  match xs with
-  | [] -> 0.
-  | xs -> List.fold_left ( +. ) 0. xs /. float_of_int (List.length xs)
-
-let stddev_of xs =
-  match xs with
-  | [] | [ _ ] -> 0.
-  | xs ->
-    let m = mean_of xs in
-    let var = mean_of (List.map (fun x -> (x -. m) ** 2.) xs) in
-    sqrt var

@@ -39,6 +39,3 @@ module Throughput : sig
 
   val window : t -> float * float
 end
-
-val mean_of : float list -> float
-val stddev_of : float list -> float

@@ -429,4 +429,3 @@ let resume_at t ~cursor =
     t.last_committed_height <- cursor - 1
 
 let delivered_count t = t.delivered
-let current_view t = t.view

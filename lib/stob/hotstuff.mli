@@ -50,5 +50,3 @@ val resume_at : 'p t -> cursor:int -> unit
     state transfer instead of the chain. *)
 
 val delivered_count : 'p t -> int
-
-val current_view : 'p t -> int

@@ -93,6 +93,22 @@ module Hist = struct
        with Exit -> ());
       !result
     end
+
+  type summary = {
+    h_count : int;
+    h_sum : float;
+    h_mean : float;
+    h_min : float;
+    h_max : float;
+    h_p50 : float;
+    h_p90 : float;
+    h_p99 : float;
+  }
+
+  let summary t =
+    { h_count = count t; h_sum = sum t; h_mean = mean t; h_min = min t;
+      h_max = max t; h_p50 = percentile t 0.50; h_p90 = percentile t 0.90;
+      h_p99 = percentile t 0.99 }
 end
 
 module Sink = struct
@@ -209,12 +225,6 @@ let attr_int attrs name =
   match List.assoc_opt name attrs with
   | Some (A_int i) -> Some i
   | Some (A_float f) -> Some (int_of_float f)
-  | _ -> None
-
-let attr_float attrs name =
-  match List.assoc_opt name attrs with
-  | Some (A_float f) -> Some f
-  | Some (A_int i) -> Some (float_of_int i)
   | _ -> None
 
 module Span = struct

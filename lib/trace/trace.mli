@@ -79,6 +79,21 @@ module Hist : sig
       [bucket_lo i <= v < bucket_hi i] (within the clamped range). *)
 
   val buckets : t -> int array
+
+  type summary = {
+    h_count : int;
+    h_sum : float;
+    h_mean : float;
+    h_min : float;
+    h_max : float;
+    h_p50 : float;
+    h_p90 : float;
+    h_p99 : float;
+  }
+  (** A point-in-time snapshot of a histogram; every field is 0 when it
+      is empty. *)
+
+  val summary : t -> summary
 end
 
 module Sink : sig
@@ -156,7 +171,6 @@ module Ctx : sig
 end
 
 val attr_int : (string * attr) list -> string -> int option
-val attr_float : (string * attr) list -> string -> float option
 
 module Span : sig
   type t = {

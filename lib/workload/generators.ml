@@ -26,12 +26,6 @@ let describe = function
   | Diurnal { base; peak; period } ->
     Printf.sprintf "diurnal(%.1f..%.1f/s, T=%.0fs)" base peak period
 
-(* Mean rate of the process (arrivals per second). *)
-let mean_rate = function
-  | Poisson { rate } -> rate
-  | Pareto { rate; _ } -> rate
-  | Diurnal { base; peak; _ } -> (base +. peak) /. 2.
-
 (* Instantaneous rate at simulated time [now] (thinning envelope). *)
 let rate_at arrival ~now =
   match arrival with

@@ -16,9 +16,6 @@ type arrival =
 
 val describe : arrival -> string
 
-val mean_rate : arrival -> float
-(** Long-run arrivals per second. *)
-
 val rate_at : arrival -> now:float -> float
 (** Instantaneous rate at simulated time [now]. *)
 

@@ -1,8 +1,7 @@
 #!/bin/sh
-# CI entry point: full build, the complete test suite, and a
-# trace-enabled bench smoke run (quick scale) that asserts a non-empty
-# trace with every pipeline layer present and a telescoping latency
-# breakdown.  Run from the repository root.
+# CI entry point: full build, the complete test suite, and smoke runs of
+# every experiment surface (chaos, store, trace, fleet, sweep, profiler,
+# perfbench) plus the bench baseline gate.  Run from the repository root.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -24,8 +23,16 @@ echo "== recovery smoke: crash -> cold restart -> catch-up =="
 dune exec bin/main.exe -- chaos --scenario crash-cold-restart --scale quick
 dune exec bin/main.exe -- store
 
-echo "== trace-enabled bench smoke =="
-CHOPCHOP_BENCH_SCALE=quick dune exec bench/main.exe -- trace
+echo "== trace smoke: Chrome export + causal path =="
+# The traced run must export Chrome trace_event JSON, and one delivered
+# message must reconstruct end to end with its broker include hop
+# (test_trace additionally asserts every layer emitted events).
+trace_dir="$(mktemp -d)"
+dune exec bin/main.exe -- trace -o "$trace_dir"/t.json
+dune exec bin/main.exe -- trace --follow auto \
+  | grep -q "context propagation verified" \
+  || { echo "trace smoke: no message path with verified context"; exit 1; }
+rm -rf "$trace_dir"
 
 echo "== reconfiguration smoke: ordered membership under adversarial load =="
 # Kitchen-sink reconfiguration: join + leave + rolling restarts with a

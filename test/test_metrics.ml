@@ -274,10 +274,9 @@ let test_run_mirrors_c_events () =
 
 let test_causal_path () =
   let (_, _, breakdown, sink), _ = Lazy.force captured in
-  let events = Trace.Sink.events sink in
-  let cands = CP.candidates events in
-  checkb "delivered candidates listed" true (cands <> []);
-  match CP.first events with
+  let idx = CP.index (Trace.Sink.events sink) in
+  checkb "delivered candidates listed" true (CP.candidates idx <> []);
+  match CP.first idx with
   | None -> Alcotest.fail "no candidate reconstructs"
   | Some p ->
     checki "five paper hops" 5 (List.length p.CP.p_hops);

@@ -329,7 +329,13 @@ let test_trace_deterministic () =
     (Trace.Sink.length sink_a > 0);
   checki "same event count" (Trace.Sink.length sink_a) (Trace.Sink.length sink_b);
   checkb "event streams bit-identical" true
-    (Trace.Sink.events sink_a = Trace.Sink.events sink_b)
+    (Trace.Sink.events sink_a = Trace.Sink.events sink_b);
+  let events = Trace.Sink.events sink_a in
+  List.iter
+    (fun cat ->
+      checkb (cat ^ " emitted events") true
+        (List.exists (fun (e : Trace.event) -> e.ev_cat = cat) events))
+    [ "client"; "broker"; "server"; "stob" ]
 
 let test_breakdown_telescopes () =
   let (_, breakdown, _), _ = Lazy.force captured in
@@ -346,6 +352,94 @@ let test_breakdown_telescopes () =
   List.iter
     (fun (name, h) ->
       checkb (name ^ " phase non-negative") true (Trace.Hist.min h >= 0.))
+    (LB.phases breakdown)
+
+(* Reference for the path join: each hop boundary found by a direct scan
+   of the whole trace for that one message, with none of the index's
+   shared tables. *)
+let naive_bounds events key =
+  let first p = List.find_opt p events in
+  let instant cat name id (e : Trace.event) =
+    e.ev_phase = Trace.I && e.ev_cat = cat && e.ev_name = name && e.ev_id = id
+  in
+  let span name id =
+    List.find_opt
+      (fun (s : Trace.Span.t) ->
+        s.sp_cat = "broker" && s.sp_name = name && s.sp_id = id)
+      (Trace.Span.pair events)
+  in
+  match (first (instant "client" "send" key), first (instant "client" "deliver" key)) with
+  | Some send, Some deliver ->
+    Option.bind (Trace.attr_int deliver.ev_attrs "root") (fun batch ->
+        Option.bind (first (instant "broker" "launch" batch)) (fun launch ->
+            Option.bind (Trace.attr_int launch.Trace.ev_attrs "reduction")
+              (fun proposal ->
+                let ordered =
+                  List.fold_left
+                    (fun acc (e : Trace.event) ->
+                      if instant "server" "ordered" batch e then
+                        Some (Option.fold ~none:e.ev_time ~some:(Float.min e.ev_time) acc)
+                      else acc)
+                    None events
+                in
+                match (span "distill" proposal, span "witness" batch, ordered) with
+                | Some d, Some w, Some o ->
+                  Some
+                    [ send.ev_time; d.sp_begin; launch.ev_time; w.sp_end; o;
+                      deliver.ev_time ]
+                | _ -> None)))
+  | _ -> None
+
+let test_path_join_reference () =
+  let module CP = Repro_experiments.Causal_path in
+  let module LB = Repro_experiments.Latency_breakdown in
+  let (_, breakdown, sink), _ = Lazy.force captured in
+  (* Every batch launches once in this run, so a late re-announcement of
+     each launch is appended: the join must keep the first one. *)
+  let events = Trace.Sink.events sink in
+  let relaunches =
+    List.filter_map
+      (fun (e : Trace.event) ->
+        if e.ev_phase = Trace.I && e.ev_cat = "broker" && e.ev_name = "launch"
+        then Some { e with ev_time = e.ev_time +. 100. }
+        else None)
+      events
+  in
+  let events = events @ relaunches in
+  let idx = CP.index events in
+  let paths =
+    List.filter_map
+      (fun key ->
+        let path = CP.follow idx ~key in
+        let got =
+          Option.map
+            (fun (p : CP.t) ->
+              List.map (fun (h : CP.hop) -> h.h_start) p.p_hops @ [ p.p_deliver ])
+            path
+        in
+        checkb
+          (Printf.sprintf "message %#x: index join = naive scan" key)
+          true
+          (got = naive_bounds events key);
+        path)
+      (CP.candidates idx)
+  in
+  checkb "some message followed" true (paths <> []);
+  checki "breakdown complete = followable keys" (List.length paths)
+    (LB.complete breakdown);
+  List.iteri
+    (fun i (name, h) ->
+      let sum =
+        List.fold_left
+          (fun acc (p : CP.t) ->
+            let hop = List.nth p.p_hops i in
+            acc +. (hop.h_finish -. hop.h_start))
+          0. paths
+      in
+      checkb (name ^ " mean rebuilt bit-for-bit") true
+        (Int64.equal
+           (Int64.bits_of_float (sum /. float_of_int (List.length paths)))
+           (Int64.bits_of_float (Trace.Hist.mean h))))
     (LB.phases breakdown)
 
 let () =
@@ -374,4 +468,6 @@ let () =
         [ Alcotest.test_case "same seed, same trace" `Slow
             test_trace_deterministic;
           Alcotest.test_case "phase breakdown telescopes to e2e" `Slow
-            test_breakdown_telescopes ] ) ]
+            test_breakdown_telescopes;
+          Alcotest.test_case "path join matches a per-message scan" `Slow
+            test_path_join_reference ] ) ]
