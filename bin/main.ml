@@ -3,15 +3,16 @@
    `chopchop list` shows every experiment id; `chopchop run fig7 --scale
    quick` regenerates one figure; `chopchop all --scale full` regenerates
    the entire evaluation (EXPERIMENTS.md records a captured run);
-   `chopchop trace -o t.json` runs a traced deployment and dumps a
-   Chrome-loadable trace plus the per-phase latency breakdown. *)
+   `chopchop trace -o t.json --report r.json` runs the observed
+   deployment and dumps a Chrome-loadable trace, the per-phase latency
+   breakdown and the JSON run report. *)
 
 open Cmdliner
 module F = Repro_experiments.Figures
 module R = Repro_experiments.Chopchop_run
 module LB = Repro_experiments.Latency_breakdown
 module CP = Repro_experiments.Causal_path
-module M = Repro_metrics.Metrics
+module Report = Repro_experiments.Report
 
 (* Satellite: truncated traces must not silently skew what we export. *)
 let warn_drops sink =
@@ -134,107 +135,87 @@ let trace_cmd =
                 from the candidate list, or $(b,auto) for the first \
                 fully-reconstructable one.")
   in
-  let run scale out follow =
-    let result, breakdown, sink = LB.capture ~params:(trace_params scale) () in
-    warn_drops sink;
-    let idx = CP.index (Repro_trace.Trace.Sink.events sink) in
-    match follow with
-    | Some spec ->
-      let path =
-        if spec = "auto" then CP.first idx
-        else
-          match int_of_string_opt spec with
-          | Some key -> CP.follow idx ~key
-          | None -> None
-      in
-      (match path with
-       | Some p ->
-         Format.printf "%a" CP.pp p;
-         `Ok ()
-       | None ->
-         `Error
-           ( false,
-             Printf.sprintf
-               "cannot follow %S: not a delivered message key (try \
-                `chopchop trace` to list candidates, or --follow auto)"
-               spec ))
-    | None ->
-      Format.printf "%a@.@." R.pp_result result;
-      Format.printf "%a@." LB.pp breakdown;
-      (match Repro_trace.Chrome.to_file sink out with
-       | () ->
-         Format.printf "trace: %d events (%d dropped) -> %s@."
-           (Repro_trace.Trace.Sink.length sink)
-           (Repro_trace.Trace.Sink.dropped sink)
-           out;
-         let cands = CP.candidates idx in
-         let show = List.filteri (fun i _ -> i < 8) cands in
-         if show <> [] then
-           Format.printf "follow a message with --follow <id>: %s%s@."
-             (String.concat ", " (List.map (Printf.sprintf "%#x") show))
-             (if List.length cands > List.length show then ", ..." else "");
-         `Ok ()
-       | exception Sys_error e -> `Error (false, e))
+  let report_arg =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "report" ] ~docv:"FILE"
+          ~doc:"Write the run report as JSON here: a $(b,deterministic) \
+                half (run result, latency breakdown, every trace counter, \
+                every sampled time series, the engine profile's counters) \
+                and a $(b,wall) half (the profile's handler wall-time).")
   in
-  let term = Term.(ret (const run $ scale_term $ out_arg $ follow_arg)) in
+  let no_wall_arg =
+    Arg.(
+      value & flag
+      & info [ "no-wall" ]
+          ~doc:"Leave the machine-dependent $(b,wall) half out of the \
+                report: what remains is byte-identical across runs (CI \
+                compares two runs with $(b,cmp)).")
+  in
+  let run scale out follow report no_wall =
+    let r = Report.run (trace_params scale) in
+    let sink = r.Report.sink in
+    warn_drops sink;
+    let write_report () =
+      Option.iter
+        (fun path ->
+          Repro_metrics.Json.to_file ~path (Report.to_json ~wall:(not no_wall) r);
+          Format.printf "report -> %s@." path)
+        report
+    in
+    let idx = CP.index (Repro_trace.Trace.Sink.events sink) in
+    try
+      match follow with
+      | Some spec ->
+        let path =
+          if spec = "auto" then CP.first idx
+          else
+            match int_of_string_opt spec with
+            | Some key -> CP.follow idx ~key
+            | None -> None
+        in
+        (match path with
+         | Some p ->
+           Format.printf "%a" CP.pp p;
+           write_report ();
+           `Ok ()
+         | None ->
+           `Error
+             ( false,
+               Printf.sprintf
+                 "cannot follow %S: not a delivered message key (try \
+                  `chopchop trace` to list candidates, or --follow auto)"
+                 spec ))
+      | None ->
+        Format.printf "%a@.@." R.pp_result r.Report.result;
+        Format.printf "%a@." LB.pp r.Report.breakdown;
+        Repro_trace.Chrome.to_file sink out;
+        Format.printf "trace: %d events (%d dropped) -> %s@."
+          (Repro_trace.Trace.Sink.length sink)
+          (Repro_trace.Trace.Sink.dropped sink)
+          out;
+        let cands = CP.candidates idx in
+        let show = List.filteri (fun i _ -> i < 8) cands in
+        if show <> [] then
+          Format.printf "follow a message with --follow <id>: %s%s@."
+            (String.concat ", " (List.map (Printf.sprintf "%#x") show))
+            (if List.length cands > List.length show then ", ..." else "");
+        write_report ();
+        `Ok ()
+    with Sys_error e -> `Error (false, e)
+  in
+  let term =
+    Term.(
+      ret
+        (const run $ scale_term $ out_arg $ follow_arg $ report_arg
+        $ no_wall_arg))
+  in
   Cmd.v
     (Cmd.info "trace"
-       ~doc:"Run a traced deployment: Chrome trace + latency breakdown + \
-             causal message paths")
-    term
-
-let metrics_cmd =
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:"Write the snapshot and all time series as JSONL here.")
-  in
-  let csv_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "csv" ] ~docv:"FILE"
-          ~doc:"Write the aligned time series as CSV here.")
-  in
-  let period_arg =
-    Arg.(
-      value
-      & opt float 0.5
-      & info [ "period" ] ~docv:"SECONDS" ~doc:"Sampling period (sim time).")
-  in
-  let write_file path contents =
-    let oc = open_out path in
-    output_string oc contents;
-    close_out oc
-  in
-  let run scale out csv period =
-    let m = M.create ~period () in
-    let sink = Repro_trace.Trace.Sink.memory () in
-    let params = { (trace_params scale) with R.trace = sink; metrics = Some m } in
-    let result = R.run params in
-    warn_drops sink;
-    Format.printf "%a@.@." R.pp_result result;
-    Format.printf "metrics (%d samples @@ %gs)@." (M.ticks m) period;
-    Format.printf "%a" M.pp_table m;
-    (try
-       Option.iter (fun path ->
-           write_file path (M.to_jsonl m);
-           Format.printf "metrics jsonl -> %s@." path)
-         out;
-       Option.iter (fun path ->
-           write_file path (M.series_csv m);
-           Format.printf "series csv -> %s@." path)
-         csv;
-       `Ok ()
-     with Sys_error e -> `Error (false, e))
-  in
-  let term = Term.(ret (const run $ scale_term $ out_arg $ csv_arg $ period_arg)) in
-  Cmd.v
-    (Cmd.info "metrics"
-       ~doc:"Run a metrics-instrumented deployment: end-of-run table, \
-             JSONL/CSV export")
+       ~doc:"Run the observed deployment (trace sink, metrics sampler and \
+             engine profiler attached): latency breakdown, Chrome trace, \
+             causal message paths and the JSON run report")
     term
 
 let chaos_cmd =
@@ -314,117 +295,6 @@ let chaos_cmd =
   Cmd.v
     (Cmd.info "chaos"
        ~doc:"Run fault-injection scenarios with invariant checking")
-    term
-
-let store_cmd =
-  let module D = Repro_chopchop.Deployment in
-  let module Server = Repro_chopchop.Server in
-  let module Client = Repro_chopchop.Client in
-  let module Engine = Repro_sim.Engine in
-  let module Payments = Repro_apps.Payments in
-  let seed_arg =
-    Arg.(
-      value & opt int64 42L
-      & info [ "seed" ] ~docv:"SEED" ~doc:"Simulation seed.")
-  in
-  let servers_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "servers" ] ~docv:"N" ~doc:"Number of servers.")
-  in
-  let ckpt_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "checkpoint-every" ] ~docv:"K"
-          ~doc:"Take a checkpoint every $(docv) delivered batches.")
-  in
-  let crash_arg =
-    Arg.(
-      value & opt float 15.
-      & info [ "crash" ] ~docv:"T"
-          ~doc:"Crash the last server at $(docv) simulated seconds.")
-  in
-  let restart_arg =
-    Arg.(
-      value & opt float 35.
-      & info [ "restart" ] ~docv:"T"
-          ~doc:"Cold-restart it from disk at $(docv) simulated seconds.")
-  in
-  let run seed n_servers checkpoint_every t_crash t_restart =
-    let duration = Float.max 90. (t_restart +. 30.) in
-    let cfg =
-      { D.default_config with
-        n_servers; n_brokers = 2; underlay = D.Sequencer; seed;
-        store_enabled = true; checkpoint_every }
-    in
-    let d = D.create cfg in
-    let apps = Array.init n_servers (fun _ -> Payments.create ()) in
-    D.server_deliver_hook d (fun server dl ->
-        ignore (Payments.apply_delivery apps.(server) dl));
-    Array.iteri
-      (fun i app ->
-        D.set_server_app d i
-          ~snapshot:(fun () -> Payments.snapshot app)
-          ~restore:(fun s -> Payments.restore app s))
-      apps;
-    let clients = Array.init 8 (fun _ -> D.add_client d ()) in
-    Array.iter Client.signup clients;
-    let engine = D.engine d in
-    Array.iteri
-      (fun i c ->
-        for j = 0 to 2 do
-          Engine.schedule_at engine
-            ~time:(20. *. float_of_int j)
-            (fun () ->
-              Client.broadcast c
-                (Payments.encode_op ~recipient:(i + j) ~amount:1))
-        done)
-      clients;
-    let victim = n_servers - 1 in
-    Engine.schedule_at engine ~time:t_crash (fun () -> D.crash_server d victim);
-    Engine.schedule_at engine ~time:t_restart (fun () -> D.restart_server d victim);
-    D.run d ~until:duration;
-    Format.printf
-      "durable store (seed %Ld, %d servers, checkpoint every %d batches)@."
-      seed n_servers checkpoint_every;
-    Format.printf
-      "crash server %d at %gs, cold restart from disk at %gs, run %gs@.@."
-      victim t_crash t_restart duration;
-    Format.printf "  server  delivered  wal-bytes  wal-recs  ckpts  snapshot-B  disk-written@.";
-    Array.iteri
-      (fun i sv ->
-        Format.printf "  %6d  %9d  %9d  %8d  %5d  %10d  %12d@." i
-          (Server.delivered_messages sv)
-          (D.server_wal_bytes d i) (D.server_wal_records d i)
-          (D.server_checkpoints d i) (D.server_snapshot_bytes d i)
-          (D.server_disk_bytes_written d i))
-      (D.servers d);
-    let sv = (D.servers d).(victim) in
-    Format.printf
-      "@.recovery: %d restart(s), %d sync round(s), %d record(s) transferred, \
-       catching up: %b@."
-      (Server.restarts sv) (Server.sync_rounds sv) (Server.catch_up_records sv)
-      (Server.catching_up sv);
-    Format.printf "collection: %d batch(es) collected on server 0@."
-      (Server.collected_batches (D.servers d).(0));
-    let reference = Payments.digest apps.(0) in
-    let agree =
-      Array.for_all (fun app -> Payments.digest app = reference) apps
-    in
-    Format.printf "app digests: %s@."
-      (if agree then "MATCH (all servers identical)" else "MISMATCH");
-    if agree && not (Server.catching_up sv) then `Ok ()
-    else `Error (false, "store demo failed: digests diverge or victim not live")
-  in
-  let term =
-    Term.(
-      ret (const run $ seed_arg $ servers_arg $ ckpt_arg $ crash_arg $ restart_arg))
-  in
-  Cmd.v
-    (Cmd.info "store"
-       ~doc:"Durable-store demo: crash a server, cold-restart it from its \
-             WAL/checkpoint, state-transfer the rest, report disk + recovery \
-             stats")
     term
 
 let sweep_cmd =
@@ -569,69 +439,6 @@ let sweep_cmd =
              and regenerate the figure grid")
     term
 
-let profile_cmd =
-  let module Cell = Repro_experiments.Cell in
-  let module Prof = Repro_prof.Prof in
-  let seed_arg =
-    Arg.(
-      value & opt int64 42L
-      & info [ "seed" ] ~docv:"SEED"
-          ~doc:"Simulation seed; the deterministic half of the report is \
-                bit-identical for identical seeds.")
-  in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:"Write the profile report as JSON here.")
-  in
-  let no_wall_arg =
-    Arg.(
-      value & flag
-      & info [ "no-wall" ]
-          ~doc:"Omit the machine-dependent wall-time half from the JSON \
-                report — what remains is byte-identical across same-seed \
-                runs (CI compares two runs with $(b,cmp)).")
-  in
-  let cell_of_scale = function
-    | F.Quick -> Cell.default
-    | F.Full ->
-      { Cell.default with
-        Cell.servers = 16; rate = 1_000_000.; batch = 16_384; duration = 12.;
-        warmup = 4.; cooldown = 3.; dense_clients = 10_000_000 }
-  in
-  let run scale seed out no_wall =
-    let c = { (cell_of_scale scale) with Cell.seed } in
-    let o = Cell.run ~profile:true c in
-    match o.Cell.prof with
-    | None -> `Error (false, "profiler produced no report")
-    | Some r ->
-      Format.printf "%a@." Prof.pp_markdown r;
-      Format.printf
-        "run: %d engine events over %.0f simulated seconds \
-         (throughput %.0f op/s)@."
-        o.Cell.sim_events o.Cell.sim_seconds
-        (Option.value ~default:0. (List.assoc_opt "throughput_ops" o.Cell.metrics));
-      (try
-         Option.iter
-           (fun path ->
-             Repro_metrics.Json.to_file ~path
-               (Prof.to_json ~wall:(not no_wall) r);
-             Format.printf "profile json -> %s@." path)
-           out;
-         `Ok ()
-       with Sys_error e -> `Error (false, e))
-  in
-  let term =
-    Term.(ret (const run $ scale_term $ seed_arg $ out_arg $ no_wall_arg))
-  in
-  Cmd.v
-    (Cmd.info "profile"
-       ~doc:"Self-profile the simulator: per-component handler wall-time, \
-             GC pressure, queue depth/dwell — without perturbing the run")
-    term
-
 let doctor_cmd =
   let module C = Repro_chaos.Chaos in
   let module Doctor = Repro_prof.Doctor in
@@ -752,5 +559,5 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group info
-          [ list_cmd; run_cmd; all_cmd; trace_cmd; metrics_cmd; chaos_cmd;
-            store_cmd; sweep_cmd; profile_cmd; doctor_cmd ]))
+          [ list_cmd; run_cmd; all_cmd; trace_cmd; chaos_cmd; sweep_cmd;
+            doctor_cmd ]))

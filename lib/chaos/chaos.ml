@@ -253,7 +253,6 @@ type verdict = {
   v_completed : int; (* client broadcasts that did complete *)
   v_delivered : int array; (* per-server delivered message counts *)
   v_rejections : (string * int) list; (* rejection instants, by name *)
-  v_notes : string list;
   v_diagnosis : Doctor.diagnosis option;
       (* doctor post-mortem, present iff the run stalled, under-completed
          or violated an invariant *)
@@ -291,7 +290,6 @@ let pp_verdict ppf v =
      Fmt.pf ppf "  rejections: %a@,"
        Fmt.(list ~sep:(any ", ") (pair ~sep:(any "=") string int))
        rs);
-  List.iter (fun n -> Fmt.pf ppf "  note: %s@," n) v.v_notes;
   List.iter (fun viol -> Fmt.pf ppf "  VIOLATION: %s@," viol) v.v_violations;
   (match v.v_diagnosis with
    | None -> ()
@@ -520,7 +518,6 @@ let run_case ?until ~name ~seed ~scale ~underlay ~n_brokers ?client_brokers
     v_delivered =
       Array.map Server.delivered_messages (Deployment.servers d);
     v_rejections = rejections;
-    v_notes = [];
     v_diagnosis = diagnosis }
 
 (* --- the scenarios ----------------------------------------------------------- *)

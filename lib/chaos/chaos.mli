@@ -146,7 +146,6 @@ type verdict = {
   v_rejections : (string * int) list;
       (** "reject_*" / "dup_ref" trace instants observed, by name — the
           correct nodes catching the injected misbehavior in the act *)
-  v_notes : string list;
   v_diagnosis : Repro_prof.Doctor.diagnosis option;
       (** doctor post-mortem: present iff the run stalled (the in-run
           watchdog fired), completed fewer broadcasts than expected, or

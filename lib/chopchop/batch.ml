@@ -187,6 +187,7 @@ let reducer_ids t =
   | Dense d ->
     List.init (d.count - d.straggler_count) (fun i -> d.first_id + i)
 
+(* Size of one application message in this batch. *)
 let payload_bytes_per_entry t =
   match t.entries with
   | Explicit entries ->

@@ -95,9 +95,6 @@ val reducer_ids : t -> Types.client_id list
 val wire_bytes : clients:int -> t -> int
 (** Bytes on the wire per {!Wire.distilled_batch_bytes}. *)
 
-val payload_bytes_per_entry : t -> int
-(** Size of one application message in this batch. *)
-
 val verify : Directory.t -> t -> bool
 (** Full well-formedness check, as performed by a witnessing server (#9):
     identifiers strictly increasing (hence distinct), every straggler's

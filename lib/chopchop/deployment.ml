@@ -17,7 +17,6 @@ type config = {
   cores : int; (* worker lanes per server/broker CPU *)
   underlay : underlay;
   dense_clients : int;
-  gc_period : float;
   flush_period : float;
   reduce_timeout : float;
   witness_margin : int;
@@ -42,7 +41,7 @@ type config = {
 let default_config =
   { n_servers = 4; spare_servers = 0; n_brokers = 2; cores = Cost.vcpus;
     underlay = Sequencer; dense_clients = 0;
-    gc_period = 0.5; flush_period = 0.2; reduce_timeout = 0.2;
+    flush_period = 0.2; reduce_timeout = 0.2;
     witness_margin = 1; max_batch = 65_536; net_loss = 0.; seed = 42L;
     stob_batch_timeout = 0.05; admission_rate = 0.; admission_burst = 0.;
     fleet = None; fair_admission_rate = 0.; fair_admission_burst = 0.;
@@ -55,7 +54,7 @@ let margin_for_size n =
 let paper_config ~n_servers ~underlay =
   { n_servers; spare_servers = 0; n_brokers = 6; cores = Cost.vcpus; underlay;
     dense_clients = 257_000_000;
-    gc_period = 0.5; flush_period = 1.0; reduce_timeout = 1.0;
+    flush_period = 1.0; reduce_timeout = 1.0;
     witness_margin = margin_for_size n_servers; max_batch = 65_536;
     net_loss = 0.; seed = 42L; stob_batch_timeout = 0.1;
     admission_rate = 0.; admission_burst = 0.;
@@ -350,7 +349,6 @@ let build_server t ~slot ~ms_sk ~directory ~membership ~stob =
   Server.create ~engine:t.engine ~cpu:t.server_cpus.(slot)
     ~config:{ Server.self = slot; n = t.capacity;
               clients = max t.cfg.dense_clients 1024;
-              gc_period = t.cfg.gc_period;
               fair_rate = t.cfg.fair_admission_rate;
               fair_burst = t.cfg.fair_admission_burst }
     ?store:t.stores.(slot) ~checkpoint_every:t.cfg.checkpoint_every
@@ -395,6 +393,13 @@ let build_server t ~slot ~ms_sk ~directory ~membership ~stob =
   sv
 
 let create cfg =
+  (* A disabled sink holds no events, only counters: give every
+     deployment its own, so deployments built from one config value do
+     not share a counter table. *)
+  let cfg =
+    if Repro_trace.Trace.Sink.enabled cfg.trace then cfg
+    else { cfg with trace = Repro_trace.Trace.Sink.null () }
+  in
   let engine = Engine.create ~seed:cfg.seed ~trace:cfg.trace () in
   let net = Net.create engine ~loss:cfg.net_loss () in
   let n = cfg.n_servers in
@@ -749,10 +754,36 @@ let server_snapshot_bytes t i =
 let server_disk_backlog t i =
   with_store t i ~default:0. (fun s -> Disk.backlog (Store.disk s))
 
-let server_disk_bytes_written t i =
-  with_store t i ~default:0 (fun s -> Disk.bytes_written (Store.disk s))
-
 let server_catching_up t i = Server.catching_up t.servers.(i)
+
+(* --- backlog sites (doctor diagnosis, sampler series) ------------------- *)
+
+let max_over n f =
+  let acc = ref 0. in
+  for i = 0 to n - 1 do
+    let v = f i in
+    if v > !acc then acc := v
+  done;
+  !acc
+
+(* Servers are the configured roster; brokers are counted live, so fleets
+   grown past the config ({!add_broker}) are covered in full. *)
+let over_brokers f t = max_over (n_brokers t) (fun i -> f t i)
+let over_servers f t = max_over t.cfg.n_servers (fun i -> f t i)
+
+let backlog_sites =
+  [ ("broker.pool",
+     over_brokers (fun t i -> float_of_int (Broker.pool_depth (broker t i))));
+    ("broker.batches_in_flight",
+     over_brokers (fun t i ->
+         float_of_int (Broker.batches_in_flight (broker t i))));
+    ("broker.cpu_backlog_s", over_brokers (fun t i -> Cpu.backlog (broker_cpu t i)));
+    ("server.order_queue",
+     over_servers (fun t i ->
+         float_of_int (Server.order_queue_depth t.servers.(i))));
+    ("server.cpu_backlog_s", over_servers server_cpu_backlog);
+    ("server.disk_backlog_s", over_servers server_disk_backlog);
+    ("engine.queue", fun t -> float_of_int (Engine.pending t.engine)) ]
 
 let set_server_app t i ~snapshot ~restore =
   Server.set_app_hooks t.servers.(i) ~snapshot ~restore

@@ -20,7 +20,6 @@ type config = {
          the c6i.8xlarge's 32) *)
   underlay : underlay;
   dense_clients : int; (* pre-provisioned identities (load experiments) *)
-  gc_period : float;
   flush_period : float;
   reduce_timeout : float;
   witness_margin : int;
@@ -224,10 +223,6 @@ val server_deliver_hook : t -> (int -> Proto.delivery -> unit) -> unit
 
 val server_ingress_bytes : t -> int -> int
 
-(** [server_cpu_backlog t i]: seconds of queued CPU work at server [i]
-    (sampler probe). *)
-val server_cpu_backlog : t -> int -> float
-
 val server_cpu : t -> int -> Repro_sim.Cpu.t
 (** Server [i]'s lane scheduler (per-lane utilization/backlog probes). *)
 
@@ -253,13 +248,15 @@ val server_wal_records : t -> int -> int
 val server_checkpoints : t -> int -> int
 val server_snapshot_bytes : t -> int -> int
 
-val server_disk_backlog : t -> int -> float
-(** Seconds of queued device work (sampler probe). *)
-
-val server_disk_bytes_written : t -> int -> int
-
 val server_catching_up : t -> int -> bool
 (** True while server [i] is between {!restart_server} and live. *)
+
+val backlog_sites : (string * (t -> float)) list
+(** Every queue a slow or stalled run backs up in, by site name, each
+    the maximum over its nodes: broker pool and batches in flight, broker
+    and server CPU backlog (seconds), server order queue, server disk
+    backlog (seconds), and the engine's pending events.  The doctor ranks
+    them and the run sampler records each as a series. *)
 
 val set_server_app :
   t -> int -> snapshot:(unit -> string) -> restore:(string option -> unit) -> unit

@@ -11,7 +11,6 @@ type config = {
   self : int;
   n : int;
   clients : int;
-  gc_period : float;
   fair_rate : float;
       (* per-broker admission budget on the order queue, as a token-bucket
          refill in batch references/s (0 = unlimited, the default) *)
@@ -314,8 +313,11 @@ let gc_sweep t =
       t.collected_batches <- t.collected_batches + 1)
     !victims
 
+(* Seconds between GC gossip rounds (delivery-counter exchange). *)
+let gc_period = 0.5
+
 let start t =
-  Engine.every ~kind:t.k_timer t.engine ~period:t.cfg.gc_period (fun () ->
+  Engine.every ~kind:t.k_timer t.engine ~period:gc_period (fun () ->
       if not t.crashed then begin
         t.peer_counters.(t.cfg.self) <- t.delivery_counter;
         for dst = 0 to t.cfg.n - 1 do

@@ -25,7 +25,6 @@ type config = {
   self : int;
   n : int; (* server slot capacity; f follows the active membership *)
   clients : int; (* directory size, for wire arithmetic *)
-  gc_period : float; (* GC gossip period, seconds *)
   fair_rate : float;
       (* per-broker admission budget on the order queue, batch refs/s
          (0 = unlimited — the classic single-queue server) *)

@@ -1,3 +1,5 @@
+(* Post-deduplication batch outcome: (id, seqno, message) triples for
+   explicit entries, four sequence numbers for a dense range. *)
 let wal_op_bytes (op : Proto.wal_op) =
   match op with
   | Proto.Wal_ops entries ->

@@ -6,10 +6,6 @@
     constants, same rules: every byte the store writes to its simulated
     device or ships to a recovering peer is priced here. *)
 
-val wal_op_bytes : Proto.wal_op -> int
-(** Post-deduplication batch outcome: (id, seqno, message) triples for
-    explicit entries, four sequence numbers for a dense range. *)
-
 val wal_record_bytes : Proto.wal_record -> int
 
 val checkpoint_bytes : Proto.checkpoint -> int

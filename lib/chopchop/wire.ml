@@ -11,6 +11,7 @@ let id_bits ~clients =
     bits (clients - 1) 0
   end
 
+(* Fractional bytes per identifier under bit packing (3.5 for 257 M). *)
 let id_bytes ~clients = float_of_int (id_bits ~clients) /. 8.
 
 let classic_payload_bytes ~msg_bytes = pk_bytes + seqno_bytes + msg_bytes + sig_bytes

@@ -15,16 +15,11 @@
     messages is ~736 KB (11.5 B per message). *)
 
 val pk_bytes : int (* 32 *)
-val sig_bytes : int (* 64 *)
 val seqno_bytes : int (* 8 *)
-val multisig_bytes : int (* 192 *)
 val hash_bytes : int (* 32 *)
 
 val id_bits : clients:int -> int
 (** Bits needed for an identifier in a directory of [clients]. *)
-
-val id_bytes : clients:int -> float
-(** Fractional bytes per identifier under bit packing (3.5 for 257 M). *)
 
 val classic_payload_bytes : msg_bytes:int -> int
 (** Public key + sequence number + message + signature (112 for 8 B). *)
@@ -57,8 +52,6 @@ val reduction_bytes : int
 
 val witness_request_bytes : int
 val witness_shard_bytes : int
-val witness_bytes : int
-(** An aggregated witness: f+1 aggregated multi-signature + signer bitmap. *)
 
 val stob_submission_bytes : int
 (** Broker's submission to the server-run Atomic Broadcast (#12):
@@ -66,7 +59,6 @@ val stob_submission_bytes : int
 
 val completion_shard_bytes : exceptions:int -> int
 val delivery_cert_bytes : int
-val legitimacy_cert_bytes : int
 
 (** {2 Durable state and state transfer (lib/store)}
 

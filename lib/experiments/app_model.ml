@@ -7,6 +7,8 @@ type calibration = {
   capacity : float;
 }
 
+(* Per-message delivery overhead, single-core seconds (fitted once
+   against §6.8 and documented in DESIGN.md). *)
 let dispatch_overhead_s = 0.45e-6
 
 let time_ops f ops =

@@ -19,10 +19,6 @@ type calibration = {
   capacity : float; (* op/s the app can absorb *)
 }
 
-val dispatch_overhead_s : float
-(** Per-message delivery overhead, single-core seconds (0.45 µs; fitted
-    once against §6.8 and documented in DESIGN.md). *)
-
 val calibrate : unit -> calibration list
 (** Runs each application on synthetic bulk deliveries and times it with
     the process clock. *)

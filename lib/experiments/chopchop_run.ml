@@ -134,16 +134,10 @@ let run p =
   (* Measurement clients broadcasting back-to-back small messages through
      the real (distilling) brokers. *)
   let lat = Stats.Summary.create () in
-  let lat_hist =
-    Option.map (fun m -> Repro_metrics.Metrics.histogram m "latency.e2e") p.metrics
-  in
   let win_start = p.warmup and win_end = p.duration -. p.cooldown in
   let record_latency latency =
     let now = Engine.now engine in
-    if now >= win_start && now <= win_end then begin
-      Stats.Summary.add lat latency;
-      Option.iter (fun h -> Repro_trace.Trace.Hist.add h latency) lat_hist
-    end
+    if now >= win_start && now <= win_end then Stats.Summary.add lat latency
   in
   (* Measure identities sit at the top of the id space, far from the load
      ranges.  Clients pump back-to-back: a new message as soon as the
@@ -217,11 +211,12 @@ let run p =
    | Some m ->
      let module M = Repro_metrics.Metrics in
      let module Trace = Repro_trace.Trace in
-     if Trace.enabled p.trace then M.mirror m ~sink:p.trace ~actor:9999;
+     let sink = (D.config d).D.trace in
+     if Trace.enabled sink then M.mirror m ~sink ~actor:9999;
      let n_alive () = float_of_int (List.length servers_alive) in
      M.rate_probe m "throughput.ops" ~labels:[ ("role", "server") ] (fun () ->
          float_of_int (Server.delivered_messages (D.servers d).(0)));
-     let net_bytes = Trace.Sink.counter p.trace ~cat:"net" ~name:"bytes" in
+     let net_bytes = Trace.Sink.counter sink ~cat:"net" ~name:"bytes" in
      M.rate_probe m "net.bytes_per_s" ~labels:[ ("role", "wan") ] (fun () ->
          float_of_int (Trace.Counter.value net_bytes));
      (* Utilization probes are windowed over the sampling interval: each
@@ -239,10 +234,6 @@ let run p =
              acc +. u)
            0. servers_alive
          /. n_alive ());
-     M.probe m "cpu.backlog_s" ~labels:[ ("role", "server") ] (fun () ->
-         List.fold_left
-           (fun acc i -> Float.max acc (D.server_cpu_backlog d i))
-           0. servers_alive);
      (* Per-lane series for server 0: lane imbalance (a serial hot lane
         next to idle ones) is invisible in the machine-wide average. *)
      let cpu0 = D.server_cpu d 0 in
@@ -273,45 +264,17 @@ let run p =
            end
          done;
          !acc /. float_of_int (max 1 (Array.length broker_marks)));
-     M.probe m "cpu.backlog_s" ~labels:[ ("role", "broker") ] (fun () ->
-         let acc = ref 0. in
-         for i = 0 to D.n_brokers d - 1 do
-           acc := Float.max !acc (Cpu.backlog (D.broker_cpu d i))
-         done;
-         !acc);
-     M.probe m "order_queue.depth" ~labels:[ ("role", "server") ] (fun () ->
-         List.fold_left
-           (fun acc i ->
-             Stdlib.max acc (Server.order_queue_depth (D.servers d).(i)))
-           0 servers_alive
-         |> float_of_int);
-     let each_broker f =
-       let acc = ref 0 in
-       for i = 0 to D.n_brokers d - 1 do
-         acc := !acc + f (D.broker d i)
-       done;
-       float_of_int !acc
-     in
-     M.probe m "batches.in_flight" ~labels:[ ("role", "broker") ] (fun () ->
-         each_broker Repro_chopchop.Broker.batches_in_flight);
-     M.probe m "pool.depth" ~labels:[ ("role", "broker") ] (fun () ->
-         each_broker Repro_chopchop.Broker.pool_depth);
-     (* Satellite: ring-sink drops as a live gauge, so a truncated trace
-        is visible in the metrics themselves. *)
+     (* The same backlog sites the doctor ranks, one series each. *)
+     List.iter (fun (site, f) -> M.probe m site (fun () -> f d)) D.backlog_sites;
+     (* Ring-sink drops as a live series, so a truncated trace is visible
+        in the metrics themselves. *)
      M.probe m "trace.dropped" ~labels:[ ("role", "trace") ] (fun () ->
-         float_of_int (Trace.Sink.dropped p.trace));
-     (* Queue pressure inside the engine itself: the live depth plus its
-        all-time high-water mark (pressure between samples is invisible
-        to a periodic gauge; the envelope is not). *)
-     M.probe m "engine.queue_depth" ~labels:[ ("role", "engine") ] (fun () ->
-         float_of_int (Engine.pending engine));
+         float_of_int (Trace.Sink.dropped sink));
+     (* The engine queue's all-time high-water mark: pressure between
+        samples is invisible to a periodic gauge; the envelope is not. *)
      M.probe m "engine.max_queue_depth" ~labels:[ ("role", "engine") ]
        (fun () -> float_of_int (Engine.max_pending engine));
      if p.store then begin
-       M.probe m "disk.backlog_s" ~labels:[ ("role", "server") ] (fun () ->
-           List.fold_left
-             (fun acc i -> Float.max acc (D.server_disk_backlog d i))
-             0. servers_alive);
        M.rate_probe m "wal.bytes_per_s" ~labels:[ ("role", "server") ]
          (fun () -> float_of_int (D.server_wal_bytes d 0));
        M.probe m "snapshot.bytes" ~labels:[ ("role", "server") ] (fun () ->
@@ -355,18 +318,6 @@ let run p =
     done;
     !acc
   in
-  (* Fold the run-wide trace counters (net bytes, crypto ops, engine
-     steps, server deliveries) into the registry as end-of-run gauges,
-     so one snapshot carries everything. *)
-  (match p.metrics with
-   | None -> ()
-   | Some m ->
-     let module M = Repro_metrics.Metrics in
-     List.iter
-       (fun (cat, name, v) ->
-         M.Gauge.set (M.gauge m (cat ^ "." ^ name)) (float_of_int v))
-       (Repro_trace.Trace.Sink.counters p.trace);
-     M.Gauge.set (M.gauge m "run.stored_bytes_max") (float_of_int !stored_max));
   { offered = p.rate;
     throughput;
     latency_mean = Stats.Summary.mean lat;

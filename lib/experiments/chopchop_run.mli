@@ -31,15 +31,15 @@ type params = {
   store : bool;
       (* enable the per-server durable-storage model: WAL appends and
          periodic checkpoints on a simulated disk (lib/store); adds
-         disk/WAL/snapshot metrics probes when [metrics] is also set *)
+         WAL/snapshot metrics probes when [metrics] is also set *)
   checkpoint_every : int; (* batches between checkpoints when [store] *)
-  trace : Repro_trace.Trace.Sink.t; (* observability sink (default: null) *)
+  trace : Repro_trace.Trace.Sink.t;
+      (* observability sink (default: null); its counters are the run's
+         only counter registry *)
   metrics : Repro_metrics.Metrics.t option;
-      (* when set, the run registers role-labelled probes (throughput,
-         CPU, queue depths, in-flight batches, net rate, trace drops),
-         ticks the registry's sampler on the sim clock, fills a
-         [latency.e2e] histogram from the measurement clients, and folds
-         the run-wide trace counters into end-of-run gauges *)
+      (* when set, the run registers probes (throughput, CPU, net rate,
+         trace drops, and every {!Repro_chopchop.Deployment.backlog_sites}
+         queue) and ticks the registry's sampler on the sim clock *)
   on_delivery : (int -> Repro_chopchop.Proto.delivery -> unit) option;
       (* observer called on every server delivery (after the runner's own
          throughput accounting) — [Cell] uses it to drive application

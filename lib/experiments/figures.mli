@@ -64,7 +64,3 @@ val ablation_loss : Format.formatter -> scale -> unit
     (§5.1, §6 "adverse network conditions"). *)
 
 val run_all : Format.formatter -> scale -> unit
-
-val cc_max_throughput : scale -> float
-(** Chop Chop's measured saturation throughput (memoised; shared by the
-    figures that need a "maximum" reference). *)

@@ -1,9 +1,6 @@
 module Engine = Repro_sim.Engine
-module Cpu = Repro_sim.Cpu
 module D = Repro_chopchop.Deployment
 module Membership = Repro_chopchop.Membership
-module Server = Repro_chopchop.Server
-module Broker = Repro_chopchop.Broker
 module Json = Repro_metrics.Json
 
 type backlog = { b_site : string; b_value : float }
@@ -26,43 +23,9 @@ type diagnosis = {
   d_admission_rejects : (int * int) list; (* per-broker fair-admission rejects *)
 }
 
-(* --- probes --------------------------------------------------------------- *)
-
-let max_over n f =
-  let acc = ref 0. in
-  for i = 0 to n - 1 do
-    let v = f i in
-    if v > !acc then acc := v
-  done;
-  !acc
-
 let probe_backlogs d =
-  let cfg = D.config d in
-  (* Live count: fleets grown past the config (add_broker) still get
-     probed in full. *)
-  let n_servers = cfg.D.n_servers and n_brokers = D.n_brokers d in
-  let servers = D.servers d in
-  let sites =
-    [ ( "broker.pool",
-        max_over n_brokers (fun i ->
-            float_of_int (Broker.pool_depth (D.broker d i))) );
-      ( "broker.batches_in_flight",
-        max_over n_brokers (fun i ->
-            float_of_int (Broker.batches_in_flight (D.broker d i))) );
-      ( "broker.cpu_backlog_s",
-        max_over n_brokers (fun i -> Cpu.backlog (D.broker_cpu d i)) );
-      ( "server.order_queue",
-        max_over n_servers (fun i ->
-            float_of_int (Server.order_queue_depth servers.(i))) );
-      ( "server.cpu_backlog_s",
-        max_over n_servers (fun i -> D.server_cpu_backlog d i) );
-      ( "server.disk_backlog_s",
-        max_over n_servers (fun i -> D.server_disk_backlog d i) );
-      ( "engine.queue",
-        float_of_int (Engine.pending (D.engine d)) ) ]
-  in
-  let sites = List.map (fun (s, v) -> { b_site = s; b_value = v }) sites in
-  List.sort (fun a b -> compare b.b_value a.b_value) sites
+  List.map (fun (site, f) -> { b_site = site; b_value = f d }) D.backlog_sites
+  |> List.sort (fun a b -> compare b.b_value a.b_value)
 
 let diagnose d ~progress ~expected ~last_progress_at ~reason =
   let cfg = D.config d in
@@ -145,8 +108,8 @@ type t = {
   mutable fired : diagnosis option;
 }
 
-let default_period = 5.0
-let default_stall_after = 25.0
+let default_period = 5.0 (* sim seconds between watchdog ticks *)
+let default_stall_after = 25.0 (* sim seconds without progress = stall *)
 
 let check w =
   let p = w.progress () in

@@ -51,12 +51,6 @@ val diagnose :
 
 type t
 
-val default_period : float
-(** 5 simulated seconds between ticks. *)
-
-val default_stall_after : float
-(** 25 simulated seconds without progress before the watchdog fires. *)
-
 val watch :
   ?period:float ->
   ?stall_after:float ->
@@ -67,10 +61,10 @@ val watch :
   expected:int ->
   unit ->
   t
-(** Arm the watchdog: every [period] sim-seconds, sample [progress ()];
-    if it has not advanced for [stall_after] sim-seconds while still
-    below [expected], record a stall diagnosis and call [on_stall]
-    (once).  The tick stops at [until] if given. *)
+(** Arm the watchdog: every [period] (default 5) sim-seconds, sample
+    [progress ()]; if it has not advanced for [stall_after] (default 25)
+    sim-seconds while still below [expected], record a stall diagnosis
+    and call [on_stall] (once).  The tick stops at [until] if given. *)
 
 val stalled : t -> diagnosis option
 (** The stall diagnosis, if the watchdog fired. *)

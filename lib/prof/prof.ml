@@ -131,77 +131,34 @@ let hist_json (h : Trace.Hist.summary) =
       ("p50", Json.Num h.h_p50);
       ("p99", Json.Num h.h_p99) ]
 
-(* The JSON report is split into a [deterministic] object — identical
-   across same-seed runs, byte-compared by CI — and a [wall] object with
-   the machine-dependent readings.  [wall:false] omits the latter. *)
-let to_json ?(wall = true) r =
-  let det =
-    Json.Obj
-      [ ("events", Json.Num (float_of_int r.p_events));
-        ("minor_words", Json.Num r.p_minor_words);
-        ("max_queue_depth", Json.Num (float_of_int r.p_max_pending));
-        ("queue_depth", hist_json r.p_depth);
-        ("dwell_s", hist_json r.p_dwell);
-        ( "kinds",
-          Json.List
-            (List.map
-               (fun row ->
-                 Json.Obj
-                   [ ("kind", Json.Str row.r_kind);
-                     ("events", Json.Num (float_of_int row.r_events));
-                     ("minor_words", Json.Num row.r_minor_words) ])
-               r.p_rows) ) ]
-  in
-  let base = [ ("deterministic", det) ] in
-  let fields =
-    if not wall then base
-    else
-      base
-      @ [ ( "wall",
-            Json.Obj
-              [ ("wall_s", Json.Num r.p_wall_s);
-                ("attributed_share", Json.Num (attributed_share r));
-                ( "kinds",
-                  Json.List
-                    (List.map
-                       (fun row ->
-                         Json.Obj
-                           [ ("kind", Json.Str row.r_kind);
-                             ("wall_s", Json.Num row.r_wall_s) ])
-                       r.p_rows) ) ] ) ]
-  in
-  Json.Obj fields
-
-(* Deterministic-only fields as a flat metrics-style object, for embedding
-   in sweep cell files without breaking byte-identical resume. *)
+(* The report's two halves: [deterministic_json] is identical across
+   same-seed runs (CI byte-compares it, sweep cells embed it);
+   [wall_json] holds the machine-dependent readings. *)
 let deterministic_json r =
-  match to_json ~wall:false r with
-  | Json.Obj [ ("deterministic", det) ] -> det
-  | _ -> assert false
+  Json.Obj
+    [ ("events", Json.Num (float_of_int r.p_events));
+      ("minor_words", Json.Num r.p_minor_words);
+      ("max_queue_depth", Json.Num (float_of_int r.p_max_pending));
+      ("queue_depth", hist_json r.p_depth);
+      ("dwell_s", hist_json r.p_dwell);
+      ( "kinds",
+        Json.List
+          (List.map
+             (fun row ->
+               Json.Obj
+                 [ ("kind", Json.Str row.r_kind);
+                   ("events", Json.Num (float_of_int row.r_events));
+                   ("minor_words", Json.Num row.r_minor_words) ])
+             r.p_rows) ) ]
 
-let pp_markdown ppf r =
-  let pf fmt = Format.fprintf ppf fmt in
-  pf "## Engine profile@.@.";
-  pf "- events dispatched: %d@." r.p_events;
-  pf "- handler self wall-time: %.6f s (%.1f%% attributed to named kinds)@."
-    r.p_wall_s (100. *. attributed_share r);
-  pf "- minor allocation: %.0f words (%.1f words/event)@." r.p_minor_words
-    (if r.p_events = 0 then 0. else r.p_minor_words /. float_of_int r.p_events);
-  pf "- queue depth: mean %.0f, p99 %.0f, max %d@." r.p_depth.h_mean
-    r.p_depth.h_p99 r.p_max_pending;
-  pf "- sim-time dwell: mean %.4f s, p99 %.4f s@.@." r.p_dwell.h_mean
-    r.p_dwell.h_p99;
-  pf "| kind | events | wall s | wall %% | minor words | ns/event |@.";
-  pf "|---|---|---|---|---|---|@.";
-  let by_wall =
-    List.sort (fun a b -> compare b.r_wall_s a.r_wall_s) r.p_rows
-  in
-  List.iter
-    (fun row ->
-      pf "| %s | %d | %.6f | %.1f | %.0f | %.0f |@." row.r_kind row.r_events
-        row.r_wall_s
-        (if r.p_wall_s <= 0. then 0. else 100. *. row.r_wall_s /. r.p_wall_s)
-        row.r_minor_words
-        (if row.r_events = 0 then 0.
-         else 1e9 *. row.r_wall_s /. float_of_int row.r_events))
-    by_wall
+let wall_json r =
+  Json.Obj
+    [ ("wall_s", Json.Num r.p_wall_s);
+      ("attributed_share", Json.Num (attributed_share r));
+      ( "kinds",
+        Json.List
+          (List.map
+             (fun row ->
+               Json.Obj
+                 [ ("kind", Json.Str row.r_kind); ("wall_s", Json.Num row.r_wall_s) ])
+             r.p_rows) ) ]

@@ -56,15 +56,11 @@ val attributed_share : report -> float
 (** Fraction of handler wall-time attributed to named kinds (everything
     but the ["other"] bucket); 1.0 when no wall-time was recorded. *)
 
-val to_json : ?wall:bool -> report -> Repro_metrics.Json.t
-(** [{"deterministic": {...}, "wall": {...}}].  The [deterministic]
-    object is identical across same-seed runs (CI byte-compares it);
-    [wall:false] (default true) omits the machine-dependent half. *)
-
 val deterministic_json : report -> Repro_metrics.Json.t
-(** Just the [deterministic] object of {!to_json} — safe to embed in
-    sweep cell files without breaking byte-identical resume. *)
+(** Event and kind counters, minor words, queue-depth and dwell
+    histograms: identical across same-seed runs, so safe to embed in
+    sweep cell files and to byte-compare in CI. *)
 
-val pp_markdown : Format.formatter -> report -> unit
-(** Human-readable report: headline totals plus a per-kind table sorted
-    by wall-time (handler top-N). *)
+val wall_json : report -> Repro_metrics.Json.t
+(** The machine-dependent half: handler wall-time, total and per kind,
+    and the share attributed to named kinds. *)

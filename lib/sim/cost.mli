@@ -56,9 +56,6 @@ val ceil_log2 : int -> int
 
 val merkle_verify_proof : leaves:int -> float
 
-val multisig_sign : float
-(** Producing one BLS share (clients; scaled for t3.small below). *)
-
 val dedup_per_message : float
 (** Sequence-number check + last-message comparison per payload (§5.2,
     identifier-sorted parallel deduplication). *)
@@ -79,8 +76,5 @@ val disk_read_bps : float
 (** Sequential read bandwidth — recovery replay streams at this rate. *)
 
 (* Client-side (t3.small: 1 core, slower clock). *)
-
-val client_factor : float
-(** Multiplier turning a single-core server cost into a t3.small cost. *)
 
 val client_multisig_sign : float

@@ -23,7 +23,8 @@ let all =
     Stockholm; Ohio; Milan; Oregon; Ireland; London; Paris; Tokyo; Sydney;
     Ovh_gravelines; Ovh_beauharnois ]
 
-(* Order matters: §6.2 distributes size-8 systems across the first 8
+(* The 14 regions across which servers are balanced (§6.2).  Order
+   matters: §6.2 distributes size-8 systems across the first 8
    regions of this list. *)
 let aws_server_regions =
   [ Cape_town; Sao_paulo; Bahrain; Canada; Frankfurt; N_virginia; N_california;

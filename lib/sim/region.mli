@@ -28,9 +28,6 @@ type t =
 
 val all : t list
 
-val aws_server_regions : t list
-(** The 14 regions across which servers are balanced (§6.2). *)
-
 val server_regions_for : int -> t list
 (** [server_regions_for n] assigns [n] servers round-robin; for n = 8 the
     paper uses the first 8 regions of the list — "the most adversarial

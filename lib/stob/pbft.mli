@@ -62,5 +62,3 @@ val delivered_count : 'p t -> int
 
 val view : 'p t -> int
 (** Current view (diagnostics; grows when view changes fire). *)
-
-val leader_of_view : n:int -> int -> int

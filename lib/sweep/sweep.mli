@@ -70,9 +70,6 @@ module Manifest : sig
       chaos scenario names). *)
 
   val load : path:string -> (t, string) result
-
-  val cell_config_json : cell -> Repro_metrics.Json.t
-  (** The canonical resolved-config rendering the hash is computed over. *)
 end
 
 module Pool : sig
@@ -90,19 +87,8 @@ module Pool : sig
             ({!Repro_prof.Prof.Clock} — immune to NTP steps) *)
   }
 
-  val cell_dir : out_dir:string -> Manifest.t -> string
-  (** [<out_dir>/cells-<manifest-hash>] — where per-cell outputs live. *)
-
   val cell_path : out_dir:string -> Manifest.t -> Manifest.cell -> string
-
-  val timings_path : out_dir:string -> Manifest.t -> string
-  (** [<out_dir>/timings-<manifest-hash>.json] — sidecar mapping cell
-      hash to wall seconds.  Wall time lives here, never in the cell
-      files, which stay bit-identical across reruns (the resume
-      contract); {!run} merges new timings over old so resumed (skipped)
-      cells keep the timing from the run that computed them. *)
-
-  val load_timings : out_dir:string -> Manifest.t -> (string * float) list
+  (** [<out_dir>/cells-<manifest-hash>/<cell-hash>.json]. *)
 
   val run_cell : ?profile:bool -> Manifest.cell -> Repro_metrics.Json.t
   (** Execute one cell in-process and return its output document
@@ -131,21 +117,22 @@ module Pool : sig
       automatically) runs cells one by one in-process, without timeout
       enforcement.  [profile] is passed to {!run_cell}.  Reports come
       back in manifest order; completed cells' wall times are merged
-      into the {!timings_path} sidecar. *)
+      into the [<out_dir>/timings-<manifest-hash>.json] sidecar (wall
+      time never enters the cell files, which stay bit-identical across
+      reruns), so resumed cells keep the timing of the run that computed
+      them. *)
 end
 
 module Aggregate : sig
-  val results_path : out_dir:string -> Manifest.t -> string
-  (** [<out_dir>/results-<manifest-hash>.json]. *)
-
   val collect : out_dir:string -> Manifest.t -> Repro_metrics.Json.t
   (** Fold all per-cell outputs into one document (manifest order);
       cells with no valid output appear as [{"missing": true}] stubs.
-      Wall seconds from the {!Pool.timings_path} sidecar are attached to
+      Wall seconds from the timings sidecar are attached to
       each present cell as a [wall_s] field. *)
 
   val write : out_dir:string -> Manifest.t -> string
-  (** [collect] then write to {!results_path}; returns the path. *)
+  (** [collect] then write to [<out_dir>/results-<manifest-hash>.json];
+      returns the path. *)
 end
 
 module Figures : sig

@@ -70,24 +70,6 @@ let event_json (e : Trace.event) =
          (escape e.ev_name) (json_float v))
   | Trace.B | Trace.E -> None (* exported as paired "X" events *)
 
-let raw_json (e : Trace.event) =
-  let ph =
-    match e.ev_phase with
-    | Trace.B -> "B"
-    | Trace.E -> "E"
-    | Trace.I -> "i"
-    | Trace.C _ -> "C"
-  in
-  let extra =
-    match e.ev_phase with
-    | Trace.C v -> Printf.sprintf ",\"value\":%s" (json_float v)
-    | _ -> ""
-  in
-  Printf.sprintf
-    "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%s\",\"ts\":%s,\"pid\":1,\"tid\":%d%s,\"args\":%s}"
-    (escape e.ev_name) (escape e.ev_cat) ph (micros e.ev_time) e.ev_actor extra
-    (args_json ~id:e.ev_id e.ev_attrs)
-
 let to_buffer buf sink =
   let events = Trace.Sink.events sink in
   let spans = Trace.Span.pair events in
@@ -114,15 +96,6 @@ let to_buffer buf sink =
 let to_string sink =
   let buf = Buffer.create 65536 in
   to_buffer buf sink;
-  Buffer.contents buf
-
-let jsonl sink =
-  let buf = Buffer.create 65536 in
-  List.iter
-    (fun e ->
-      Buffer.add_string buf (raw_json e);
-      Buffer.add_char buf '\n')
-    (Trace.Sink.events sink);
   Buffer.contents buf
 
 let to_file sink path =

@@ -49,6 +49,7 @@ let gap arrival ~rng =
     (* Thinned Poisson at the peak rate; acceptance happens in [drive]. *)
     Rng.exponential rng ~mean:(1. /. Float.max 1e-9 peak)
 
+(* Thinning acceptance for the arrival drawn by [gap]. *)
 let accept arrival ~rng ~now =
   match arrival with
   | Poisson _ | Pareto _ -> true

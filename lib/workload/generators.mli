@@ -16,15 +16,9 @@ type arrival =
 
 val describe : arrival -> string
 
-val rate_at : arrival -> now:float -> float
-(** Instantaneous rate at simulated time [now]. *)
-
 val gap : arrival -> rng:Repro_sim.Rng.t -> float
-(** One inter-arrival gap (for Diurnal: the peak-rate envelope gap; pair
-    with {!accept} thinning). *)
-
-val accept : arrival -> rng:Repro_sim.Rng.t -> now:float -> bool
-(** Thinning acceptance for the arrival drawn by {!gap}. *)
+(** One inter-arrival gap (for Diurnal: the peak-rate envelope gap,
+    thinned by {!drive}). *)
 
 val drive :
   ?kind:int ->

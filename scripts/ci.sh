@@ -1,7 +1,7 @@
 #!/bin/sh
 # CI entry point: full build, the complete test suite, and smoke runs of
-# every experiment surface (chaos, store, trace, fleet, sweep, profiler,
-# perfbench) plus the bench baseline gate.  Run from the repository root.
+# every experiment surface (chaos, recovery, trace and its run report,
+# fleet, sweep, doctor, perfbench) plus the bench baseline gate.  Run from the repository root.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -21,7 +21,6 @@ echo "== recovery smoke: crash -> cold restart -> catch-up =="
 # peers, and ends with the same app digest as a never-crashed replica
 # while collection advanced past the crash window.
 dune exec bin/main.exe -- chaos --scenario crash-cold-restart --scale quick
-dune exec bin/main.exe -- store
 
 echo "== trace smoke: Chrome export + causal path =="
 # The traced run must export Chrome trace_event JSON, and one delivered
@@ -82,17 +81,20 @@ dune exec bin/main.exe -- sweep --manifest examples/sweep-ci.json \
   || { echo "sweep smoke: resume did not engage"; exit 1; }
 rm -rf "$sweep_out"
 
-echo "== profiler / doctor smoke =="
-# The engine self-profiler is a pure observer: two same-seed `chopchop
-# profile` runs must produce byte-identical deterministic JSON (--no-wall
-# strips the machine-dependent half), and the health doctor must produce
-# a non-empty structured diagnosis on a deliberately stalled scenario
-# (an unhealed full partition).
+echo "== run report / doctor smoke =="
+# The observed run (trace sink, metrics sampler, engine profiler) is
+# deterministic: two same-seed `chopchop trace` runs must write
+# byte-identical reports (--no-wall leaves out the machine-dependent
+# half), and the health doctor must produce a non-empty structured
+# diagnosis on a deliberately stalled scenario (an unhealed full
+# partition).
 prof_dir="$(mktemp -d)"
-dune exec bin/main.exe -- profile --no-wall -o "$prof_dir/p1.json" >/dev/null
-dune exec bin/main.exe -- profile --no-wall -o "$prof_dir/p2.json" >/dev/null
-cmp "$prof_dir/p1.json" "$prof_dir/p2.json" \
-  || { echo "profile smoke: deterministic profile JSON differs between runs"; exit 1; }
+dune exec bin/main.exe -- trace --no-wall -o "$prof_dir/t1.json" \
+  --report "$prof_dir/r1.json" >/dev/null
+dune exec bin/main.exe -- trace --no-wall -o "$prof_dir/t2.json" \
+  --report "$prof_dir/r2.json" >/dev/null
+cmp "$prof_dir/r1.json" "$prof_dir/r2.json" \
+  || { echo "report smoke: deterministic run report differs between runs"; exit 1; }
 dune exec bin/main.exe -- doctor --scenario stall-partition \
   -o "$prof_dir/diag.json" >"$prof_dir/doctor.out"
 grep -q "Doctor diagnosis" "$prof_dir/doctor.out" \

@@ -363,6 +363,28 @@ let mk_deployment ?(underlay = Deployment.Sequencer) ?(n_servers = 4) ?(dense = 
   Deployment.create
     { Deployment.default_config with underlay; n_servers; dense_clients = dense }
 
+(* Deployments built from one config value must not share a counter
+   table: each one's counters start at zero and move only with its run. *)
+let test_deployments_own_counters () =
+  let steps d =
+    match
+      List.find_opt
+        (fun (c, n, _) -> c = "sim" && n = "steps")
+        (Trace.Sink.counters (Deployment.config d).Deployment.trace)
+    with
+    | Some (_, _, v) -> v
+    | None -> 0
+  in
+  let a = Deployment.create Deployment.default_config in
+  Deployment.run a ~until:2.0;
+  let ran = steps a in
+  checkb "the first deployment counted its steps" true (ran > 0);
+  let b = Deployment.create Deployment.default_config in
+  checki "a fresh deployment starts from zero" 0 (steps b);
+  Deployment.run b ~until:2.0;
+  checki "the second run leaves the first's counters alone" ran (steps a);
+  checki "same config, same count" ran (steps b)
+
 let test_e2e_agreement_nodup () =
   let d = mk_deployment () in
   let per_server = Array.make 4 [] in
@@ -856,6 +878,8 @@ let () =
        @ suite_batch_props);
       ("protocol",
        [ Alcotest.test_case "e2e agreement + no-dup" `Quick test_e2e_agreement_nodup;
+         Alcotest.test_case "deployments own their counters" `Quick
+           test_deployments_own_counters;
          Alcotest.test_case "signup ranks agree" `Quick test_signup_ranks_agree;
          Alcotest.test_case "sequence numbers increase" `Quick test_sequence_numbers_increase;
          Alcotest.test_case "consecutive duplicate dropped" `Quick test_consecutive_duplicate_dropped;

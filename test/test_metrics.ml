@@ -1,9 +1,11 @@
-(* Tests for the metrics subsystem: registry/label semantics, probe
-   sampling and series alignment, baseline comparison (the CI gate's
-   pass/fail logic), JSON round-trips, and the end-to-end properties the
-   ISSUE pins down — bit-identical same-seed snapshots, sampler/sim-clock
-   alignment, C-phase mirroring into the trace, and causal message-path
-   reconstruction telescoping to the end-to-end latency. *)
+(* Tests for the metrics subsystem and the run report: label semantics,
+   probe sampling and series alignment, baseline comparison (the CI
+   gate's pass/fail logic), JSON round-trips, and the end-to-end
+   properties of the observed run — a byte-identical deterministic
+   report for a fixed seed, exact sink counters in it, sampler/sim-clock
+   alignment, C-phase mirroring into the trace, observers that leave the
+   run unchanged, and causal message-path reconstruction telescoping to
+   the end-to-end latency. *)
 
 open Repro_trace
 module M = Repro_metrics.Metrics
@@ -12,6 +14,7 @@ module J = Repro_metrics.Json
 module R = Repro_experiments.Chopchop_run
 module LB = Repro_experiments.Latency_breakdown
 module CP = Repro_experiments.Causal_path
+module Report = Repro_experiments.Report
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -22,33 +25,30 @@ let checkf msg a b = Alcotest.check (Alcotest.float 1e-9) msg a b
 
 let test_label_isolation () =
   let m = M.create () in
-  let c1 = M.counter m "net.msgs" ~labels:[ ("role", "wan"); ("dir", "in") ] in
-  let c2 = M.counter m "net.msgs" ~labels:[ ("dir", "in"); ("role", "wan") ] in
-  Trace.Counter.incr c1;
-  Trace.Counter.incr c2;
-  checki "label order is canonicalised away" 2 (Trace.Counter.value c1);
-  let c3 = M.counter m "net.msgs" ~labels:[ ("dir", "out"); ("role", "wan") ] in
-  checki "differing label value names a fresh instrument" 0
-    (Trace.Counter.value c3);
-  let c4 = M.counter m "net.msgs" in
-  checki "empty label set is its own instrument" 0 (Trace.Counter.value c4);
-  let g = M.gauge m "net.msgs" in
-  M.Gauge.set g 7.;
-  checkf "same name, different kind: distinct cells" 7. (M.Gauge.value g);
-  checki "counter unaffected by like-named gauge" 0 (Trace.Counter.value c4)
+  M.probe m "net.msgs" ~labels:[ ("role", "wan"); ("dir", "in") ] (fun () -> 1.);
+  M.probe m "net.msgs" ~labels:[ ("dir", "out"); ("role", "wan") ] (fun () -> 2.);
+  M.probe m "net.msgs" (fun () -> 3.);
+  M.sample m ~now:1.;
+  match M.series m with
+  | [ a; b; c ] ->
+    Alcotest.(check (list (pair string string)))
+      "label order is canonicalised away"
+      [ ("dir", "in"); ("role", "wan") ]
+      a.M.s_labels;
+    checks "canonical rendering" "net.msgs{dir=in,role=wan}"
+      (M.label_string a.M.s_name a.M.s_labels);
+    checkb "differing label value names a distinct series" true
+      (M.label_string b.M.s_name b.M.s_labels
+      <> M.label_string a.M.s_name a.M.s_labels);
+    checks "empty label set is its own series" "net.msgs"
+      (M.label_string c.M.s_name c.M.s_labels);
+    checkf "each series sampled from its own probe" 2. (snd b.M.s_points.(0))
+  | _ -> Alcotest.fail "expected one series per probe"
 
 let test_label_string () =
   checks "no labels" "q" (M.label_string "q" []);
   checks "labels sorted into the rendering" "q{a=1,b=2}"
     (M.label_string "q" [ ("b", "2"); ("a", "1") ])
-
-let test_snapshot_sorted () =
-  let m = M.create () in
-  M.Gauge.set (M.gauge m "zz") 1.;
-  Trace.Counter.incr (M.counter m "aa");
-  Trace.Hist.add (M.histogram m "mm") 0.5;
-  let names = List.map (fun e -> e.M.m_name) (M.snapshot m) in
-  Alcotest.(check (list string)) "sorted by name" [ "aa"; "mm"; "zz" ] names
 
 (* --- probes and sampling ---------------------------------------------- *)
 
@@ -77,9 +77,7 @@ let test_probe_alignment () =
     series;
   let plain = List.nth series 0 and doubled = List.nth series 1 in
   checkf "probe read at each tick" 3. (snd plain.M.s_points.(2));
-  checkf "labelled twin sampled independently" 6. (snd doubled.M.s_points.(2));
-  (* The last sample also lands in a like-named gauge for the snapshot. *)
-  checkf "probe gauge holds last sample" 4. (M.Gauge.value (M.gauge m "depth"))
+  checkf "labelled twin sampled independently" 6. (snd doubled.M.s_points.(2))
 
 let test_rate_probe () =
   let m = M.create () in
@@ -113,45 +111,6 @@ let test_mirror_emits_c_phase () =
       (Trace.Sink.events sink)
   in
   checki "one C-phase counter event per probe per tick" 2 (List.length cs)
-
-(* --- exports ---------------------------------------------------------- *)
-
-let export_fixture () =
-  let m = M.create () in
-  Trace.Counter.add (M.counter m "ops" ~labels:[ ("role", "s") ]) 12;
-  Trace.Hist.add (M.histogram m "lat") 0.5;
-  M.probe m "depth" (fun () -> 3.);
-  M.sample m ~now:0.5;
-  M.sample m ~now:1.0;
-  m
-
-let test_jsonl_parses () =
-  let m = export_fixture () in
-  let lines = String.split_on_char '\n' (String.trim (M.to_jsonl m)) in
-  checkb "several lines" true (List.length lines >= 4);
-  List.iter
-    (fun line ->
-      match J.parse line with
-      | J.Obj kvs ->
-        checkb "every line has a kind" true (List.mem_assoc "kind" kvs)
-      | _ -> Alcotest.fail "jsonl line not an object"
-      | exception Failure e -> Alcotest.fail e)
-    lines;
-  let series_line =
-    List.find (fun l -> J.member "kind" (J.parse l) = Some (J.Str "series")) lines
-  in
-  match J.member "points" (J.parse series_line) with
-  | Some (J.List pts) -> checki "one point per tick" 2 (List.length pts)
-  | _ -> Alcotest.fail "series line has no points array"
-
-let test_series_csv () =
-  let m = export_fixture () in
-  match String.split_on_char '\n' (String.trim (M.series_csv m)) with
-  | header :: rows ->
-    checkb "time column first" true
-      (String.length header >= 4 && String.sub header 0 4 = "time");
-    checki "one row per tick" 2 (List.length rows)
-  | [] -> Alcotest.fail "empty csv"
 
 (* --- baseline comparison (the CI gate) -------------------------------- *)
 
@@ -214,24 +173,123 @@ let quick_params =
     measure_clients = 2; duration = 6.; warmup = 4.; cooldown = 2.;
     dense_clients = 1_000_000 }
 
-let run_instrumented () =
-  let m = M.create () in
-  let result, breakdown, sink =
-    LB.capture ~params:{ quick_params with R.metrics = Some m } ()
-  in
-  (m, result, breakdown, sink)
+let captured =
+  lazy (Report.run quick_params, Report.run quick_params)
 
-let captured = lazy (run_instrumented (), run_instrumented ())
+let det_json r = J.to_string_pretty (Report.to_json ~wall:false r)
+
+(* One run in a forked child, reported back over a pipe.  Two children
+   forked from the same parent state compare like two CI processes: the
+   profile's minor-word counts include the process-wide Directory
+   caches, which the first run in a process fills. *)
+let det_json_in_child () =
+  let rd, wr = Unix.pipe () in
+  match Unix.fork () with
+  | 0 ->
+    Unix.close rd;
+    let oc = Unix.out_channel_of_descr wr in
+    output_string oc (det_json (Report.run quick_params));
+    close_out oc;
+    Unix._exit 0
+  | pid ->
+    Unix.close wr;
+    let ic = Unix.in_channel_of_descr rd in
+    let s = In_channel.input_all ic in
+    close_in ic;
+    ignore (Unix.waitpid [] pid);
+    s
 
 let test_snapshot_deterministic () =
-  let (m_a, _, _, _), (m_b, _, _, _) = Lazy.force captured in
-  checkb "non-trivial snapshot" true (List.length (M.snapshot m_a) > 5);
-  checkb "same-seed snapshots bit-identical" true
-    (M.snapshot m_a = M.snapshot m_b);
-  checkb "same-seed series bit-identical" true (M.series m_a = M.series m_b)
+  let a, b = Lazy.force captured in
+  checkb "non-trivial series" true (List.length (M.series a.Report.metrics) > 5);
+  checkb "same-seed series bit-identical" true
+    (M.series a.Report.metrics = M.series b.Report.metrics);
+  let first = det_json_in_child () in
+  let second = det_json_in_child () in
+  checkb "report non-empty" true (String.length first > 1000);
+  checks "same-seed deterministic reports byte-identical" first second
+
+(* The bare run: the same point with only the trace sink attached. *)
+let test_observers_leave_run_unchanged () =
+  let observed, _ = Lazy.force captured in
+  let result, breakdown, sink = LB.capture ~params:quick_params () in
+  (* [compare]: this short window's network rate is NaN on both sides. *)
+  let same a b = compare a b = 0 in
+  checkb "result bit-identical" true
+    (same { observed.Report.result with R.prof = None } result);
+  checkb "phase histograms bit-identical" true
+    (same (LB.phases observed.Report.breakdown) (LB.phases breakdown));
+  checkb "e2e histogram bit-identical" true
+    (same (LB.e2e observed.Report.breakdown) (LB.e2e breakdown));
+  checki "same decomposed messages" (LB.complete breakdown)
+    (LB.complete observed.Report.breakdown);
+  let without_steps sink =
+    List.filter
+      (fun (c, n, _) -> not (c = "sim" && n = "steps"))
+      (Trace.Sink.counters sink)
+  in
+  checkb "every counter but sim.steps bit-identical" true
+    (without_steps observed.Report.sink = without_steps sink)
+
+(* --- the report ------------------------------------------------------- *)
+
+let deterministic r =
+  match J.member "deterministic" (J.parse (det_json r)) with
+  | Some d -> d
+  | None -> Alcotest.fail "report has no deterministic half"
+  | exception Failure e -> Alcotest.fail e
+
+let test_report_parses () =
+  let r, _ = Lazy.force captured in
+  let d = deterministic r in
+  List.iter
+    (fun k -> checkb (k ^ " present") true (J.member k d <> None))
+    [ "result"; "breakdown"; "counters"; "series"; "profile" ];
+  checkb "wall half left out" true
+    (J.member "wall" (J.parse (det_json r)) = None);
+  checkb "wall half written by default" true
+    (J.member "wall" (Report.to_json r) <> None)
+
+let test_report_series_aligned () =
+  let r, _ = Lazy.force captured in
+  let ticks = M.ticks r.Report.metrics in
+  checkb "sampler ticked" true (ticks > 0);
+  match J.member "series" (deterministic r) with
+  | Some (J.List series) ->
+    checki "every probe series reported" (List.length (M.series r.Report.metrics))
+      (List.length series);
+    List.iter
+      (fun s ->
+        match J.member "points" s with
+        | Some (J.List pts) -> checki "one point per tick" ticks (List.length pts)
+        | _ -> Alcotest.fail "series has no points array")
+      series
+  | _ -> Alcotest.fail "report has no series list"
+
+let test_report_counters_exact () =
+  let r, _ = Lazy.force captured in
+  let expected =
+    List.map
+      (fun (cat, name, v) -> (cat ^ "." ^ name, v))
+      (Trace.Sink.counters r.Report.sink)
+  in
+  match J.member "counters" (deterministic r) with
+  | Some (J.Obj fields) ->
+    let got =
+      List.map
+        (fun (k, v) ->
+          match J.to_int v with
+          | Some n -> (k, n)
+          | None -> Alcotest.fail (k ^ " is not an exact integer"))
+        fields
+    in
+    Alcotest.(check (list (pair string int)))
+      "counters are the sink's, in order" expected got
+  | _ -> Alcotest.fail "report has no counters object"
 
 let test_sampler_clock_alignment () =
-  let (m, _, _, _), _ = Lazy.force captured in
+  let r, _ = Lazy.force captured in
+  let m = r.Report.metrics in
   let p = M.period m in
   (* The sampler runs [Engine.every ~inclusive:false ~until:duration]: one
      tick per whole period strictly inside the run — a tick landing
@@ -254,7 +312,8 @@ let test_sampler_clock_alignment () =
     (M.series m)
 
 let test_run_mirrors_c_events () =
-  let (_, _, _, sink), _ = Lazy.force captured in
+  let r, _ = Lazy.force captured in
+  let sink = r.Report.sink in
   let cs =
     List.filter
       (fun (e : Trace.event) ->
@@ -263,7 +322,7 @@ let test_run_mirrors_c_events () =
       (Trace.Sink.events sink)
   in
   checkb "instrumented run mirrors probe samples as C events" true
-    (List.length cs >= 2 * List.length (M.series (let (m, _, _, _), _ = Lazy.force captured in m)));
+    (List.length cs >= 2 * List.length (M.series r.Report.metrics));
   (* And the Chrome exporter renders them as counter tracks. *)
   let json = Chrome.to_string sink in
   checkb "C events survive the Chrome export" true
@@ -273,8 +332,9 @@ let test_run_mirrors_c_events () =
      find 0)
 
 let test_causal_path () =
-  let (_, _, breakdown, sink), _ = Lazy.force captured in
-  let idx = CP.index (Trace.Sink.events sink) in
+  let r, _ = Lazy.force captured in
+  let breakdown = r.Report.breakdown in
+  let idx = CP.index (Trace.Sink.events r.Report.sink) in
   checkb "delivered candidates listed" true (CP.candidates idx <> []);
   match CP.first idx with
   | None -> Alcotest.fail "no candidate reconstructs"
@@ -304,23 +364,28 @@ let () =
     [ ( "registry",
         [ Alcotest.test_case "label canonicalisation + isolation" `Quick
             test_label_isolation;
-          Alcotest.test_case "label rendering" `Quick test_label_string;
-          Alcotest.test_case "snapshot sorted" `Quick test_snapshot_sorted ] );
+          Alcotest.test_case "label rendering" `Quick test_label_string ] );
       ( "sampling",
         [ Alcotest.test_case "probes aligned across series" `Quick
             test_probe_alignment;
           Alcotest.test_case "rate probe differentiates" `Quick test_rate_probe;
           Alcotest.test_case "mirror emits C-phase samples" `Quick
             test_mirror_emits_c_phase ] );
-      ( "export",
-        [ Alcotest.test_case "jsonl parses back" `Quick test_jsonl_parses;
-          Alcotest.test_case "csv aligned" `Quick test_series_csv ] );
       ( "baseline",
         [ Alcotest.test_case "gate semantics" `Quick test_baseline_gate;
           Alcotest.test_case "json round-trip" `Quick test_baseline_roundtrip ] );
+      ( "report",
+        [ Alcotest.test_case "deterministic half parses back" `Slow
+            test_report_parses;
+          Alcotest.test_case "one point per tick in every series" `Slow
+            test_report_series_aligned;
+          Alcotest.test_case "counters are exact sink integers" `Slow
+            test_report_counters_exact ] );
       ( "end-to-end",
         [ Alcotest.test_case "same seed, same metrics" `Slow
             test_snapshot_deterministic;
+          Alcotest.test_case "sampler and profiler leave the run unchanged"
+            `Slow test_observers_leave_run_unchanged;
           Alcotest.test_case "sampler aligned to the sim clock" `Slow
             test_sampler_clock_alignment;
           Alcotest.test_case "run mirrors counter tracks" `Slow

@@ -294,19 +294,6 @@ let test_chrome_json () =
     | _ -> Alcotest.fail "note not a string")
   | _ -> Alcotest.fail "instant args not an object")
 
-let test_chrome_jsonl () =
-  let sink = chrome_fixture () in
-  let lines =
-    String.split_on_char '\n' (String.trim (Chrome.jsonl sink))
-  in
-  checki "one line per raw event" (Trace.Sink.length sink) (List.length lines);
-  List.iter
-    (fun line ->
-      match Json.parse line with
-      | Json.Obj _ -> ()
-      | _ -> Alcotest.fail "jsonl line not an object")
-    lines
-
 (* --- End-to-end: determinism + telescoping decomposition -------------- *)
 
 let quick_params =
@@ -461,9 +448,7 @@ let () =
           Alcotest.test_case "correlation keys" `Quick test_key ] );
       ( "chrome",
         [ Alcotest.test_case "trace_event JSON parses back" `Quick
-            test_chrome_json;
-          Alcotest.test_case "jsonl one object per line" `Quick
-            test_chrome_jsonl ] );
+            test_chrome_json ] );
       ( "end-to-end",
         [ Alcotest.test_case "same seed, same trace" `Slow
             test_trace_deterministic;
