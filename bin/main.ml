@@ -29,6 +29,7 @@ let experiments : (string * string * (Format.formatter -> F.scale -> unit)) list
     ("micro", "§3.2 distillation microbenchmark", F.micro);
     ("silk", "§6.2 silk vs scp deployment", F.silk_table);
     ("fig7", "throughput-latency, all systems", F.fig7);
+    ("headline", "saturation point, fails below 95% delivered", F.headline);
     ("fig8a", "distillation benefit", F.fig8a);
     ("fig8b", "message sizes 8-512 B", F.fig8b);
     ("fig9", "line rate (input/network/output)", F.fig9);

@@ -106,10 +106,11 @@ val witness_cpu_work : t -> Repro_sim.Cpu.work
     straggler batch-verification, pk aggregation and deserialization are
     divisible across lanes; the aggregate pairing check is serial. *)
 
-val non_witness_cpu_work : t -> Repro_sim.Cpu.work
+val delivery_cpu_work : t -> Repro_sim.Cpu.work
 (** Work on a server that trusts the witness instead of verifying:
-    deserialization + deduplication (divisible) and the witness
-    certificate pairing check (serial). *)
+    deserialization + deduplication, divisible across lanes.  The witness
+    certificate's pairing check is charged separately, once per ordered
+    reference, when the reference is ordered. *)
 
 val make_explicit :
   broker:int ->

@@ -94,6 +94,8 @@ type t = {
   membership : Membership.t; (* deployment-level routing view *)
   engine : Engine.t;
   net : msg Net.t;
+  directory : Directory.t;
+      (* owns the dense population; every server holds a replica of it *)
   mutable servers : Server.t array;
   server_cpus : Cpu.t array;
   server_pks : Multisig.public_key array;
@@ -172,6 +174,7 @@ let b2c_receiver_to t ~deliver ~broker_node ~client_node =
 
 let engine t = t.engine
 let config t = t.cfg
+let directory t = t.directory
 let servers t = t.servers
 let broker t i = t.brokers.(i).br
 let n_brokers t = Array.length t.brokers
@@ -277,7 +280,7 @@ let install_broker t ~region ~flush_period ~reduce_timeout ~max_batch ?cores
     match t.fleet with
     | Some fl ->
       ignore (Fleet.register fl ~region);
-      Some (Directory.create_shard ~dense_count:t.cfg.dense_clients ())
+      Some (Directory.create_shard t.directory)
     | None -> None
   in
   let directory =
@@ -427,6 +430,7 @@ let create cfg =
     { cfg; capacity;
       membership = Membership.create ~capacity ~initial:n;
       engine; net;
+      directory = Directory.create ~dense_count:cfg.dense_clients ();
       servers = [||]; server_cpus; server_pks; stores; stobs = [||];
       brokers = [||];
       broker_of_node = Hashtbl.create 16;
@@ -478,7 +482,7 @@ let create cfg =
     in
     let sh = make_stob t ~self:i ~deliver in
     stobs.(i) <- Some sh;
-    let directory = Directory.create ~dense_count:cfg.dense_clients () in
+    let directory = Directory.replica t.directory in
     let membership = Membership.create ~capacity ~initial:n in
     let sv =
       build_server t ~slot:i ~ms_sk:(fst server_identities.(i)) ~directory
@@ -564,7 +568,7 @@ let add_client t ?region ?identity ?on_delivered ?brokers () =
   in
   let keypair =
     match identity with
-    | Some id -> Directory.dense_keypair id
+    | Some id -> Directory.dense_keypair t.directory id
     | None -> Types.keypair_of_seed (Printf.sprintf "client-node-%d" node)
   in
   let cfg_c =

@@ -61,6 +61,11 @@ val create : config -> t
 
 val engine : t -> Repro_sim.Engine.t
 val config : t -> config
+
+val directory : t -> Directory.t
+(** Owner of the deployment's dense population: servers hold replicas of
+    it, fleet brokers shards over it. *)
+
 val servers : t -> Server.t array
 val broker : t -> int -> Broker.t
 val n_brokers : t -> int

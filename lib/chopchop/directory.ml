@@ -2,42 +2,35 @@ module Field61 = Repro_crypto.Field61
 module Multisig = Repro_crypto.Multisig
 
 (* Dense identities are deterministic functions of their index, so their
-   prefix sums are process-wide constants: they are cached globally and
-   shared by every directory instance (and every experiment in a bench
-   run).  Only the indices actually touched are ever materialised — a
-   257 M-client directory costs nothing until a range is queried. *)
+   keypairs and prefix sums are memoised — per population (one deployment:
+   a directory, its replicas and shards), never process-wide.  Only the
+   indices actually touched are ever materialised: a 257 M-client
+   directory costs nothing until a range is queried. *)
 
 let zero_sk = Multisig.aggregate_secret_keys []
 
-let pk_prefix = ref (Array.make 1 Field61.zero)
-let sk_prefix = ref (Array.make 1 zero_sk)
-let prefix_len = ref 1
+type population = {
+  mutable pk_prefix : Field61.t array;
+  mutable sk_prefix : Multisig.secret_key array;
+  mutable prefix_len : int;
+  keypairs : (int, Types.keypair) Hashtbl.t;
+}
 
-let dense_keypair_cache : (int, Types.keypair) Hashtbl.t = Hashtbl.create 4096
-
-let dense_keypair i =
-  match Hashtbl.find_opt dense_keypair_cache i with
-  | Some kp -> kp
-  | None ->
-    let kp = Types.keypair_of_seed (Types.dense_seed i) in
-    Hashtbl.add dense_keypair_cache i kp;
-    kp
-
-let ensure_prefix upto =
-  if upto + 1 > !prefix_len then begin
+let ensure_prefix pop upto =
+  if upto + 1 > pop.prefix_len then begin
     let needed = upto + 1 in
-    let cap = Array.length !pk_prefix in
+    let cap = Array.length pop.pk_prefix in
     if needed > cap then begin
       let newcap = max needed (2 * cap) in
       let pk = Array.make newcap Field61.zero in
       let sk = Array.make newcap zero_sk in
-      Array.blit !pk_prefix 0 pk 0 !prefix_len;
-      Array.blit !sk_prefix 0 sk 0 !prefix_len;
-      pk_prefix := pk;
-      sk_prefix := sk
+      Array.blit pop.pk_prefix 0 pk 0 pop.prefix_len;
+      Array.blit pop.sk_prefix 0 sk 0 pop.prefix_len;
+      pop.pk_prefix <- pk;
+      pop.sk_prefix <- sk
     end;
-    let pk = !pk_prefix and sk = !sk_prefix in
-    for i = !prefix_len to needed - 1 do
+    let pk = pop.pk_prefix and sk = pop.sk_prefix in
+    for i = pop.prefix_len to needed - 1 do
       (* Prefix building does not need the signature keypair: derive only
          the multisig scalar to keep first-touch cost down. *)
       let ms_sk, ms_pk =
@@ -46,19 +39,35 @@ let ensure_prefix upto =
       pk.(i) <- Field61.add pk.(i - 1) ms_pk;
       sk.(i) <- Multisig.aggregate_secret_keys [ sk.(i - 1); ms_sk ]
     done;
-    prefix_len := needed
+    pop.prefix_len <- needed
   end
 
 type t = {
   dense : int;
+  pop : population;
   explicit : Types.keycard array ref;
   mutable explicit_len : int;
 }
 
-let create ?(dense_count = 0) () =
-  { dense = dense_count;
+let replica t =
+  { t with
     explicit = ref (Array.make 16 { Types.sig_pk = Field61.zero; ms_pk = Field61.zero });
     explicit_len = 0 }
+
+let create ?(dense_count = 0) () =
+  replica
+    { dense = dense_count; explicit = ref [||]; explicit_len = 0;
+      pop =
+        { pk_prefix = Array.make 1 Field61.zero; sk_prefix = Array.make 1 zero_sk;
+          prefix_len = 1; keypairs = Hashtbl.create 4096 } }
+
+let dense_keypair t i =
+  match Hashtbl.find_opt t.pop.keypairs i with
+  | Some kp -> kp
+  | None ->
+    let kp = Types.keypair_of_seed (Types.dense_seed i) in
+    Hashtbl.add t.pop.keypairs i kp;
+    kp
 
 let dense_count t = t.dense
 let size t = t.dense + t.explicit_len
@@ -79,7 +88,7 @@ let explicit_cards t = Array.to_list (Array.sub !(t.explicit) 0 t.explicit_len)
 
 let find t id =
   if id < 0 then None
-  else if id < t.dense then Some (dense_keypair id).card
+  else if id < t.dense then Some (dense_keypair t id).card
   else if id - t.dense < t.explicit_len then Some !(t.explicit).(id - t.dense)
   else None
 
@@ -95,36 +104,35 @@ let aggregate_ms_pks t ids =
 let aggregate_ms_pks_range t ~first ~count =
   if first < 0 || count < 0 || first + count > t.dense then
     invalid_arg "Directory.aggregate_ms_pks_range: outside dense population";
-  ensure_prefix (first + count);
-  Field61.sub !pk_prefix.(first + count) !pk_prefix.(first)
+  ensure_prefix t.pop (first + count);
+  Field61.sub t.pop.pk_prefix.(first + count) t.pop.pk_prefix.(first)
 
 let aggregate_dense_ms_sks_range t ~first ~count =
   if first < 0 || count < 0 || first + count > t.dense then
     invalid_arg "Directory.aggregate_dense_ms_sks_range: outside dense population";
-  ensure_prefix (first + count);
-  Multisig.diff_secret_keys !sk_prefix.(first + count) !sk_prefix.(first)
+  ensure_prefix t.pop (first + count);
+  Multisig.diff_secret_keys t.pop.sk_prefix.(first + count) t.pop.sk_prefix.(first)
 
 (* --- shards (lib/fleet: one Rank partition per broker) ------------------- *)
 
 (* A shard is a broker's partial view of the global directory: the dense
-   population (derived, shared by construction) plus only the explicit
-   cards its partition owns.  Identifiers stay global — they are assigned
-   by the ordered union on the servers — so a shard stores (global id,
-   card) pairs rather than re-ranking, and cards can move between shards
-   on crash failover without renumbering anything. *)
+   population (derived, read through the deployment's directory) plus only
+   the explicit cards its partition owns.  Identifiers stay global — they
+   are assigned by the ordered union on the servers — so a shard stores
+   (global id, card) pairs rather than re-ranking, and cards can move
+   between shards on crash failover without renumbering anything. *)
 
 type shard = {
-  sh_dense : int;
+  sh_dir : t; (* dense population *)
   sh_cards : (int, Types.keycard) Hashtbl.t; (* global id -> card *)
 }
 
-let create_shard ?(dense_count = 0) () =
-  { sh_dense = dense_count; sh_cards = Hashtbl.create 64 }
+let create_shard dir = { sh_dir = dir; sh_cards = Hashtbl.create 64 }
 
 let shard_size sh = Hashtbl.length sh.sh_cards
 
 let shard_insert sh ~id card =
-  if id < sh.sh_dense then
+  if id < sh.sh_dir.dense then
     invalid_arg "Directory.shard_insert: dense ids are derived, not stored";
   Hashtbl.replace sh.sh_cards id card
 
@@ -138,24 +146,24 @@ let shard_cards sh =
 
 let shard_find sh id =
   if id < 0 then None
-  else if id < sh.sh_dense then Some (dense_keypair id).card
+  else if id < sh.sh_dir.dense then Some (dense_keypair sh.sh_dir id).card
   else Hashtbl.find_opt sh.sh_cards id
 
 (* Rebuild the monolithic directory from a partitioning: the shards'
    explicit ids must together cover a contiguous range above the dense
    population (each ordered signup landed in exactly one shard).  The
    correctness statement of sharded signups — asserted by test_fleet. *)
-let merge_shards ?(dense_count = 0) shards =
-  let t = create ~dense_count () in
+let merge_shards dir shards =
+  let t = replica dir in
   let all = List.concat_map shard_cards shards in
   let all = List.sort (fun (a, _) (b, _) -> Int.compare a b) all in
   List.iteri
     (fun i (id, card) ->
-      if id <> dense_count + i then
+      if id <> t.dense + i then
         invalid_arg
           (Printf.sprintf
              "Directory.merge_shards: ids not a contiguous partition (want %d, got %d)"
-             (dense_count + i) id);
+             (t.dense + i) id);
       ignore (append t card))
     all;
   t

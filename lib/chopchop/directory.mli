@@ -15,13 +15,20 @@
       pre-generated workload.  Range queries over dense identities are
       served from prefix sums, so aggregating a 65,536-key range costs
       O(1) {e real} work while the simulated cost is still charged per key
-      by {!Repro_sim.Cost.bls_aggregate_pks}. *)
+      by {!Repro_sim.Cost.bls_aggregate_pks}.
+
+    Dense keypairs and prefix sums are memoised per population: {!create}
+    starts one, its {!replica}s and shards share it. *)
 
 type t
 
 val create : ?dense_count:int -> unit -> t
 (** [dense_count] pre-provisions that many deterministic identities with
     ids [0 .. dense_count-1] (default 0). *)
+
+val replica : t -> t
+(** A directory with the same dense population (and its memo) and no
+    explicit cards: one server's copy in a deployment. *)
 
 val dense_count : t -> int
 val size : t -> int
@@ -49,21 +56,21 @@ val aggregate_ms_pks_range : t -> first:int -> count:int -> Repro_crypto.Multisi
 (** O(1) aggregate over a dense range via prefix sums.
     @raise Invalid_argument if the range leaves the dense population. *)
 
-val dense_keypair : int -> Types.keypair
+val dense_keypair : t -> int -> Types.keypair
 (** The deterministic identity of dense client [i] (simulation-only:
     workload generators use it to pre-sign batches, mirroring the paper's
     pre-generated message files). *)
 
 (** {2 Shards (lib/fleet)}
 
-    One Rank partition per broker: the dense population plus the explicit
-    cards the partition owns, keyed by {e global} identifier (ids are
-    assigned by the ordered union on the servers; shards never re-rank).
+    One Rank partition per broker: its directory's dense population plus
+    the explicit cards the partition owns, keyed by {e global} identifier
+    (ids are assigned by the ordered union on the servers; shards never re-rank).
     Cards move between shards on crash failover and back on recovery. *)
 
 type shard
 
-val create_shard : ?dense_count:int -> unit -> shard
+val create_shard : t -> shard
 val shard_size : shard -> int
 (** Explicit cards held (dense identities are derived, not stored). *)
 
@@ -77,8 +84,8 @@ val shard_cards : shard -> (Types.client_id * Types.keycard) list
 
 val shard_find : shard -> Types.client_id -> Types.keycard option
 
-val merge_shards : ?dense_count:int -> shard list -> t
-(** Rebuild the monolithic directory from a partitioning.
+val merge_shards : t -> shard list -> t
+(** Rebuild the monolithic directory from a partitioning (a {!replica}).
     @raise Invalid_argument unless the shards' explicit ids form a
     contiguous range above the dense population (each ordered signup in
     exactly one shard). *)

@@ -21,6 +21,15 @@ type config = {
 
 type bucket = { mutable tokens : float; mutable stamp : float }
 
+(* An ordered batch reference awaiting delivery; [o_paired] once the CPU
+   job charged for its witness-certificate pairing has run. *)
+type ordered = {
+  o_broker : int;
+  o_number : int;
+  o_root : string;
+  mutable o_paired : bool;
+}
+
 type stored = {
   batch : Batch.t;
   bytes : int;
@@ -53,8 +62,8 @@ type t = {
   submitted_refs : (int * int, unit) Hashtbl.t; (* refs we pushed into STOB *)
   (* FIFO of ordered batch references whose batches may still be missing:
      delivery must follow STOB order exactly. *)
-  mutable order_queue : (int * int * string) list; (* (broker, number, root), reversed *)
-  mutable order_queue_front : (int * int * string) list;
+  mutable order_queue : ordered list; (* reversed *)
+  mutable order_queue_front : ordered list;
   last_msg : (Types.client_id, Types.sequence_number * string) Hashtbl.t;
   (* dense ranges: first_id -> (last agg seq, last tag) *)
   dense_last : (int, int * int) Hashtbl.t;
@@ -513,7 +522,7 @@ let rec drain_order_queue t =
   in
   match next with
   | None -> ()
-  | Some (broker, number, root) ->
+  | Some ({ o_broker = broker; o_number = number; o_root = root; _ } as o) ->
     if Hashtbl.mem t.delivered_refs (broker, number) then begin
       (* Delivered before the crash, or via catch-up: skip. *)
       t.order_queue_front <- List.tl t.order_queue_front;
@@ -521,10 +530,12 @@ let rec drain_order_queue t =
     end
     else
     (match Hashtbl.find_opt t.batches root with
+     | Some stored when stored.position = None && not o.o_paired ->
+       () (* its pairing job drains the queue when it completes *)
      | Some stored when stored.position = None ->
        t.order_queue_front <- List.tl t.order_queue_front;
        t.delivering <- true;
-       let work = Batch.non_witness_cpu_work stored.batch in
+       let work = Batch.delivery_cpu_work stored.batch in
        let epoch = t.restarts in
        let s = tr t in
        if Trace.enabled s then
@@ -991,7 +1002,20 @@ let on_stob_deliver t item =
              Trace.instant s ~now:(Engine.now t.engine) ~actor:t.cfg.self
                ~cat:"server" ~name:"ordered" ~id:(Trace.key root)
                ~attrs:[ ("number", Trace.A_int number) ]);
-          t.order_queue <- (broker, number, root) :: t.order_queue;
+          let o =
+            { o_broker = broker; o_number = number; o_root = root;
+              o_paired = false }
+          in
+          t.order_queue <- o :: t.order_queue;
+          (* One serial pairing job per reference, charged now: consecutive
+             references pair on different lanes instead of queueing behind
+             each delivery (DESIGN.md §4c). *)
+          let epoch = t.restarts in
+          Cpu.submit t.cpu ~work:(Cpu.serial Cost.bls_verify) (fun () ->
+              if t.restarts = epoch then begin
+                o.o_paired <- true;
+                if not t.crashed then drain_order_queue t
+              end);
           drain_order_queue t
         end
         else

@@ -4,6 +4,7 @@ module Cpu = Repro_sim.Cpu
 module Cost = Repro_sim.Cost
 module Region = Repro_sim.Region
 module Stats = Repro_sim.Stats
+module Hist = Repro_trace.Trace.Hist
 
 type proto = Bftsmart | Hotstuff_base
 
@@ -25,8 +26,7 @@ let default proto =
 type result = {
   offered : float;
   throughput : float;
-  latency_mean : float;
-  latency_std : float;
+  latency : Hist.t; (* in the measurement window *)
 }
 
 (* One ordered payload = one client operation with the 80 B classic
@@ -43,17 +43,14 @@ let run p =
   let n = p.n_servers in
   let regions = Array.of_list (Region.server_regions_for n) in
   let cpus = Array.init n (fun _ -> Cpu.create engine ~cores:Cost.vcpus ()) in
-  let tp = Stats.Throughput.create engine ~warmup:p.warmup ~cooldown:p.cooldown ~duration:p.duration in
-  let lat = Stats.Summary.create () in
-  let win_start = p.warmup and win_end = p.duration -. p.cooldown in
+  let w = Stats.Window.create engine ~warmup:p.warmup ~cooldown:p.cooldown ~duration:p.duration in
   let op_bytes = p.msg_bytes + 80 in
   let deliver_at i op =
     (* Servers verify the per-operation signature on delivery. *)
     Cpu.charge cpus.(i) ~work:(Cpu.parallel (Cost.ed25519_batch_verify 1));
     if i = 0 then begin
-      Stats.Throughput.record tp 1;
-      let now = Engine.now engine in
-      if now >= win_start && now <= win_end then Stats.Summary.add lat (now -. op.inject)
+      Stats.Window.record w 1;
+      Stats.Window.latency w (Engine.now engine -. op.inject)
     end
   in
   let receives = Array.make n (fun ~src:_ (_ : msg) -> ()) in
@@ -100,6 +97,5 @@ let run p =
       done);
   Engine.run engine ~until:(p.duration +. 30.);
   { offered = p.rate;
-    throughput = Stats.Throughput.rate tp;
-    latency_mean = Stats.Summary.mean lat;
-    latency_std = Stats.Summary.stddev lat }
+    throughput = Stats.Window.rate w;
+    latency = Stats.Window.latencies w }

@@ -25,8 +25,7 @@ val default : proto -> params
 type result = {
   offered : float;
   throughput : float;
-  latency_mean : float;
-  latency_std : float;
+  latency : Repro_trace.Trace.Hist.t; (* in the measurement window *)
 }
 
 val run : params -> result

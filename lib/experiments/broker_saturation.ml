@@ -87,13 +87,13 @@ let run_point ~p ~config ~brokers ~lanes ~offered ~flush_period ~route =
           ~egress_bps:p.egress_bps ())
   in
   let route = route d added in
-  let delivered = ref 0 in
+  let w =
+    Repro_sim.Stats.Window.create engine ~warmup:p.warmup ~cooldown:0.
+      ~duration:p.duration
+  in
   D.server_deliver_hook d (fun srv del ->
       match del with
-      | Proto.Ops ops ->
-        if srv = 0 && Engine.now engine >= p.warmup
-           && Engine.now engine <= p.duration then
-          delivered := !delivered + Array.length ops
+      | Proto.Ops ops -> if srv = 0 then Repro_sim.Stats.Window.record w (Array.length ops)
       | Proto.Bulk _ -> ());
   let period = 0.02 in
   let per_tick = int_of_float (offered *. period) in
@@ -102,7 +102,7 @@ let run_point ~p ~config ~brokers ~lanes ~offered ~flush_period ~route =
       for _ = 1 to per_tick do
         let id = !next_id in
         incr next_id;
-        let kp = Directory.dense_keypair id in
+        let kp = Directory.dense_keypair (D.directory d) id in
         let msg = Printf.sprintf "%08d" id in
         let tsig =
           Schnorr.sign kp.Types.sig_sk (Types.message_statement ~id ~seq:0 msg)
@@ -115,7 +115,7 @@ let run_point ~p ~config ~brokers ~lanes ~offered ~flush_period ~route =
   (* Let in-flight batches drain so late deliveries inside the window are
      not cut off mid-pipeline. *)
   D.run d ~until:(p.duration +. 5.);
-  float_of_int !delivered /. (p.duration -. p.warmup)
+  Repro_sim.Stats.Window.rate w
 
 (* The shape both sweeps exist to show: more lanes or brokers, more
    delivered throughput. *)

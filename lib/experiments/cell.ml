@@ -270,12 +270,13 @@ let run ?(profile = false) c =
       ( "broker_cpu_busy_s_per_payload_byte",
         result.Chopchop_run.broker_cpu_busy_s /. payload_bytes );
       ("offered_ops", result.Chopchop_run.offered);
-      ("latency_mean_s", result.Chopchop_run.latency_mean);
+      ("latency_mean_s", Trace.Hist.mean result.Chopchop_run.latency);
       ("delivered_messages", float_of_int result.Chopchop_run.delivered_messages);
       ("decisions", float_of_int result.Chopchop_run.decisions);
       ("server_cpu", result.Chopchop_run.server_cpu);
       ("network_rate_bps", result.Chopchop_run.network_rate_bps);
-      ("goodput_bps", result.Chopchop_run.goodput_bps) ]
+      ("goodput_bps", result.Chopchop_run.goodput_bps);
+      ("latency_samples", float_of_int (Trace.Hist.count e2e)) ]
   in
   let metrics, info =
     match driver with

@@ -1,6 +1,7 @@
 module Engine = Repro_sim.Engine
 module Region = Repro_sim.Region
 module Stats = Repro_sim.Stats
+module Hist = Repro_trace.Trace.Hist
 module Cpu = Repro_sim.Cpu
 module D = Repro_chopchop.Deployment
 module Wire = Repro_chopchop.Wire
@@ -51,8 +52,7 @@ let default =
 type result = {
   offered : float;
   throughput : float;
-  latency_mean : float;
-  latency_std : float;
+  latency : Hist.t; (* end-to-end, measurement clients, in the window *)
   input_rate_bps : float;
   network_rate_bps : float;
   goodput_bps : float;
@@ -133,12 +133,9 @@ let run p =
   in
   (* Measurement clients broadcasting back-to-back small messages through
      the real (distilling) brokers. *)
-  let lat = Stats.Summary.create () in
-  let win_start = p.warmup and win_end = p.duration -. p.cooldown in
-  let record_latency latency =
-    let now = Engine.now engine in
-    if now >= win_start && now <= win_end then Stats.Summary.add lat latency
-  in
+  (* One measurement window: server-0 deliveries for throughput, client
+     latencies for the latency row. *)
+  let w = Stats.Window.create engine ~warmup:p.warmup ~cooldown:p.cooldown ~duration:p.duration in
   (* Measure identities sit at the top of the id space, far from the load
      ranges.  Clients pump back-to-back: a new message as soon as the
      previous one completes would need a completion callback per message;
@@ -147,7 +144,7 @@ let run p =
   let clients =
     List.init p.measure_clients (fun i ->
         D.add_client d ~identity:(p.dense_clients - 1 - i)
-          ~on_delivered:(fun _ ~latency -> record_latency latency)
+          ~on_delivered:(fun _ ~latency -> Stats.Window.latency w latency)
           ())
   in
   let k_pump = Engine.kind engine "exp.pump" in
@@ -161,10 +158,8 @@ let run p =
   List.iter
     (fun c -> Engine.schedule ~kind:k_pump engine ~delay:0.2 (pump c))
     clients;
-  (* Throughput window accounting on server 0 deliveries. *)
-  let tp = Stats.Throughput.create engine ~warmup:p.warmup ~cooldown:p.cooldown ~duration:p.duration in
   D.server_deliver_hook d (fun srv del ->
-      if srv = 0 then Stats.Throughput.record tp (Repro_chopchop.Proto.delivery_count del);
+      if srv = 0 then Stats.Window.record w (Repro_chopchop.Proto.delivery_count del);
       match p.on_delivery with Some f -> f srv del | None -> ());
   (* Crash schedule. *)
   (match p.crash with
@@ -296,7 +291,7 @@ let run p =
       Load_broker.start lb ~until:p.duration ~phase ())
     loads;
   D.run d ~until:(p.duration +. 15.);
-  let span = win_end -. win_start in
+  let span = Stats.Window.span w in
   let net_rate =
     let sum =
       List.fold_left
@@ -306,7 +301,7 @@ let run p =
     float_of_int sum /. float_of_int (List.length servers_alive) /. span
   in
   let per_msg = useful_bytes_per_msg ~clients:p.dense_clients ~msg_bytes:p.msg_bytes in
-  let throughput = Stats.Throughput.rate tp in
+  let throughput = Stats.Window.rate w in
   let cpu =
     let sum = List.fold_left (fun acc i -> acc +. cpu_at_end.(i)) 0. servers_alive in
     sum /. float_of_int (List.length servers_alive)
@@ -320,8 +315,7 @@ let run p =
   in
   { offered = p.rate;
     throughput;
-    latency_mean = Stats.Summary.mean lat;
-    latency_std = Stats.Summary.stddev lat;
+    latency = Stats.Window.latencies w;
     input_rate_bps = p.rate *. per_msg;
     network_rate_bps = net_rate;
     goodput_bps = throughput *. per_msg;
@@ -339,8 +333,12 @@ let run p =
           r)
         prof }
 
+let pp_latency fmt h =
+  if Hist.count h = 0 then Format.pp_print_string fmt "no samples"
+  else Format.fprintf fmt "%.2f±%.2f s" (Hist.mean h) (Hist.stddev h)
+
 let pp_result fmt r =
   Format.fprintf fmt
-    "offered %.3g op/s -> %.3g op/s, lat %.2f±%.2f s, in %.3g B/s, net %.3g B/s, good %.3g B/s, cpu %.1f%%"
-    r.offered r.throughput r.latency_mean r.latency_std r.input_rate_bps
+    "offered %.3g op/s -> %.3g op/s, lat %a, in %.3g B/s, net %.3g B/s, good %.3g B/s, cpu %.1f%%"
+    r.offered r.throughput pp_latency r.latency r.input_rate_bps
     r.network_rate_bps r.goodput_bps (100. *. r.server_cpu)

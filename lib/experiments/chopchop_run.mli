@@ -57,8 +57,9 @@ val default : params
 type result = {
   offered : float; (* op/s *)
   throughput : float; (* delivered op/s at server 0 over the window *)
-  latency_mean : float; (* end-to-end, measurement clients, seconds *)
-  latency_std : float;
+  latency : Repro_trace.Trace.Hist.t;
+      (* end-to-end seconds of measurement-client messages completing
+         inside the window; may be empty *)
   input_rate_bps : float; (* useful bytes offered per second *)
   network_rate_bps : float; (* mean server NIC ingress over the window *)
   goodput_bps : float; (* useful bytes delivered per second *)
@@ -76,3 +77,4 @@ type result = {
 val run : params -> result
 
 val pp_result : Format.formatter -> result -> unit
+(** One line; the latency reads ["no samples"] when [latency] is empty. *)

@@ -1,6 +1,7 @@
 module D = Repro_chopchop.Deployment
 module Wire = Repro_chopchop.Wire
 module Cost = Repro_sim.Cost
+module Hist = Repro_trace.Trace.Hist
 
 type scale = Quick | Full
 
@@ -36,6 +37,16 @@ let header fmt title =
 
 let row fmt = Format.fprintf fmt
 
+(* Latency cells: a window in which no measured message completed prints
+   "no samples", never a number. *)
+let pp_lat_mean fmt h =
+  if Hist.count h = 0 then Format.pp_print_string fmt "no samples"
+  else Format.fprintf fmt "%5.2f s" (Hist.mean h)
+
+let pp_lat_mean_std fmt h =
+  if Hist.count h = 0 then pp_lat_mean fmt h
+  else Format.fprintf fmt "%5.2f +- %4.2f s" (Hist.mean h) (Hist.stddev h)
+
 (* Shared, memoised heavy runs. *)
 
 (* Keyed on every data field of the params; the record pattern is
@@ -66,6 +77,7 @@ let cc_max scale =
   cc_run { (cc_params scale) with rate = saturation_rate scale }
 
 let cc_max_throughput scale = (cc_max scale).throughput
+
 
 (* --- Fig. 1: context ------------------------------------------------------ *)
 
@@ -120,9 +132,9 @@ let micro fmt _scale =
 
 (* --- Fig. 7 ------------------------------------------------------------------ *)
 
-let pp_tp_lat fmt (label, offered, r_tp, r_lat, r_std) =
-  row fmt "  %-22s offered %10.3g op/s -> %10.3g op/s   lat %5.2f +- %4.2f s@."
-    label offered r_tp r_lat r_std
+let pp_tp_lat fmt (label, offered, r_tp, r_lat) =
+  row fmt "  %-22s offered %10.3g op/s -> %10.3g op/s   lat %a@."
+    label offered r_tp pp_lat_mean_std r_lat
 
 let cc_rates = function
   | Quick -> [ 1e6; 8e6; 1.6e7; 2.0e7 ]
@@ -137,7 +149,7 @@ let fig7 fmt scale =
       List.iter
         (fun rate ->
           let r = cc_run { (cc_params scale) with rate; underlay } in
-          pp_tp_lat fmt (label, rate, r.throughput, r.latency_mean, r.latency_std))
+          pp_tp_lat fmt (label, rate, r.throughput, r.latency))
         (cc_rates scale))
     [ ("ChopChop-BFT-SMaRt", D.Pbft); ("ChopChop-HotStuff", D.Hotstuff) ];
   (* Narwhal-Bullshark, both variants. *)
@@ -150,7 +162,7 @@ let fig7 fmt scale =
               { (Narwhal_run.default ~authenticate) with
                 n_servers = n_servers scale; rate; duration; warmup; cooldown }
           in
-          pp_tp_lat fmt (label, rate, r.throughput, r.latency_mean, r.latency_std))
+          pp_tp_lat fmt (label, rate, r.throughput, r.latency))
         rates)
     [ ("Narwhal-Bullshark", false, [ 1e5; 1e6; 2e6; 4e6; 6e6 ]);
       ("Narwhal-Bullshark-sig", true, [ 5e4; 1e5; 2e5; 4e5; 6e5 ]) ];
@@ -165,12 +177,27 @@ let fig7 fmt scale =
                 n_servers = n_servers scale; rate;
                 duration = duration +. 10.; warmup; cooldown }
           in
-          pp_tp_lat fmt (label, rate, r.throughput, r.latency_mean, r.latency_std))
+          pp_tp_lat fmt (label, rate, r.throughput, r.latency))
         rates)
     [ ("BFT-SMaRt", Baseline_run.Bftsmart, [ 400.; 800.; 1600.; 3200. ]);
       ("HotStuff", Baseline_run.Hotstuff_base, [ 400.; 1600.; 3200.; 6400. ]) ];
   row fmt "  (paper: ChopChop ~44M op/s @ 3.0-3.6 s on BFT-SMaRt, 5.8-6.5 s on HotStuff;@.";
   row fmt "   Narwhal-Bullshark 3.8M, -sig 382k @ ~3.6 s; BFT-SMaRt 1.4k @ 0.5 s; HotStuff 1.6k @ 1.2-1.6 s)@."
+
+(* The headline point, checking itself like broker-cores: at saturation
+   the paper delivers what it is offered, at ~2 s. *)
+let headline fmt scale =
+  header fmt "Headline — ChopChop-BFT-SMaRt at the saturation rate";
+  let r = cc_max scale in
+  pp_tp_lat fmt ("ChopChop-BFT-SMaRt", r.offered, r.throughput, r.latency);
+  let share = r.throughput /. r.offered in
+  row fmt "  delivered/offered %.3f  (paper: 44M op/s at ~2.0 s, 64 servers)@." share;
+  if Hist.count r.latency = 0 then
+    failwith "headline: no latency sample in the measurement window";
+  if share < 0.95 then
+    failwith
+      (Printf.sprintf "headline: delivered %.3g of %.3g op/s offered (%.3f < 0.95)"
+         r.throughput r.offered share)
 
 (* --- Fig. 8a ----------------------------------------------------------------- *)
 
@@ -401,8 +428,8 @@ let ablation_timeout fmt scale =
         cc_run
           { (cc_params scale) with rate = 2e6; reduce_timeout = reduce; seed = 7L }
       in
-      row fmt "  reduce timeout %4.2f s -> lat %5.2f s, tput %10.3g op/s@."
-        reduce r.latency_mean r.throughput)
+      row fmt "  reduce timeout %4.2f s -> lat %a, tput %10.3g op/s@."
+        reduce pp_lat_mean r.latency r.throughput)
     [ 0.25; 0.5; 1.0 ]
 
 let ablation_margin fmt scale =
@@ -416,8 +443,8 @@ let ablation_margin fmt scale =
             witness_margin = Some m;
             seed = Int64.of_int (100 + m) }
       in
-      row fmt "  margin %d -> tput %10.3g op/s, lat %5.2f s@." m r.throughput
-        r.latency_mean)
+      row fmt "  margin %d -> tput %10.3g op/s, lat %a@." m r.throughput
+        pp_lat_mean r.latency)
     [ 0; 4 ]
 
 (* Adverse network conditions: packet loss on the client<->broker UDP path
@@ -434,11 +461,11 @@ let ablation_loss fmt _scale =
             underlay = D.Pbft; net_loss = loss;
             flush_period = 0.3; reduce_timeout = 0.15; seed = 5L }
       in
-      let lat = Repro_sim.Stats.Summary.create () in
+      let lat = Hist.create () in
       let clients =
         List.init 12 (fun _ ->
             D.add_client d
-              ~on_delivered:(fun _ ~latency -> Repro_sim.Stats.Summary.add lat latency)
+              ~on_delivered:(fun _ ~latency -> Hist.add lat latency)
               ())
       in
       List.iter Repro_chopchop.Client.signup clients;
@@ -467,9 +494,8 @@ let ablation_loss fmt _scale =
         List.fold_left (fun a c -> a + Repro_chopchop.Client.completed c) 0 clients
       in
       row fmt
-        "  loss %4.0f%% -> distilled %5.1f%%, completed %4d, lat %5.2f s, retrans %5d, gave up %d@."
-        (100. *. loss) (100. *. ratio) completed
-        (Repro_sim.Stats.Summary.mean lat) retrans gave_up)
+        "  loss %4.0f%% -> distilled %5.1f%%, completed %4d, lat %a, retrans %5d, gave up %d@."
+        (100. *. loss) (100. *. ratio) completed pp_lat_mean lat retrans gave_up)
     [ 0.0; 0.05; 0.15; 0.30 ]
 
 let run_all fmt scale =

@@ -27,6 +27,15 @@ val fig7 : Format.formatter -> scale -> unit
 (** Throughput–latency for Chop Chop (×2 underlays), Narwhal-Bullshark
     (±sig), BFT-SMaRt and HotStuff. *)
 
+val cc_max : scale -> Chopchop_run.result
+(** The ChopChop-BFT-SMaRt Fig. 7 point at the saturation rate (16
+    servers at 2e7 op/s quick, 64 servers at 4.4e7 op/s full), memoised. *)
+
+val headline : Format.formatter -> scale -> unit
+(** The paper's headline at one scale: prints the {!cc_max} point and
+    fails unless it delivers at least 95% of the offered rate with a
+    non-empty latency sample. *)
+
 val fig8a : Format.formatter -> scale -> unit
 (** Distillation benefit: 0% vs 100% distilled, vs the sig baseline. *)
 

@@ -4,6 +4,7 @@ module Cpu = Repro_sim.Cpu
 module Cost = Repro_sim.Cost
 module Region = Repro_sim.Region
 module Stats = Repro_sim.Stats
+module Hist = Repro_trace.Trace.Hist
 module N = Repro_mempool.Narwhal
 
 type params = {
@@ -26,8 +27,7 @@ let default ~authenticate =
 type result = {
   offered : float;
   throughput : float;
-  latency_mean : float;
-  latency_std : float;
+  latency : Hist.t; (* in the measurement window *)
   network_rate_bps : float;
 }
 
@@ -36,9 +36,7 @@ let run p =
   let net = Net.create engine () in
   let n = p.n_servers in
   let regions = Array.of_list (Region.server_regions_for n) in
-  let tp = Stats.Throughput.create engine ~warmup:p.warmup ~cooldown:p.cooldown ~duration:p.duration in
-  let lat = Stats.Summary.create () in
-  let win_start = p.warmup and win_end = p.duration -. p.cooldown in
+  let w = Stats.Window.create engine ~warmup:p.warmup ~cooldown:p.cooldown ~duration:p.duration in
   let groups = Array.make n None in
   for i = 0 to n - 1 do
     Net.add_node net ~id:i ~region:regions.(i)
@@ -57,10 +55,8 @@ let run p =
         ~send:(fun ~dst ~bytes m -> Net.send net ~src:i ~dst ~bytes m)
         ~on_deliver:(fun ~count ~inject_time ->
           if i = 0 then begin
-            Stats.Throughput.record tp count;
-            let now = Engine.now engine in
-            if now >= win_start && now <= win_end then
-              Stats.Summary.add lat (now -. inject_time)
+            Stats.Window.record w count;
+            Stats.Window.latency w (Engine.now engine -. inject_time)
           end)
         ()
     in
@@ -87,7 +83,6 @@ let run p =
   Engine.run engine ~until:(p.duration +. 30.);
   let span = p.duration -. p.cooldown -. p.warmup in
   { offered = p.rate;
-    throughput = Stats.Throughput.rate tp;
-    latency_mean = Stats.Summary.mean lat;
-    latency_std = Stats.Summary.stddev lat;
+    throughput = Stats.Window.rate w;
+    latency = Stats.Window.latencies w;
     network_rate_bps = float_of_int (!ingress1 - !ingress0) /. span }

@@ -22,8 +22,7 @@ val default : authenticate:bool -> params
 type result = {
   offered : float;
   throughput : float;
-  latency_mean : float;
-  latency_std : float;
+  latency : Repro_trace.Trace.Hist.t; (* in the measurement window *)
   network_rate_bps : float; (* mean group NIC ingress over the window *)
 }
 

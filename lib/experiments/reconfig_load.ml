@@ -14,7 +14,7 @@
 
 module Engine = Repro_sim.Engine
 module Region = Repro_sim.Region
-module Stats = Repro_sim.Stats
+module Trace = Repro_trace.Trace
 module Rng = Repro_sim.Rng
 module D = Repro_chopchop.Deployment
 module Server = Repro_chopchop.Server
@@ -80,13 +80,13 @@ let run ?(scale = Figures.Quick) () =
   Load_broker.start lb ~until:p.duration ();
   (* Measurement clients with heavy-tailed arrivals: live traffic keeps
      landing while the roster changes underneath it. *)
-  let lat = Stats.Summary.create () in
+  let lat = Trace.Hist.create () in
   let rng = Rng.create (Int64.logxor p.seed 0x7ec0_4f16L) in
   for i = 0 to 1 do
     let c =
       D.add_client d
         ~identity:(p.dense_clients - 1 - i) (* top of the id space *)
-        ~on_delivered:(fun _ ~latency -> Stats.Summary.add lat latency)
+        ~on_delivered:(fun _ ~latency -> Trace.Hist.add lat latency)
         ()
     in
     let k = ref 0 in
@@ -131,7 +131,7 @@ let run ?(scale = Figures.Quick) () =
     tput_after = (v "end" -. v "settle") /. (p.duration -. p.t_leave -. 2.);
     join_recovery_s = !recovery;
     final_epoch = D.server_epoch d 0;
-    client_latency_mean = Stats.Summary.mean lat }
+    client_latency_mean = Trace.Hist.mean lat }
 
 let metrics ~scale = run ~scale ()
 

@@ -27,8 +27,8 @@ let result_json (r : R.result) =
   Json.Obj
     [ ("offered_ops", num r.offered);
       ("throughput_ops", num r.throughput);
-      ("latency_mean_s", num r.latency_mean);
-      ("latency_std_s", num r.latency_std);
+      ("latency_mean_s", num (Trace.Hist.mean r.latency));
+      ("latency_std_s", num (Trace.Hist.stddev r.latency));
       ("input_rate_bps", num r.input_rate_bps);
       ("network_rate_bps", num r.network_rate_bps);
       ("goodput_bps", num r.goodput_bps);
@@ -40,15 +40,15 @@ let result_json (r : R.result) =
       ("wal_bytes", int r.wal_bytes) ]
 
 let hist_json h =
-  let s = Trace.Hist.summary h in
+  let module H = Trace.Hist in
   Json.Obj
-    [ ("count", int s.h_count);
-      ("mean_s", num s.h_mean);
-      ("min_s", num s.h_min);
-      ("max_s", num s.h_max);
-      ("p50_s", num s.h_p50);
-      ("p90_s", num s.h_p90);
-      ("p99_s", num s.h_p99) ]
+    [ ("count", int (H.count h));
+      ("mean_s", num (H.mean h));
+      ("min_s", num (H.min h));
+      ("max_s", num (H.max h));
+      ("p50_s", num (H.percentile h 0.50));
+      ("p90_s", num (H.percentile h 0.90));
+      ("p99_s", num (H.percentile h 0.99)) ]
 
 let breakdown_json b =
   Json.Obj

@@ -84,8 +84,8 @@ type report = {
   p_wall_s : float; (* total self wall-time across handlers *)
   p_minor_words : float; (* total minor-heap allocation, words *)
   p_rows : row list; (* per-kind, sorted by kind name *)
-  p_depth : Trace.Hist.summary; (* queue depth at dispatch *)
-  p_dwell : Trace.Hist.summary; (* sim-time dwell (scheduling -> execution) *)
+  p_depth : Trace.Hist.t; (* queue depth at dispatch *)
+  p_dwell : Trace.Hist.t; (* sim-time dwell (scheduling -> execution) *)
   p_max_pending : int; (* queue high-water mark *)
 }
 
@@ -107,8 +107,8 @@ let report t =
     p_wall_s = t.total_wall;
     p_minor_words = t.total_minor;
     p_rows = rows;
-    p_depth = Trace.Hist.summary t.depth;
-    p_dwell = Trace.Hist.summary t.dwell;
+    p_depth = t.depth;
+    p_dwell = t.dwell;
     p_max_pending = Engine.max_pending t.engine }
 
 let attributed_share r =
@@ -123,13 +123,13 @@ let attributed_share r =
 
 (* --- rendering ------------------------------------------------------------ *)
 
-let hist_json (h : Trace.Hist.summary) =
+let hist_json h =
   Json.Obj
-    [ ("count", Json.Num (float_of_int h.h_count));
-      ("mean", Json.Num h.h_mean);
-      ("max", Json.Num h.h_max);
-      ("p50", Json.Num h.h_p50);
-      ("p99", Json.Num h.h_p99) ]
+    [ ("count", Json.Num (float_of_int (Trace.Hist.count h)));
+      ("mean", Json.Num (Trace.Hist.mean h));
+      ("max", Json.Num (Trace.Hist.max h));
+      ("p50", Json.Num (Trace.Hist.percentile h 0.50));
+      ("p99", Json.Num (Trace.Hist.percentile h 0.99)) ]
 
 (* The report's two halves: [deterministic_json] is identical across
    same-seed runs (CI byte-compares it, sweep cells embed it);

@@ -44,9 +44,10 @@ type report = {
   p_wall_s : float;
   p_minor_words : float;
   p_rows : row list; (* per-kind, sorted by kind name *)
-  p_depth : Repro_trace.Trace.Hist.summary; (* queue depth at dispatch *)
-  p_dwell : Repro_trace.Trace.Hist.summary;
-      (* sim-time dwell (scheduling -> execution) *)
+  p_depth : Repro_trace.Trace.Hist.t; (* queue depth at dispatch *)
+  p_dwell : Repro_trace.Trace.Hist.t;
+      (* sim-time dwell (scheduling -> execution); both histograms are the
+         profiler's own, final once it is detached *)
   p_max_pending : int;
 }
 

@@ -5,37 +5,29 @@
     cross-sections; latency is reported as a mean with standard
     deviation. *)
 
-module Summary : sig
+module Summary = Repro_trace.Trace.Hist
+(** An alias of the repo's one histogram, {!Repro_trace.Trace.Hist},
+    under its historical name. *)
+
+module Window : sig
   type t
 
-  val create : unit -> t
-  val add : t -> float -> unit
-  val count : t -> int
-  val mean : t -> float
-  (** 0 when empty. *)
-
-  val stddev : t -> float
-  val min : t -> float
-  val max : t -> float
-  val percentile : t -> float -> float
-  (** [percentile t 0.99]: nearest-rank (rounded index into the sorted
-      samples); retains all samples in a flat float array (experiments
-      record at most a few hundred thousand). *)
-end
-
-module Throughput : sig
-  type t
-
-  (** Counts delivered operations and reports the rate over the cross
-      section [warmup, until]-cooldown. *)
+  (** One measurement window, [\[start + warmup, start + duration -
+      cooldown\]] on the virtual clock ([start] is the engine time at
+      {!create}).  It counts delivered operations for the throughput
+      cross-section and keeps the latencies observed inside it. *)
 
   val create : Engine.t -> warmup:float -> cooldown:float -> duration:float -> t
   val record : t -> int -> unit
-  (** Record [n] operations delivered now. *)
+  (** Record [n] operations delivered now; ignored outside the window. *)
 
-  val total_in_window : t -> int
+  val latency : t -> float -> unit
+  (** Record a latency completing now; ignored outside the window. *)
+
+  val latencies : t -> Repro_trace.Trace.Hist.t
+  (** The latencies recorded inside the window. *)
+
+  val span : t -> float
   val rate : t -> float
-  (** Operations per second over the measurement window. *)
-
-  val window : t -> float * float
+  (** Operations per second over the window ([span] seconds long). *)
 end

@@ -30,85 +30,84 @@ module Counter = struct
 end
 
 module Hist = struct
-  let n_buckets = 64
+  (* Log-linear layout: octave [o] covers [2^(o-bias), 2^(o-bias+1)) and is
+     cut into [sub] equal-width linear sub-buckets, so every bucket is at
+     most 1/32 of its lower bound wide. *)
+  let sub_bits = 5
+  let sub = 1 lsl sub_bits
+  let octaves = 64
   let bias = 31
+  let n_buckets = octaves * sub
+  let top = Float.ldexp 1.0 (octaves - bias) (* first value past the range *)
 
-  type t = {
-    counts : int array;
-    mutable n : int;
+  (* An all-float record is stored flat, so updating its fields does not
+     box: [add] allocates nothing. *)
+  type sums = {
     mutable total : float;
+    mutable total_sq : float;
     mutable lo : float;
     mutable hi : float;
   }
 
-  let create () =
-    { counts = Array.make n_buckets 0; n = 0; total = 0.;
-      lo = infinity; hi = neg_infinity }
+  type t = { counts : int array; mutable n : int; s : sums }
 
-  let bucket_of v =
+  let create () =
+    { counts = Array.make n_buckets 0; n = 0;
+      s = { total = 0.; total_sq = 0.; lo = infinity; hi = neg_infinity } }
+
+  let index v =
     if not (v > 0.) then 0
+    else if v >= top then n_buckets - 1
     else begin
-      (* v = m * 2^e with m in [0.5, 1), so v lies in [2^(e-1), 2^e). *)
-      let _, e = Float.frexp v in
-      let b = e - 1 + bias in
-      if b < 0 then 0 else if b >= n_buckets then n_buckets - 1 else b
+      (* v = m * 2^e with m in [0.5, 1): octave e-1, linear slot of m. *)
+      let m, e = Float.frexp v in
+      let o = e - 1 + bias in
+      if o < 0 then 0
+      else (o lsl sub_bits) lor int_of_float ((m -. 0.5) *. float_of_int (2 * sub))
     end
 
-  let bucket_lo i = Float.ldexp 1.0 (i - bias)
-  let bucket_hi i = Float.ldexp 1.0 (i - bias + 1)
+  let midpoint i =
+    let s = float_of_int (i land (sub - 1)) in
+    Float.ldexp (1. +. ((s +. 0.5) /. float_of_int sub)) ((i lsr sub_bits) - bias)
 
   let add t v =
-    let b = bucket_of v in
+    let b = index v in
     t.counts.(b) <- t.counts.(b) + 1;
     t.n <- t.n + 1;
-    t.total <- t.total +. v;
-    if v < t.lo then t.lo <- v;
-    if v > t.hi then t.hi <- v
+    let s = t.s in
+    s.total <- s.total +. v;
+    s.total_sq <- s.total_sq +. (v *. v);
+    if v < s.lo then s.lo <- v;
+    if v > s.hi then s.hi <- v
 
   let count t = t.n
-  let sum t = t.total
-  let mean t = if t.n = 0 then 0. else t.total /. float_of_int t.n
-  let min t = if t.n = 0 then 0. else t.lo
-  let max t = if t.n = 0 then 0. else t.hi
-  let buckets t = Array.copy t.counts
+  let mean t = if t.n = 0 then 0. else t.s.total /. float_of_int t.n
+
+  let stddev t =
+    if t.n < 2 then 0.
+    else begin
+      let n = float_of_int t.n in
+      let var = (t.s.total_sq /. n) -. ((t.s.total /. n) ** 2.) in
+      sqrt (Float.max 0. var)
+    end
+
+  let min t = if t.n = 0 then 0. else t.s.lo
+  let max t = if t.n = 0 then 0. else t.s.hi
 
   let percentile t q =
     if t.n = 0 then 0.
     else begin
       let q = Float.min 1. (Float.max 0. q) in
       let rank = Stdlib.max 1 (int_of_float (ceil (q *. float_of_int t.n))) in
-      let acc = ref 0 in
-      let result = ref t.hi in
-      (try
-         for i = 0 to n_buckets - 1 do
-           acc := !acc + t.counts.(i);
-           if !acc >= rank then begin
-             (* Arithmetic midpoint of the bucket, clamped to the observed
-                range so single-valued data reports exactly. *)
-             let mid = Float.ldexp 1.5 (i - bias) in
-             result := Float.min t.hi (Float.max t.lo mid);
-             raise Exit
-           end
-         done
-       with Exit -> ());
-      !result
+      let i = ref 0 and acc = ref t.counts.(0) in
+      while !acc < rank do
+        incr i;
+        acc := !acc + t.counts.(!i)
+      done;
+      (* Clamping to the observed range only moves the midpoint towards
+         the ranked sample, which lies inside it. *)
+      Float.min t.s.hi (Float.max t.s.lo (midpoint !i))
     end
-
-  type summary = {
-    h_count : int;
-    h_sum : float;
-    h_mean : float;
-    h_min : float;
-    h_max : float;
-    h_p50 : float;
-    h_p90 : float;
-    h_p99 : float;
-  }
-
-  let summary t =
-    { h_count = count t; h_sum = sum t; h_mean = mean t; h_min = min t;
-      h_max = max t; h_p50 = percentile t 0.50; h_p90 = percentile t 0.90;
-      h_p99 = percentile t 0.99 }
 end
 
 module Sink = struct

@@ -48,52 +48,38 @@ module Counter : sig
 end
 
 module Hist : sig
-  (** Fixed 64-bucket log₂ histogram: adding a sample touches one array
-      cell and four scalar fields — no allocation, any range.  Bucket [i]
-      holds values in [[2^(i-31), 2^(i-30))] seconds, so sub-nanosecond
-      to ~100-year durations are representable; exact count/sum/min/max
-      ride along for error-free means. *)
+  (** The one latency histogram: fixed-size, log-linear (HDR-style).
+
+      Each power of two from 2{^-31} to 2{^33} is split into 32 linear
+      sub-buckets — 2,048 integer counters (16 KiB) in all — so adding a
+      sample touches one array cell and a few scalar fields, with no
+      allocation.  Zero and negative samples land in the first bucket,
+      samples at or above 2{^33} in the last.  Count, sum, sum of
+      squares, min and max are exact, so {!mean} and {!stddev} carry no
+      bucketing error. *)
 
   type t
 
   val create : unit -> t
   val add : t -> float -> unit
   val count : t -> int
-  val sum : t -> float
   val mean : t -> float
   (** Exact (tracked outside the buckets); 0 when empty. *)
 
+  val stddev : t -> float
+  (** Population standard deviation [sqrt (E[x²] - E[x]²)] from the exact
+      running sums, accumulated left to right in insertion order; 0 with
+      fewer than two samples. *)
+
   val min : t -> float
   val max : t -> float
+  (** Exact; 0 when empty. *)
 
   val percentile : t -> float -> float
-  (** [percentile t 0.99]: the midpoint of the bucket holding that rank,
-      clamped to the observed range (bucket resolution: a factor of 2). *)
-
-  val bucket_of : float -> int
-  (** Bucket index for a value; non-positive values map to bucket 0. *)
-
-  val bucket_lo : int -> float
-  val bucket_hi : int -> float
-  (** Closed-open bucket bounds: value [v] is in bucket [i] iff
-      [bucket_lo i <= v < bucket_hi i] (within the clamped range). *)
-
-  val buckets : t -> int array
-
-  type summary = {
-    h_count : int;
-    h_sum : float;
-    h_mean : float;
-    h_min : float;
-    h_max : float;
-    h_p50 : float;
-    h_p90 : float;
-    h_p99 : float;
-  }
-  (** A point-in-time snapshot of a histogram; every field is 0 when it
-      is empty. *)
-
-  val summary : t -> summary
+  (** [percentile t q]: the midpoint of the bucket holding rank
+      [max 1 ⌈q·n⌉], clamped to \[{!min}, {!max}\].  Within the covered
+      range it differs from the exact sample at that rank by at most 1/64
+      of that sample.  0 when empty. *)
 end
 
 module Sink : sig

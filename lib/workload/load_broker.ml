@@ -1,6 +1,6 @@
 module Engine = Repro_sim.Engine
 module Region = Repro_sim.Region
-module Stats = Repro_sim.Stats
+module Trace = Repro_trace.Trace
 module D = Repro_chopchop.Deployment
 module Batch = Repro_chopchop.Batch
 module Broker = Repro_chopchop.Broker
@@ -26,7 +26,7 @@ type t = {
   mutable submitted : int;
   mutable completed : int;
   mutable completed_messages : int;
-  lat : Stats.Summary.t;
+  lat : Trace.Hist.t;
   mutable round : int;
 }
 
@@ -34,7 +34,7 @@ let create ~deployment ~region ~config () =
   let broker_id = D.add_broker deployment ~region () in
   { deployment; cfg = config; broker_id;
     submitted = 0; completed = 0; completed_messages = 0;
-    lat = Stats.Summary.create (); round = 0 }
+    lat = Trace.Hist.create (); round = 0 }
 
 let submitted t = t.submitted
 let completed t = t.completed
@@ -65,7 +65,7 @@ let inject t =
   Broker.submit_prebuilt broker batch ~on_complete:(fun _cert ->
       t.completed <- t.completed + 1;
       t.completed_messages <- t.completed_messages + cfg.batch_count;
-      Stats.Summary.add t.lat (Engine.now engine -. now))
+      Trace.Hist.add t.lat (Engine.now engine -. now))
 
 let start t ?until ?(phase = 0.) () =
   let engine = D.engine t.deployment in

@@ -51,7 +51,7 @@ val submitted : t -> int
 val completed : t -> int
 val completed_messages : t -> int
 
-val latencies : t -> Repro_sim.Stats.Summary.t
+val latencies : t -> Repro_trace.Trace.Hist.t
 (** Submission-to-completion latency of completed batches.  Note this
     excludes the distillation window a real client additionally waits
     (collection + reduction, ~2 s at the paper's timeouts): end-to-end

@@ -53,7 +53,7 @@ let start_greedy ~deployment ~rng ~rate ~first_id ~clients ?broker ?until () =
       let seq = seqs.(k) in
       seqs.(k) <- seq + 1;
       let msg = Printf.sprintf "spam:%d:%d" id seq in
-      let kp = Directory.dense_keypair id in
+      let kp = Directory.dense_keypair (Deployment.directory deployment) id in
       let tsig =
         Schnorr.sign kp.Types.sig_sk (Types.message_statement ~id ~seq msg)
       in
@@ -82,7 +82,7 @@ let start_sybil ~deployment ~rng ~rate ~first_fake_id ?until () =
   in
   (* Any well-formed signature value does: the id fails the directory
      lookup before signature verification is ever attempted. *)
-  let junk_kp = Directory.dense_keypair 0 in
+  let junk_kp = Directory.dense_keypair (Deployment.directory deployment) 0 in
   let junk_sig = Schnorr.sign junk_kp.Types.sig_sk "sybil" in
   let t = { sent = 0 } in
   Generators.drive ~engine ~rng ~arrival:(Generators.Poisson { rate }) ?until

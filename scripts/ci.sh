@@ -1,7 +1,8 @@
 #!/bin/sh
 # CI entry point: full build, the complete test suite, and smoke runs of
 # every experiment surface (chaos, recovery, trace and its run report,
-# fleet, sweep, doctor, perfbench) plus the bench baseline gate.  Run from the repository root.
+# fleet, sweep, doctor, perfbench), the full-scale headline point, plus
+# the bench baseline gate.  Run from the repository root.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -116,6 +117,13 @@ for w in dense-pbft64 classic-fleet distill-clients; do
     | grep -q '"correct": true' \
     || { echo "perfbench smoke: $w failed its correctness check"; exit 1; }
 done
+
+echo "== paper headline: full-scale saturation point =="
+# Fig. 7's ChopChop-BFT-SMaRt point at the paper's scale: 64 servers,
+# 4.4e7 op/s offered (~1.5 min).  The experiment fails itself if it
+# delivers less than 95% of the offered rate or if no measurement client
+# completed a message inside the window (an empty latency sample).
+dune exec bin/main.exe -- run headline --scale full
 
 echo "== bench baseline regression gate =="
 # Regenerate the machine-readable baseline and diff it against the

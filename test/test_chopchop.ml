@@ -16,6 +16,11 @@ let checki = Alcotest.check Alcotest.int
 let qtest ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)
 
+(* Dense identities outside any deployment: one shared population. *)
+let dense_kp =
+  let pop = Directory.create () in
+  Directory.dense_keypair pop
+
 (* --- Wire ------------------------------------------------------------- *)
 
 let test_wire_paper_numbers () =
@@ -71,7 +76,7 @@ let test_directory_dense () =
   let d = Directory.create ~dense_count:1000 () in
   checki "dense ids pre-provisioned" 1000 (Directory.size d);
   checkb "dense card deterministic" true
-    (Directory.find d 42 = Some (Directory.dense_keypair 42).card);
+    (Directory.find d 42 = Some (Directory.dense_keypair d 42).card);
   checki "explicit appended after the dense range" 1000
     (Directory.append d (Types.keypair_of_seed "x").card)
 
@@ -86,7 +91,7 @@ let test_directory_sk_range () =
   let d = Directory.create ~dense_count:200 () in
   let agg_sk = Directory.aggregate_dense_ms_sks_range d ~first:10 ~count:20 in
   let shares =
-    List.init 20 (fun i -> Multisig.sign (Directory.dense_keypair (10 + i)).ms_sk "stmt")
+    List.init 20 (fun i -> Multisig.sign (Directory.dense_keypair d (10 + i)).ms_sk "stmt")
   in
   checkb "aggregated secret signs like the population" true
     (Multisig.signature_equal (Multisig.sign agg_sk "stmt")
@@ -156,7 +161,7 @@ let explicit_batch dir ~ids ~agg_seq ~straggler_ids =
     Array.of_list
       (List.map
          (fun id ->
-           let kp = Directory.dense_keypair id in
+           let kp = dense_kp id in
            let msg = Printf.sprintf "m%d" id in
            { Batch.s_id = id; s_seq = 0;
              s_sig = Schnorr.sign kp.Types.sig_sk (Types.message_statement ~id ~seq:0 msg) })
@@ -175,7 +180,7 @@ let explicit_batch dir ~ids ~agg_seq ~straggler_ids =
         (Multisig.aggregate_signatures
            (List.map
               (fun id ->
-                Multisig.sign (Directory.dense_keypair id).ms_sk
+                Multisig.sign (dense_kp id).ms_sk
                   (Types.reduction_statement ~root))
               reducers))
   in
@@ -299,7 +304,7 @@ let test_batch_dense_explicit_equivalence () =
   let agg =
     Multisig.aggregate_signatures
       (List.init 32 (fun i ->
-           Multisig.sign (Directory.dense_keypair (10 + i)).ms_sk
+           Multisig.sign (dense_kp (10 + i)).ms_sk
              (Types.reduction_statement ~root)))
   in
   let explicit =
@@ -326,7 +331,8 @@ let test_batch_costs_monotone () =
     (let r = witness classic /. witness full in
      r > 20. && r < 35.);
   checkb "non-witness cheaper than witness" true
-    (Cpu.total (Batch.non_witness_cpu_work full) < witness full)
+    (Cpu.total (Batch.delivery_cpu_work full) +. Cost.bls_verify
+     < witness full)
 
 let test_fallback_verify_cost () =
   (* Satellite bugfix: when batch verification fails, the broker falls
@@ -548,7 +554,7 @@ let test_illegitimate_sequence_rejected () =
   Deployment.server_deliver_hook d (fun _ del ->
       delivered := !delivered + Proto.delivery_count del);
   let id = 7 in
-  let kp = Directory.dense_keypair id in
+  let kp = dense_kp id in
   let msg = "evil" in
   let seq = 1_000_000 in
   let tsig = Schnorr.sign kp.Types.sig_sk (Types.message_statement ~id ~seq msg) in
@@ -735,7 +741,7 @@ let straggler_for id ~seq ~valid =
   { Batch.s_id = id; s_seq = seq;
     s_sig =
       (if valid then
-         Schnorr.sign (Directory.dense_keypair id).Types.sig_sk
+         Schnorr.sign (dense_kp id).Types.sig_sk
            (Types.message_statement ~id ~seq msg)
        else Schnorr.forge_garbage ()) }
 

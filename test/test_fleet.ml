@@ -105,13 +105,12 @@ let test_shard_merge_monolithic () =
         (Types.keypair_of_seed (Printf.sprintf "fleet-card-%d" i)).Types.card)
   in
   let ids = List.map (Directory.append mono) cards in
-  let shards = [ Directory.create_shard ~dense_count:dense ();
-                 Directory.create_shard ~dense_count:dense () ] in
+  let shards = [ Directory.create_shard mono; Directory.create_shard mono ] in
   List.iteri
     (fun i (id, card) ->
       Directory.shard_insert (List.nth shards (i mod 2)) ~id card)
     (List.combine ids cards);
-  let merged = Directory.merge_shards ~dense_count:dense shards in
+  let merged = Directory.merge_shards mono shards in
   checki "merged size equals monolithic" (Directory.size mono)
     (Directory.size merged);
   List.iter2
@@ -128,7 +127,7 @@ let test_shard_merge_monolithic () =
     (Directory.shard_find sh 3 = Directory.find mono 3)
 
 let test_shard_dense_guard () =
-  let sh = Directory.create_shard ~dense_count:8 () in
+  let sh = Directory.create_shard (Directory.create ~dense_count:8 ()) in
   let card = (Types.keypair_of_seed "dense-guard").Types.card in
   Alcotest.check_raises "dense ids are never re-ranked"
     (Invalid_argument "Directory.shard_insert: dense ids are derived, not stored")

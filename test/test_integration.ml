@@ -13,6 +13,11 @@ module LB = Repro_workload.Load_broker
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
 (* Chop Chop on each underlay: real clients + load broker together. *)
 let run_underlay underlay () =
   let d =
@@ -40,6 +45,41 @@ let run_underlay underlay () =
   let counts = Array.map Server.delivered_messages (D.servers d) in
   Array.iter (fun c -> checki "servers agree on message count" counts.(0) c) counts;
   checkb "load actually flowed" true (counts.(0) > 256)
+
+(* Each ordered reference's witness-certificate pairing is a serial CPU
+   job on whichever lane is free, so its completion time depends on the
+   server's backlog.  Server 1 starts with eight lanes busy for 1.5 s,
+   server 0 idle: both must still deliver the same references in STOB
+   order. *)
+let test_order_independent_of_lane_backlog () =
+  let d =
+    D.create
+      { D.default_config with underlay = D.Pbft; n_servers = 4;
+        dense_clients = 100_000 }
+  in
+  let cpu1 = D.server_cpu d 1 in
+  for lane = 1 to 8 do
+    Repro_sim.Cpu.charge cpu1
+      ~work:(Repro_sim.Cpu.serial (1.5 *. float_of_int lane /. 8.))
+  done;
+  let order = Array.make 4 [] in
+  D.server_deliver_hook d (fun srv del ->
+      match del with
+      | Proto.Bulk { first_id; tag; _ } ->
+        order.(srv) <- (first_id, tag) :: order.(srv)
+      | Proto.Ops _ -> ());
+  let lb =
+    LB.create ~deployment:d ~region:Repro_sim.Region.Ovh_gravelines
+      ~config:{ rate = 20.0; batch_count = 256; msg_bytes = 8;
+                distill_fraction = 1.0; ranges = 2; first_id = 0 }
+      ()
+  in
+  LB.start lb ~until:4. ();
+  D.run d ~until:40.0;
+  checki "every batch delivered at server 0" (LB.submitted lb)
+    (List.length order.(0));
+  checkb "same references, same order, despite the backlog" true
+    (order.(0) = order.(1))
 
 (* Payments replicated across all servers under dense + explicit load. *)
 let test_payments_replicated () =
@@ -111,11 +151,29 @@ let test_runner_coherent () =
     true
     (r.Chopchop_run.throughput > 60_000. && r.Chopchop_run.throughput < 120_000.);
   checkb "latency positive and bounded" true
-    (r.Chopchop_run.latency_mean > 0.1 && r.Chopchop_run.latency_mean < 10.);
+    (let m = Repro_trace.Trace.Hist.mean r.Chopchop_run.latency in
+     m > 0.1 && m < 10.);
   checkb "network rate >= input rate (overhead exists)" true
     (r.Chopchop_run.network_rate_bps >= r.Chopchop_run.input_rate_bps *. 0.9);
   checkb "goodput tracks input at this load" true
     (r.Chopchop_run.goodput_bps > r.Chopchop_run.input_rate_bps *. 0.6)
+
+let test_runner_empty_window () =
+  (* The window closes before any measured message can complete (the
+     pipeline takes ~2 s): the latency histogram is empty, and the result
+     line says so instead of printing a latency of 0. *)
+  let open Repro_experiments in
+  let p =
+    { Chopchop_run.default with
+      n_servers = 4; rate = 100_000.; batch_count = 4096;
+      duration = 2.; warmup = 0.5; cooldown = 0.5; measure_clients = 2;
+      dense_clients = 1_000_000 }
+  in
+  let r = Chopchop_run.run p in
+  checki "no latency sample" 0 (Repro_trace.Trace.Hist.count r.Chopchop_run.latency);
+  let line = Format.asprintf "%a" Chopchop_run.pp_result r in
+  checkb (Printf.sprintf "%S reports no samples" line) true
+    (contains line "lat no samples")
 
 let test_baseline_runner () =
   let open Repro_experiments in
@@ -128,7 +186,7 @@ let test_baseline_runner () =
     (Printf.sprintf "bft-smart-style delivers offered 500 (%.0f)" r.Baseline_run.throughput)
     true
     (r.Baseline_run.throughput > 350. && r.Baseline_run.throughput < 600.);
-  checkb "latency sub-5s" true (r.Baseline_run.latency_mean < 5.)
+  checkb "latency sub-5s" true (Repro_trace.Trace.Hist.mean r.Baseline_run.latency < 5.)
 
 let test_app_calibration () =
   let open Repro_experiments in
@@ -191,6 +249,9 @@ let () =
          Alcotest.test_case "lossy network" `Quick test_lossy_network ]);
       ("runners",
        [ Alcotest.test_case "chopchop runner coherent" `Slow test_runner_coherent;
+         Alcotest.test_case "empty latency window" `Slow test_runner_empty_window;
+         Alcotest.test_case "delivery order independent of lane backlog" `Slow
+           test_order_independent_of_lane_backlog;
          Alcotest.test_case "baseline runner" `Slow test_baseline_runner;
          Alcotest.test_case "app calibration" `Quick test_app_calibration;
          Alcotest.test_case "pk-offload capacity model" `Quick test_future_pk_offload_model ]) ]

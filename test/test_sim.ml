@@ -663,48 +663,71 @@ let test_summary_empty () =
   checkf "empty mean 0" 0. (Stats.Summary.mean s);
   checkf "empty percentile 0" 0. (Stats.Summary.percentile s 0.9)
 
+let near msg expected got =
+  checkb
+    (Printf.sprintf "%s: %g within 1/64 of %g" msg got expected)
+    true
+    (Float.abs (got -. expected) <= Float.abs expected /. 64.)
+
 let test_summary_percentile_cache () =
-  (* The sorted array is cached between queries and must be invalidated
-     by add, or interleaved add/percentile returns stale ranks. *)
+  (* Interleaved add/percentile: a query sees every sample added before
+     it, and repeating it is stable. *)
   let s = Stats.Summary.create () in
   List.iter (Stats.Summary.add s) [ 5.; 1.; 3. ];
-  checkf "p50 before" 3. (Stats.Summary.percentile s 0.5);
+  near "p50 before" 3. (Stats.Summary.percentile s 0.5);
   checkf "p100 before" 5. (Stats.Summary.percentile s 1.0);
   List.iter (Stats.Summary.add s) [ 9.; 7. ];
-  checkf "p50 sees new samples" 5. (Stats.Summary.percentile s 0.5);
+  near "p50 sees new samples" 5. (Stats.Summary.percentile s 0.5);
   checkf "p100 sees new max" 9. (Stats.Summary.percentile s 1.0);
   checkf "repeat query stable" 9. (Stats.Summary.percentile s 1.0)
 
 let test_summary_nearest_rank () =
-  (* Percentile rounds to the nearest rank instead of truncating toward
-     the low sample: p75 of two samples is the upper one, and p90 of
-     [0..3] rounds 2.7 up to index 3. *)
+  (* Percentile q reports the sample of rank ⌈q·n⌉ (at least 1), to the
+     histogram's 1/64 resolution: p75 of two samples is the upper one,
+     p50 the lower, and p90 of [0..3] is rank 4. *)
   let s = Stats.Summary.create () in
   List.iter (Stats.Summary.add s) [ 1.; 2. ];
-  checkf "p75 of two rounds up" 2. (Stats.Summary.percentile s 0.75);
-  checkf "p25 of two rounds down" 1. (Stats.Summary.percentile s 0.25);
+  checkf "p75 of two is the upper" 2. (Stats.Summary.percentile s 0.75);
+  near "p50 of two is the lower" 1. (Stats.Summary.percentile s 0.5);
   let s = Stats.Summary.create () in
   List.iter (Stats.Summary.add s) [ 0.; 1.; 2.; 3. ];
-  checkf "p90 rounds 2.7 to rank 3" 3. (Stats.Summary.percentile s 0.9);
-  checkf "p0 is the min" 0. (Stats.Summary.percentile s 0.0);
-  (* Many samples: growth across several buffer doublings keeps every
-     sample. *)
+  checkf "p90 is rank 4" 3. (Stats.Summary.percentile s 0.9);
+  near "p60 is rank 3" 2. (Stats.Summary.percentile s 0.6);
+  (* Many samples: a fixed bucket array, every sample counted. *)
   let s = Stats.Summary.create () in
   for i = 1 to 999 do
     Stats.Summary.add s (float_of_int i)
   done;
-  checki "all retained" 999 (Stats.Summary.count s);
-  checkf "p50 of 1..999" 500. (Stats.Summary.percentile s 0.5)
+  checki "all counted" 999 (Stats.Summary.count s);
+  near "p50 of 1..999" 500. (Stats.Summary.percentile s 0.5)
 
 let test_throughput_window () =
   let e = Engine.create () in
-  let tp = Stats.Throughput.create e ~warmup:2.0 ~cooldown:2.0 ~duration:10.0 in
+  let w = Stats.Window.create e ~warmup:2.0 ~cooldown:2.0 ~duration:10.0 in
   for i = 0 to 9 do
-    Engine.schedule e ~delay:(float_of_int i +. 0.5) (fun () -> Stats.Throughput.record tp 10)
+    Engine.schedule e ~delay:(float_of_int i +. 0.5) (fun () ->
+        Stats.Window.record w 10;
+        Stats.Window.latency w (float_of_int i))
   done;
   Engine.run e;
-  checki "only window counted" 60 (Stats.Throughput.total_in_window tp);
-  checkf "rate over 6s window" 10.0 (Stats.Throughput.rate tp)
+  checkf "only window counted: 60 over 6 s" 10.0 (Stats.Window.rate w);
+  let lat = Stats.Window.latencies w in
+  checki "only window latencies kept" 6 (Repro_trace.Trace.Hist.count lat);
+  checkf "their exact mean" 4.5 (Repro_trace.Trace.Hist.mean lat)
+
+let test_empty_window () =
+  (* Nothing delivered inside the window: zero counts, and the latency
+     histogram says so by its count rather than by a plausible number. *)
+  let e = Engine.create () in
+  let w = Stats.Window.create e ~warmup:5.0 ~cooldown:1.0 ~duration:8.0 in
+  Engine.schedule e ~delay:1.0 (fun () ->
+      Stats.Window.record w 3;
+      Stats.Window.latency w 0.5);
+  Engine.schedule e ~delay:7.5 (fun () -> Stats.Window.latency w 0.5);
+  Engine.run e;
+  checkf "no delivery counted" 0. (Stats.Window.rate w);
+  checki "no latency sample" 0
+    (Repro_trace.Trace.Hist.count (Stats.Window.latencies w))
 
 let suite_stats_props =
   [ qtest "percentile is monotone" QCheck.(list_of_size (Gen.int_range 1 50) (float_range 0. 100.))
@@ -717,7 +740,26 @@ let suite_stats_props =
         let s = Stats.Summary.create () in
         List.iter (Stats.Summary.add s) xs;
         Stats.Summary.mean s >= Stats.Summary.min s -. 1e-9
-        && Stats.Summary.mean s <= Stats.Summary.max s +. 1e-9) ]
+        && Stats.Summary.mean s <= Stats.Summary.max s +. 1e-9);
+    qtest "window drops latencies outside it"
+      QCheck.(list_of_size (Gen.int_range 0 60) (float_range 0. 12.))
+      (fun times ->
+        let e = Engine.create () in
+        let w = Stats.Window.create e ~warmup:3.0 ~cooldown:2.0 ~duration:10.0 in
+        List.iter
+          (fun t ->
+            Engine.schedule e ~delay:t (fun () ->
+                Stats.Window.record w 1;
+                Stats.Window.latency w t))
+          times;
+        Engine.run e;
+        let inside = List.filter (fun t -> t >= 3.0 && t <= 8.0) times in
+        let lat = Stats.Window.latencies w in
+        Float.abs ((Stats.Window.rate w *. 5.) -. float_of_int (List.length inside)) < 1e-9
+        && Repro_trace.Trace.Hist.count lat = List.length inside
+        && (inside = []
+           || Repro_trace.Trace.Hist.min lat >= 3.0
+              && Repro_trace.Trace.Hist.max lat <= 8.0)) ]
 
 (* --- Rudp -------------------------------------------------------------------- *)
 
@@ -859,6 +901,7 @@ let () =
        :: Alcotest.test_case "summary nearest rank" `Quick
             test_summary_nearest_rank
        :: Alcotest.test_case "throughput window" `Quick test_throughput_window
+       :: Alcotest.test_case "empty window" `Quick test_empty_window
        :: suite_stats_props);
       ("rudp",
        [ Alcotest.test_case "reliable without loss" `Quick test_rudp_reliable;

@@ -1,4 +1,4 @@
-(* Tests for the trace subsystem: histogram bucket arithmetic, sink
+(* Tests for the trace subsystem: the log-linear histogram, sink
    semantics (null / memory / ring), span pairing, Chrome export
    well-formedness, and the two end-to-end properties the ISSUE pins
    down — bit-identical traces across same-seed runs, and the
@@ -12,42 +12,107 @@ let checkf msg a b = Alcotest.check (Alcotest.float 1e-9) msg a b
 
 (* --- Hist ------------------------------------------------------------- *)
 
+let qtest ?(count = 300) name gen prop =
+  QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)
+
+(* The exact sample at rank ⌈q·n⌉ (at least 1) of the sorted samples. *)
+let exact_rank xs q =
+  let a = Array.of_list xs in
+  Array.sort Float.compare a;
+  let n = Array.length a in
+  let rank = max 1 (int_of_float (ceil (q *. float_of_int n))) in
+  a.(rank - 1)
+
+let hist_of xs =
+  let h = Trace.Hist.create () in
+  List.iter (Trace.Hist.add h) xs;
+  h
+
+let last_midpoint = Float.ldexp (1. +. (31.5 /. 32.)) 32
+
 let test_hist_buckets () =
-  (* bucket_lo/bucket_hi must bracket every value bucket_of assigns. *)
-  List.iter
-    (fun v ->
-      let i = Trace.Hist.bucket_of v in
-      checkb
-        (Printf.sprintf "value %g in [lo, hi) of bucket %d" v i)
-        true
-        (Trace.Hist.bucket_lo i <= v
-        && (v < Trace.Hist.bucket_hi i || i = 63)))
-    [ 1e-9; 1e-6; 0.001; 0.5; 1.0; 1.5; 2.0; 3.9; 4.0; 1000.; 1e6 ];
-  (* Exact powers of two start a fresh bucket. *)
-  checki "2.0 one past 1.0" (Trace.Hist.bucket_of 1.0 + 1) (Trace.Hist.bucket_of 2.0);
-  checki "1.0 and 1.99 share" (Trace.Hist.bucket_of 1.0) (Trace.Hist.bucket_of 1.99);
-  checkf "lo of 1.0's bucket" 1.0 (Trace.Hist.bucket_lo (Trace.Hist.bucket_of 1.0));
-  checkf "hi of 1.0's bucket" 2.0 (Trace.Hist.bucket_hi (Trace.Hist.bucket_of 1.0));
-  (* Degenerate inputs clamp instead of escaping the array. *)
-  checki "zero clamps to bucket 0" 0 (Trace.Hist.bucket_of 0.);
-  checki "negative clamps to bucket 0" 0 (Trace.Hist.bucket_of (-3.));
-  checkb "huge clamps below 64" true (Trace.Hist.bucket_of 1e30 < 64)
+  (* Each octave is split into 32 linear buckets: two samples 1/32 of an
+     octave apart report distinct percentiles, two inside one bucket the
+     same midpoint. *)
+  let h = hist_of [ 1.0; 1.0; 1.03125; 1.03125; 4.0 ] in
+  checkf "first bucket of [1, 2) reports its midpoint" 1.015625
+    (Trace.Hist.percentile h 0.1);
+  checkf "next bucket reports its own midpoint" 1.046875
+    (Trace.Hist.percentile h 0.5);
+  let h = hist_of [ 1.001; 1.03; 8.0 ] in
+  checkf "1.001 and 1.03 share a bucket" (Trace.Hist.percentile h 0.3)
+    (Trace.Hist.percentile h 0.6);
+  (* Zero and negative samples land in the first bucket, huge and
+     infinite ones in the last. *)
+  let h = hist_of [ -5.; 0.; 1.0 ] in
+  let first = Trace.Hist.percentile h 0.6 in
+  checkb "zero and negative in the first bucket" true
+    (first > 0. && first < Float.ldexp 1. (-30));
+  checkf "the negative sample ranks there too" first (Trace.Hist.percentile h 0.3);
+  let h = hist_of [ 1.0; 1e30; infinity ] in
+  checkf "huge sample in the last bucket" last_midpoint
+    (Trace.Hist.percentile h 0.5);
+  checkf "infinity in the last bucket" last_midpoint
+    (Trace.Hist.percentile h 0.9);
+  checki "every degenerate sample counted" 3 (Trace.Hist.count h)
 
 let test_hist_stats () =
   let h = Trace.Hist.create () in
-  checkf "empty mean" 0. (Trace.Hist.mean h);
+  checki "empty count" 0 (Trace.Hist.count h);
+  List.iter
+    (fun (name, v) -> checkf ("empty " ^ name) 0. v)
+    [ ("mean", Trace.Hist.mean h); ("stddev", Trace.Hist.stddev h);
+      ("min", Trace.Hist.min h); ("max", Trace.Hist.max h);
+      ("p50", Trace.Hist.percentile h 0.5);
+      ("p99", Trace.Hist.percentile h 0.99) ];
   List.iter (Trace.Hist.add h) [ 0.5; 1.5; 2.5; 3.5 ];
   checki "count" 4 (Trace.Hist.count h);
-  checkf "sum exact" 8.0 (Trace.Hist.sum h);
   checkf "mean exact" 2.0 (Trace.Hist.mean h);
+  checkf "stddev exact" (sqrt 1.25) (Trace.Hist.stddev h);
   checkf "min exact" 0.5 (Trace.Hist.min h);
   checkf "max exact" 3.5 (Trace.Hist.max h);
-  let p99 = Trace.Hist.percentile h 0.99 in
-  checkb "p99 within observed range" true (p99 >= 0.5 && p99 <= 3.5);
-  let p0 = Trace.Hist.percentile h 0.0 in
-  checkb "p0 near min (bucket resolution)" true (p0 >= 0.5 && p0 <= 1.0);
-  checki "buckets hold every sample" 4
-    (Array.fold_left ( + ) 0 (Trace.Hist.buckets h))
+  checkf "p99 is the max" 3.5 (Trace.Hist.percentile h 0.99);
+  checkb "p0 within 1/64 of the min" true
+    (Float.abs (Trace.Hist.percentile h 0.0 -. 0.5) <= 0.5 /. 64.);
+  checkb "p50 within 1/64 of rank 2" true
+    (Float.abs (Trace.Hist.percentile h 0.5 -. 1.5) <= 1.5 /. 64.)
+
+(* Positive samples across many octaves of the covered range. *)
+let samples =
+  QCheck.(
+    list_of_size (Gen.int_range 1 200)
+      (map (fun e -> Float.exp e) (float_range (-20.) 20.)))
+
+let suite_hist_props =
+  [ qtest "percentile within 1/64 of the exact rank"
+      QCheck.(pair samples (float_range 0. 1.))
+      (fun (xs, q) ->
+        let exact = exact_rank xs q in
+        Float.abs (Trace.Hist.percentile (hist_of xs) q -. exact)
+        <= exact /. 64.);
+    qtest "mean and stddev match a naive left-to-right sum bit for bit"
+      QCheck.(list_of_size (Gen.int_range 0 200) (float_range (-1e3) 1e3))
+      (fun xs ->
+        let h = hist_of xs in
+        let n = float_of_int (List.length xs) in
+        let sum = List.fold_left ( +. ) 0. xs in
+        let sumsq = List.fold_left (fun acc x -> acc +. (x *. x)) 0. xs in
+        let mean = if xs = [] then 0. else sum /. n in
+        let std =
+          if List.length xs < 2 then 0.
+          else sqrt (Float.max 0. ((sumsq /. n) -. ((sum /. n) ** 2.)))
+        in
+        Int64.equal (Int64.bits_of_float mean)
+          (Int64.bits_of_float (Trace.Hist.mean h))
+        && Int64.equal (Int64.bits_of_float std)
+             (Int64.bits_of_float (Trace.Hist.stddev h)));
+    qtest "count, min and max are exact"
+      QCheck.(list_of_size (Gen.int_range 1 200) (float_range (-1e6) 1e6))
+      (fun xs ->
+        let h = hist_of xs in
+        Trace.Hist.count h = List.length xs
+        && Trace.Hist.min h = List.fold_left Float.min infinity xs
+        && Trace.Hist.max h = List.fold_left Float.max neg_infinity xs) ]
 
 (* --- Counters --------------------------------------------------------- *)
 
@@ -433,7 +498,8 @@ let () =
   Alcotest.run "trace"
     [ ( "hist",
         [ Alcotest.test_case "bucket boundaries" `Quick test_hist_buckets;
-          Alcotest.test_case "exact stats + percentile" `Quick test_hist_stats ] );
+          Alcotest.test_case "exact stats + percentile" `Quick test_hist_stats ]
+        @ suite_hist_props );
       ( "counters",
         [ Alcotest.test_case "memoized, accumulate when disabled" `Quick
             test_counters ] );
