@@ -9,6 +9,7 @@
 
 open Cmdliner
 module F = Repro_experiments.Figures
+module C = Repro_chaos.Chaos
 module R = Repro_experiments.Chopchop_run
 module LB = Repro_experiments.Latency_breakdown
 module CP = Repro_experiments.Causal_path
@@ -49,24 +50,23 @@ let experiments : (string * string * (Format.formatter -> F.scale -> unit)) list
     ("future", "§8 extensions: sharding + pk-aggregation offload",
      fun fmt scale -> Repro_experiments.Future.print fmt scale) ]
 
-let scale_arg =
-  let parse = function
-    | "quick" -> Ok F.Quick
-    | "full" -> Ok F.Full
-    | s -> Error (`Msg (Printf.sprintf "unknown scale %S (quick|full)" s))
+(* One [--scale] converter; each subcommand supplies its own help text. *)
+let scale_opt ~doc =
+  let parse s =
+    match C.scale_of_string s with
+    | Some sc -> Ok sc
+    | None -> Error (`Msg (Printf.sprintf "unknown scale %S (quick|full)" s))
   in
-  let print fmt s =
-    Format.pp_print_string fmt (match s with F.Quick -> "quick" | F.Full -> "full")
-  in
-  Arg.conv (parse, print)
-
-let scale_term =
+  let print fmt s = Format.pp_print_string fmt (C.scale_to_string s) in
   Arg.(
     value
-    & opt scale_arg F.Quick
-    & info [ "s"; "scale" ] ~docv:"SCALE"
-        ~doc:"Experiment scale: $(b,quick) (16 servers, short windows) or \
-              $(b,full) (the paper's 64-server setup).")
+    & opt (conv (parse, print)) C.Quick
+    & info [ "s"; "scale" ] ~docv:"SCALE" ~doc)
+
+let scale_term =
+  scale_opt
+    ~doc:"Experiment scale: $(b,quick) (16 servers, short windows) or \
+          $(b,full) (the paper's 64-server setup)."
 
 let run_cmd =
   let id_arg =
@@ -220,7 +220,6 @@ let trace_cmd =
     term
 
 let chaos_cmd =
-  let module C = Repro_chaos.Chaos in
   let scenario_arg =
     Arg.(
       value
@@ -229,17 +228,7 @@ let chaos_cmd =
           ~doc:"Scenario name, or $(b,all) (see $(b,--list)).")
   in
   let chaos_scale_arg =
-    let parse s =
-      match C.scale_of_string s with
-      | Some sc -> Ok sc
-      | None -> Error (`Msg (Printf.sprintf "unknown scale %S (quick|full)" s))
-    in
-    let print fmt s = Format.pp_print_string fmt (C.scale_to_string s) in
-    Arg.(
-      value
-      & opt (conv (parse, print)) C.Quick
-      & info [ "s"; "scale" ] ~docv:"SCALE"
-          ~doc:"Scenario scale: $(b,quick) (4 servers) or $(b,full) (7).")
+    scale_opt ~doc:"Scenario scale: $(b,quick) (4 servers) or $(b,full) (7)."
   in
   let seed_arg =
     Arg.(
@@ -441,7 +430,6 @@ let sweep_cmd =
     term
 
 let doctor_cmd =
-  let module C = Repro_chaos.Chaos in
   let module Doctor = Repro_prof.Doctor in
   let scenario_arg =
     Arg.(
@@ -453,17 +441,7 @@ let doctor_cmd =
                 $(b,stall-partition); see $(b,--list)).")
   in
   let chaos_scale_arg =
-    let parse s =
-      match C.scale_of_string s with
-      | Some sc -> Ok sc
-      | None -> Error (`Msg (Printf.sprintf "unknown scale %S (quick|full)" s))
-    in
-    let print fmt s = Format.pp_print_string fmt (C.scale_to_string s) in
-    Arg.(
-      value
-      & opt (conv (parse, print)) C.Quick
-      & info [ "s"; "scale" ] ~docv:"SCALE"
-          ~doc:"Scenario scale: $(b,quick) (4 servers) or $(b,full) (7).")
+    scale_opt ~doc:"Scenario scale: $(b,quick) (4 servers) or $(b,full) (7)."
   in
   let seed_arg =
     Arg.(

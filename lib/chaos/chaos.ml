@@ -635,8 +635,11 @@ let sc_lossy_wan =
             :: (0., Degrade_link (1, 0, 0.03))
             :: links)
           ~post:(fun d _ ->
-            let retrans, _, _ = Deployment.rudp_stats d in
-            if retrans = 0 then
+            let retrans =
+              Trace.Sink.counter (Engine.trace (Deployment.engine d))
+                ~cat:"rudp" ~name:"retransmissions"
+            in
+            if Trace.Counter.value retrans = 0 then
               [ "expected reliable-UDP retransmissions under 25% loss, saw 0" ]
             else [])
           ()) }

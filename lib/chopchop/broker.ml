@@ -1,6 +1,7 @@
 module Engine = Repro_sim.Engine
 module Cpu = Repro_sim.Cpu
 module Cost = Repro_sim.Cost
+module Token_bucket = Repro_sim.Token_bucket
 module Schnorr = Repro_crypto.Schnorr
 module Multisig = Repro_crypto.Multisig
 module Merkle = Repro_crypto.Merkle
@@ -58,8 +59,6 @@ type in_flight = {
   w_on_complete : (Certs.delivery_cert -> unit) option; (* load-broker hook *)
 }
 
-type bucket = { mutable tokens : float; mutable stamp : float }
-
 type t = {
   engine : Engine.t;
   cpu : Cpu.t;
@@ -74,7 +73,7 @@ type t = {
   (* Submission intake: one live submission per client; extras queue. *)
   pool : (Types.client_id, submission) Hashtbl.t;
   overflow : (Types.client_id, submission Queue.t) Hashtbl.t;
-  buckets : (Types.client_id, bucket) Hashtbl.t; (* per-client rate limits *)
+  buckets : Types.client_id Token_bucket.t; (* per-client rate limits *)
   mutable flush_cursor : int; (* fair-queue rotation point for oversubscribed flushes *)
   mutable reducing : (string, reducing) Hashtbl.t; (* keyed by proposal root *)
   mutable flight : (string, in_flight) Hashtbl.t; (* keyed by identity root *)
@@ -106,7 +105,10 @@ let create ~engine ~cpu ~config ?membership ~directory ~server_ms_pk
   { engine; cpu; cfg = config; membership;
     dir = directory; server_ms_pk; send_server; send_client; send_anon; stob_signup;
     pool = Hashtbl.create 1024; overflow = Hashtbl.create 64;
-    buckets = Hashtbl.create 1024; flush_cursor = 0;
+    buckets =
+      Token_bucket.create ~rate:config.admission_rate
+        ~burst:config.admission_burst;
+    flush_cursor = 0;
     reducing = Hashtbl.create 8; flight = Hashtbl.create 32;
     number = 0; evidence = None; completed = 0;
     entries_launched = 0; stragglers_launched = 0; crashed = false;
@@ -152,30 +154,6 @@ let note_evidence t (cert : Certs.delivery_cert) =
     if Certs.verify_delivery ~server_ms_pk:t.server_ms_pk ~quorum:(bq t) cert
     then t.evidence <- Some cert
   end
-
-(* --- admission control (per-client token bucket) -------------------------- *)
-
-let admit t key =
-  t.cfg.admission_rate <= 0.
-  ||
-  let now = Engine.now t.engine in
-  let b =
-    match Hashtbl.find_opt t.buckets key with
-    | Some b -> b
-    | None ->
-      let b = { tokens = t.cfg.admission_burst; stamp = now } in
-      Hashtbl.add t.buckets key b;
-      b
-  in
-  b.tokens <-
-    Float.min t.cfg.admission_burst
-      (b.tokens +. ((now -. b.stamp) *. t.cfg.admission_rate));
-  b.stamp <- now;
-  if b.tokens >= 1. then begin
-    b.tokens <- b.tokens -. 1.;
-    true
-  end
-  else false
 
 let reject_instant t name ~id =
   let s = tr t in
@@ -711,7 +689,7 @@ let receive_client t msg =
          sig_pk lookup would fail) nor consume pool memory. *)
       if Directory.view_find t.dir id = None then
         reject_instant t "reject_unknown" ~id
-      else if not (admit t id) then
+      else if not (Token_bucket.admit t.buckets ~now:(Engine.now t.engine) id) then
         (* Per-client token bucket: spam past the admission rate is shed
            at intake, before any signature or pool work. *)
         reject_instant t "reject_rate" ~id

@@ -35,7 +35,9 @@ type t = {
   mutable evidence : Certs.delivery_cert option;
   queue : Types.message Queue.t;
   mutable flight : in_flight option;
-  mutable epoch : int; (* invalidates stale resubmit timers *)
+  mutable timeout : Engine.timer option;
+      (* the pending signup/resubmit timeout; identity, a new submission
+         and completion each cancel it *)
   rng : Rng.t; (* private stream: jitter draws never touch engine randomness *)
   mutable backoff : float; (* current resubmission delay *)
   mutable completed : int;
@@ -58,7 +60,7 @@ let create ~engine ~config ~keypair ~membership ~server_ms_pk ~send_broker
   { engine; cfg = config; kp = keypair; membership;
     server_ms_pk; send_broker; on_delivered; nonce;
     id = None; broker_idx = 0; seq = 0; evidence = None;
-    queue = Queue.create (); flight = None; epoch = 0;
+    queue = Queue.create (); flight = None; timeout = None;
     rng = jitter_rng ~nonce;
     backoff = config.resubmit_timeout;
     completed = 0;
@@ -114,6 +116,12 @@ let resubmit_delay t =
 
 let reset_backoff t = t.backoff <- t.cfg.resubmit_timeout
 
+let arm_timeout t f =
+  t.timeout <-
+    Some (Engine.timer ~kind:t.k_timer t.engine ~delay:(resubmit_delay t) f)
+
+let cancel_timeout t = Option.iter Engine.cancel t.timeout
+
 (* --- sign-up (Appx. C) ---------------------------------------------------- *)
 
 let rec signup t =
@@ -121,9 +129,8 @@ let rec signup t =
     t.send_broker ~broker:(current_broker t)
       ~bytes:(Wire.header_bytes + (2 * Wire.pk_bytes) + 8)
       (Signup_request { card = t.kp.card; nonce = t.nonce });
-    let epoch = t.epoch in
-    Engine.schedule ~kind:t.k_timer t.engine ~delay:(resubmit_delay t) (fun () ->
-        if t.id = None && t.epoch = epoch && not t.crashed then begin
+    arm_timeout t (fun () ->
+        if t.id = None && not t.crashed then begin
           next_broker t;
           signup t
         end)
@@ -142,9 +149,8 @@ let rec submit t =
       ~bytes:(Wire.submission_bytes ~clients:t.cfg.clients ~msg_bytes:(msg_bytes t))
       (Submission
          { id; seq = fl.fl_seq; msg = fl.fl_msg; tsig; evidence = t.evidence; ctx });
-    let epoch = t.epoch in
-    Engine.schedule ~kind:t.k_timer t.engine ~delay:(resubmit_delay t) (fun () ->
-        if t.epoch = epoch && t.flight <> None && not t.crashed then begin
+    arm_timeout t (fun () ->
+        if not t.crashed then begin
           (* No progress: fall back on a different broker (§4.4.2). *)
           next_broker t;
           submit t
@@ -166,7 +172,7 @@ let launch_next t =
            ~cat:"client" ~name:"send" ~id:(msg_key ~id ~seq:t.seq)
            ~attrs:[ ("seq", Trace.A_int t.seq) ]
        | None -> ());
-    t.epoch <- t.epoch + 1;
+    cancel_timeout t;
     reset_backoff t;
     submit t
   end
@@ -240,7 +246,7 @@ let on_deliver_cert t ~cert ~seq ~proof =
                  ("latency", Trace.A_float latency) ]);
         t.seq <- max t.seq (max fl.fl_adopted seq) + 1;
         t.flight <- None;
-        t.epoch <- t.epoch + 1;
+        cancel_timeout t;
         t.completed <- t.completed + 1;
         t.on_delivered fl.fl_msg ~latency;
         launch_next t
@@ -264,7 +270,7 @@ let receive t msg =
     | Proto.Signup_response { nonce; id } ->
       if nonce = t.nonce && t.id = None then begin
         t.id <- Some id;
-        t.epoch <- t.epoch + 1;
+        cancel_timeout t;
         reset_backoff t;
         launch_next t
       end

@@ -7,6 +7,7 @@ module Multisig = Repro_crypto.Multisig
 module Store = Repro_store.Store
 module Disk = Repro_store.Disk
 module Fleet = Repro_fleet.Fleet
+module Rudp = Repro_sim.Rudp
 
 type underlay = Sequencer | Pbft | Hotstuff
 
@@ -63,8 +64,8 @@ let paper_config ~n_servers ~underlay =
     trace = Repro_trace.Trace.Sink.null () }
 
 type msg =
-  | C2b_udp of Proto.client_to_broker Repro_sim.Rudp.packet
-  | B2c_udp of Proto.broker_to_client Repro_sim.Rudp.packet
+  | C2b_udp of Proto.client_to_broker Rudp.packet
+  | B2c_udp of Proto.broker_to_client Rudp.packet
   | B2s of Proto.broker_to_server
   | S2b of Proto.server_to_broker
   | S2s of Proto.server_to_server
@@ -113,64 +114,52 @@ type t = {
   shard_home : (Types.client_id, int) Hashtbl.t; (* id -> home broker *)
   client_home : (int, int) Hashtbl.t; (* client node -> home broker *)
   mutable fleet_handoff_bytes : int; (* shard bytes moved on crash/recovery *)
-  (* Reliable-UDP channels for client<->broker traffic (§5.1): one sender
-     and one receiver per directed (origin node, peer node) pair, created
-     lazily.  ACKs ride the same union member in the reverse direction. *)
-  c2b_send : (int * int, Proto.client_to_broker Repro_sim.Rudp.sender) Hashtbl.t;
-  c2b_recv : (int * int, Proto.client_to_broker Repro_sim.Rudp.receiver) Hashtbl.t;
-  b2c_send : (int * int, Proto.broker_to_client Repro_sim.Rudp.sender) Hashtbl.t;
-  b2c_recv : (int * int, Proto.broker_to_client Repro_sim.Rudp.receiver) Hashtbl.t;
+  links : (int * int, link) Hashtbl.t; (* (client node, broker node) *)
 }
 
-let get_or_create tbl key mk =
-  match Hashtbl.find_opt tbl key with
-  | Some v -> v
+(* One client node's reliable-UDP link to one broker node (§5.1), built
+   on first use: each direction's sender, and its receiver at the far end.
+   ACKs ride the data direction's union member back. *)
+and link = {
+  up : Proto.client_to_broker Rudp.sender; (* at the client *)
+  up_recv : Proto.client_to_broker Rudp.receiver; (* at the broker *)
+  down : Proto.broker_to_client Rudp.sender; (* at the broker *)
+  down_recv : Proto.broker_to_client Rudp.receiver; (* at the client *)
+}
+
+let link t ~client_node ~broker_node =
+  let key = (client_node, broker_node) in
+  match Hashtbl.find_opt t.links key with
+  | Some l -> l
   | None ->
-    let v = mk () in
-    Hashtbl.add tbl key v;
-    v
-
-(* client -> broker data channel, from the client's side *)
-let c2b_sender t ~client_node ~broker_node =
-  get_or_create t.c2b_send (client_node, broker_node) (fun () ->
-      Repro_sim.Rudp.sender ~engine:t.engine
-        ~transmit:(fun pkt ->
-          Net.send_lossy t.net ~src:client_node ~dst:broker_node
-            ~bytes:(Repro_sim.Rudp.packet_bytes pkt) (C2b_udp pkt))
-        ())
-
-(* ...and its receiving end at the broker *)
-let c2b_receiver t b ~client_node ~broker_node =
-  get_or_create t.c2b_recv (client_node, broker_node) (fun () ->
-      Repro_sim.Rudp.receiver
-        ~deliver:(fun m -> Broker.receive_client b m)
-        ~send_ack:(fun seq ->
-          Net.send_lossy t.net ~src:broker_node ~dst:client_node
-            ~bytes:Repro_sim.Rudp.ack_wire (C2b_udp (Repro_sim.Rudp.Ack { seq })))
-        ())
-
-let b2c_sender t ~broker_node ~client_node =
-  get_or_create t.b2c_send (broker_node, client_node) (fun () ->
-      Repro_sim.Rudp.sender ~engine:t.engine
-        ~transmit:(fun pkt ->
-          Net.send_lossy t.net ~src:broker_node ~dst:client_node
-            ~bytes:(Repro_sim.Rudp.packet_bytes pkt) (B2c_udp pkt))
-        ())
-
-(* The receiving end at the client's node; [deliver] hands each message
-   to the [Client.t] behind the node. *)
-let b2c_receiver_to t ~deliver ~broker_node ~client_node =
-  get_or_create t.b2c_recv (broker_node, client_node) (fun () ->
-      Repro_sim.Rudp.receiver
-        ~deliver:(fun m ->
-          (match m with
-           | Proto.Signup_response { id; _ } -> Hashtbl.replace t.client_nodes id client_node
-           | Proto.Inclusion _ | Proto.Deliver_cert _ -> ());
-          deliver m)
-        ~send_ack:(fun seq ->
-          Net.send_lossy t.net ~src:client_node ~dst:broker_node
-            ~bytes:Repro_sim.Rudp.ack_wire (B2c_udp (Repro_sim.Rudp.Ack { seq })))
-        ())
+    let lossy ~src ~dst bytes m = Net.send_lossy t.net ~src ~dst ~bytes m in
+    let to_broker = lossy ~src:client_node ~dst:broker_node in
+    let to_client = lossy ~src:broker_node ~dst:client_node in
+    let broker = t.brokers.(Hashtbl.find t.broker_of_node broker_node).br in
+    let l =
+      { up =
+          Rudp.sender ~engine:t.engine ~transmit:(fun pkt ->
+              to_broker (Rudp.packet_bytes pkt) (C2b_udp pkt));
+        up_recv =
+          Rudp.receiver ~deliver:(Broker.receive_client broker)
+            ~send_ack:(fun seq -> to_client Rudp.ack_wire (C2b_udp (Rudp.Ack { seq })));
+        down =
+          Rudp.sender ~engine:t.engine ~transmit:(fun pkt ->
+              to_client (Rudp.packet_bytes pkt) (B2c_udp pkt));
+        down_recv =
+          Rudp.receiver
+            ~deliver:(fun m ->
+              (match m with
+               | Proto.Signup_response { id; _ } ->
+                 Hashtbl.replace t.client_nodes id client_node
+               | Proto.Inclusion _ | Proto.Deliver_cert _ -> ());
+              match Hashtbl.find_opt t.clients_by_node client_node with
+              | Some c -> Client.receive c m
+              | None -> ())
+            ~send_ack:(fun seq -> to_broker Rudp.ack_wire (B2c_udp (Rudp.Ack { seq }))) }
+    in
+    Hashtbl.add t.links key l;
+    l
 
 let engine t = t.engine
 let config t = t.cfg
@@ -279,7 +268,7 @@ let install_broker t ~region ~flush_period ~reduce_timeout ~max_batch ?cores
   let shard =
     match t.fleet with
     | Some fl ->
-      ignore (Fleet.register fl ~region);
+      ignore (Fleet.register fl);
       Some (Directory.create_shard t.directory)
     | None -> None
   in
@@ -295,12 +284,11 @@ let install_broker t ~region ~flush_period ~reduce_timeout ~max_batch ?cores
       ~send_server:(fun ~dst ~bytes m -> Net.send t.net ~src:node ~dst ~bytes (B2s m))
       ~send_client:(fun ~client ~bytes m ->
         match Hashtbl.find_opt t.client_nodes client with
-        | Some dst ->
-          Repro_sim.Rudp.send (b2c_sender t ~broker_node:node ~client_node:dst) ~bytes m
+        | Some dst -> Rudp.send (link t ~client_node:dst ~broker_node:node).down ~bytes m
         | None -> ())
       ~send_anon:(fun ~nonce ~bytes m ->
         (* Sign-up responses route by nonce = the client's node id. *)
-        Repro_sim.Rudp.send (b2c_sender t ~broker_node:node ~client_node:nonce) ~bytes m)
+        Rudp.send (link t ~client_node:nonce ~broker_node:node).down ~bytes m)
       ~stob_signup:(fun item ->
         (* Brokers are clients of the STOB: relay sign-ups via an *active*
            server (the hinted slot may be a spare or have left). *)
@@ -323,15 +311,12 @@ let install_broker t ~region ~flush_period ~reduce_timeout ~max_batch ?cores
     ~kind:"net.broker"
     ~handler:(fun ~src m ->
       match m with
-      | C2b_udp (Repro_sim.Rudp.Data _ as pkt) ->
-        Repro_sim.Rudp.receiver_on_data
-          (c2b_receiver t b ~client_node:src ~broker_node:node) pkt
-      | B2c_udp (Repro_sim.Rudp.Ack { seq }) ->
-        (match Hashtbl.find_opt t.b2c_send (node, src) with
-         | Some sender -> Repro_sim.Rudp.sender_on_ack sender seq
-         | None -> ())
+      | C2b_udp (Rudp.Data _ as pkt) ->
+        Rudp.receiver_on_data (link t ~client_node:src ~broker_node:node).up_recv pkt
+      | B2c_udp (Rudp.Ack { seq }) ->
+        Rudp.sender_on_ack (link t ~client_node:src ~broker_node:node).down seq
       | S2b m -> Broker.receive_server b ~src m
-      | C2b_udp (Repro_sim.Rudp.Ack _) | B2c_udp (Repro_sim.Rudp.Data _)
+      | C2b_udp (Rudp.Ack _) | B2c_udp (Rudp.Data _)
       | B2s _ | S2s _ | Stob_seq _ | Stob_pbft _ | Stob_hs _ -> ())
     ();
   Hashtbl.replace t.broker_of_node node broker_id;
@@ -441,13 +426,12 @@ let create cfg =
       deliver_hook = (fun _ _ -> ());
       fleet =
         (match cfg.fleet with
-         | Some mode -> Some (Fleet.create ~mode ~seed:cfg.seed ())
+         | Some Fleet.Hash -> Some (Fleet.create ~seed:cfg.seed ())
          | None -> None);
       shard_home = Hashtbl.create 256;
       client_home = Hashtbl.create 256;
       fleet_handoff_bytes = 0;
-      c2b_send = Hashtbl.create 64; c2b_recv = Hashtbl.create 64;
-      b2c_send = Hashtbl.create 64; b2c_recv = Hashtbl.create 64 }
+      links = Hashtbl.create 64 }
   in
   (* Server network nodes dispatch into the (not yet built) instances via t. *)
   for i = 0 to capacity - 1 do
@@ -542,7 +526,7 @@ let client_broker_order t ~node ~region ~identity =
        failover walk.  Dense identities key by id (stable across
        runs); anonymous clients key by their node id. *)
     let key = match identity with Some id -> id | None -> node in
-    let order = Fleet.assignment fl ~key ~region () in
+    let order = Fleet.assignment fl ~key () in
     let home = List.hd order in
     Fleet.note_client fl home;
     Hashtbl.replace t.client_home node home;
@@ -580,25 +564,20 @@ let add_client t ?region ?identity ?on_delivered ?brokers () =
       ~membership:t.membership
       ~server_ms_pk:(fun j -> t.server_pks.(j))
       ~send_broker:(fun ~broker ~bytes m ->
-        Repro_sim.Rudp.send
-          (c2b_sender t ~client_node:node ~broker_node:t.brokers.(broker).br_node)
+        Rudp.send (link t ~client_node:node ~broker_node:t.brokers.(broker).br_node).up
           ~bytes m)
       ?on_delivered ~nonce:node ()
   in
   (* t3.small-class NIC (its traffic is tiny anyway, §6.2) and the
      reliable-UDP data/ack demultiplexer. *)
-  let deliver m = Client.receive c m in
   Net.add_node t.net ~id:node ~region ~ingress_bps:5e9 ~egress_bps:5e9
     ~kind:"net.client" ~handler:(fun ~src m ->
       match m with
-      | B2c_udp (Repro_sim.Rudp.Data _ as pkt) ->
-        Repro_sim.Rudp.receiver_on_data
-          (b2c_receiver_to t ~deliver ~broker_node:src ~client_node:node) pkt
-      | C2b_udp (Repro_sim.Rudp.Ack { seq }) ->
-        (match Hashtbl.find_opt t.c2b_send (node, src) with
-         | Some sender -> Repro_sim.Rudp.sender_on_ack sender seq
-         | None -> ())
-      | C2b_udp (Repro_sim.Rudp.Data _) | B2c_udp (Repro_sim.Rudp.Ack _)
+      | B2c_udp (Rudp.Data _ as pkt) ->
+        Rudp.receiver_on_data (link t ~client_node:node ~broker_node:src).down_recv pkt
+      | C2b_udp (Rudp.Ack { seq }) ->
+        Rudp.sender_on_ack (link t ~client_node:node ~broker_node:src).up seq
+      | C2b_udp (Rudp.Data _) | B2c_udp (Rudp.Ack _)
       | B2s _ | S2b _ | S2s _ | Stob_seq _ | Stob_pbft _ | Stob_hs _ -> ())
     ();
   Hashtbl.replace t.clients_by_node node c;
@@ -608,16 +587,6 @@ let add_client t ?region ?identity ?on_delivered ?brokers () =
      Client.force_identity c id
    | None -> ());
   c
-
-let rudp_stats t =
-  let retrans = ref 0 and gave_up = ref 0 and dups = ref 0 in
-  Hashtbl.iter (fun _ s -> retrans := !retrans + Repro_sim.Rudp.retransmissions s;
-                           gave_up := !gave_up + Repro_sim.Rudp.give_up_count s) t.c2b_send;
-  Hashtbl.iter (fun _ s -> retrans := !retrans + Repro_sim.Rudp.retransmissions s;
-                           gave_up := !gave_up + Repro_sim.Rudp.give_up_count s) t.b2c_send;
-  Hashtbl.iter (fun _ r -> dups := !dups + Repro_sim.Rudp.duplicates r) t.c2b_recv;
-  Hashtbl.iter (fun _ r -> dups := !dups + Repro_sim.Rudp.duplicates r) t.b2c_recv;
-  (!retrans, !gave_up, !dups)
 
 let crash_server t i =
   Server.crash t.servers.(i);
@@ -715,32 +684,19 @@ let replace_server t i =
    through the usual reliable-UDP channel: the substrate for spam and
    sybil load in lib/workload.  Returns the send function. *)
 let add_injector t ?region () =
-  let region =
-    match region with
-    | Some r -> r
-    | None ->
-      let r =
-        client_region_cycle.(t.next_client_region
-                             mod Array.length client_region_cycle)
-      in
-      t.next_client_region <- t.next_client_region + 1;
-      r
-  in
+  let region = pick_client_region t region in
   let node = t.next_node in
   t.next_node <- node + 1;
+  (* Only ACKs are taken in: data a broker sends back goes unacknowledged. *)
   Net.add_node t.net ~id:node ~region ~ingress_bps:5e9 ~egress_bps:5e9
     ~kind:"net.client" ~handler:(fun ~src m ->
       match m with
-      | C2b_udp (Repro_sim.Rudp.Ack { seq }) ->
-        (match Hashtbl.find_opt t.c2b_send (node, src) with
-         | Some sender -> Repro_sim.Rudp.sender_on_ack sender seq
-         | None -> ())
+      | C2b_udp (Rudp.Ack { seq }) ->
+        Rudp.sender_on_ack (link t ~client_node:node ~broker_node:src).up seq
       | _ -> ())
     ();
   fun ~broker ~bytes m ->
-    Repro_sim.Rudp.send
-      (c2b_sender t ~client_node:node
-         ~broker_node:t.brokers.(broker).br_node)
+    Rudp.send (link t ~client_node:node ~broker_node:t.brokers.(broker).br_node).up
       ~bytes m
 
 (* --- durable-state introspection (metrics probes, bench gate) ----------- *)

@@ -33,7 +33,7 @@ type config = {
   admission_burst : float; (* token-bucket depth *)
   fleet : Repro_fleet.Fleet.mode option;
       (* lib/fleet scale-out: partition clients across brokers by seeded
-         hash or region affinity and shard the Rank directory per broker;
+         hash and shard the Rank directory per broker;
          [None] (the default) is the classic single-directory deployment *)
   fair_admission_rate : float;
       (* server-side fair admission: per-broker token-bucket budget on the
@@ -60,6 +60,10 @@ type t
 val create : config -> t
 
 val engine : t -> Repro_sim.Engine.t
+(** The deployment's engine.  Its trace sink ({!Repro_sim.Engine.trace})
+    is the only counter registry: e.g. [rudp.retransmissions] and
+    [rudp.gave_up] count the client<->broker reliable-UDP links (§5.1). *)
+
 val config : t -> config
 
 val directory : t -> Directory.t
@@ -235,11 +239,6 @@ val broker_cpu : t -> int -> Repro_sim.Cpu.t
 (** Broker [i]'s lane scheduler. *)
 
 val broker_node_id : t -> int -> int
-
-val rudp_stats : t -> int * int * int
-(** (retransmissions, gave-up messages, duplicate deliveries) across all
-    client<->broker reliable-UDP channels (§5.1): non-zero retransmission
-    counts under [net_loss] > 0 show the transport doing its job. *)
 
 (** {2 Durable state (lib/store)}
 

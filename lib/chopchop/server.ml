@@ -1,6 +1,7 @@
 module Engine = Repro_sim.Engine
 module Cpu = Repro_sim.Cpu
 module Cost = Repro_sim.Cost
+module Token_bucket = Repro_sim.Token_bucket
 module Store = Repro_store.Store
 module Disk = Repro_store.Disk
 module Multisig = Repro_crypto.Multisig
@@ -18,8 +19,6 @@ type config = {
 }
 (* [n] is the machine *capacity* (active servers plus spare slots); the
    active subset and the quorum thresholds live in {!Membership}. *)
-
-type bucket = { mutable tokens : float; mutable stamp : float }
 
 (* An ordered batch reference awaiting delivery; [o_paired] once the CPU
    job charged for its witness-certificate pairing has run. *)
@@ -93,7 +92,7 @@ type t = {
   (* Fair admission across brokers (lib/fleet): per-broker token buckets
      gating the [Submit] intake, so a hot or flooding broker spends only
      its own budget on the order queue. *)
-  fair_buckets : (int, bucket) Hashtbl.t;
+  fair_buckets : int Token_bucket.t;
   fair_rejects : (int, int) Hashtbl.t;
   (* Sharded Rank (lib/fleet): observer invoked after every ordered
      signup, so the deployment can route the card to the owning shard. *)
@@ -144,7 +143,9 @@ let create ~engine ~cpu ~config ?store ?(checkpoint_every = 0)
     catch_up_records = 0; catch_up_ck = false;
     restarts = 0; collected_batches = 0;
     app_snapshot = None; app_restore = None;
-    fair_buckets = Hashtbl.create 8; fair_rejects = Hashtbl.create 8;
+    fair_buckets =
+      Token_bucket.create ~rate:config.fair_rate ~burst:config.fair_burst;
+    fair_rejects = Hashtbl.create 8;
     on_signup = None;
     mis_bad_shares = false; mis_refuse_witness = false;
     k_timer = Engine.kind engine "server.timer";
@@ -171,32 +172,6 @@ let note_instant t name attrs =
 
 let directory t = t.dir
 let set_on_signup t f = t.on_signup <- Some f
-
-(* Per-broker admission budget on the order queue (lib/fleet).  Mirrors
-   the broker's per-client bucket: refill at [fair_rate], cap at
-   [fair_burst], spend one token per accepted batch reference.  Rate 0
-   (the default) keeps the gate wide open. *)
-let fair_admit t broker =
-  let rate = t.cfg.fair_rate in
-  if rate <= 0. then true
-  else begin
-    let now = Engine.now t.engine in
-    let b =
-      match Hashtbl.find_opt t.fair_buckets broker with
-      | Some b -> b
-      | None ->
-        let b = { tokens = t.cfg.fair_burst; stamp = now } in
-        Hashtbl.add t.fair_buckets broker b;
-        b
-    in
-    b.tokens <- min t.cfg.fair_burst (b.tokens +. ((now -. b.stamp) *. rate));
-    b.stamp <- now;
-    if b.tokens >= 1.0 then begin
-      b.tokens <- b.tokens -. 1.0;
-      true
-    end
-    else false
-  end
 
 let admission_rejects t =
   List.sort compare
@@ -821,7 +796,8 @@ let receive_broker t ~src_broker msg =
          Fair admission first: each broker spends its own token budget, so
          a flooding broker defers itself rather than starving siblings
          (the broker's submit_timeout rotation retries the reference). *)
-      if not (fair_admit t src_broker) then begin
+      if not (Token_bucket.admit t.fair_buckets ~now:(Engine.now t.engine) src_broker)
+      then begin
         Hashtbl.replace t.fair_rejects src_broker
           (1 + Option.value ~default:0 (Hashtbl.find_opt t.fair_rejects src_broker));
         reject_instant t "reject_admission" ~id:(Trace.key root)

@@ -3,7 +3,7 @@ module Wire = Repro_chopchop.Wire
 module Cost = Repro_sim.Cost
 module Hist = Repro_trace.Trace.Hist
 
-type scale = Quick | Full
+type scale = Repro_chaos.Chaos.scale = Quick | Full
 
 let n_servers = function Quick -> 16 | Full -> 64
 
@@ -450,7 +450,9 @@ let ablation_margin fmt scale =
 (* Adverse network conditions: packet loss on the client<->broker UDP path
    degrades distillation (missed reduction windows -> stragglers) and
    raises latency, but loses nothing (§5.1 reliable UDP; §6 "adverse
-   network conditions"). *)
+   network conditions").  Checks itself: every point completes messages
+   and abandons none, and the transport retransmits exactly when the
+   path is lossy. *)
 let ablation_loss fmt _scale =
   header fmt "Ablation — client/broker packet loss (4 servers, 12 real clients)";
   List.iter
@@ -489,13 +491,25 @@ let ablation_loss fmt _scale =
         done;
         !num /. float_of_int !den
       in
-      let retrans, gave_up, _ = D.rudp_stats d in
+      let rudp name =
+        Repro_trace.Trace.(
+          Counter.value (Sink.counter (Repro_sim.Engine.trace (D.engine d)) ~cat:"rudp" ~name))
+      in
+      let retrans = rudp "retransmissions" and gave_up = rudp "gave_up" in
       let completed =
         List.fold_left (fun a c -> a + Repro_chopchop.Client.completed c) 0 clients
       in
       row fmt
         "  loss %4.0f%% -> distilled %5.1f%%, completed %4d, lat %a, retrans %5d, gave up %d@."
-        (100. *. loss) (100. *. ratio) completed pp_lat_mean lat retrans gave_up)
+        (100. *. loss) (100. *. ratio) completed pp_lat_mean lat retrans gave_up;
+      let fail what =
+        failwith (Printf.sprintf "ablation-loss: %.0f%% loss %s" (100. *. loss) what)
+      in
+      if completed = 0 then fail "completed nothing";
+      if gave_up > 0 then fail (Printf.sprintf "gave up %d messages" gave_up);
+      if loss = 0. && retrans > 0 then
+        fail (Printf.sprintf "retransmitted %d packets on a lossless path" retrans);
+      if loss > 0. && retrans = 0 then fail "retransmitted nothing")
     [ 0.0; 0.05; 0.15; 0.30 ]
 
 let run_all fmt scale =

@@ -9,7 +9,7 @@
     the paper-scale configuration (64 servers, 14 regions, 65,536-message
     batches). *)
 
-type scale = Quick | Full
+type scale = Repro_chaos.Chaos.scale = Quick | Full
 
 val fig1 : Format.formatter -> scale -> unit
 (** Context table: Internet-scale service rates vs Atomic Broadcast. *)
@@ -70,6 +70,8 @@ val ablation_margin : Format.formatter -> scale -> unit
 val ablation_loss : Format.formatter -> scale -> unit
 (** Adverse network conditions: client↔broker packet loss vs distillation
     completeness, latency and the reliable-UDP retransmission counters
-    (§5.1, §6 "adverse network conditions"). *)
+    (§5.1, §6 "adverse network conditions").  Fails if a point completes
+    nothing or gives a message up, if the lossless point retransmits, or
+    if a lossy point does not. *)
 
 val run_all : Format.formatter -> scale -> unit

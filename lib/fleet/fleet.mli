@@ -6,22 +6,19 @@
     clients, servers and observers agree on the partitioning without
     coordination.  The deployment owns one instance; components query it. *)
 
-type mode =
-  | Hash  (** seeded hash of the client key, uniform across the fleet *)
-  | Region_affinity
-      (** nearest broker by {!Repro_sim.Region.latency}, hash-spread
-          within the nearest equidistant group *)
+type mode = Hash
+(** Seeded hash of the client key, uniform across the fleet.  The only
+    policy; it stays a type because deployment configs name it
+    ([fleet = Some Hash]). *)
 
 type t
 
-val create : ?mode:mode -> ?seed:int64 -> unit -> t
-(** Empty fleet; brokers join through {!register} (default mode [Hash],
-    seed 42). *)
+val create : ?seed:int64 -> unit -> t
+(** Empty fleet; brokers join through {!register} (default seed 42). *)
 
-val mode : t -> mode
 val size : t -> int
 
-val register : t -> region:Repro_sim.Region.t -> int
+val register : t -> int
 (** Add a broker to the roster; returns its fleet id (= deployment broker
     id when registered in installation order). *)
 
@@ -33,14 +30,14 @@ val mix : t -> int -> int
 (** The seeded SplitMix64 avalanche of a client key (non-negative).
     Exposed so tests can assert assignment = mix mod fleet size. *)
 
-val assignment : t -> key:int -> ?region:Repro_sim.Region.t -> unit -> int list
+val assignment : t -> key:int -> unit -> int list
 (** Home broker first, then the ordered failover walk; a permutation of
-    the whole roster.  [region] only matters in {!Region_affinity} mode. *)
+    the whole roster. *)
 
-val home : t -> key:int -> ?region:Repro_sim.Region.t -> unit -> int
+val home : t -> key:int -> unit -> int
 (** Head of {!assignment}.  @raise Invalid_argument on an empty fleet. *)
 
-val first_alive : t -> key:int -> ?region:Repro_sim.Region.t -> unit -> int
+val first_alive : t -> key:int -> unit -> int
 (** First alive broker of the failover list — where crash failover
     reroutes this key's traffic and shard.  Falls back to the home broker
     when every broker is down. *)

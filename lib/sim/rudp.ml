@@ -11,73 +11,56 @@ let packet_bytes = function
 
 let ack_wire = ack_bytes
 
-type 'a outstanding = {
-  o_seq : int;
-  o_payload : 'a;
-  o_bytes : int;
-  mutable o_retries : int;
-  mutable o_acked : bool;
-}
+let rto = 0.4 (* retransmission timeout, s *)
+let window = 64
+let max_retries = 25
 
 type 'a sender = {
   engine : Engine.t;
   transmit : 'a packet -> unit;
-  rto : float;
-  window : int;
-  max_retries : int;
   mutable next_seq : int;
-  flight : (int, 'a outstanding) Hashtbl.t;
+  flight : (int, Engine.timer) Hashtbl.t; (* seq -> its pending timeout *)
   backlog : (int * 'a) Queue.t; (* (bytes, payload) waiting for a window slot *)
-  mutable retransmissions : int;
-  mutable gave_up : int;
   k_retx : int; (* Engine kind for the retransmission timers *)
   c_retx : Repro_trace.Trace.Counter.t;
   c_gave_up : Repro_trace.Trace.Counter.t;
 }
 
-let sender ~engine ~transmit ?(rto = 0.4) ?(window = 64) ?(max_retries = 25) () =
+let sender ~engine ~transmit =
   let sink = Engine.trace engine in
-  { engine; transmit; rto; window; max_retries;
-    next_seq = 0; flight = Hashtbl.create 64; backlog = Queue.create ();
-    retransmissions = 0; gave_up = 0;
+  { engine; transmit; next_seq = 0; flight = Hashtbl.create 1;
+    backlog = Queue.create ();
     k_retx = Engine.kind engine "rudp.retx";
     c_retx = Repro_trace.Trace.Sink.counter sink ~cat:"rudp" ~name:"retransmissions";
     c_gave_up = Repro_trace.Trace.Sink.counter sink ~cat:"rudp" ~name:"gave_up" }
 
 let in_flight t = Hashtbl.length t.flight
 let queued t = Queue.length t.backlog
-let retransmissions t = t.retransmissions
-let give_up_count t = t.gave_up
 
-let rec transmit_outstanding t (o : 'a outstanding) =
-  t.transmit (Data { seq = o.o_seq; payload = o.o_payload; bytes = o.o_bytes });
-  Engine.schedule ~kind:t.k_retx t.engine ~delay:t.rto (fun () ->
-      if (not o.o_acked) && Hashtbl.mem t.flight o.o_seq then
-        if o.o_retries >= t.max_retries then begin
-          (* Give up: the peer is unreachable; higher-level timeouts
-             (broker rotation) own recovery from here. *)
-          Hashtbl.remove t.flight o.o_seq;
-          t.gave_up <- t.gave_up + 1;
-          Repro_trace.Trace.Counter.incr t.c_gave_up;
-          pump t
-        end
-        else begin
-          o.o_retries <- o.o_retries + 1;
-          t.retransmissions <- t.retransmissions + 1;
-          Repro_trace.Trace.Counter.incr t.c_retx;
-          transmit_outstanding t o
-        end)
+(* Send one copy and arm its timeout.  The ACK cancels the timer, so a
+   timer that fires always finds its packet unacknowledged. *)
+let rec transmit t ~seq ~bytes payload ~retries =
+  t.transmit (Data { seq; payload; bytes });
+  Hashtbl.replace t.flight seq
+    (Engine.timer ~kind:t.k_retx t.engine ~delay:rto (fun () ->
+         if retries >= max_retries then begin
+           (* Give up: the peer is unreachable; higher-level timeouts
+              (broker rotation) own recovery from here. *)
+           Hashtbl.remove t.flight seq;
+           Repro_trace.Trace.Counter.incr t.c_gave_up;
+           pump t
+         end
+         else begin
+           Repro_trace.Trace.Counter.incr t.c_retx;
+           transmit t ~seq ~bytes payload ~retries:(retries + 1)
+         end))
 
 and pump t =
-  while Hashtbl.length t.flight < t.window && not (Queue.is_empty t.backlog) do
+  while Hashtbl.length t.flight < window && not (Queue.is_empty t.backlog) do
     let bytes, payload = Queue.pop t.backlog in
-    let o =
-      { o_seq = t.next_seq; o_payload = payload; o_bytes = bytes;
-        o_retries = 0; o_acked = false }
-    in
-    t.next_seq <- t.next_seq + 1;
-    Hashtbl.add t.flight o.o_seq o;
-    transmit_outstanding t o
+    let seq = t.next_seq in
+    t.next_seq <- seq + 1;
+    transmit t ~seq ~bytes payload ~retries:0
   done
 
 let send t ~bytes payload =
@@ -86,31 +69,37 @@ let send t ~bytes payload =
 
 let sender_on_ack t seq =
   match Hashtbl.find_opt t.flight seq with
-  | Some o ->
-    o.o_acked <- true;
+  | Some timer ->
+    Engine.cancel timer;
     Hashtbl.remove t.flight seq;
     pump t
   | None -> ()
 
+module Seqs = Set.Make (Int)
+
 type 'a receiver = {
   deliver : 'a -> unit;
   send_ack : int -> unit;
-  seen : (int, unit) Hashtbl.t;
-  mutable dups : int;
+  mutable low : int; (* every sequence number below it was received *)
+  mutable above : Seqs.t; (* sequence numbers received above [low] *)
 }
 
-let receiver ~deliver ~send_ack () =
-  { deliver; send_ack; seen = Hashtbl.create 256; dups = 0 }
+let receiver ~deliver ~send_ack = { deliver; send_ack; low = 0; above = Seqs.empty }
 
 let receiver_on_data t = function
   | Ack _ -> ()
   | Data { seq; payload; bytes = _ } ->
     (* Always re-ACK: the previous ACK may have been the lost packet. *)
     t.send_ack seq;
-    if Hashtbl.mem t.seen seq then t.dups <- t.dups + 1
-    else begin
-      Hashtbl.add t.seen seq ();
+    if seq = t.low then begin
+      t.low <- seq + 1;
+      while Seqs.mem t.low t.above do
+        t.above <- Seqs.remove t.low t.above;
+        t.low <- t.low + 1
+      done;
       t.deliver payload
     end
-
-let duplicates t = t.dups
+    else if seq > t.low && not (Seqs.mem seq t.above) then begin
+      t.above <- Seqs.add seq t.above;
+      t.deliver payload
+    end

@@ -7,14 +7,25 @@
     lossy channel ({!Net.send_lossy}):
 
     - the {e sender} assigns sequence numbers, keeps a bounded in-flight
-      window (rate smoothing: excess messages queue), retransmits on an
-      RTO timer until acknowledged;
+      window (rate smoothing: excess messages queue), and arms one
+      cancellable {!Engine.timer} per outstanding packet (0.4 s); the ACK
+      cancels it, so a timeout that fires always retransmits (or gives up);
     - the {e receiver} acknowledges every data packet and suppresses
-      duplicate deliveries.
+      duplicate deliveries with a low-water mark (every sequence number
+      below it was received) plus the set of sequence numbers received
+      above it.  In-order traffic keeps that set empty, so the receiver's
+      state does not grow with the packets it has seen.  A sequence
+      number the sender gave up on leaves a permanent gap: the mark stops
+      there and the set grows with everything received after it.
 
     Delivery is at-most-once per sequence number and unordered — exactly
     what the Chop Chop state machines tolerate (submissions, reductions
-    and inclusions are all idempotent or deduplicated one level up). *)
+    and inclusions are all idempotent or deduplicated one level up).
+
+    The module keeps no tallies of its own: retransmissions and abandoned
+    messages are the engine trace sink's [rudp.retransmissions] and
+    [rudp.gave_up] counters, and each retransmission timer is an engine
+    event of kind [rudp.retx]. *)
 
 type 'a packet =
   | Data of { seq : int; payload : 'a; bytes : int }
@@ -27,39 +38,30 @@ val packet_bytes : 'a packet -> int
 val ack_wire : int
 (** Wire size of a bare ACK (20 B). *)
 
+val window : int
+(** In-flight messages per sender: 64. *)
+
+val max_retries : int
+(** Retransmissions before a message is abandoned: 25.  The higher-level
+    protocol's own broker-rotation timeouts take over from there. *)
+
 type 'a sender
 
-val sender :
-  engine:Engine.t ->
-  transmit:('a packet -> unit) ->
-  ?rto:float ->
-  ?window:int ->
-  ?max_retries:int ->
-  unit ->
-  'a sender
-(** [transmit] injects a packet into the (lossy) channel.  Defaults:
-    [rto = 0.4] s, [window = 64] in-flight messages, [max_retries = 25]
-    (a message is dropped — and reported — after that; the higher-level
-    protocol's own broker-rotation timeouts take over). *)
+val sender : engine:Engine.t -> transmit:('a packet -> unit) -> 'a sender
+(** [transmit] injects a packet into the (lossy) channel. *)
 
 val send : 'a sender -> bytes:int -> 'a -> unit
 (** Queue a message for reliable delivery. *)
 
 val sender_on_ack : 'a sender -> int -> unit
-(** Feed an ACK received from the peer. *)
+(** Feed an ACK received from the peer: cancels that packet's timeout. *)
 
 val in_flight : 'a sender -> int
 val queued : 'a sender -> int
-val retransmissions : 'a sender -> int
-(** Total retransmitted data packets (diagnostics / loss experiments). *)
-
-val give_up_count : 'a sender -> int
 
 type 'a receiver
 
-val receiver : deliver:('a -> unit) -> send_ack:(int -> unit) -> unit -> 'a receiver
+val receiver : deliver:('a -> unit) -> send_ack:(int -> unit) -> 'a receiver
 
 val receiver_on_data : 'a receiver -> 'a packet -> unit
 (** Acknowledge and deliver (first copy only). *)
-
-val duplicates : 'a receiver -> int

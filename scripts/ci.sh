@@ -34,6 +34,12 @@ dune exec bin/main.exe -- trace --follow auto \
   || { echo "trace smoke: no message path with verified context"; exit 1; }
 rm -rf "$trace_dir"
 
+echo "== reliable-UDP loss sweep =="
+# Client<->broker packet loss at 0/5/15/30%: the experiment fails itself
+# if the lossless point retransmits, a lossy point does not, any point
+# gives a message up, or any point completes nothing.
+dune exec bin/main.exe -- run ablation-loss --scale quick
+
 echo "== reconfiguration smoke: ordered membership under adversarial load =="
 # Kitchen-sink reconfiguration: join + leave + rolling restarts with a
 # flash crowd and spam clients in flight; every surviving replica must

@@ -7,7 +7,6 @@
    flooded partition from starving its siblings. *)
 
 module Engine = Repro_sim.Engine
-module Region = Repro_sim.Region
 module Rng = Repro_sim.Rng
 module Trace = Repro_trace.Trace
 module Deployment = Repro_chopchop.Deployment
@@ -20,11 +19,10 @@ module Spam = Repro_workload.Spam
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 
-let fleet_of ?(mode = Fleet.Hash) ?(seed = 42L) n =
-  let fl = Fleet.create ~mode ~seed () in
-  let regions = Array.of_list Region.broker_regions in
-  for i = 0 to n - 1 do
-    ignore (Fleet.register fl ~region:regions.(i mod Array.length regions))
+let fleet_of ?(seed = 42L) n =
+  let fl = Fleet.create ~seed () in
+  for _ = 1 to n do
+    ignore (Fleet.register fl)
   done;
   fl
 
@@ -66,34 +64,6 @@ let test_seed_sensitivity () =
     if Fleet.home a ~key () <> Fleet.home b ~key () then incr diff
   done;
   checkb "different seeds shuffle the partition" true (!diff > 0)
-
-let test_region_affinity_nearest () =
-  let fl = fleet_of ~mode:Fleet.Region_affinity 4 in
-  let regions = Array.of_list Region.broker_regions in
-  let broker_region i = regions.(i mod Array.length regions) in
-  List.iter
-    (fun r ->
-      for key = 0 to 29 do
-        let order = Fleet.assignment fl ~key ~region:r () in
-        let lat i = Region.latency r (broker_region i) in
-        let home = List.hd order in
-        List.iter
-          (fun b ->
-            checkb "home is among the nearest brokers" true
-              (lat home <= lat b))
-          order;
-        (* The failover walk beyond the nearest group goes outward. *)
-        let rec non_decreasing = function
-          | a :: (b :: _ as tl) ->
-            lat a <= lat b +. 1e-9 && non_decreasing tl
-          | _ -> true
-        in
-        (* Inside the equidistant nearest group the hash may rotate, but
-           latencies there are all equal, so the whole walk is still
-           non-decreasing in latency. *)
-        checkb "failover walks outward by latency" true (non_decreasing order)
-      done)
-    Region.client_regions
 
 (* --- shard directories ------------------------------------------------ *)
 
@@ -278,9 +248,7 @@ let () =
          Alcotest.test_case "failover list is a rooted permutation" `Quick
            test_assignment_permutation;
          Alcotest.test_case "seeds shuffle the partition" `Quick
-           test_seed_sensitivity;
-         Alcotest.test_case "region affinity homes on the nearest group"
-           `Quick test_region_affinity_nearest ]);
+           test_seed_sensitivity ]);
       ("shards",
        [ Alcotest.test_case "shard merge equals the monolithic directory"
            `Quick test_shard_merge_monolithic;

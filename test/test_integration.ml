@@ -225,8 +225,12 @@ let test_lossy_network () =
   checki "all broadcasts completed despite 25% loss" 8 completed;
   checki "all delivered exactly once" 8
     (Server.delivered_messages (D.servers d).(0));
-  let retrans, _, _ = D.rudp_stats d in
-  checkb "the transport actually retransmitted" true (retrans > 0)
+  let retrans =
+    Repro_trace.Trace.Sink.counter (Repro_sim.Engine.trace (D.engine d))
+      ~cat:"rudp" ~name:"retransmissions"
+  in
+  checkb "the transport actually retransmitted" true
+    (Repro_trace.Trace.Counter.value retrans > 0)
 
 let test_future_pk_offload_model () =
   let open Repro_experiments in

@@ -178,34 +178,12 @@ let captured =
 
 let det_json r = J.to_string_pretty (Report.to_json ~wall:false r)
 
-(* One run in a forked child, reported back over a pipe.  Two children
-   forked from the same parent state compare like two CI processes: the
-   profile's minor-word counts include the process-wide Directory
-   caches, which the first run in a process fills. *)
-let det_json_in_child () =
-  let rd, wr = Unix.pipe () in
-  match Unix.fork () with
-  | 0 ->
-    Unix.close rd;
-    let oc = Unix.out_channel_of_descr wr in
-    output_string oc (det_json (Report.run quick_params));
-    close_out oc;
-    Unix._exit 0
-  | pid ->
-    Unix.close wr;
-    let ic = Unix.in_channel_of_descr rd in
-    let s = In_channel.input_all ic in
-    close_in ic;
-    ignore (Unix.waitpid [] pid);
-    s
-
 let test_snapshot_deterministic () =
   let a, b = Lazy.force captured in
   checkb "non-trivial series" true (List.length (M.series a.Report.metrics) > 5);
   checkb "same-seed series bit-identical" true
     (M.series a.Report.metrics = M.series b.Report.metrics);
-  let first = det_json_in_child () in
-  let second = det_json_in_child () in
+  let first = det_json a and second = det_json b in
   checkb "report non-empty" true (String.length first > 1000);
   checks "same-seed deterministic reports byte-identical" first second
 

@@ -763,74 +763,143 @@ let suite_stats_props =
 
 (* --- Rudp -------------------------------------------------------------------- *)
 
-let mk_rudp_pair ~loss ~seed =
-  (* A loopback lossy channel between one sender and one receiver. *)
+let rudp_counter e name =
+  Repro_trace.Trace.(Counter.value (Sink.counter (Engine.trace e) ~cat:"rudp" ~name))
+
+type rudp_pair = {
+  e : Engine.t;
+  sender : int Rudp.sender;
+  receiver : int Rudp.receiver;
+  delivered : int list ref;
+  arrivals : int ref; (* data packets that reached the receiver *)
+}
+
+(* A loopback channel between one sender and one receiver.  Each packet
+   in either direction is lost with probability [loss]; a surviving one
+   arrives after 0.05 s plus up to [jitter] s (reordering), and is
+   duplicated with probability [dup]. *)
+let mk_rudp_pair ?(jitter = 0.) ?(dup = 0.) ~loss ~seed () =
   let e = Engine.create ~seed () in
   let r = Rng.create seed in
-  let delivered = ref [] in
+  let delivered = ref [] and arrivals = ref 0 in
   let recv_cell = ref None in
   let ack_to_sender = ref (fun (_ : int) -> ()) in
-  let sender_cell = ref None in
+  let channel f =
+    if Rng.float r 1.0 >= loss then begin
+      let copies = if Rng.float r 1.0 < dup then 2 else 1 in
+      for _ = 1 to copies do
+        Engine.schedule e ~delay:(0.05 +. Rng.float r jitter) f
+      done
+    end
+  in
   let transmit pkt =
-    (* Simulate the lossy link with a delay. *)
-    if Rng.float r 1.0 >= loss then
-      Engine.schedule e ~delay:0.05 (fun () ->
-          match !recv_cell with Some rc -> Rudp.receiver_on_data rc pkt | None -> ())
+    channel (fun () ->
+        incr arrivals;
+        match !recv_cell with Some rc -> Rudp.receiver_on_data rc pkt | None -> ())
   in
-  let send_ack seq =
-    if Rng.float r 1.0 >= loss then
-      Engine.schedule e ~delay:0.05 (fun () -> !ack_to_sender seq)
-  in
-  let sender = Rudp.sender ~engine:e ~transmit ~rto:0.2 () in
-  sender_cell := Some sender;
-  ack_to_sender := (fun seq -> Rudp.sender_on_ack sender seq);
-  let receiver = Rudp.receiver ~deliver:(fun m -> delivered := m :: !delivered) ~send_ack () in
+  let send_ack seq = channel (fun () -> !ack_to_sender seq) in
+  let sender = Rudp.sender ~engine:e ~transmit in
+  ack_to_sender := Rudp.sender_on_ack sender;
+  let receiver = Rudp.receiver ~deliver:(fun m -> delivered := m :: !delivered) ~send_ack in
   recv_cell := Some receiver;
-  (e, sender, receiver, delivered)
+  { e; sender; receiver; delivered; arrivals }
 
 let test_rudp_reliable () =
-  let e, sender, _, delivered = mk_rudp_pair ~loss:0.0 ~seed:1L in
+  let p = mk_rudp_pair ~loss:0.0 ~seed:1L () in
   for i = 0 to 99 do
-    Rudp.send sender ~bytes:16 i
+    Rudp.send p.sender ~bytes:16 i
   done;
-  Engine.run ~until:30. e;
-  checki "all delivered" 100 (List.length !delivered);
-  checki "no retransmissions without loss" 0 (Rudp.retransmissions sender)
+  Engine.run ~until:30. p.e;
+  checki "all delivered" 100 (List.length !(p.delivered));
+  checki "no retransmissions without loss" 0 (rudp_counter p.e "retransmissions")
 
 let test_rudp_under_loss () =
-  let e, sender, receiver, delivered = mk_rudp_pair ~loss:0.3 ~seed:2L in
+  let p = mk_rudp_pair ~loss:0.3 ~seed:2L () in
   for i = 0 to 199 do
-    Rudp.send sender ~bytes:16 i
+    Rudp.send p.sender ~bytes:16 i
   done;
-  Engine.run ~until:120. e;
-  checki "all delivered despite 30% loss" 200 (List.length !delivered);
+  Engine.run ~until:120. p.e;
+  checki "all delivered despite 30% loss" 200 (List.length !(p.delivered));
   checkb "exactly once" true
-    (List.length (List.sort_uniq compare !delivered) = 200);
-  checkb "retransmissions happened" true (Rudp.retransmissions sender > 0);
-  checkb "duplicates were suppressed" true (Rudp.duplicates receiver >= 0);
-  checki "nothing abandoned" 0 (Rudp.give_up_count sender)
+    (List.length (List.sort_uniq compare !(p.delivered)) = 200);
+  checkb "retransmissions happened" true (rudp_counter p.e "retransmissions" > 0);
+  checkb "duplicate copies arrived and were suppressed" true (!(p.arrivals) > 200);
+  checki "nothing abandoned" 0 (rudp_counter p.e "gave_up")
 
 let test_rudp_window_smoothing () =
   (* More messages than the window: the backlog queues and drains. *)
-  let e, sender, _, delivered = mk_rudp_pair ~loss:0.0 ~seed:3L in
+  let p = mk_rudp_pair ~loss:0.0 ~seed:3L () in
   for i = 0 to 499 do
-    Rudp.send sender ~bytes:16 i
+    Rudp.send p.sender ~bytes:16 i
   done;
-  checkb "window bounds in-flight" true (Rudp.in_flight sender <= 64);
-  checkb "rest queued" true (Rudp.queued sender > 0);
-  Engine.run ~until:60. e;
-  checki "all delivered" 500 (List.length !delivered)
+  checki "window bounds in-flight" Rudp.window (Rudp.in_flight p.sender);
+  checki "rest queued" (500 - Rudp.window) (Rudp.queued p.sender);
+  Engine.run ~until:60. p.e;
+  checki "all delivered" 500 (List.length !(p.delivered))
 
 let test_rudp_gives_up () =
-  (* A dead peer: the sender abandons after max_retries. *)
+  (* A dead peer: the sender abandons after max_retries (26 timeouts of
+     0.4 s, i.e. at 10.4 s). *)
   let e = Engine.create ~seed:4L () in
-  let sender =
-    Rudp.sender ~engine:e ~transmit:(fun _ -> ()) ~rto:0.05 ~max_retries:3 ()
-  in
+  let sender = Rudp.sender ~engine:e ~transmit:(fun _ -> ()) in
   Rudp.send sender ~bytes:8 0;
-  Engine.run ~until:10. e;
-  checki "gave up" 1 (Rudp.give_up_count sender);
+  Engine.run ~until:30. e;
+  checki "retried" Rudp.max_retries (rudp_counter e "retransmissions");
+  checki "gave up" 1 (rudp_counter e "gave_up");
   checki "flight drained" 0 (Rudp.in_flight sender)
+
+(* The ACK cancels the packet's timeout: a lossless exchange dispatches
+   no retransmission-timer event at all. *)
+let test_rudp_ack_cancels_timer () =
+  let p = mk_rudp_pair ~loss:0.0 ~seed:5L () in
+  let k_retx = Engine.kind p.e "rudp.retx" in
+  let retx_events = ref 0 in
+  Engine.set_profiler p.e
+    (Some
+       { Engine.prof_clock = (fun () -> 0.);
+         prof_record =
+           (fun ~kind ~wall:_ ~minor:_ ~dwell:_ ~depth:_ ->
+             if kind = k_retx then incr retx_events) });
+  for i = 0 to 199 do
+    Rudp.send p.sender ~bytes:16 i
+  done;
+  Engine.run ~until:30. p.e;
+  checki "all delivered" 200 (List.length !(p.delivered));
+  checki "no rudp.retx event dispatched" 0 !retx_events;
+  checki "no live timer left" 0 (Engine.pending p.e)
+
+(* The receiver's duplicate filter is a low-water mark plus the set above
+   it: after in-order (or locally reordered) traffic it holds no record
+   of the packets it has seen. *)
+let test_rudp_receiver_state_flat () =
+  let words ~swap n =
+    let count = ref 0 in
+    let r = Rudp.receiver ~deliver:(fun () -> incr count) ~send_ack:ignore in
+    for i = 0 to n - 1 do
+      let seq = if swap then i lxor 1 else i in
+      Rudp.receiver_on_data r (Rudp.Data { seq; payload = (); bytes = 8 })
+    done;
+    checki "each delivered once" n !count;
+    Obj.reachable_words (Obj.repr r)
+  in
+  let base = words ~swap:false 100 in
+  checki "in order: N = 10,000 costs what N = 100 does" base
+    (words ~swap:false 10_000);
+  checki "pairwise swapped: N = 10,000 costs what N = 100 does" base
+    (words ~swap:true 10_000)
+
+let prop_rudp_exactly_once =
+  qtest ~count:100 "every payload delivered exactly once over a lossy, reordering, duplicating channel"
+    QCheck.(
+      quad (int_range 1 150) (float_range 0. 0.3) (float_range 0. 0.3)
+        (pair (float_range 0. 1.) (int_range 0 1_000_000)))
+    (fun (n, loss, dup, (jitter, seed)) ->
+      let p = mk_rudp_pair ~jitter ~dup ~loss ~seed:(Int64.of_int seed) () in
+      for i = 0 to n - 1 do
+        Rudp.send p.sender ~bytes:16 i
+      done;
+      Engine.run p.e;
+      List.sort compare !(p.delivered) = List.init n Fun.id)
 
 let test_rudp_packet_bytes () =
   checki "data framing" 28 (Rudp.packet_bytes (Rudp.Data { seq = 0; payload = (); bytes = 16 }));
@@ -908,4 +977,8 @@ let () =
          Alcotest.test_case "exactly-once under 30% loss" `Quick test_rudp_under_loss;
          Alcotest.test_case "window smoothing" `Quick test_rudp_window_smoothing;
          Alcotest.test_case "gives up on dead peer" `Quick test_rudp_gives_up;
+         Alcotest.test_case "ack cancels the timeout" `Quick test_rudp_ack_cancels_timer;
+         Alcotest.test_case "receiver state flat in packets seen" `Quick
+           test_rudp_receiver_state_flat;
+         prop_rudp_exactly_once;
          Alcotest.test_case "packet framing" `Quick test_rudp_packet_bytes ]) ]
