@@ -57,6 +57,10 @@ type t = {
   stob_resume : int -> unit; (* fast-forward the underlay's cursor *)
   batches : (string, stored) Hashtbl.t; (* keyed by identity root *)
   mutable stored_bytes : int;
+  (* (position, root) of every delivered batch, oldest first: positions
+     only grow between cold restarts, so {!gc_sweep} pops its victims off
+     the front instead of scanning [batches]. *)
+  gc_order : (int * string) Queue.t;
   seen_refs : (int * int, unit) Hashtbl.t; (* (broker, number) de-dup of refs *)
   submitted_refs : (int * int, unit) Hashtbl.t; (* refs we pushed into STOB *)
   (* FIFO of ordered batch references whose batches may still be missing:
@@ -124,7 +128,7 @@ let create ~engine ~cpu ~config ?store ?(checkpoint_every = 0)
     dir = directory; ms_sk; server_ms_pk; set_server_pk; on_self_leave;
     send_broker; send_server; stob_broadcast; deliver_app;
     store; checkpoint_every; stob_cursor; stob_resume;
-    batches = Hashtbl.create 512; stored_bytes = 0;
+    batches = Hashtbl.create 512; stored_bytes = 0; gc_order = Queue.create ();
     seen_refs = Hashtbl.create 1024; submitted_refs = Hashtbl.create 1024;
     order_queue = []; order_queue_front = [];
     last_msg = Hashtbl.create 4096; dense_last = Hashtbl.create 64;
@@ -272,30 +276,28 @@ let gc_sweep t =
      instead of re-fetching the batch itself. *)
   (* Only active slots vote: a spare slot's counter is pinned at zero and
      would freeze collection forever. *)
-  let gossip =
-    List.fold_left
-      (fun acc s -> min acc t.peer_counters.(s))
-      max_int
-      (Membership.active_slots t.membership)
-  in
+  let gossip = ref max_int in
+  for s = 0 to Membership.capacity t.membership - 1 do
+    if Membership.is_active t.membership s && t.peer_counters.(s) < !gossip then
+      gossip := t.peer_counters.(s)
+  done;
   let horizon =
     match t.store with
-    | Some s when t.checkpoint_every > 0 -> max gossip (Store.checkpoint_position s)
-    | Some _ | None -> gossip
+    | Some s when t.checkpoint_every > 0 -> max !gossip (Store.checkpoint_position s)
+    | Some _ | None -> !gossip
   in
-  let victims = ref [] in
-  Hashtbl.iter
-    (fun root stored ->
-      match stored.position with
-      | Some p when p < horizon -> victims := (root, stored) :: !victims
-      | Some _ | None -> ())
-    t.batches;
-  List.iter
-    (fun (root, stored) ->
+  (* Cost O(batches collected).  An entry whose batch was collected and
+     fetched again since, or re-positioned by catch-up, is checked against
+     the batch's current position. *)
+  while (not (Queue.is_empty t.gc_order)) && fst (Queue.peek t.gc_order) < horizon do
+    let _, root = Queue.pop t.gc_order in
+    match Hashtbl.find_opt t.batches root with
+    | Some ({ position = Some p; _ } as stored) when p < horizon ->
       Hashtbl.remove t.batches root;
       t.stored_bytes <- t.stored_bytes - stored.bytes;
-      t.collected_batches <- t.collected_batches + 1)
-    !victims
+      t.collected_batches <- t.collected_batches + 1
+    | Some _ | None -> ()
+  done
 
 (* Seconds between GC gossip rounds (delivery-counter exchange). *)
 let gc_period = 0.5
@@ -456,6 +458,7 @@ let deliver_batch t ~broker ~number stored =
   t.delivery_counter <- t.delivery_counter + 1;
   let position = t.delivery_counter - 1 in
   stored.position <- Some position;
+  Queue.push (position, root) t.gc_order;
   Hashtbl.replace t.delivered_refs (broker, number) position;
   t.peer_counters.(t.cfg.self) <- t.delivery_counter;
   wal_log t
@@ -624,7 +627,9 @@ let replay_record t (r : Proto.wal_record) =
       Hashtbl.replace t.delivered_refs (w_broker, w_number) w_position;
       Hashtbl.replace t.seen_refs (w_broker, w_number) ();
       (match Hashtbl.find_opt t.batches w_root with
-       | Some stored -> stored.position <- Some w_position
+       | Some stored ->
+         stored.position <- Some w_position;
+         Queue.push (w_position, w_root) t.gc_order
        | None -> ());
       true
     end
@@ -731,6 +736,7 @@ let cold_restart t =
     (* Wipe every in-memory structure: only the disk state survives. *)
     Hashtbl.reset t.batches;
     t.stored_bytes <- 0;
+    Queue.clear t.gc_order;
     Hashtbl.reset t.seen_refs;
     Hashtbl.reset t.submitted_refs;
     t.order_queue <- [];

@@ -80,9 +80,42 @@ let fibre_km_per_s = 200_000.
 let route_inflation = 1.4
 let local_hop_s = 0.0005
 
-let latency a b =
+let great_circle_latency a b =
   if a == b then local_hop_s
   else local_hop_s +. (route_inflation *. haversine_km a b /. fibre_km_per_s)
+
+(* Position of each region in [all]: the row and column of [table]. *)
+let index = function
+  | Cape_town -> 0
+  | Sao_paulo -> 1
+  | Bahrain -> 2
+  | Canada -> 3
+  | Frankfurt -> 4
+  | N_virginia -> 5
+  | N_california -> 6
+  | Stockholm -> 7
+  | Ohio -> 8
+  | Milan -> 9
+  | Oregon -> 10
+  | Ireland -> 11
+  | London -> 12
+  | Paris -> 13
+  | Tokyo -> 14
+  | Sydney -> 15
+  | Ovh_gravelines -> 16
+  | Ovh_beauharnois -> 17
+
+let count = List.length all
+
+(* Every message crossing the network reads its propagation delay here,
+   so the great-circle formula runs once per ordered pair, at start-up. *)
+let table =
+  let regions = Array.of_list all in
+  Array.iteri (fun i r -> assert (index r = i)) regions;
+  Array.init (count * count) (fun k ->
+      great_circle_latency regions.(k / count) regions.(k mod count))
+
+let latency a b = table.((index a * count) + index b)
 
 let name = function
   | Cape_town -> "af-south-1 (Cape Town)"

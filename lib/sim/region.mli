@@ -43,8 +43,17 @@ val client_regions : t list
 val load_broker_regions : t list
 (** OVH sites. *)
 
+val coords : t -> float * float
+(** (latitude, longitude) in degrees. *)
+
+val local_hop_s : float
+(** Latency within one region, and the fixed part of every WAN hop. *)
+
 val latency : t -> t -> float
-(** One-way network latency in seconds. *)
+(** One-way network latency in seconds: [local_hop_s] plus the
+    great-circle distance between the two sites' {!coords}, inflated by
+    1.4 for real routes, at 200,000 km/s.  Read from a table built once,
+    so a message pays a lookup, not the formula. *)
 
 val name : t -> string
 val pp : Format.formatter -> t -> unit

@@ -28,8 +28,6 @@ type 'p msg =
       (* A freshly formed QC, broadcast so replicas that will not see a
          follow-up proposal (a quiescing chain) can still commit. *)
 
-module Iset = Set.Make (Int)
-
 type 'p t = {
   engine : Engine.t;
   self : int;
@@ -47,8 +45,8 @@ type 'p t = {
   mutable high_qc : qc option;
   mutable last_committed : block_id option;
   mutable last_committed_height : int;
-  votes : (block_id, Iset.t ref) Hashtbl.t;
-  new_views : (int, (Iset.t ref * qc option ref)) Hashtbl.t;
+  votes : (block_id, Tally.t) Hashtbl.t;
+  new_views : (int, (Tally.t * qc option ref)) Hashtbl.t;
   mutable pool : 'p item list; (* pending requests, reversed *)
   mutable pool_len : int;
   mutable own_pending : 'p item list;
@@ -235,13 +233,13 @@ and note_new_view t ~src ~view ~high_qc =
       match Hashtbl.find_opt t.new_views view with
       | Some e -> e
       | None ->
-        let e = (ref Iset.empty, ref None) in
+        let e = (Tally.create t.n, ref None) in
         Hashtbl.add t.new_views view e;
         e
     in
-    voters := Iset.add src !voters;
+    Tally.add voters src;
     best := qc_newer high_qc !best;
-    if Iset.cardinal !voters >= t.n - t.f then begin
+    if Tally.count voters >= t.n - t.f then begin
       t.high_qc <- qc_newer !best t.high_qc;
       t.nv_ready <- max t.nv_ready view;
       if view > t.view then enter_view t view;
@@ -348,12 +346,12 @@ and note_vote t ~src ~view ~block =
       match Hashtbl.find_opt t.votes block with
       | Some v -> v
       | None ->
-        let v = ref Iset.empty in
+        let v = Tally.create t.n in
         Hashtbl.add t.votes block v;
         v
     in
-    voters := Iset.add src !voters;
-    if Iset.cardinal !voters = t.n - t.f then begin
+    Tally.add voters src;
+    if Tally.count voters = t.n - t.f then begin
       let qc = { qc_view = view; qc_block = block } in
       trace_instant t "qc" ~id:view;
       t.high_qc <- qc_newer (Some qc) t.high_qc;

@@ -17,13 +17,11 @@ type 'p msg =
   | View_change of { new_view : int; prepared : (int * 'p item list) list }
   | New_view of { view : int; proposals : (int * 'p item list) list }
 
-module Iset = Set.Make (Int)
-
 type 'p slot = {
   mutable batch : 'p item list option;
   mutable slot_view : int;
-  mutable prepares : Iset.t;
-  mutable commits : Iset.t;
+  prepares : Tally.t;
+  commits : Tally.t;
   mutable sent_commit : bool;
   mutable committed : bool;
 }
@@ -52,7 +50,7 @@ type 'p t = {
   mutable own_counter : int;
   delivered_rids : (rid, unit) Hashtbl.t;
   mutable queued_rids : (rid, unit) Hashtbl.t;   (* leader-side dedup *)
-  mutable view_changes : (int, Iset.t ref * (int, 'p item list) Hashtbl.t) Hashtbl.t;
+  mutable view_changes : (int, Tally.t * (int, 'p item list) Hashtbl.t) Hashtbl.t;
   mutable progress_timer : Engine.timer option;
   k_timer : int; (* Engine kind attributing pbft timer events *)
   mutable crashed : bool;
@@ -93,8 +91,8 @@ let slot_of t seq =
   match Hashtbl.find_opt t.slots seq with
   | Some s -> s
   | None ->
-    let s = { batch = None; slot_view = -1; prepares = Iset.empty; commits = Iset.empty;
-              sent_commit = false; committed = false } in
+    let s = { batch = None; slot_view = -1; prepares = Tally.create t.n;
+              commits = Tally.create t.n; sent_commit = false; committed = false } in
     Hashtbl.add t.slots seq s;
     s
 
@@ -144,7 +142,7 @@ and start_view_change t new_view =
     let prepared = ref [] in
     Hashtbl.iter
       (fun seq slot ->
-        if seq >= t.next_deliver && Iset.cardinal slot.prepares >= (2 * t.f) + 1 then
+        if seq >= t.next_deliver && Tally.count slot.prepares >= (2 * t.f) + 1 then
           match slot.batch with
           | Some b -> prepared := (seq, b) :: !prepared
           | None -> ())
@@ -170,16 +168,16 @@ and note_view_change t ~src ~new_view ~prepared =
       match Hashtbl.find_opt t.view_changes new_view with
       | Some entry -> entry
       | None ->
-        let entry = (ref Iset.empty, Hashtbl.create 16) in
+        let entry = (Tally.create t.n, Hashtbl.create 16) in
         Hashtbl.add t.view_changes new_view entry;
         entry
     in
-    voters := Iset.add src !voters;
+    Tally.add voters src;
     List.iter
       (fun (seq, batch) ->
         if not (Hashtbl.mem slots_acc seq) then Hashtbl.add slots_acc seq batch)
       prepared;
-    if Iset.cardinal !voters >= (2 * t.f) + 1
+    if Tally.count voters >= (2 * t.f) + 1
        && leader_of_view ~n:t.n new_view = t.self && t.view <= new_view
     then begin
       t.view <- new_view;
@@ -275,8 +273,8 @@ and handle_pre_prepare t ~view ~seq ~batch =
     if slot.slot_view < view then begin
       slot.batch <- Some batch;
       slot.slot_view <- view;
-      slot.prepares <- Iset.empty;
-      slot.commits <- Iset.empty;
+      Tally.clear slot.prepares;
+      Tally.clear slot.commits;
       slot.sent_commit <- false
     end;
     trace_instant t "pre_prepare" ~id:seq;
@@ -290,8 +288,8 @@ and note_prepare t ~src ~view ~seq =
   if view = t.view && seq >= t.next_deliver then begin
     let slot = slot_of t seq in
     if slot.slot_view <= view then begin
-      slot.prepares <- Iset.add src slot.prepares;
-      if (not slot.sent_commit) && Iset.cardinal slot.prepares >= (2 * t.f) + 1
+      Tally.add slot.prepares src;
+      if (not slot.sent_commit) && Tally.count slot.prepares >= (2 * t.f) + 1
          && slot.batch <> None
       then begin
         slot.sent_commit <- true;
@@ -305,8 +303,8 @@ and note_prepare t ~src ~view ~seq =
 and note_commit t ~src ~view:_ ~seq =
   if seq >= t.next_deliver then begin
     let slot = slot_of t seq in
-    slot.commits <- Iset.add src slot.commits;
-    if (not slot.committed) && Iset.cardinal slot.commits >= (2 * t.f) + 1
+    Tally.add slot.commits src;
+    if (not slot.committed) && Tally.count slot.commits >= (2 * t.f) + 1
        && slot.batch <> None
     then begin
       slot.committed <- true;
@@ -370,7 +368,7 @@ let receive t ~src msg =
       note_view_change t ~src ~new_view ~prepared;
       (* A straggler joins an ongoing view change once f+1 peers vouch. *)
       (match Hashtbl.find_opt t.view_changes new_view with
-       | Some (voters, _) when Iset.cardinal !voters >= t.f + 1 && new_view > t.view ->
+       | Some (voters, _) when Tally.count voters >= t.f + 1 && new_view > t.view ->
          start_view_change t new_view
        | _ -> ())
     | New_view { view; proposals } ->

@@ -110,19 +110,22 @@ grep -q '"phase"' "$prof_dir/diag.json" \
   || { echo "doctor smoke: diagnosis JSON empty or missing phase"; exit 1; }
 rm -rf "$prof_dir"
 
-echo "== perfbench full-size correctness smoke =="
+echo "== perfbench full-size correctness smoke + pinned outcome =="
 # The dune tests run every perfbench workload shrunk (Workload.Small).
 # These run at full size and must pass the benchmark's own delivery check
 # (agreement, no duplicates, everything delivered): classic-fleet and
 # distill-clients through the memoised batch roots and the linear
 # straggler joins, dense-pbft64 through the engine's calendar ring and
-# its overflow on a ~1M-event stream.
+# its overflow on a ~1M-event stream.  Their simulated outcome
+# (outcome.*, sim.events, net.msgs at seed 2) must match the committed
+# scripts/perfbench-outcomes.txt to the last digit: a change meant only
+# to make the simulator faster must not change the simulated system.
 dune build ./perfbench/main.exe
-for w in dense-pbft64 classic-fleet distill-clients; do
-  ./_build/default/perfbench/main.exe --workload "$w" --seed 2 \
-    | grep -q '"correct": true' \
-    || { echo "perfbench smoke: $w failed its correctness check"; exit 1; }
-done
+outcomes="$(mktemp)"
+scripts/perfbench-outcomes >"$outcomes"
+diff -u scripts/perfbench-outcomes.txt "$outcomes" \
+  || { echo "perfbench smoke: simulated outcome differs from scripts/perfbench-outcomes.txt"; exit 1; }
+rm -f "$outcomes"
 
 echo "== paper headline: full-scale saturation point =="
 # Fig. 7's ChopChop-BFT-SMaRt point at the paper's scale: 64 servers,

@@ -331,6 +331,35 @@ let test_region_symmetric () =
         Region.all)
     Region.all
 
+(* [Region.latency] reads a table built at start-up; every entry must be
+   the great-circle formula recomputed here, to the last bit. *)
+let test_region_table () =
+  let bits = Int64.bits_of_float in
+  let formula a b =
+    let lat1, lon1 = Region.coords a and lat2, lon2 = Region.coords b in
+    let rad d = d *. Float.pi /. 180. in
+    let dlat = rad (lat2 -. lat1) and dlon = rad (lon2 -. lon1) in
+    let h =
+      (sin (dlat /. 2.) ** 2.)
+      +. (cos (rad lat1) *. cos (rad lat2) *. (sin (dlon /. 2.) ** 2.))
+    in
+    Region.local_hop_s +. (1.4 *. (2. *. 6371. *. asin (sqrt h)) /. 200_000.)
+  in
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          let name = Region.name a ^ " -> " ^ Region.name b in
+          let lat = Region.latency a b in
+          if a = b then
+            Alcotest.(check int64) (name ^ ": local hop") (bits Region.local_hop_s)
+              (bits lat)
+          else Alcotest.(check int64) (name ^ ": formula") (bits (formula a b)) (bits lat);
+          Alcotest.(check int64) (name ^ ": symmetric") (bits (Region.latency b a))
+            (bits lat))
+        Region.all)
+    Region.all
+
 let test_region_plausible () =
   let lat = Region.latency Region.Sydney Region.Ireland in
   checkb "Sydney-Ireland one-way 80-200 ms" true (lat > 0.08 && lat < 0.2);
@@ -932,6 +961,8 @@ let () =
          Alcotest.test_case "event pool reuse" `Quick test_engine_pool_reuse ]);
       ("region",
        [ Alcotest.test_case "symmetric" `Quick test_region_symmetric;
+         Alcotest.test_case "table equals the great-circle formula" `Quick
+           test_region_table;
          Alcotest.test_case "plausible latencies" `Quick test_region_plausible;
          Alcotest.test_case "server assignment" `Quick test_region_server_assignment ]);
       ("net",

@@ -9,8 +9,9 @@ let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 
 (* Build an n-server cluster of the given protocol over the geo network;
-   returns per-server delivery logs and handles. *)
-let cluster (type m) ~n ~seed
+   returns per-server delivery logs and handles.  The network hands every
+   message over [copies] times. *)
+let cluster (type m) ?(copies = 1) ~n ~seed
     ~(create :
        engine:Engine.t ->
        self:int ->
@@ -34,7 +35,9 @@ let cluster (type m) ~n ~seed
       ()
   done;
   for i = 0 to n - 1 do
-    let send ~dst ~bytes m = Net.send net ~src:i ~dst ~bytes m in
+    let send ~dst ~bytes m =
+      for _ = 1 to copies do Net.send net ~src:i ~dst ~bytes m done
+    in
     let deliver p = delivered.(i) <- p :: delivered.(i) in
     handles.(i) <- Some (create ~engine ~self:i ~n ~send ~deliver ~payload_bytes:String.length ())
   done;
@@ -69,8 +72,9 @@ let no_dup l = List.length (List.sort_uniq compare l) = List.length l
 
 (* Generic scenario: [payloads] broadcast from rotating servers starting
    at t=0.1s, optional crash set at [crash_at]. *)
-let scenario ~create ~n ~seed ?(crash = []) ?(crash_at = 1.0) ~payloads ~horizon () =
-  let engine, delivered, get = cluster ~n ~seed ~create () in
+let scenario ~create ~n ~seed ?copies ?(crash = []) ?(crash_at = 1.0) ~payloads
+    ~horizon () =
+  let engine, delivered, get = cluster ?copies ~n ~seed ~create () in
   List.iteri
     (fun k p ->
       Engine.schedule engine ~delay:(0.1 +. (0.02 *. float_of_int k)) (fun () ->
@@ -167,6 +171,19 @@ let test_seven_servers create () =
   let r = scenario ~create ~n:7 ~seed:5L ~payloads:(payloads 40) ~horizon:90. () in
   check_properties r 40
 
+(* Every message arrives three times.  A vote counted once per arrival
+   would let two live replicas of four reach a quorum of three alone, so
+   with f+1 crashed nothing may deliver; with everyone live, the repeats
+   must not break agreement or duplicate a delivery. *)
+let test_duplicated_votes create () =
+  let logs, _ =
+    scenario ~create ~n:4 ~seed:8L ~copies:3 ~crash:[ 2; 3 ] ~crash_at:0.05
+      ~payloads:(payloads 12) ~horizon:60. ()
+  in
+  List.iter (fun l -> checki "no quorum from repeated votes" 0 (List.length l)) logs;
+  let r = scenario ~create ~n:4 ~seed:8L ~copies:3 ~payloads:(payloads 12) ~horizon:60. () in
+  check_properties r 12
+
 let qcheck_random_schedule create name =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:8
@@ -192,7 +209,9 @@ let proto_suite ?(leader_crash = true) name create =
     @ (if leader_crash then
          (* The Sequencer oracle is not fault-tolerant to node 0 by design. *)
          [ Alcotest.test_case "crash leader (view change)" `Quick (test_crash_leader create);
-           Alcotest.test_case "crash f of 7" `Quick (test_crash_f create) ]
+           Alcotest.test_case "crash f of 7" `Quick (test_crash_f create);
+           Alcotest.test_case "votes delivered three times" `Quick
+             (test_duplicated_votes create) ]
        else [])
     @ [ Alcotest.test_case "seven servers" `Quick (test_seven_servers create);
         qcheck_random_schedule create (name ^ ": random schedules hold properties") ] )

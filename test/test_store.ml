@@ -332,6 +332,177 @@ let test_gc_still_blocked_without_checkpoints () =
   checkb "survivors hold all batches" true
     (Server.stored_batches (Deployment.servers d).(0) >= 10)
 
+(* One server driven message by message, beside a reference that keeps the
+   original collection rule: on every sweep, scan the whole batch table
+   and drop each body delivered below the horizon, the horizon being the
+   lowest delivery counter among active slots (or the latest checkpoint,
+   if higher).  The server pops its victims off a position-ordered queue
+   instead; after every step both must agree on what is stored and what
+   was collected. *)
+
+module Membership = Repro_chopchop.Membership
+module Proto = Repro_chopchop.Proto
+module Certs = Repro_chopchop.Certs
+module Stob_item = Repro_chopchop.Stob_item
+module Multisig = Repro_crypto.Multisig
+
+type gc_reference = {
+  table : (string, int * int option ref) Hashtbl.t; (* root -> bytes, position *)
+  counters : int array;
+  mutable collected : int;
+}
+
+let reference_sweep r ~membership ~checkpoint =
+  let gossip =
+    List.fold_left
+      (fun acc s -> min acc r.counters.(s))
+      max_int
+      (Membership.active_slots membership)
+  in
+  let horizon = max gossip checkpoint in
+  let victims = ref [] in
+  Hashtbl.iter
+    (fun root (_, pos) ->
+      match !pos with
+      | Some p when p < horizon -> victims := root :: !victims
+      | Some _ | None -> ())
+    r.table;
+  List.iter
+    (fun root ->
+      Hashtbl.remove r.table root;
+      r.collected <- r.collected + 1)
+    !victims
+
+let test_gc_sweep_matches_full_scan () =
+  let engine = Engine.create ~seed:9L () in
+  let capacity = 5 in (* slots 0-3 active, slot 4 a spare *)
+  let membership = Membership.create ~capacity ~initial:4 in
+  let store = Store.create ~disk:(Disk.create engine ()) () in
+  let clients = 1024 in
+  let dir = Directory.create ~dense_count:clients () in
+  let keys =
+    Array.init capacity (fun i ->
+        Multisig.keygen_deterministic ~seed:(Printf.sprintf "gc-server-%d" i))
+  in
+  let sv =
+    Server.create ~engine ~cpu:(Repro_sim.Cpu.create engine ())
+      ~config:{ Server.self = 0; n = capacity; clients;
+                fair_rate = 0.; fair_burst = 0. }
+      ~store ~checkpoint_every:8 ~membership ~directory:dir
+      ~ms_sk:(fst keys.(0)) ~server_ms_pk:(fun i -> snd keys.(i))
+      ~send_broker:(fun ~broker:_ ~bytes:_ _ -> ())
+      ~send_server:(fun ~dst:_ ~bytes:_ _ -> ())
+      ~stob_broadcast:(fun _ -> ()) ~deliver_app:(fun _ -> ()) ()
+  in
+  let r =
+    { table = Hashtbl.create 16; counters = Array.make capacity 0; collected = 0 }
+  in
+  let batches =
+    Array.init 12 (fun k ->
+        Batch.forge_dense dir ~broker:0 ~number:k ~first_id:(16 * k) ~count:16
+          ~msg_bytes:8 ~tag:(k + 1) ~straggler_count:0)
+  in
+  let root k = Batch.identity_root batches.(k) in
+  let settle () = Engine.run ~until:(Engine.now engine +. 5.) engine in
+  let check step =
+    checki (step ^ ": collected_batches") r.collected (Server.collected_batches sv);
+    checki (step ^ ": stored_batches") (Hashtbl.length r.table)
+      (Server.stored_batches sv);
+    checki (step ^ ": stored_bytes")
+      (Hashtbl.fold (fun _ (b, _) acc -> acc + b) r.table 0)
+      (Server.stored_bytes sv)
+  in
+  let store_body k =
+    if not (Hashtbl.mem r.table (root k)) then
+      Hashtbl.add r.table (root k)
+        (Batch.wire_bytes ~clients batches.(k), ref None)
+  in
+  let announce k =
+    Server.receive_broker sv ~src_broker:0
+      (Proto.Batch_announce { batch = batches.(k); witness_requested = false });
+    store_body k
+  in
+  let fetched k =
+    Server.receive_server sv ~src:1 (Proto.Batch_response { batch = batches.(k) });
+    store_body k
+  in
+  let deliver k =
+    let statement = Certs.witness_statement ~root:(root k) ~broker:0 ~number:k in
+    let witness =
+      Certs.assemble
+        (List.map (fun i -> (i, Certs.sign_shard (fst keys.(i)) statement)) [ 1; 2 ])
+    in
+    let position = Server.delivery_counter sv in
+    Server.on_stob_deliver sv
+      (Stob_item.Batch_ref { broker = 0; number = k; root = root k; witness });
+    settle ();
+    checki "delivered in order" (position + 1) (Server.delivery_counter sv);
+    snd (Hashtbl.find r.table (root k)) := Some position
+  in
+  let gossip ~src c =
+    Server.receive_server sv ~src (Proto.Gc_status { delivered_counter = c });
+    if c > r.counters.(src) then begin
+      r.counters.(src) <- c;
+      r.counters.(0) <- Server.delivery_counter sv;
+      reference_sweep r ~membership ~checkpoint:(Store.checkpoint_position store)
+    end
+  in
+  (* Deliveries: six bodies delivered at positions 0-5, two more stored
+     but never ordered. *)
+  for k = 0 to 7 do announce k done;
+  for k = 0 to 5 do deliver k done;
+  check "deliveries";
+  (* Gossip: the spare slot's zero counter must not pin the horizon. *)
+  gossip ~src:1 3; gossip ~src:2 2; gossip ~src:3 4;
+  check "gossip";
+  checki "bodies below the slowest active peer collected" 2 r.collected;
+  gossip ~src:1 1;
+  check "stale counter";
+  gossip ~src:4 1;
+  check "spare slot gossips";
+  gossip ~src:2 5;
+  check "gossip advances";
+  (* A checkpoint at 8 lifts the horizon past the lagging peers. *)
+  for k = 6 to 7 do deliver k done;
+  gossip ~src:3 5;
+  check "checkpoint jump";
+  checki "checkpoint covers every delivered body" 8 r.collected;
+  (* A collected body fetched again stays: it has no position. *)
+  fetched 0;
+  gossip ~src:1 8;
+  check "refetch";
+  (* Cold restart: only the disk survives; the checkpoint restores the
+     counter, no body comes back. *)
+  Server.cold_restart sv;
+  settle ();
+  Hashtbl.reset r.table;
+  Array.fill r.counters 0 capacity 0;
+  checkb "catching up" true (Server.catching_up sv);
+  checki "checkpoint restored" 8 (Server.delivery_counter sv);
+  check "cold restart";
+  (* Catch-up positions the bodies it replays; a body collected before the
+     restart is fetched again. *)
+  for k = 8 to 9 do announce k done;
+  fetched 2;
+  let records =
+    List.map
+      (fun k ->
+        Proto.Wal_batch
+          { w_position = k; w_broker = 0; w_number = k; w_root = root k;
+            w_ops = Proto.Wal_ops [||] })
+      [ 8; 9 ]
+  in
+  Server.receive_server sv ~src:1
+    (Proto.Sync_response
+       { position = 10; stob_cursor = 0; backlog = 0; checkpoint = None; records });
+  settle ();
+  checkb "caught up" false (Server.catching_up sv);
+  List.iter (fun k -> snd (Hashtbl.find r.table (root k)) := Some k) [ 8; 9 ];
+  check "catch-up";
+  gossip ~src:1 10; gossip ~src:2 10; gossip ~src:3 10;
+  check "gossip after restart";
+  checki "replayed bodies collected" 10 r.collected
+
 (* --- chaos integration ---------------------------------------------------- *)
 
 let test_chaos_crash_cold_restart () =
@@ -370,7 +541,9 @@ let () =
        [ Alcotest.test_case "checkpoint unblocks collection" `Quick
            test_gc_unblocked_by_checkpoint;
          Alcotest.test_case "blocked without checkpoints (regression)" `Quick
-           test_gc_still_blocked_without_checkpoints ]);
+           test_gc_still_blocked_without_checkpoints;
+         Alcotest.test_case "sweep matches the full-table scan" `Quick
+           test_gc_sweep_matches_full_scan ]);
       ("chaos",
        [ Alcotest.test_case "crash-cold-restart scenario passes" `Quick
            test_chaos_crash_cold_restart ]) ]
