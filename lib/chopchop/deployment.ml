@@ -8,8 +8,9 @@ module Store = Repro_store.Store
 module Disk = Repro_store.Disk
 module Fleet = Repro_fleet.Fleet
 module Rudp = Repro_sim.Rudp
+module Stob = Repro_stob.Stob
 
-type underlay = Sequencer | Pbft | Hotstuff
+type underlay = Stob.underlay = Sequencer | Pbft | Hotstuff
 
 type config = {
   n_servers : int;
@@ -24,7 +25,7 @@ type config = {
   max_batch : int;
   net_loss : float;
   seed : int64;
-  stob_batch_timeout : float; (* underlay leader batching window *)
+  stob_batch_timeout : float; (* PBFT leader batching window *)
   admission_rate : float; (* broker per-client token rate; 0 = unlimited *)
   admission_burst : float; (* bucket depth for the above *)
   fleet : Fleet.mode option;
@@ -69,18 +70,7 @@ type msg =
   | B2s of Proto.broker_to_server
   | S2b of Proto.server_to_broker
   | S2s of Proto.server_to_server
-  | Stob_seq of Stob_item.t Repro_stob.Sequencer.msg
-  | Stob_pbft of Stob_item.t Repro_stob.Pbft.msg
-  | Stob_hs of Stob_item.t Repro_stob.Hotstuff.msg
-
-type stob_handle = {
-  sh_broadcast : Stob_item.t -> unit;
-  sh_receive : src:int -> msg -> unit;
-  sh_crash : unit -> unit;
-  sh_recover : unit -> unit;
-  sh_cursor : unit -> int; (* next slot/seq/height to deliver *)
-  sh_resume : int -> unit; (* fast-forward past state-transferred slots *)
-}
+  | Stob of Stob_item.t Stob.msg
 
 type broker_slot = {
   br : Broker.t;
@@ -101,7 +91,7 @@ type t = {
   server_cpus : Cpu.t array;
   server_pks : Multisig.public_key array;
   stores : (Proto.checkpoint, Proto.wal_record) Store.t option array;
-  mutable stobs : stob_handle array;
+  mutable stobs : Stob_item.t Stob.t array;
   mutable brokers : broker_slot array;
   broker_of_node : (int, int) Hashtbl.t;
   client_nodes : (Types.client_id, int) Hashtbl.t; (* client id -> node *)
@@ -179,64 +169,6 @@ let server_cpu_backlog t i = Cpu.backlog t.server_cpus.(i)
 
 let server_deliver_hook t hook = t.deliver_hook <- hook
 
-(* --- STOB instantiation ------------------------------------------------- *)
-
-let make_stob t ~self ~deliver =
-  let n = t.capacity in
-  let engine = t.engine and net = t.net in
-  (* Completion-gate the ordering node's outgoing proposal serialization
-     on the server's own CPU (the protocol logic itself stays free). *)
-  let cpu = t.server_cpus.(self) in
-  match t.cfg.underlay with
-  | Sequencer ->
-    let send ~dst ~bytes m = Net.send net ~src:self ~dst ~bytes (Stob_seq m) in
-    let st =
-      Repro_stob.Sequencer.create ~engine ~self ~n ~cpu ~send ~deliver
-        ~payload_bytes:Stob_item.wire_bytes ()
-    in
-    { sh_broadcast = Repro_stob.Sequencer.broadcast st;
-      sh_receive =
-        (fun ~src m ->
-          match m with
-          | Stob_seq m -> Repro_stob.Sequencer.receive st ~src m
-          | _ -> ());
-      sh_crash = (fun () -> Repro_stob.Sequencer.crash st);
-      sh_recover = (fun () -> Repro_stob.Sequencer.recover st);
-      sh_cursor = (fun () -> Repro_stob.Sequencer.cursor st);
-      sh_resume = (fun cursor -> Repro_stob.Sequencer.resume_at st ~cursor) }
-  | Pbft ->
-    let send ~dst ~bytes m = Net.send net ~src:self ~dst ~bytes (Stob_pbft m) in
-    let st =
-      Repro_stob.Pbft.create ~engine ~self ~n ~cpu ~send ~deliver
-        ~payload_bytes:Stob_item.wire_bytes
-        ~batch_timeout:t.cfg.stob_batch_timeout ()
-    in
-    { sh_broadcast = Repro_stob.Pbft.broadcast st;
-      sh_receive =
-        (fun ~src m ->
-          match m with Stob_pbft m -> Repro_stob.Pbft.receive st ~src m | _ -> ());
-      sh_crash = (fun () -> Repro_stob.Pbft.crash st);
-      sh_recover = (fun () -> Repro_stob.Pbft.recover st);
-      sh_cursor = (fun () -> Repro_stob.Pbft.cursor st);
-      sh_resume = (fun cursor -> Repro_stob.Pbft.resume_at st ~cursor) }
-  | Hotstuff ->
-    let send ~dst ~bytes m = Net.send net ~src:self ~dst ~bytes (Stob_hs m) in
-    let st =
-      Repro_stob.Hotstuff.create ~engine ~self ~n ~cpu ~send ~deliver
-        ~payload_bytes:Stob_item.wire_bytes
-        ~batch_timeout:(Float.max 0.3 t.cfg.stob_batch_timeout) ()
-    in
-    { sh_broadcast = Repro_stob.Hotstuff.broadcast st;
-      sh_receive =
-        (fun ~src m ->
-          match m with
-          | Stob_hs m -> Repro_stob.Hotstuff.receive st ~src m
-          | _ -> ());
-      sh_crash = (fun () -> Repro_stob.Hotstuff.crash st);
-      sh_recover = (fun () -> Repro_stob.Hotstuff.recover st);
-      sh_cursor = (fun () -> Repro_stob.Hotstuff.cursor st);
-      sh_resume = (fun cursor -> Repro_stob.Hotstuff.resume_at st ~cursor) }
-
 (* --- brokers -------------------------------------------------------------- *)
 
 let install_broker t ~region ~flush_period ~reduce_timeout ~max_batch ?cores
@@ -295,12 +227,9 @@ let install_broker t ~region ~flush_period ~reduce_timeout ~max_batch ?cores
         match item with
         | Stob_item.Signup { card; nonce; _ } ->
           let dst =
-            let rec hunt c tries =
-              if tries = 0 then 0
-              else if Membership.is_active t.membership c then c
-              else hunt ((c + 1) mod t.capacity) (tries - 1)
-            in
-            hunt (broker_id mod t.capacity) t.capacity
+            Option.value ~default:0
+              (Membership.next_active t.membership ~from:(broker_id mod t.capacity)
+                 ~skip:None)
           in
           Net.send t.net ~src:node ~dst ~bytes:(Stob_item.wire_bytes item)
             (B2s (Proto.Relay_signup { card; nonce }))
@@ -317,7 +246,7 @@ let install_broker t ~region ~flush_period ~reduce_timeout ~max_batch ?cores
         Rudp.sender_on_ack (link t ~client_node:src ~broker_node:node).down seq
       | S2b m -> Broker.receive_server b ~src m
       | C2b_udp (Rudp.Ack _) | B2c_udp (Rudp.Data _)
-      | B2s _ | S2s _ | Stob_seq _ | Stob_pbft _ | Stob_hs _ -> ())
+      | B2s _ | S2s _ | Stob _ -> ())
     ();
   Hashtbl.replace t.broker_of_node node broker_id;
   t.brokers <-
@@ -332,7 +261,6 @@ let install_broker t ~region ~flush_period ~reduce_timeout ~max_batch ?cores
    CPU, store and STOB handle.  Used both at construction time and by
    {!replace_server} to install a fresh identity in a vacated slot. *)
 let build_server t ~slot ~ms_sk ~directory ~membership ~stob =
-  let sh = stob in
   let sv =
   Server.create ~engine:t.engine ~cpu:t.server_cpus.(slot)
     ~config:{ Server.self = slot; n = t.capacity;
@@ -340,13 +268,13 @@ let build_server t ~slot ~ms_sk ~directory ~membership ~stob =
               fair_rate = t.cfg.fair_admission_rate;
               fair_burst = t.cfg.fair_admission_burst }
     ?store:t.stores.(slot) ~checkpoint_every:t.cfg.checkpoint_every
-    ~stob_cursor:(fun () -> sh.sh_cursor ())
-    ~stob_resume:(fun cursor -> sh.sh_resume cursor)
+    ~stob_cursor:(fun () -> Stob.cursor stob)
+    ~stob_resume:(fun cursor -> Stob.resume_at stob ~cursor)
     ~membership
     ~set_server_pk:(fun j pk -> t.server_pks.(j) <- pk)
     ~on_self_leave:(fun () ->
       Net.disconnect t.net slot;
-      t.stobs.(slot).sh_crash ())
+      Stob.crash t.stobs.(slot))
     ~directory ~ms_sk
     ~server_ms_pk:(fun j -> t.server_pks.(j))
     ~send_broker:(fun ~broker ~bytes m ->
@@ -354,7 +282,7 @@ let build_server t ~slot ~ms_sk ~directory ~membership ~stob =
         Net.send t.net ~src:slot ~dst:t.brokers.(broker).br_node ~bytes (S2b m))
     ~send_server:(fun ~dst ~bytes m ->
       Net.send t.net ~src:slot ~dst ~bytes (S2s m))
-    ~stob_broadcast:(fun item -> sh.sh_broadcast item)
+    ~stob_broadcast:(Stob.broadcast stob)
     ~deliver_app:(fun d -> t.deliver_hook slot d)
     ()
   in
@@ -433,54 +361,48 @@ let create cfg =
       fleet_handoff_bytes = 0;
       links = Hashtbl.create 64 }
   in
-  (* Server network nodes dispatch into the (not yet built) instances via t. *)
+  (* Server network nodes dispatch into the instances through [t]: a slot
+     whose instance {!replace_server} swapped keeps its node and STOB
+     replica.  Nothing is delivered before the engine runs. *)
   for i = 0 to capacity - 1 do
     Net.add_node net ~id:i ~region:server_regions.(i) ~kind:"net.server"
       ~handler:(fun ~src m ->
         match m with
         | B2s m ->
-          (match
-             (Hashtbl.find_opt t.broker_of_node src, Array.length t.servers > i)
-           with
-           | Some b, true -> Server.receive_broker t.servers.(i) ~src_broker:b m
-           | _ -> ())
-        | S2s m ->
-          if Array.length t.servers > i then Server.receive_server t.servers.(i) ~src m
-        | Stob_seq _ | Stob_pbft _ | Stob_hs _ ->
-          if Array.length t.stobs > i then t.stobs.(i).sh_receive ~src m
+          Option.iter
+            (fun b -> Server.receive_broker t.servers.(i) ~src_broker:b m)
+            (Hashtbl.find_opt t.broker_of_node src)
+        | S2s m -> Server.receive_server t.servers.(i) ~src m
+        | Stob m -> Stob.receive t.stobs.(i) ~src m
         | C2b_udp _ | B2c_udp _ | S2b _ -> ())
       ()
   done;
-  let servers = Array.make capacity None and stobs = Array.make capacity None in
-  for i = 0 to capacity - 1 do
-    let deliver item =
-      (* Route through [t] so a slot whose instance was replaced keeps
-         receiving its ordered items; fall back to the local array only
-         during construction. *)
-      if Array.length t.servers > i then
-        Server.on_stob_deliver t.servers.(i) item
-      else
-        match servers.(i) with
-        | Some sv -> Server.on_stob_deliver sv item
-        | None -> ()
-    in
-    let sh = make_stob t ~self:i ~deliver in
-    stobs.(i) <- Some sh;
-    let directory = Directory.replica t.directory in
-    let membership = Membership.create ~capacity ~initial:n in
-    let sv =
-      build_server t ~slot:i ~ms_sk:(fst server_identities.(i)) ~directory
-        ~membership ~stob:sh
-    in
-    Server.start sv;
-    servers.(i) <- Some sv
-  done;
-  t.servers <- Array.map (function Some s -> s | None -> assert false) servers;
-  t.stobs <- Array.map (function Some s -> s | None -> assert false) stobs;
+  (* Completion-gate the ordering node's outgoing proposal serialization
+     on the server's own CPU (the protocol logic itself stays free).  The
+     configured batching window is the PBFT leader's; HotStuff keeps its
+     own and the sequencer does not batch. *)
+  let batch_timeout =
+    if cfg.underlay = Pbft then Some cfg.stob_batch_timeout else None
+  in
+  t.stobs <-
+    Array.init capacity (fun i ->
+        Stob.create cfg.underlay ~engine ~self:i ~n:capacity ~cpu:server_cpus.(i)
+          ~send:(fun ~dst ~bytes m -> Net.send net ~src:i ~dst ~bytes (Stob m))
+          ~deliver:(fun item -> Server.on_stob_deliver t.servers.(i) item)
+          ~payload_bytes:Stob_item.wire_bytes ?batch_timeout ());
+  t.servers <-
+    Array.init capacity (fun i ->
+        let sv =
+          build_server t ~slot:i ~ms_sk:(fst server_identities.(i))
+            ~directory:(Directory.replica t.directory)
+            ~membership:(Membership.create ~capacity ~initial:n) ~stob:t.stobs.(i)
+        in
+        Server.start sv;
+        sv);
   (* Spare slots idle (crashed + disconnected) until an ordered Join. *)
   for i = n to capacity - 1 do
     Server.crash t.servers.(i);
-    t.stobs.(i).sh_crash ();
+    Stob.crash t.stobs.(i);
     Net.disconnect t.net i
   done;
   (* Standard brokers, one per continent (§6.2). *)
@@ -578,7 +500,7 @@ let add_client t ?region ?identity ?on_delivered ?brokers () =
       | C2b_udp (Rudp.Ack { seq }) ->
         Rudp.sender_on_ack (link t ~client_node:node ~broker_node:src).up seq
       | C2b_udp (Rudp.Data _) | B2c_udp (Rudp.Ack _)
-      | B2s _ | S2b _ | S2s _ | Stob_seq _ | Stob_pbft _ | Stob_hs _ -> ())
+      | B2s _ | S2b _ | S2s _ | Stob _ -> ())
     ();
   Hashtbl.replace t.clients_by_node node c;
   (match identity with
@@ -590,12 +512,12 @@ let add_client t ?region ?identity ?on_delivered ?brokers () =
 
 let crash_server t i =
   Server.crash t.servers.(i);
-  t.stobs.(i).sh_crash ();
+  Stob.crash t.stobs.(i);
   Net.disconnect t.net i
 
 let recover_server t i =
   Net.reconnect t.net i;
-  t.stobs.(i).sh_recover ();
+  Stob.recover t.stobs.(i);
   Server.recover t.servers.(i)
 
 let restart_server t i =
@@ -604,7 +526,7 @@ let restart_server t i =
      transfer).  Requires [store_enabled]; degrades to {!recover_server}
      otherwise. *)
   Net.reconnect t.net i;
-  t.stobs.(i).sh_recover ();
+  Stob.recover t.stobs.(i);
   Server.cold_restart t.servers.(i)
 
 (* --- dynamic membership (ordered reconfiguration) ------------------------ *)
@@ -617,22 +539,18 @@ let server_epoch t i = Server.epoch t.servers.(i)
    orchestrated Reconfigure command enters the STOB.  It must itself be a
    live member (a Sequencer underlay forwards via node 0, so slot 0 is
    never removed — see DESIGN.md). *)
-let anchor t ?(avoid = -1) () =
-  let rec hunt c tries =
-    if tries = 0 then 0
-    else if c <> avoid && Membership.is_active t.membership c then c
-    else hunt ((c + 1) mod t.capacity) (tries - 1)
-  in
-  hunt 0 t.capacity
+let anchor t ~avoid =
+  Option.value ~default:0
+    (Membership.next_active t.membership ~from:0 ~skip:(Some avoid))
 
 let join_server t i =
   (* Bring a spare slot online: reconnect its node, order the Join through
      a live member, and bootstrap the joiner through cold-restart state
      transfer.  It starts witnessing only once caught up and active. *)
   Net.reconnect t.net i;
-  t.stobs.(i).sh_recover ();
+  Stob.recover t.stobs.(i);
   ignore (Membership.apply t.membership (Membership.Join i));
-  Server.broadcast_reconfigure t.servers.(anchor t ~avoid:i ())
+  Server.broadcast_reconfigure t.servers.(anchor t ~avoid:i)
     (Membership.Join i) ~ms_pk:(Some t.server_pks.(i));
   Server.cold_restart t.servers.(i)
 
@@ -640,7 +558,7 @@ let leave_server t i =
   (* Order the departure; the leaver tears itself down when the command
      reaches it in the total order (Server.on_self_leave). *)
   ignore (Membership.apply t.membership (Membership.Leave i));
-  Server.broadcast_reconfigure t.servers.(anchor t ~avoid:i ())
+  Server.broadcast_reconfigure t.servers.(anchor t ~avoid:i)
     (Membership.Leave i) ~ms_pk:None
 
 let replace_server t i =
@@ -649,7 +567,7 @@ let replace_server t i =
      committee via an ordered Replace, and bootstrap the newcomer through
      state transfer. *)
   Server.crash t.servers.(i);
-  t.stobs.(i).sh_crash ();
+  Stob.crash t.stobs.(i);
   Net.disconnect t.net i;
   let gen = Membership.generation t.membership i + 1 in
   ignore (Membership.apply t.membership (Membership.Replace (i, gen)));
@@ -672,10 +590,10 @@ let replace_server t i =
   in
   t.servers.(i) <- sv;
   Server.start sv;
-  Server.broadcast_reconfigure t.servers.(anchor t ~avoid:i ())
+  Server.broadcast_reconfigure t.servers.(anchor t ~avoid:i)
     (Membership.Replace (i, gen)) ~ms_pk:(Some ms_pk);
   Net.reconnect t.net i;
-  t.stobs.(i).sh_recover ();
+  Stob.recover t.stobs.(i);
   Server.cold_restart sv
 
 (* --- raw traffic injection (adversarial workload drivers) ----------------- *)

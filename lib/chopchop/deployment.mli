@@ -7,7 +7,7 @@
     servers.  Experiments and tests drive the system exclusively through
     this module. *)
 
-type underlay = Sequencer | Pbft | Hotstuff
+type underlay = Repro_stob.Stob.underlay = Sequencer | Pbft | Hotstuff
 
 type config = {
   n_servers : int;
@@ -26,7 +26,7 @@ type config = {
   max_batch : int;
   net_loss : float;
   seed : int64;
-  stob_batch_timeout : float; (* underlay leader batching window *)
+  stob_batch_timeout : float; (* PBFT leader batching window *)
   admission_rate : float;
       (* per-client broker admission: token-bucket refill rate,
          submissions/s (0 = unlimited, the default) *)

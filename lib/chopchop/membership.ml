@@ -46,6 +46,17 @@ let active_count t =
 let active_slots t =
   List.filter (fun i -> t.active.(i)) (List.init t.capacity Fun.id)
 
+(* The first active slot other than [skip], walking the ring of slots
+   from [from]; [None] when there is none.  Callers pick peers with it:
+   spares have nothing to serve and a departed member may be gone. *)
+let next_active t ~from ~skip =
+  let rec walk c tries =
+    if tries = 0 then None
+    else if t.active.(c) && skip <> Some c then Some c
+    else walk ((c + 1) mod t.capacity) (tries - 1)
+  in
+  walk from t.capacity
+
 let f t = (active_count t - 1) / 3
 let quorum t = f t + 1
 

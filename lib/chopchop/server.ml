@@ -555,13 +555,8 @@ and fetch_batch ?(rounds = 0) t ~broker ~number ~root =
     let target =
       let n = t.cfg.n in
       let c0 = (t.cfg.self + 1 + (number mod (max 1 (n - 1)))) mod n in
-      (* Advance past spares and departed members. *)
-      let rec hunt c tries =
-        if tries = 0 then c
-        else if c <> t.cfg.self && Membership.is_active t.membership c then c
-        else hunt ((c + 1) mod n) (tries - 1)
-      in
-      hunt c0 n
+      Option.value ~default:c0
+        (Membership.next_active t.membership ~from:c0 ~skip:(Some t.cfg.self))
     in
     t.send_server ~dst:target ~bytes:Wire.witness_request_bytes
       (Request_batch { root; broker; number });
@@ -670,15 +665,9 @@ let restore_checkpoint t (ck : Proto.checkpoint) =
 
 let rec send_sync_request t =
   let dst =
-    (* Rotate over *active* peers: spares have nothing to serve and a
-       departed member may be gone for good. *)
-    let n = t.cfg.n in
-    let rec hunt c tries =
-      if tries = 0 then c
-      else if c <> t.cfg.self && Membership.is_active t.membership c then c
-      else hunt ((c + 1) mod n) (tries - 1)
-    in
-    hunt t.sync_peer n
+    (* Rotate over active peers. *)
+    Option.value ~default:t.sync_peer
+      (Membership.next_active t.membership ~from:t.sync_peer ~skip:(Some t.cfg.self))
   in
   t.sync_peer <- (dst + 1) mod t.cfg.n;
   t.send_server ~dst ~bytes:Wire.sync_request_bytes

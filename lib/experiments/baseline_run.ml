@@ -5,6 +5,7 @@ module Cost = Repro_sim.Cost
 module Region = Repro_sim.Region
 module Stats = Repro_sim.Stats
 module Hist = Repro_trace.Trace.Hist
+module Stob = Repro_stob.Stob
 
 type proto = Bftsmart | Hotstuff_base
 
@@ -33,10 +34,6 @@ type result = {
    header. *)
 type op = { inject : float; bytes : int }
 
-type msg =
-  | Pbft_m of op Repro_stob.Pbft.msg
-  | Hs_m of op Repro_stob.Hotstuff.msg
-
 let run p =
   let engine = Engine.create ~seed:p.seed () in
   let net = Net.create engine () in
@@ -53,34 +50,21 @@ let run p =
       Stats.Window.latency w (Engine.now engine -. op.inject)
     end
   in
-  let receives = Array.make n (fun ~src:_ (_ : msg) -> ()) in
-  let broadcasts = Array.make n (fun (_ : op) -> ()) in
-  for i = 0 to n - 1 do
-    Net.add_node net ~id:i ~region:regions.(i)
-      ~handler:(fun ~src m -> receives.(i) ~src m)
-      ()
-  done;
-  for i = 0 to n - 1 do
+  let underlay, batch_timeout, max_outstanding =
     match p.proto with
-    | Bftsmart ->
-      let send ~dst ~bytes m = Net.send net ~src:i ~dst ~bytes (Pbft_m m) in
-      let st =
-        Repro_stob.Pbft.create ~engine ~self:i ~n ~send ~deliver:(deliver_at i)
-          ~payload_bytes:(fun op -> op.bytes) ~batch_max:400 ~max_outstanding:1 ()
-      in
-      receives.(i) <- (fun ~src m ->
-          match m with Pbft_m m -> Repro_stob.Pbft.receive st ~src m | Hs_m _ -> ());
-      broadcasts.(i) <- Repro_stob.Pbft.broadcast st
-    | Hotstuff_base ->
-      let send ~dst ~bytes m = Net.send net ~src:i ~dst ~bytes (Hs_m m) in
-      let st =
-        Repro_stob.Hotstuff.create ~engine ~self:i ~n ~send ~deliver:(deliver_at i)
-          ~payload_bytes:(fun op -> op.bytes) ~batch_max:400 ~batch_timeout:0.4 ()
-      in
-      receives.(i) <- (fun ~src m ->
-          match m with Hs_m m -> Repro_stob.Hotstuff.receive st ~src m | Pbft_m _ -> ());
-      broadcasts.(i) <- Repro_stob.Hotstuff.broadcast st
-  done;
+    | Bftsmart -> (Stob.Pbft, None, Some 1)
+    | Hotstuff_base -> (Stob.Hotstuff, Some 0.4, None)
+  in
+  let replicas =
+    Array.init n (fun i ->
+        Stob.create underlay ~engine ~self:i ~n
+          ~send:(fun ~dst ~bytes m -> Net.send net ~src:i ~dst ~bytes m)
+          ~deliver:(deliver_at i) ~payload_bytes:(fun op -> op.bytes)
+          ?batch_timeout ?max_outstanding ())
+  in
+  Array.iteri
+    (fun i r -> Net.add_node net ~id:i ~region:regions.(i) ~handler:(Stob.receive r) ())
+    replicas;
   (* Offered load, spread over the servers (clients submit to their
      nearest replica, which forwards into the protocol). *)
   let period = 0.05 in
@@ -92,7 +76,7 @@ let run p =
       while !acc >= 1. do
         acc := !acc -. 1.;
         let op = { inject = Engine.now engine; bytes = op_bytes } in
-        broadcasts.(!k mod n) op;
+        Stob.broadcast replicas.(!k mod n) op;
         incr k
       done);
   Engine.run engine ~until:(p.duration +. 30.);

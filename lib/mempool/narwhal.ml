@@ -1,6 +1,7 @@
 module Engine = Repro_sim.Engine
 module Cpu = Repro_sim.Cpu
 module Cost = Repro_sim.Cost
+module Tally = Repro_sim.Tally
 module Trace = Repro_trace.Trace
 
 type config = {
@@ -35,8 +36,6 @@ type msg =
   | Vote of { round : int; author : int; voter : int }
   | Cert of { round : int; author : int; digests : digest list }
 
-module Iset = Set.Make (Int)
-
 type t = {
   engine : Engine.t;
   cpu : Cpu.t;
@@ -50,14 +49,14 @@ type t = {
   mutable pending_since : float;
   mutable flush_armed : bool;
   mutable next_bid : int;
-  acks : (int, Iset.t ref * int * float) Hashtbl.t; (* bid -> ackers, count, inject *)
+  acks : (int, Tally.t * int * float) Hashtbl.t; (* bid -> ackers, count, inject *)
   mutable certified_digests : digest list; (* ready for next header *)
   (* primary / DAG state *)
   mutable round : int;
   mutable header_sent : bool; (* in current round *)
-  votes : (int * int, Iset.t ref) Hashtbl.t; (* (round, author) -> voters *)
+  votes : (int * int, Tally.t) Hashtbl.t; (* (round, author) -> voters *)
   certs : (int * int, digest list) Hashtbl.t; (* (round, author) -> payload *)
-  cert_count : (int, Iset.t ref) Hashtbl.t; (* round -> authors certified *)
+  cert_count : (int, Tally.t) Hashtbl.t; (* round -> authors certified *)
   delivered_certs : (int * int, unit) Hashtbl.t;
   mutable committed_round : int;
   mutable round_timer : Engine.timer option;
@@ -66,7 +65,7 @@ type t = {
 }
 
 let create ~engine ~cpu ~config ~self ~send ~on_deliver () =
-  { engine; cpu; cfg = config; f = (config.n - 1) / 3; self; send; on_deliver;
+  { engine; cpu; cfg = config; f = Tally.quorum_f config.n; self; send; on_deliver;
     pending_count = 0; pending_since = 0.; flush_armed = false; next_bid = 0;
     acks = Hashtbl.create 64; certified_digests = [];
     round = 0; header_sent = false;
@@ -75,6 +74,7 @@ let create ~engine ~cpu ~config ~self ~send ~on_deliver () =
     committed_round = -1; round_timer = None;
     delivered = 0; crashed = false }
 
+let quorum t = (2 * t.f) + 1
 let delivered t = t.delivered
 let crash t = t.crashed <- true
 
@@ -112,7 +112,9 @@ let rec flush_worker t =
     Cpu.submit t.cpu ~work:(Cpu.parallel (float_of_int count *. per_msg_cpu t)) (fun () ->
         if not t.crashed then begin
           broadcast t ~bytes:(batch_wire t count) (Batch { origin = t.self; bid; count; inject });
-          Hashtbl.replace t.acks bid (ref (Iset.singleton t.self), count, inject)
+          let ackers = Tally.create t.cfg.n in
+          Tally.add ackers t.self;
+          Hashtbl.replace t.acks bid (ackers, count, inject)
         end)
   end
 
@@ -120,8 +122,8 @@ and note_ack t ~bid ~voter =
   match Hashtbl.find_opt t.acks bid with
   | None -> ()
   | Some (ackers, count, inject) ->
-    ackers := Iset.add voter !ackers;
-    if Iset.cardinal !ackers >= (2 * t.f) + 1 then begin
+    Tally.add ackers voter;
+    if Tally.count ackers >= quorum t then begin
       Hashtbl.remove t.acks bid;
       t.certified_digests <-
         { d_origin = t.self; d_bid = bid; d_count = count; d_inject = inject }
@@ -159,7 +161,7 @@ and try_header t =
       t.round = 0
       ||
       match Hashtbl.find_opt t.cert_count (t.round - 1) with
-      | Some authors -> Iset.cardinal !authors >= (2 * t.f) + 1
+      | Some authors -> Tally.count authors >= quorum t
       | None -> false
     in
     if ready then
@@ -180,7 +182,7 @@ and send_header t =
    | None -> ());
   let digests = List.rev t.certified_digests in
   t.certified_digests <- [];
-  let bytes = 48 + (List.length digests * 36) + (((2 * t.f) + 1) * 48) + 96 in
+  let bytes = 48 + (List.length digests * 36) + (quorum t * 48) + 96 in
   let header = Header { round = t.round; author = t.self; digests } in
   broadcast t ~bytes header;
   note_vote t ~round:t.round ~author:t.self ~voter:t.self ~digests:(Some digests)
@@ -192,19 +194,19 @@ and note_vote t ~round ~author ~voter ~digests =
       match Hashtbl.find_opt t.votes key with
       | Some v -> v
       | None ->
-        let v = ref Iset.empty in
+        let v = Tally.create t.cfg.n in
         Hashtbl.add t.votes key v;
         v
     in
     (match digests with
      | Some ds -> Hashtbl.replace t.certs key ds
      | None -> ());
-    voters := Iset.add voter !voters;
-    if Iset.cardinal !voters >= (2 * t.f) + 1 then begin
+    Tally.add voters voter;
+    if Tally.count voters >= quorum t then begin
       Hashtbl.remove t.votes key;
       let ds = Option.value (Hashtbl.find_opt t.certs key) ~default:[] in
       Trace.Counter.incr (c_certs t);
-      let bytes = 48 + (List.length ds * 36) + (((2 * t.f) + 1) * 8) + 192 in
+      let bytes = 48 + (List.length ds * 36) + (quorum t * 8) + 192 in
       broadcast t ~bytes (Cert { round; author; digests = ds });
       note_cert t ~round ~author ~digests:ds
     end
@@ -218,18 +220,18 @@ and note_cert t ~round ~author ~digests =
     match Hashtbl.find_opt t.cert_count round with
     | Some a -> a
     | None ->
-      let a = ref Iset.empty in
+      let a = Tally.create t.cfg.n in
       Hashtbl.add t.cert_count round a;
       a
   in
-  authors := Iset.add author !authors;
+  Tally.add authors author;
   ignore round;
   advance_rounds t
 
 and advance_rounds t =
   let rec loop () =
     match Hashtbl.find_opt t.cert_count t.round with
-    | Some authors when Iset.cardinal !authors >= (2 * t.f) + 1 ->
+    | Some authors when Tally.count authors >= quorum t ->
       (* Advance the DAG; committing trails by two rounds (Bullshark's
          one-anchor-per-two-rounds commit latency). *)
       t.round <- t.round + 1;

@@ -1,3 +1,5 @@
+let quorum_f n = (n - 1) / 3
+
 (* One bit per voter and the running count: adding a vote and reading the
    count are O(1) and allocate nothing, whatever the committee size. *)
 

@@ -1,5 +1,10 @@
 (** A quorum tally: the set of distinct voters among replicas [0, n) and
-    its size.  Every vote-counting site in the STOB protocols uses it. *)
+    its size.  Every vote-counting site — the STOB protocols and the
+    Narwhal mempool — uses it. *)
+
+val quorum_f : int -> int
+(** [quorum_f n = (n - 1) / 3]: the faults a committee of [n] tolerates;
+    its quorums are [2f + 1] (PBFT, Narwhal) or [n - f] (HotStuff). *)
 
 type t
 

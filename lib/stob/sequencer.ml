@@ -1,61 +1,32 @@
-module Engine = Repro_sim.Engine
-module Cpu = Repro_sim.Cpu
-module Cost = Repro_sim.Cost
-module Trace = Repro_trace.Trace
+(* Idealised STOB: node 0 is a correct, never-failing sequencer that
+   assigns a global order and reflects every payload to every server.
+   Not fault tolerant: it lets unit and property tests of the Chop Chop
+   layer (and of applications) run against an oracle ordering service
+   with two message delays and no quorum logic. *)
 
 type 'p msg =
   | Forward of 'p          (* any server -> sequencer *)
   | Ordered of int * 'p    (* sequencer -> all: (slot, payload) *)
 
-type 'p t = {
-  engine : Engine.t;
-  self : int;
-  n : int;
-  cpu : Cpu.t option;
-  send : dst:int -> bytes:int -> 'p msg -> unit;
-  deliver : 'p -> unit;
-  payload_bytes : 'p -> int;
+type ('p, 'w) t = {
+  r : ('p, 'p msg, 'w) Replica.t;
   mutable next_slot : int;              (* sequencer only *)
   mutable next_expected : int;          (* delivery cursor *)
   pending : (int, 'p) Hashtbl.t;        (* out-of-order buffer *)
-  mutable crashed : bool;
-  mutable delivered : int;
 }
 
 let header_bytes = 16
 
-let create ~engine ~self ~n ?cpu ~send ~deliver ~payload_bytes () =
-  { engine; self; n; cpu; send; deliver; payload_bytes;
-    next_slot = 0; next_expected = 0; pending = Hashtbl.create 64;
-    crashed = false; delivered = 0 }
-
-(* Serialize [bytes] for [links] outgoing copies on the node's CPU (when
-   modelled), then run [k].  Jobs on one CPU complete in submission
-   order, so slot order is preserved on the wire. *)
-let gate_serialize t ~bytes ~links k =
-  match t.cpu with
-  | None -> k ()
-  | Some cpu ->
-    Cpu.submit cpu
-      ~work:
-        (Cpu.parallel
-           (float_of_int (bytes * links) *. Cost.serialize_per_byte))
-      (fun () -> if not t.crashed then k ())
-
-let trace_instant t name ~id =
-  let sink = Engine.trace t.engine in
-  if Trace.enabled sink then
-    Trace.instant sink ~now:(Engine.now t.engine) ~actor:t.self ~cat:"stob" ~name ~id
+let create r = { r; next_slot = 0; next_expected = 0; pending = Hashtbl.create 64 }
 
 let try_deliver t =
   let rec go () =
     match Hashtbl.find_opt t.pending t.next_expected with
     | Some p ->
-      trace_instant t "deliver" ~id:t.next_expected;
+      Replica.trace_instant t.r "deliver" ~id:t.next_expected;
       Hashtbl.remove t.pending t.next_expected;
       t.next_expected <- t.next_expected + 1;
-      t.delivered <- t.delivered + 1;
-      t.deliver p;
+      Replica.deliver t.r p;
       go ()
     | None -> ()
   in
@@ -64,32 +35,30 @@ let try_deliver t =
 let order t p =
   let slot = t.next_slot in
   t.next_slot <- slot + 1;
-  let bytes = header_bytes + t.payload_bytes p in
-  gate_serialize t ~bytes ~links:(t.n - 1) (fun () ->
-      trace_instant t "order" ~id:slot;
-      for dst = 0 to t.n - 1 do
-        if dst <> t.self then t.send ~dst ~bytes (Ordered (slot, p))
-      done;
+  let bytes = header_bytes + t.r.payload_bytes p in
+  Replica.gate_serialize t.r ~bytes ~links:(t.r.n - 1) (fun () ->
+      Replica.trace_instant t.r "order" ~id:slot;
+      Replica.broadcast_all t.r ~bytes (Ordered (slot, p));
       (* Local copy delivered through the same path. *)
       Hashtbl.replace t.pending slot p;
       try_deliver t)
 
 let broadcast t p =
-  if not t.crashed then
-    if t.self = 0 then order t p
-    else t.send ~dst:0 ~bytes:(header_bytes + t.payload_bytes p) (Forward p)
+  if not t.r.crashed then
+    if t.r.self = 0 then order t p
+    else Replica.send t.r ~dst:0 ~bytes:(header_bytes + t.r.payload_bytes p) (Forward p)
 
 let receive t ~src:_ msg =
-  if not t.crashed then
+  if not t.r.crashed then
     match msg with
-    | Forward p -> if t.self = 0 then order t p
+    | Forward p -> if t.r.self = 0 then order t p
     | Ordered (slot, p) ->
       Hashtbl.replace t.pending slot p;
       try_deliver t
 
-let crash t = t.crashed <- true
+let crash t = t.r.crashed <- true
 
-let recover t = t.crashed <- false
+let recover t = t.r.crashed <- false
 (* Slots ordered while down were broadcast once and are gone: the replica
    resumes at its delivery gap and stays a correct prefix (lib/chaos
    treats recovered nodes as degraded for liveness).  A cold restart with
@@ -111,4 +80,4 @@ let resume_at t ~cursor =
     try_deliver t
   end
 
-let delivered_count t = t.delivered
+let delivered_count t = t.r.delivered

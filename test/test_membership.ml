@@ -47,6 +47,18 @@ let test_thresholds () =
   checki "f = 1 at n = 5" 1 (Membership.f m);
   checki "quorum = 2 at n = 5" 2 (Membership.quorum m)
 
+(* The ring walk that picks a peer: first active slot from [from],
+   wrapping, never [skip]; [None] once nothing qualifies. *)
+let test_next_active () =
+  let m = Membership.create ~capacity:5 ~initial:4 in
+  let next ~from ~skip = Membership.next_active m ~from ~skip in
+  Alcotest.(check (option int)) "spare skipped, wraps" (Some 0) (next ~from:4 ~skip:None);
+  Alcotest.(check (option int)) "skip self" (Some 3) (next ~from:2 ~skip:(Some 2));
+  ignore (Membership.apply m (Membership.Leave 3));
+  Alcotest.(check (option int)) "departed skipped" (Some 0) (next ~from:3 ~skip:None);
+  List.iter (fun i -> ignore (Membership.apply m (Membership.Leave i))) [ 0; 2 ];
+  Alcotest.(check (option int)) "only the skipped one left" None (next ~from:0 ~skip:(Some 1))
+
 let test_idempotence () =
   let m = Membership.create ~capacity:5 ~initial:4 in
   (* The same ordered command can reach a server twice (live delivery,
@@ -223,6 +235,7 @@ let () =
     [ ("state-machine",
        [ Alcotest.test_case "thresholds follow the active count" `Quick
            test_thresholds;
+         Alcotest.test_case "next active slot walk" `Quick test_next_active;
          Alcotest.test_case "ordered-command idempotence" `Quick
            test_idempotence;
          Alcotest.test_case "snapshot / restore / reset" `Quick
