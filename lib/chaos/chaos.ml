@@ -260,7 +260,7 @@ type verdict = {
 
 let reject_names =
   [ "reject_batch"; "reject_witness"; "reject_shard"; "reject_completion";
-    "reject_cert"; "dup_ref"; "reject_unknown"; "reject_rate";
+    "reject_cert"; "dup_ref"; "dup_submit"; "reject_unknown"; "reject_rate";
     "reject_admission" ]
 
 let rejection_counts sink =
@@ -678,8 +678,9 @@ let sc_kitchen_sink =
           ~expect_rejects:[ "reject_shard" ] ()) }
 
 (* Shared post-checks for the cold-restart scenarios: the restarted
-   server must have finished catching up and its application state must
-   be bit-identical (by digest) to a never-crashed replica's. *)
+   server must have finished catching up, and its application state (by
+   digest) and per-broker ref windows must equal a never-crashed
+   replica's. *)
 let restart_post ~victim ~(apps : Payments.t array) d _inv =
   let errs = ref [] in
   let err fmt = Printf.ksprintf (fun s -> errs := s :: !errs) fmt in
@@ -687,6 +688,10 @@ let restart_post ~victim ~(apps : Payments.t array) d _inv =
     err "recovery: server %d never finished catching up" victim;
   if Payments.digest apps.(victim) <> Payments.digest apps.(0) then
     err "recovery: server %d app digest diverges from never-crashed server 0"
+      victim;
+  let servers = Deployment.servers d in
+  if Server.ref_windows servers.(victim) <> Server.ref_windows servers.(0) then
+    err "recovery: server %d ref windows diverge from never-crashed server 0"
       victim;
   List.rev !errs
 

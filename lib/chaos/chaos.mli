@@ -144,8 +144,9 @@ type verdict = {
   v_completed : int;  (** client broadcasts that did complete *)
   v_delivered : int array;  (** per-server delivered message counts *)
   v_rejections : (string * int) list;
-      (** "reject_*" / "dup_ref" trace instants observed, by name — the
-          correct nodes catching the injected misbehavior in the act *)
+      (** "reject_*" / "dup_ref" / "dup_submit" trace instants observed,
+          by name — the correct nodes catching the injected misbehavior
+          in the act *)
   v_diagnosis : Repro_prof.Doctor.diagnosis option;
       (** doctor post-mortem: present iff the run stalled (the in-run
           watchdog fired), completed fewer broadcasts than expected, or

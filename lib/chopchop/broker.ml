@@ -90,6 +90,7 @@ type t = {
   mutable mis_garble : bool;
   mutable mis_malform : bool;
   mutable mis_withhold : bool;
+  mis_twins : (string, string) Hashtbl.t; (* equivocal half -> the other *)
   k_timer : int; (* Engine kind attributing broker timer events *)
   c_verify : Trace.Counter.t; (* signature-verification operations *)
 }
@@ -114,7 +115,7 @@ let create ~engine ~cpu ~config ?membership ~directory ~server_ms_pk
     entries_launched = 0; stragglers_launched = 0; crashed = false;
     signups_seen = Hashtbl.create 64;
     mis_equivocate = false; mis_garble = false; mis_malform = false;
-    mis_withhold = false;
+    mis_withhold = false; mis_twins = Hashtbl.create 8;
     k_timer = Engine.kind engine "broker.timer";
     c_verify =
       Trace.Sink.counter (Engine.trace engine) ~cat:"crypto" ~name:"verify_ops" }
@@ -461,7 +462,14 @@ and launch_equivocal t st number =
   launch t a ~on_complete:None ~only:(fun dst -> dst land 1 = 0)
     ~force_witness:true;
   launch t b ~on_complete:None ~only:(fun dst -> dst land 1 = 1)
-    ~force_witness:true
+    ~force_witness:true;
+  (* Both halves are submitted together, each to its own relay server (see
+     {!submit_certified}), so both are relayed and ordered. *)
+  let ra = Batch.identity_root a and rb = Batch.identity_root b in
+  Hashtbl.replace t.mis_twins ra rb;
+  Hashtbl.replace t.mis_twins rb ra;
+  let fb = Hashtbl.find t.flight rb in
+  fb.w_submit_target <- fb.w_submit_target + 1
 
 (* --- dissemination & witnessing (#8–#12) --------------------------------- *)
 
@@ -581,10 +589,26 @@ and on_witness_shard t ~src fl share =
            Trace.span_end s ~now ~actor ~cat:"broker" ~name:"witness" ~id;
            Trace.span_begin s ~now ~actor ~cat:"broker" ~name:"certify" ~id
          end);
-        submit_ref t fl witness
+        submit_certified t fl witness
       end
     end
   end
+
+(* An equivocal half waits for its twin's certificate: submitted one after
+   the other, the second would reach a server that had already ordered the
+   first, and be acknowledged without being relayed. *)
+and submit_certified t fl witness =
+  match Hashtbl.find_opt t.mis_twins fl.w_root with
+  | None -> submit_ref t fl witness
+  | Some twin ->
+    (match Hashtbl.find_opt t.flight twin with
+     | Some { w_witness = None; _ } -> ()
+     | Some ({ w_witness = Some twin_witness; _ } as tf) ->
+       Hashtbl.remove t.mis_twins fl.w_root;
+       Hashtbl.remove t.mis_twins twin;
+       submit_ref t fl witness;
+       submit_ref t tf twin_witness
+     | None -> submit_ref t fl witness)
 
 and submit_ref t fl witness =
   (* #12: hand (root, witness) to one *active* server to relay into the
@@ -752,7 +776,11 @@ let recover t = t.crashed <- false
 (* The broker keeps no server-side state: its periodic flush loop is still
    armed (the callback is guarded on [crashed]), so submissions simply
    start batching again.  In-flight batches from before the crash resume
-   too — their retry timers are likewise guarded. *)
+   only if none of their retry timers (witness extension, submission
+   rotation) fired while the broker was down: such a timer returns
+   without re-arming, so that batch may never be ordered.  Its clients'
+   resubmission timeouts take over, and its number stays a permanent hole
+   in every server's ref window (DESIGN.md §4b, item 14). *)
 
 (* Byzantine switches (lib/chaos).  One-way by design, like Client's. *)
 

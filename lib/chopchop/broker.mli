@@ -71,13 +71,15 @@ val recover : t -> unit
     Switches flipped by [lib/chaos] to exercise the trustless-broker
     claims of §4.4.  They mirror {!Client.misbehave_bad_share}: one-way,
     default honest.  Each attack is observable through "reject_*" /
-    "dup_ref" trace instants on the correct nodes that catch it. *)
+    "dup_ref" / "dup_submit" trace instants on the correct nodes that
+    catch it. *)
 
 val misbehave_equivocate : t -> unit
 (** Distill each proposal into {e two} valid all-straggler batches that
     claim the same (broker, number) slot, announcing one to even-numbered
-    servers and the other to odd-numbered ones.  Both can be witnessed —
-    the servers' (broker, number) deduplication at STOB delivery is what
+    servers and the other to odd-numbered ones, and submitting each to a
+    different relay server.  Both can be witnessed and ordered — the
+    servers' (broker, number) deduplication at STOB delivery is what
     keeps at most one on the totally ordered log. *)
 
 val misbehave_garble_reduction : t -> unit

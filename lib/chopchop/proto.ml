@@ -95,7 +95,7 @@ type checkpoint = {
   ck_messages : int;
   ck_last_msg : (Types.client_id * Types.sequence_number * Types.message) list;
   ck_dense_last : (int * int * int) list; (* first_id, agg seq, tag *)
-  ck_refs : (int * int * int) list; (* broker, number, position *)
+  ck_windows : (int * int * int list) list; (* broker, low, above *)
   ck_signups : int list; (* seen sign-up nonces *)
   ck_cards : Types.keycard list;
   (* explicit directory entries in rank order: a peer restoring this
@@ -107,7 +107,7 @@ type checkpoint = {
 }
 
 type server_to_server =
-  | Request_batch of { root : string; broker : int; number : int }
+  | Request_batch of { root : string }
   | Batch_response of { batch : Batch.t }
   | Gc_status of { delivered_counter : int }
   | Sync_request of { from_position : int }

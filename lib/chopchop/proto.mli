@@ -116,14 +116,21 @@ type wal_record =
 val wal_record_position : wal_record -> int
 
 (** A checkpoint at [ck_position] is a full dump of the server's
-    deduplication and collection state plus an opaque application
-    snapshot; WAL records at positions [>= ck_position] replay on top. *)
+    deduplication state plus an opaque application snapshot; WAL records
+    at positions [>= ck_position] replay on top.  Batch refs are carried
+    as each broker's ordered-ref window — its low-water mark and the
+    numbers ordered above it — not as a history of deliveries, so a
+    checkpoint costs O(brokers × window) however many batches it covers.
+    A window may already hold refs ordered but not yet delivered at
+    [ck_position]; a restorer gets their deliveries from the WAL records
+    that follow, as the peer delivered them (DESIGN.md §4b). *)
 type checkpoint = {
   ck_position : int;
   ck_messages : int; (* delivered messages *)
   ck_last_msg : (Types.client_id * Types.sequence_number * Types.message) list;
   ck_dense_last : (int * int * int) list; (* first_id, agg seq, tag *)
-  ck_refs : (int * int * int) list; (* delivered (broker, number, position) *)
+  ck_windows : (int * int * int list) list;
+  (* per broker, ascending: (broker, low-water mark, numbers above it) *)
   ck_signups : int list; (* seen sign-up nonces *)
   ck_cards : Types.keycard list;
   (* explicit directory entries in rank order: a joining server restoring
@@ -135,7 +142,7 @@ type checkpoint = {
 }
 
 type server_to_server =
-  | Request_batch of { root : string; broker : int; number : int } (* #14 *)
+  | Request_batch of { root : string } (* #14 *)
   | Batch_response of { batch : Batch.t }
   | Gc_status of { delivered_counter : int }
       (* periodic gossip replacing the pseudocode's per-batch

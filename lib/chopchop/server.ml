@@ -7,6 +7,7 @@ module Disk = Repro_store.Disk
 module Multisig = Repro_crypto.Multisig
 module Trace = Repro_trace.Trace
 module Rng = Repro_sim.Rng
+module Lwm = Repro_sim.Lwm
 
 type config = {
   self : int;
@@ -61,18 +62,23 @@ type t = {
      only grow between cold restarts, so {!gc_sweep} pops its victims off
      the front instead of scanning [batches]. *)
   gc_order : (int * string) Queue.t;
-  seen_refs : (int * int, unit) Hashtbl.t; (* (broker, number) de-dup of refs *)
-  submitted_refs : (int * int, unit) Hashtbl.t; (* refs we pushed into STOB *)
+  (* Per-broker ref windows, made on a broker's first ref (DESIGN.md §4b,
+     item 14): numbers of verified ordered refs (the §4.4 dedup, the same
+     at every replica) and of this server's own relays into the STOB. *)
+  ordered_refs : (int, Lwm.t) Hashtbl.t;
+  relayed_refs : (int, Lwm.t) Hashtbl.t;
   (* FIFO of ordered batch references whose batches may still be missing:
      delivery must follow STOB order exactly. *)
-  mutable order_queue : ordered list; (* reversed *)
-  mutable order_queue_front : ordered list;
+  order_queue : ordered Queue.t;
+  (* Refs the current catch-up applied (WAL replay, state transfer), and
+     per broker the highest number among them: {!finish_catch_up} drops
+     from the order queue every applied ref and every ref below that
+     number's window slide. *)
+  caught_up : (int * int, unit) Hashtbl.t;
+  caught_up_top : (int, int) Hashtbl.t;
   last_msg : (Types.client_id, Types.sequence_number * string) Hashtbl.t;
   (* dense ranges: first_id -> (last agg seq, last tag) *)
   dense_last : (int, int * int) Hashtbl.t;
-  (* (broker, number) -> delivery position, for every batch this server has
-     delivered and not forgotten: the replay/catch-up double-delivery guard. *)
-  delivered_refs : (int * int, int) Hashtbl.t;
   mutable delivery_counter : int;
   mutable delivered_messages : int;
   peer_counters : int array;
@@ -111,6 +117,22 @@ type t = {
   c_messages : Trace.Counter.t; (* messages delivered (all servers) *)
 }
 
+(* Span of a broker's ref window, in batch numbers (DESIGN.md §4b). *)
+let ref_window = 4096
+
+let window tbl broker =
+  match Hashtbl.find tbl broker with
+  | w -> w
+  | exception Not_found ->
+    let w = Lwm.create ~window:ref_window () in
+    Hashtbl.add tbl broker w;
+    w
+
+let marked tbl broker number =
+  match Hashtbl.find tbl broker with
+  | w -> Lwm.mem w number
+  | exception Not_found -> false
+
 let sync_backoff_base = 1.0
 let sync_backoff_cap = 8.0
 
@@ -129,10 +151,10 @@ let create ~engine ~cpu ~config ?store ?(checkpoint_every = 0)
     send_broker; send_server; stob_broadcast; deliver_app;
     store; checkpoint_every; stob_cursor; stob_resume;
     batches = Hashtbl.create 512; stored_bytes = 0; gc_order = Queue.create ();
-    seen_refs = Hashtbl.create 1024; submitted_refs = Hashtbl.create 1024;
-    order_queue = []; order_queue_front = [];
+    ordered_refs = Hashtbl.create 8; relayed_refs = Hashtbl.create 8;
+    order_queue = Queue.create (); caught_up = Hashtbl.create 8;
+    caught_up_top = Hashtbl.create 8;
     last_msg = Hashtbl.create 4096; dense_last = Hashtbl.create 64;
-    delivered_refs = Hashtbl.create 1024;
     delivery_counter = 0; delivered_messages = 0;
     peer_counters = Array.make config.n 0;
     fetching = Hashtbl.create 16; seen_signups = Hashtbl.create 64;
@@ -203,8 +225,16 @@ let set_app_hooks t ~snapshot ~restore =
   t.app_snapshot <- Some snapshot;
   t.app_restore <- Some restore
 
-let order_queue_depth t =
-  List.length t.order_queue_front + List.length t.order_queue
+let order_queue_depth t = Queue.length t.order_queue
+
+let ref_windows t =
+  List.sort compare
+    (Hashtbl.fold (fun b w acc -> (b, Lwm.low w, Lwm.above w) :: acc)
+       t.ordered_refs [])
+
+let ref_state_words t =
+  Obj.reachable_words
+    (Obj.repr (t.ordered_refs, t.relayed_refs, t.caught_up, t.caught_up_top))
 
 (* --- durable state (lib/store) ------------------------------------------ *)
 
@@ -230,10 +260,7 @@ let take_checkpoint t s =
         sorted
           (Hashtbl.fold (fun fid (seq, tag) acc -> (fid, seq, tag) :: acc)
              t.dense_last []);
-      ck_refs =
-        sorted
-          (Hashtbl.fold (fun (b, n) p acc -> (b, n, p) :: acc)
-             t.delivered_refs []);
+      ck_windows = ref_windows t;
       ck_signups =
         sorted (Hashtbl.fold (fun nonce () acc -> nonce :: acc) t.seen_signups []);
       ck_cards = Directory.explicit_cards t.dir;
@@ -459,7 +486,6 @@ let deliver_batch t ~broker ~number stored =
   let position = t.delivery_counter - 1 in
   stored.position <- Some position;
   Queue.push (position, root) t.gc_order;
-  Hashtbl.replace t.delivered_refs (broker, number) position;
   t.peer_counters.(t.cfg.self) <- t.delivery_counter;
   wal_log t
     (Proto.Wal_batch
@@ -487,31 +513,14 @@ let rec drain_order_queue t =
      transfer, and delivering out of turn would assign wrong positions. *)
   if t.delivering || t.syncing then ()
   else
-  let next =
-    match t.order_queue_front with
-    | x :: _ -> Some x
-    | [] ->
-      (match List.rev t.order_queue with
-       | [] -> None
-       | xs ->
-         t.order_queue_front <- xs;
-         t.order_queue <- [];
-         Some (List.hd xs))
-  in
-  match next with
+  match Queue.peek_opt t.order_queue with
   | None -> ()
   | Some ({ o_broker = broker; o_number = number; o_root = root; _ } as o) ->
-    if Hashtbl.mem t.delivered_refs (broker, number) then begin
-      (* Delivered before the crash, or via catch-up: skip. *)
-      t.order_queue_front <- List.tl t.order_queue_front;
-      drain_order_queue t
-    end
-    else
     (match Hashtbl.find_opt t.batches root with
      | Some stored when stored.position = None && not o.o_paired ->
        () (* its pairing job drains the queue when it completes *)
      | Some stored when stored.position = None ->
-       t.order_queue_front <- List.tl t.order_queue_front;
+       ignore (Queue.take t.order_queue);
        t.delivering <- true;
        let work = Batch.delivery_cpu_work stored.batch in
        let epoch = t.restarts in
@@ -523,7 +532,6 @@ let rec drain_order_queue t =
            if t.restarts = epoch then begin
              t.delivering <- false;
              if (not t.crashed) && (not t.syncing) && stored.position = None
-                && not (Hashtbl.mem t.delivered_refs (broker, number))
              then begin
                deliver_batch t ~broker ~number stored;
                if Trace.enabled s then
@@ -534,11 +542,13 @@ let rec drain_order_queue t =
            end)
      | Some _ ->
        (* Already delivered through an earlier reference: skip. *)
-       t.order_queue_front <- List.tl t.order_queue_front;
+       ignore (Queue.take t.order_queue);
        drain_order_queue t
-     | None -> fetch_batch t ~broker ~number ~root)
+     | None -> fetch_batch t ~number ~root)
 
-and fetch_batch ?(rounds = 0) t ~broker ~number ~root =
+(* The first target follows the batch number, so fetches for consecutive
+   batches spread over the peers; each retry round moves one peer on. *)
+and fetch_batch ?(rounds = 0) t ~number ~root =
   if rounds >= 3 && t.store <> None && not t.syncing then begin
     (* Every live peer has collected this body: their checkpoints moved
        past it while we trailed.  That is by design — the GC horizon
@@ -554,17 +564,17 @@ and fetch_batch ?(rounds = 0) t ~broker ~number ~root =
     Hashtbl.add t.fetching root ();
     let target =
       let n = t.cfg.n in
-      let c0 = (t.cfg.self + 1 + (number mod (max 1 (n - 1)))) mod n in
+      let c0 = (t.cfg.self + 1 + ((number + rounds) mod (max 1 (n - 1)))) mod n in
       Option.value ~default:c0
         (Membership.next_active t.membership ~from:c0 ~skip:(Some t.cfg.self))
     in
     t.send_server ~dst:target ~bytes:Wire.witness_request_bytes
-      (Request_batch { root; broker; number });
+      (Request_batch { root });
     (* Retry from another peer if the batch does not show up. *)
     Engine.schedule ~kind:t.k_timer t.engine ~delay:1.0 (fun () ->
         if (not t.crashed) && Hashtbl.mem t.fetching root then begin
           Hashtbl.remove t.fetching root;
-          fetch_batch ~rounds:(rounds + 1) t ~broker ~number:(number + 1) ~root
+          fetch_batch ~rounds:(rounds + 1) t ~number ~root
         end)
   end
 
@@ -619,8 +629,11 @@ let replay_record t (r : Proto.wal_record) =
     else begin
       apply_wal_ops t w_ops;
       t.delivery_counter <- t.delivery_counter + 1;
-      Hashtbl.replace t.delivered_refs (w_broker, w_number) w_position;
-      Hashtbl.replace t.seen_refs (w_broker, w_number) ();
+      ignore (Lwm.add (window t.ordered_refs w_broker) w_number);
+      Hashtbl.replace t.caught_up (w_broker, w_number) ();
+      (match Hashtbl.find_opt t.caught_up_top w_broker with
+       | Some top when top >= w_number -> ()
+       | Some _ | None -> Hashtbl.replace t.caught_up_top w_broker w_number);
       (match Hashtbl.find_opt t.batches w_root with
        | Some stored ->
          stored.position <- Some w_position;
@@ -632,7 +645,7 @@ let replay_record t (r : Proto.wal_record) =
 let restore_checkpoint t (ck : Proto.checkpoint) =
   Hashtbl.reset t.last_msg;
   Hashtbl.reset t.dense_last;
-  Hashtbl.reset t.delivered_refs;
+  Hashtbl.reset t.ordered_refs;
   Hashtbl.reset t.seen_signups;
   List.iter
     (fun (id, seq, m) -> Hashtbl.replace t.last_msg id (seq, m))
@@ -641,10 +654,18 @@ let restore_checkpoint t (ck : Proto.checkpoint) =
     (fun (fid, seq, tag) -> Hashtbl.replace t.dense_last fid (seq, tag))
     ck.Proto.ck_dense_last;
   List.iter
-    (fun (b, n, p) ->
-      Hashtbl.replace t.delivered_refs (b, n) p;
-      Hashtbl.replace t.seen_refs (b, n) ())
-    ck.Proto.ck_refs;
+    (fun (b, low, above) ->
+      Hashtbl.replace t.ordered_refs b
+        (Lwm.restore ~window:ref_window ~low ~above ()))
+    ck.Proto.ck_windows;
+  (* Live refs queued since the restart that the snapshot's windows cover
+     are the peer's to deliver (or were passed over); the rest keep marks. *)
+  Queue.iter
+    (fun o ->
+      if marked t.ordered_refs o.o_broker o.o_number then
+        Hashtbl.replace t.caught_up (o.o_broker, o.o_number) ()
+      else ignore (Lwm.add (window t.ordered_refs o.o_broker) o.o_number))
+    t.order_queue;
   List.iter (fun nonce -> Hashtbl.replace t.seen_signups nonce ()) ck.Proto.ck_signups;
   (* Rebuild the explicit directory from the checkpoint: a joining server
      restores a *peer's* snapshot, and its signup records live below the
@@ -698,8 +719,27 @@ let begin_catch_up t =
 
 let () = resync_hook := begin_catch_up
 
+(* Whether the peers delivered or dropped queued live ref [o], which this
+   server took from a window stale by the refs still in transfer.  The
+   peers ordered [o] either before an applied ref [r] of its broker, and so
+   delivered it before [r] (its own record applied), or after [r]: then,
+   if [o] lies below [r]'s window slide, as a duplicate. *)
+let passed_over t o =
+  Hashtbl.mem t.caught_up (o.o_broker, o.o_number)
+  || (match Hashtbl.find_opt t.caught_up_top o.o_broker with
+      | Some top -> o.o_number <= top - ref_window
+      | None -> false)
+
 let finish_catch_up t ~peer_stob_cursor =
   t.syncing <- false;
+  let live =
+    Queue.of_seq
+      (Seq.filter (fun o -> not (passed_over t o)) (Queue.to_seq t.order_queue))
+  in
+  Queue.clear t.order_queue;
+  Queue.transfer live t.order_queue;
+  Hashtbl.reset t.caught_up;
+  Hashtbl.reset t.caught_up_top;
   (* Everything the peers ordered below their cursor reached us as state
      transfer; fast-forward the underlay past the slots missed while down
      so live slots from here on deliver.  (Slots ordered after the peer's
@@ -726,13 +766,13 @@ let cold_restart t =
     Hashtbl.reset t.batches;
     t.stored_bytes <- 0;
     Queue.clear t.gc_order;
-    Hashtbl.reset t.seen_refs;
-    Hashtbl.reset t.submitted_refs;
-    t.order_queue <- [];
-    t.order_queue_front <- [];
+    Hashtbl.reset t.ordered_refs;
+    Hashtbl.reset t.relayed_refs;
+    Queue.clear t.order_queue;
+    Hashtbl.reset t.caught_up;
+    Hashtbl.reset t.caught_up_top;
     Hashtbl.reset t.last_msg;
     Hashtbl.reset t.dense_last;
-    Hashtbl.reset t.delivered_refs;
     t.delivery_counter <- 0;
     t.delivered_messages <- 0;
     Membership.reset t.membership;
@@ -790,7 +830,9 @@ let receive_broker t ~src_broker msg =
       (* #12: relay the batch reference into the server-run STOB, once.
          Fair admission first: each broker spends its own token budget, so
          a flooding broker defers itself rather than starving siblings
-         (the broker's submit_timeout rotation retries the reference). *)
+         (the broker's submit_timeout rotation retries the reference).  A
+         ref already ordered is only acknowledged: a second relay would
+         order a duplicate. *)
       if not (Token_bucket.admit t.fair_buckets ~now:(Engine.now t.engine) src_broker)
       then begin
         Hashtbl.replace t.fair_rejects src_broker
@@ -799,34 +841,49 @@ let receive_broker t ~src_broker msg =
           [ ("broker", Trace.A_int src_broker);
             ("number", Trace.A_int number) ]
       end
-      else if not (Hashtbl.mem t.submitted_refs (src_broker, number)) then begin
-        Hashtbl.add t.submitted_refs (src_broker, number) ();
-        Cpu.submit t.cpu ~work:(Cpu.serial Cost.bls_verify) (fun () ->
-            if not t.crashed then begin
-              Trace.Counter.incr t.c_verify;
-              let statement =
-                Certs.witness_statement ~root ~broker:src_broker ~number
-              in
-              if
-                Certs.verify ~statement ~server_ms_pk:t.server_ms_pk
-                  ~quorum:(quorum t) witness
-              then begin
-                t.stob_broadcast
-                  (Stob_item.Batch_ref { broker = src_broker; number; root; witness });
-                t.send_broker ~broker:src_broker ~bytes:(Wire.header_bytes + 32)
-                  (Submit_ack { root })
-              end
-              else
-                reject_instant t "reject_witness" ~id:(Trace.key root)
-                  [ ("broker", Trace.A_int src_broker);
-                    ("number", Trace.A_int number) ]
-            end)
+      else if marked t.ordered_refs src_broker number then begin
+        (* Its slot is taken (§4.4): a retry whose ack went missing, or an
+           equivocating broker's second batch.  Acknowledge, relay no
+           duplicate. *)
+        reject_instant t "dup_submit" ~id:(Trace.key root)
+          [ ("broker", Trace.A_int src_broker);
+            ("number", Trace.A_int number) ];
+        t.send_broker ~broker:src_broker ~bytes:(Wire.header_bytes + 32)
+          (Submit_ack { root })
+      end
+      else begin
+        let relayed = window t.relayed_refs src_broker in
+        (* Relays the order has since covered need no mark of their own. *)
+        (match Hashtbl.find t.ordered_refs src_broker with
+         | w -> Lwm.advance relayed (Lwm.low w)
+         | exception Not_found -> ());
+        if Lwm.add relayed number then
+          Cpu.submit t.cpu ~work:(Cpu.serial Cost.bls_verify) (fun () ->
+              if not t.crashed then begin
+                Trace.Counter.incr t.c_verify;
+                let statement =
+                  Certs.witness_statement ~root ~broker:src_broker ~number
+                in
+                if
+                  Certs.verify ~statement ~server_ms_pk:t.server_ms_pk
+                    ~quorum:(quorum t) witness
+                then begin
+                  t.stob_broadcast
+                    (Stob_item.Batch_ref { broker = src_broker; number; root; witness });
+                  t.send_broker ~broker:src_broker ~bytes:(Wire.header_bytes + 32)
+                    (Submit_ack { root })
+                end
+                else
+                  reject_instant t "reject_witness" ~id:(Trace.key root)
+                    [ ("broker", Trace.A_int src_broker);
+                      ("number", Trace.A_int number) ]
+              end)
       end
 
 let receive_server t ~src msg =
   if not t.crashed then
     match msg with
-    | Proto.Request_batch { root; broker = _; number = _ } ->
+    | Proto.Request_batch { root } ->
       (match Hashtbl.find_opt t.batches root with
        | Some stored ->
          t.send_server ~dst:src ~bytes:stored.bytes
@@ -953,7 +1010,7 @@ let on_stob_deliver t item =
         | _ -> ()
       end
     | Stob_item.Batch_ref { broker; number; root; witness } ->
-      if Hashtbl.mem t.seen_refs (broker, number) then
+      if marked t.ordered_refs broker number then
         (* A second batch reference for the same (broker, number) slot:
            either a redundant relay or an equivocating broker.  Exactly
            the first ordered reference wins (§4.4 — this deduplication is
@@ -961,13 +1018,15 @@ let on_stob_deliver t item =
         reject_instant t "dup_ref" ~id:(Trace.key root)
           [ ("broker", Trace.A_int broker); ("number", Trace.A_int number) ]
       else begin
-        Hashtbl.add t.seen_refs (broker, number) ();
         let statement = Certs.witness_statement ~root ~broker ~number in
         Trace.Counter.incr t.c_verify;
         if
           Certs.verify ~statement ~server_ms_pk:t.server_ms_pk
             ~quorum:(quorum t) witness
         then begin
+          (* Only a verified ref takes its slot: a forged witness must not
+             use up (or slide past) an honest broker's numbers. *)
+          ignore (Lwm.add (window t.ordered_refs broker) number);
           (let s = tr t in
            if Trace.enabled s then
              Trace.instant s ~now:(Engine.now t.engine) ~actor:t.cfg.self
@@ -977,7 +1036,7 @@ let on_stob_deliver t item =
             { o_broker = broker; o_number = number; o_root = root;
               o_paired = false }
           in
-          t.order_queue <- o :: t.order_queue;
+          Queue.add o t.order_queue;
           (* One serial pairing job per reference, charged now: consecutive
              references pair on different lanes instead of queueing behind
              each delivery (DESIGN.md §4c). *)

@@ -119,6 +119,21 @@ val order_queue_depth : t -> int
 (** Ordered batch references not yet delivered (missing batch, or CPU
     busy) — the STOB→delivery backlog. *)
 
+val ref_windows : t -> (int * int * int list) list
+(** Each broker's ordered-ref window as [(broker, low, above)], ascending
+    by broker: every number below [low] and each one in [above] names a
+    verified ref this server saw ordered (or passed over by the window's
+    slide).  It is a function of the total order, so every caught-up
+    replica holds the same list; checkpoints carry it. *)
+
+val ref_window : int
+(** Span of a window in batch numbers: a verified ref at [n >= low +
+    ref_window] slides the mark to [n - ref_window + 1] (DESIGN.md §4b). *)
+
+val ref_state_words : t -> int
+(** Heap words of all batch-ref dedup state (ordered and relayed windows,
+    catch-up set): O(brokers × {!ref_window}) whatever brokers send. *)
+
 val stored_batches : t -> int
 val stored_bytes : t -> int
 (** Memory pressure: §8 calls out garbage collection under load as a

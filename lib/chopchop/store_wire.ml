@@ -24,7 +24,9 @@ let checkpoint_bytes (ck : Proto.checkpoint) =
   Wire.header_bytes + (3 * 8) (* position, messages, counts *)
   + last_msg_bytes
   + (List.length ck.Proto.ck_dense_last * 3 * Wire.seqno_bytes)
-  + (List.length ck.Proto.ck_refs * 3 * 8)
+  + List.fold_left
+      (fun acc (_, _, above) -> acc + ((3 + List.length above) * 8))
+      0 ck.Proto.ck_windows (* broker, mark, count, numbers above *)
   + (List.length ck.Proto.ck_signups * 8)
   + (List.length ck.Proto.ck_cards * Wire.keycard_bytes)
   + (match ck.Proto.ck_app with Some s -> String.length s | None -> 0)

@@ -75,31 +75,17 @@ let sender_on_ack t seq =
     pump t
   | None -> ()
 
-module Seqs = Set.Make (Int)
-
 type 'a receiver = {
   deliver : 'a -> unit;
   send_ack : int -> unit;
-  mutable low : int; (* every sequence number below it was received *)
-  mutable above : Seqs.t; (* sequence numbers received above [low] *)
+  seen : Lwm.t; (* sequence numbers received *)
 }
 
-let receiver ~deliver ~send_ack = { deliver; send_ack; low = 0; above = Seqs.empty }
+let receiver ~deliver ~send_ack = { deliver; send_ack; seen = Lwm.create () }
 
 let receiver_on_data t = function
   | Ack _ -> ()
   | Data { seq; payload; bytes = _ } ->
     (* Always re-ACK: the previous ACK may have been the lost packet. *)
     t.send_ack seq;
-    if seq = t.low then begin
-      t.low <- seq + 1;
-      while Seqs.mem t.low t.above do
-        t.above <- Seqs.remove t.low t.above;
-        t.low <- t.low + 1
-      done;
-      t.deliver payload
-    end
-    else if seq > t.low && not (Seqs.mem seq t.above) then begin
-      t.above <- Seqs.add seq t.above;
-      t.deliver payload
-    end
+    if Lwm.add t.seen seq then t.deliver payload

@@ -11,9 +11,9 @@
       cancellable {!Engine.timer} per outstanding packet (0.4 s); the ACK
       cancels it, so a timeout that fires always retransmits (or gives up);
     - the {e receiver} acknowledges every data packet and suppresses
-      duplicate deliveries with a low-water mark (every sequence number
-      below it was received) plus the set of sequence numbers received
-      above it.  In-order traffic keeps that set empty, so the receiver's
+      duplicate deliveries with an unbounded {!Lwm}: a low-water mark
+      (every sequence number below it was received) plus the set of
+      sequence numbers received above it.  In-order traffic keeps that set empty, so the receiver's
       state does not grow with the packets it has seen.  A sequence
       number the sender gave up on leaves a permanent gap: the mark stops
       there and the set grows with everything received after it.

@@ -930,6 +930,53 @@ let prop_rudp_exactly_once =
       Engine.run p.e;
       List.sort compare !(p.delivered) = List.init n Fun.id)
 
+(* --- Lwm ------------------------------------------------------------------ *)
+
+let test_lwm_window () =
+  let w = Lwm.create ~window:8 () in
+  let state () = (Lwm.low w, Lwm.above w) in
+  let check_state msg expected =
+    Alcotest.(check (pair int (list int))) msg expected (state ())
+  in
+  checkb "first add" true (Lwm.add w 0);
+  checkb "second add of 0" false (Lwm.add w 0);
+  ignore (Lwm.add w 1);
+  ignore (Lwm.add w 5);
+  check_state "in order advances the mark" (2, [ 5 ]);
+  checkb "inside the window" true (Lwm.add w 9);
+  check_state "9 < low + 8 keeps the mark" (2, [ 5; 9 ]);
+  checkb "past the window" true (Lwm.add w 20);
+  check_state "slid to 20 - 8 + 1" (13, [ 20 ]);
+  checkb "below the mark is a member" true (Lwm.mem w 3);
+  checkb "below the mark adds nothing" false (Lwm.add w 3);
+  ignore (Lwm.add w 14);
+  ignore (Lwm.add w 13);
+  check_state "mark runs over members it touches" (15, [ 20 ]);
+  Lwm.advance w 10;
+  check_state "advance never lowers" (15, [ 20 ]);
+  Lwm.advance w 19;
+  check_state "advance to a gap stops there" (19, [ 20 ]);
+  Lwm.advance w 20;
+  check_state "advance onto a member runs past it" (21, []);
+  let r = Lwm.restore ~window:8 ~low:3 ~above:[ 1; 3; 4; 7 ] () in
+  Alcotest.(check (pair int (list int))) "restore normalises" (5, [ 7 ])
+    (Lwm.low r, Lwm.above r)
+
+let prop_lwm_is_a_set =
+  qtest "unbounded Lwm: add and mem agree with a plain set"
+    QCheck.(list (int_range 0 64))
+    (fun xs ->
+      let w = Lwm.create () in
+      let seen = Hashtbl.create 16 in
+      List.for_all
+        (fun x ->
+          let fresh = not (Hashtbl.mem seen x) in
+          Hashtbl.replace seen x ();
+          Lwm.add w x = fresh
+          && List.for_all (fun y -> Lwm.mem w y = Hashtbl.mem seen y)
+               (List.init 66 Fun.id))
+        xs)
+
 let test_rudp_packet_bytes () =
   checki "data framing" 28 (Rudp.packet_bytes (Rudp.Data { seq = 0; payload = (); bytes = 16 }));
   checki "ack framing" Rudp.ack_wire (Rudp.packet_bytes (Rudp.Ack { seq = 0 }))
@@ -1012,4 +1059,8 @@ let () =
          Alcotest.test_case "receiver state flat in packets seen" `Quick
            test_rudp_receiver_state_flat;
          prop_rudp_exactly_once;
-         Alcotest.test_case "packet framing" `Quick test_rudp_packet_bytes ]) ]
+         Alcotest.test_case "packet framing" `Quick test_rudp_packet_bytes ]);
+      ("lwm",
+       [ Alcotest.test_case "window slide, advance, restore" `Quick
+           test_lwm_window;
+         prop_lwm_is_a_set ]) ]

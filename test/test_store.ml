@@ -503,15 +503,311 @@ let test_gc_sweep_matches_full_scan () =
   check "gossip after restart";
   checki "replayed bodies collected" 10 r.collected
 
+(* --- ref windows: bounded dedup state ------------------------------------ *)
+
+(* One server of a 4-server committee whose STOB loops straight back into
+   it: every relayed ref is ordered 1 ms later, in relay order. *)
+type solo = {
+  s_engine : Engine.t;
+  s_sv : Server.t;
+  s_store : (Proto.checkpoint, Proto.wal_record) Store.t;
+  s_dir : Directory.t;
+  s_keys : (Multisig.secret_key * Multisig.public_key) array;
+  s_relays : int ref; (* refs the server pushed into its STOB *)
+  s_tags : int list ref; (* tags of the dense ranges delivered, newest first *)
+}
+
+let solo () =
+  let engine = Engine.create ~seed:11L () in
+  let store = Store.create ~disk:(Disk.create engine ()) () in
+  let clients = 1024 in
+  let dir = Directory.create ~dense_count:clients () in
+  let keys =
+    Array.init 4 (fun i ->
+        Multisig.keygen_deterministic ~seed:(Printf.sprintf "solo-server-%d" i))
+  in
+  let relays = ref 0 and tags = ref [] in
+  let self = ref None in
+  let sv =
+    Server.create ~engine ~cpu:(Repro_sim.Cpu.create engine ())
+      ~config:{ Server.self = 0; n = 4; clients; fair_rate = 0.; fair_burst = 0. }
+      ~store ~checkpoint_every:16 ~directory:dir
+      ~ms_sk:(fst keys.(0)) ~server_ms_pk:(fun i -> snd keys.(i))
+      ~send_broker:(fun ~broker:_ ~bytes:_ _ -> ())
+      ~send_server:(fun ~dst:_ ~bytes:_ _ -> ())
+      ~stob_broadcast:(fun item ->
+        incr relays;
+        Engine.schedule engine ~delay:0.001 (fun () ->
+            Option.iter (fun sv -> Server.on_stob_deliver sv item) !self))
+      ~deliver_app:(function
+        | Proto.Bulk { tag; _ } -> tags := tag :: !tags
+        | Proto.Ops _ -> ())
+      ()
+  in
+  self := Some sv;
+  { s_engine = engine; s_sv = sv; s_store = store; s_dir = dir; s_keys = keys;
+    s_relays = relays; s_tags = tags }
+
+let settle s = Engine.run ~until:(Engine.now s.s_engine +. 1.) s.s_engine
+
+(* Broker [broker]'s batch [number]: a 16-client dense range of its own,
+   fresh for every [number]. *)
+let solo_forge s ~broker ~number =
+  Batch.forge_dense s.s_dir ~broker ~number ~first_id:(16 * broker) ~count:16
+    ~msg_bytes:8 ~tag:(number + 1) ~straggler_count:0
+
+(* Announce it to the server; its root. *)
+let solo_batch s ~broker ~number =
+  let batch = solo_forge s ~broker ~number in
+  Server.receive_broker s.s_sv ~src_broker:broker
+    (Proto.Batch_announce { batch; witness_requested = false });
+  Batch.identity_root batch
+
+let solo_witness s ~root ~broker ~number =
+  let statement = Certs.witness_statement ~root ~broker ~number in
+  Certs.assemble
+    (List.map (fun i -> (i, Certs.sign_shard (fst s.s_keys.(i)) statement)) [ 1; 2 ])
+
+let forged_witness () =
+  Certs.assemble [ (1, Multisig.forge_garbage ()); (2, Multisig.forge_garbage ()) ]
+
+(* Order broker [broker]'s batch [number] under a valid witness. *)
+let solo_order s ~broker ~number =
+  let root = solo_batch s ~broker ~number in
+  Server.on_stob_deliver s.s_sv
+    (Stob_item.Batch_ref
+       { broker; number; root; witness = solo_witness s ~root ~broker ~number })
+
+let gossip s =
+  let c = Server.delivery_counter s.s_sv in
+  for src = 1 to 3 do
+    Server.receive_server s.s_sv ~src (Proto.Gc_status { delivered_counter = c })
+  done
+
+(* One broker whose number 3 is never ordered (a flight its crash left
+   behind): the mark slides past the hole once the window is spanned, so
+   neither the server's heap nor its checkpoints grow with the batches it
+   delivers. *)
+let test_ref_state_flat () =
+  let s = solo () in
+  let next = ref 0 in
+  let deliver_upto n =
+    while Server.delivery_counter s.s_sv < n do
+      for _ = 1 to 100 do
+        if !next = 3 then incr next;
+        solo_order s ~broker:0 ~number:!next;
+        incr next
+      done;
+      settle s;
+      gossip s;
+      s.s_tags := []
+    done;
+    checki "delivered" n (Server.delivery_counter s.s_sv);
+    checki "checkpoint at the last delivery" n (Store.checkpoint_position s.s_store);
+    checki "engine drained" 0 (Engine.pending s.s_engine);
+    (* Net of the engine: its calendar buckets each grow to the busiest
+       slot they have held, with simulated time rather than with server
+       state, and with nothing pending the engine reaches no server. *)
+    ( Obj.reachable_words (Obj.repr s.s_sv)
+      - Obj.reachable_words (Obj.repr s.s_engine),
+      Store.last_checkpoint_bytes s.s_store )
+  in
+  let words_10k, ck_10k = deliver_upto 10_000 in
+  let words_100k, ck_100k = deliver_upto 100_000 in
+  (match Server.ref_windows s.s_sv with
+   | [ (0, low, []) ] -> checki "mark past the hole" 100_001 low
+   | _ -> Alcotest.fail "expected one window, empty above its mark");
+  checki "checkpoint bytes: 100k deliveries cost what 10k do" ck_10k ck_100k;
+  checki "server words: 100k deliveries cost what 10k do" words_10k words_100k
+
+(* A fixed bound on the ref state, whatever a Byzantine broker sends: two
+   brokers' windows, each spanning fewer than [ref_window] numbers. *)
+let ref_state_bound = 2 * 8 * Server.ref_window
+
+(* Case (a): a broker's verified refs jump 0, 1, 2^20, 2^40; forged
+   ordered refs, near and far, change nothing; an honest broker alongside
+   delivers every batch. *)
+let test_byzantine_ref_jumps () =
+  let s = solo () in
+  let honest = ref 0 in
+  let order_honest () =
+    solo_order s ~broker:0 ~number:!honest;
+    incr honest
+  in
+  List.iter
+    (fun number ->
+      order_honest ();
+      solo_order s ~broker:1 ~number;
+      settle s)
+    [ 0; 1; 1 lsl 20; 1 lsl 40 ];
+  let w = Server.ref_window in
+  (match Server.ref_windows s.s_sv with
+   | [ (0, 4, []); (1, low, [ top ]) ] ->
+     checki "slid to n - W + 1" ((1 lsl 40) - w + 1) low;
+     checki "top ref kept" (1 lsl 40) top
+   | _ -> Alcotest.fail "unexpected windows after the jumps");
+  let windows = Server.ref_windows s.s_sv in
+  let delivered = Server.delivery_counter s.s_sv in
+  checki "every verified ref delivered" 8 delivered;
+  List.iter
+    (fun (broker, number) ->
+      let root = solo_batch s ~broker ~number in
+      Server.on_stob_deliver s.s_sv
+        (Stob_item.Batch_ref { broker; number; root; witness = forged_witness () });
+      settle s)
+    [ (0, !honest); (0, !honest + (4 * w)); (0, 1 lsl 50); (1, (1 lsl 40) + 1) ];
+  checkb "forged refs leave the windows alone" true
+    (windows = Server.ref_windows s.s_sv);
+  checki "forged refs deliver nothing" delivered (Server.delivery_counter s.s_sv);
+  for _ = 1 to 20 do order_honest () done;
+  settle s;
+  checki "the honest broker's next numbers still deliver" (delivered + 20)
+    (Server.delivery_counter s.s_sv);
+  checkb "ref state bounded" true (Server.ref_state_words s.s_sv < ref_state_bound)
+
+(* Case (b): a broker floods Submits with garbage witnesses at rising
+   numbers with gaps (so its relay mark cannot simply advance); none is
+   relayed, its relay window slides instead of growing, and an honest
+   broker's Submits in between all relay and deliver. *)
+let test_byzantine_submit_flood () =
+  let s = solo () in
+  let honest = ref 0 in
+  for k = 0 to 10 * Server.ref_window do
+    Server.receive_broker s.s_sv ~src_broker:1
+      (Proto.Submit
+         { root = Printf.sprintf "forged-%d" k; number = (3 * k) + 1;
+           witness = forged_witness () });
+    if k mod 400 = 0 then begin
+      let number = !honest in
+      let root = solo_batch s ~broker:0 ~number in
+      Server.receive_broker s.s_sv ~src_broker:0
+        (Proto.Submit { root; number; witness = solo_witness s ~root ~broker:0 ~number });
+      incr honest;
+      settle s
+    end
+  done;
+  (* Every forged witness still costs a pairing: drain the CPU backlog. *)
+  Engine.run s.s_engine;
+  checki "only the honest refs relayed" !honest !(s.s_relays);
+  checki "every honest batch delivered" !honest (Server.delivery_counter s.s_sv);
+  checkb "ref state bounded" true (Server.ref_state_words s.s_sv < ref_state_bound)
+
+(* Refs ordered live while a restarted server catches up, and applied by
+   the state transfer, leave the order queue when catch-up ends: each
+   batch is delivered once, and the first live ref behind them delivers
+   next. *)
+let test_catch_up_drops_applied_refs () =
+  let s = solo () in
+  for number = 0 to 3 do solo_order s ~broker:0 ~number done;
+  settle s;
+  Server.cold_restart s.s_sv;
+  settle s;
+  checkb "catching up" true (Server.catching_up s.s_sv);
+  checki "WAL replayed" 4 (Server.delivery_counter s.s_sv);
+  (* Live refs 4-6 arrive while the gap is filled, their bodies not yet
+     here. *)
+  let roots =
+    Array.init 7 (fun number -> Batch.identity_root (solo_forge s ~broker:0 ~number))
+  in
+  for number = 4 to 6 do
+    let root = roots.(number) in
+    Server.on_stob_deliver s.s_sv
+      (Stob_item.Batch_ref
+         { broker = 0; number; root;
+           witness = solo_witness s ~root ~broker:0 ~number })
+  done;
+  settle s;
+  checki "queued, not delivered" 3 (Server.order_queue_depth s.s_sv);
+  let records =
+    List.map
+      (fun number ->
+        Proto.Wal_batch
+          { w_position = number; w_broker = 0; w_number = number;
+            w_root = roots.(number); w_ops = Proto.Wal_ops [||] })
+      [ 4; 5 ]
+  in
+  Server.receive_server s.s_sv ~src:1
+    (Proto.Sync_response
+       { position = 6; stob_cursor = 0; backlog = 0; checkpoint = None; records });
+  checkb "caught up" false (Server.catching_up s.s_sv);
+  checki "applied refs dropped" 1 (Server.order_queue_depth s.s_sv);
+  s.s_tags := [];
+  (* The peers answer every fetch. *)
+  for number = 4 to 6 do
+    Server.receive_server s.s_sv ~src:1
+      (Proto.Batch_response { batch = solo_forge s ~broker:0 ~number });
+    settle s
+  done;
+  checki "delivered once each" 7 (Server.delivery_counter s.s_sv);
+  checkb "only the live ref delivered" true (!(s.s_tags) = [ 7 ]);
+  checkb "window covers 0-6" true (Server.ref_windows s.s_sv = [ (0, 7, []) ])
+
+(* The peers ordered ref [4 + W] before live ref 4 — this server had
+   ordered it too but crashed before delivering it, so its WAL lacks it —
+   and so their window had slid past 4 and they dropped 4 as a duplicate.
+   This server, its window stale, queues 4 during catch-up; the
+   transferred record of [4 + W] must make it drop 4 as well. *)
+let test_catch_up_drops_slid_refs () =
+  let s = solo () in
+  for number = 0 to 3 do solo_order s ~broker:0 ~number done;
+  settle s;
+  Server.cold_restart s.s_sv;
+  settle s;
+  s.s_tags := [];
+  solo_order s ~broker:0 ~number:4;
+  settle s;
+  checki "queued, not delivered" 1 (Server.order_queue_depth s.s_sv);
+  let far = 4 + Server.ref_window in
+  let far_root = Batch.identity_root (solo_forge s ~broker:0 ~number:far) in
+  Server.receive_server s.s_sv ~src:1
+    (Proto.Sync_response
+       { position = 5; stob_cursor = 0; backlog = 0; checkpoint = None;
+         records =
+           [ Proto.Wal_batch
+               { w_position = 4; w_broker = 0; w_number = far; w_root = far_root;
+                 w_ops = Proto.Wal_ops [||] } ] });
+  settle s;
+  checkb "caught up" false (Server.catching_up s.s_sv);
+  checki "slid-past ref dropped" 0 (Server.order_queue_depth s.s_sv);
+  checki "delivered only the transfer" 5 (Server.delivery_counter s.s_sv);
+  checkb "ref 4 never delivered" true (!(s.s_tags) = []);
+  checkb "window as at the peers" true
+    (Server.ref_windows s.s_sv = [ (0, 5, [ far ]) ])
+
+(* Two verified refs claim one (broker, number) slot — an equivocating
+   broker's two batches, both witnessed: the first ordered is delivered,
+   the second is dropped and never delivered. *)
+let test_second_ref_for_a_slot_dropped () =
+  let s = solo () in
+  solo_order s ~broker:0 ~number:0;
+  let other =
+    Batch.forge_dense s.s_dir ~broker:0 ~number:0 ~first_id:512 ~count:16
+      ~msg_bytes:8 ~tag:99 ~straggler_count:0
+  in
+  Server.receive_broker s.s_sv ~src_broker:0
+    (Proto.Batch_announce { batch = other; witness_requested = false });
+  let root = Batch.identity_root other in
+  Server.on_stob_deliver s.s_sv
+    (Stob_item.Batch_ref
+       { broker = 0; number = 0; root;
+         witness = solo_witness s ~root ~broker:0 ~number:0 });
+  settle s;
+  checki "one delivery" 1 (Server.delivery_counter s.s_sv);
+  checkb "only the first batch" true (!(s.s_tags) = [ 1 ]);
+  checki "nothing left queued" 0 (Server.order_queue_depth s.s_sv)
+
 (* --- chaos integration ---------------------------------------------------- *)
 
-let test_chaos_crash_cold_restart () =
-  match Chaos.find "crash-cold-restart" with
-  | None -> Alcotest.fail "scenario crash-cold-restart not registered"
+(* A cold-restart scenario's verdict includes its post-run checks: the
+   restarted replica's app digest and per-broker ref windows equal a
+   never-crashed peer's. *)
+let test_chaos_restart name () =
+  match Chaos.find name with
+  | None -> Alcotest.failf "scenario %s not registered" name
   | Some s ->
     let v = s.Chaos.sc_run ~seed:7L ~scale:Chaos.Quick () in
     if not v.Chaos.v_pass then
-      Alcotest.failf "crash-cold-restart failed: %s"
+      Alcotest.failf "%s failed: %s" name
         (String.concat "; " v.Chaos.v_violations);
     checki "all broadcasts completed" v.Chaos.v_expected v.Chaos.v_completed
 
@@ -544,6 +840,21 @@ let () =
            test_gc_still_blocked_without_checkpoints;
          Alcotest.test_case "sweep matches the full-table scan" `Quick
            test_gc_sweep_matches_full_scan ]);
+      ("windows",
+       [ Alcotest.test_case "server state flat past a permanent hole" `Quick
+           test_ref_state_flat;
+         Alcotest.test_case "byzantine ref jumps and forged witnesses" `Quick
+           test_byzantine_ref_jumps;
+         Alcotest.test_case "byzantine garbage-witness submit flood" `Quick
+           test_byzantine_submit_flood;
+         Alcotest.test_case "catch-up drops the refs it applied" `Quick
+           test_catch_up_drops_applied_refs;
+         Alcotest.test_case "catch-up drops refs a slide passed" `Quick
+           test_catch_up_drops_slid_refs;
+         Alcotest.test_case "second ref for a slot dropped" `Quick
+           test_second_ref_for_a_slot_dropped ]);
       ("chaos",
        [ Alcotest.test_case "crash-cold-restart scenario passes" `Quick
-           test_chaos_crash_cold_restart ]) ]
+           (test_chaos_restart "crash-cold-restart");
+         Alcotest.test_case "lagging-restart scenario passes" `Quick
+           (test_chaos_restart "lagging-restart") ]) ]
