@@ -523,8 +523,7 @@ let recover_server t i =
 let restart_server t i =
   (* Cold restart: reconnect and resume the STOB underlay, then rebuild the
      chopchop layer from its durable state (WAL replay + peer state
-     transfer).  Requires [store_enabled]; degrades to {!recover_server}
-     otherwise. *)
+     transfer).  Requires [store_enabled]. *)
   Net.reconnect t.net i;
   Stob.recover t.stobs.(i);
   Server.cold_restart t.servers.(i)

@@ -120,8 +120,8 @@ val restart_server : t -> int -> unit
 (** {e Cold} restart from durable state: the server's in-memory state is
     wiped, its checkpoint + WAL replay from the simulated disk, and the
     missed suffix is state-transferred from live peers until the server
-    is caught up and live again.  Requires [store_enabled]; with the
-    store off this degrades to {!recover_server}. *)
+    is caught up and live again.
+    @raise Invalid_argument unless [store_enabled]. *)
 
 (** {2 Dynamic membership}
 

@@ -21,12 +21,14 @@ type config = {
 (* [n] is the machine *capacity* (active servers plus spare slots); the
    active subset and the quorum thresholds live in {!Membership}. *)
 
-(* An ordered batch reference awaiting delivery; [o_paired] once the CPU
+(* An ordered batch reference awaiting delivery; [o_tag] is the underlay's
+   cursor when it came up (just past its slot), [o_paired] set once the CPU
    job charged for its witness-certificate pairing has run. *)
 type ordered = {
   o_broker : int;
   o_number : int;
   o_root : string;
+  o_tag : int;
   mutable o_paired : bool;
 }
 
@@ -70,12 +72,9 @@ type t = {
   (* FIFO of ordered batch references whose batches may still be missing:
      delivery must follow STOB order exactly. *)
   order_queue : ordered Queue.t;
-  (* Refs the current catch-up applied (WAL replay, state transfer), and
-     per broker the highest number among them: {!finish_catch_up} drops
-     from the order queue every applied ref and every ref below that
-     number's window slide. *)
-  caught_up : (int * int, unit) Hashtbl.t;
-  caught_up_top : (int, int) Hashtbl.t;
+  (* Verified refs ordered while catching up, in STOB order: the windows
+     are stale until the transfer ends, so {!finish_catch_up} judges them. *)
+  held : ordered Queue.t;
   last_msg : (Types.client_id, Types.sequence_number * string) Hashtbl.t;
   (* dense ranges: first_id -> (last agg seq, last tag) *)
   dense_last : (int, int * int) Hashtbl.t;
@@ -93,6 +92,9 @@ type t = {
   mutable sync_backoff : float; (* current retry delay, doubles to a cap *)
   sync_rng : Rng.t; (* private jitter stream for retry delays *)
   mutable sync_rounds : int;
+  (* The underlay's cursor at the last cold restart: refs below it not yet
+     delivered died with the wiped state, so catch-up needs a peer past it. *)
+  mutable sync_floor : int;
   mutable catch_up_records : int;
   mutable catch_up_ck : bool; (* last catch-up installed a peer checkpoint *)
   mutable restarts : int; (* also the epoch guard for in-flight callbacks *)
@@ -152,8 +154,7 @@ let create ~engine ~cpu ~config ?store ?(checkpoint_every = 0)
     store; checkpoint_every; stob_cursor; stob_resume;
     batches = Hashtbl.create 512; stored_bytes = 0; gc_order = Queue.create ();
     ordered_refs = Hashtbl.create 8; relayed_refs = Hashtbl.create 8;
-    order_queue = Queue.create (); caught_up = Hashtbl.create 8;
-    caught_up_top = Hashtbl.create 8;
+    order_queue = Queue.create (); held = Queue.create ();
     last_msg = Hashtbl.create 4096; dense_last = Hashtbl.create 64;
     delivery_counter = 0; delivered_messages = 0;
     peer_counters = Array.make config.n 0;
@@ -165,7 +166,7 @@ let create ~engine ~cpu ~config ?store ?(checkpoint_every = 0)
       Rng.create
         (Int64.logxor 0xBB67AE8584CAA73BL
            (Int64.mul (Int64.of_int (config.self + 1)) 0x9E3779B97F4A7C15L));
-    sync_rounds = 0;
+    sync_rounds = 0; sync_floor = 0;
     catch_up_records = 0; catch_up_ck = false;
     restarts = 0; collected_batches = 0;
     app_snapshot = None; app_restore = None;
@@ -225,7 +226,7 @@ let set_app_hooks t ~snapshot ~restore =
   t.app_snapshot <- Some snapshot;
   t.app_restore <- Some restore
 
-let order_queue_depth t = Queue.length t.order_queue
+let order_queue_depth t = Queue.length t.order_queue + Queue.length t.held
 
 let ref_windows t =
   List.sort compare
@@ -234,7 +235,7 @@ let ref_windows t =
 
 let ref_state_words t =
   Obj.reachable_words
-    (Obj.repr (t.ordered_refs, t.relayed_refs, t.caught_up, t.caught_up_top))
+    (Obj.repr (t.ordered_refs, t.relayed_refs))
 
 (* --- durable state (lib/store) ------------------------------------------ *)
 
@@ -417,6 +418,11 @@ let rec witness_batch ?(attempt = 0) t batch =
 
 (* --- delivery (#13–#16) -------------------------------------------------- *)
 
+(* [deliver_explicit] and [deliver_dense] only decide a batch's outcome: its
+   WAL op (the fresh messages) and its exceptions (the replays), against
+   [last_msg] / [dense_last] as they stand; {!apply_batch} applies it.
+   Deciding every entry first is safe: explicit ids are strictly
+   ascending, so no entry of a batch sees another's update. *)
 let deliver_explicit t (batch : Batch.t) entries =
   let exceptions = ref [] in
   let delivered = ref [] in
@@ -431,20 +437,13 @@ let deliver_explicit t (batch : Batch.t) entries =
         | None -> true
         | Some (last_seq, last_m) -> seq > last_seq && e.e_msg <> last_m
       in
-      if fresh then begin
-        Hashtbl.replace t.last_msg id (seq, e.e_msg);
-        delivered := (id, seq, e.e_msg) :: !delivered
-      end
+      if fresh then delivered := (id, seq, e.e_msg) :: !delivered
       else begin
         let last_seq = match last with Some (s, _) -> s | None -> -1 in
         exceptions := (id, last_seq) :: !exceptions
       end)
     entries;
-  let logged = Array.of_list (List.rev !delivered) in
-  let ops = Array.map (fun (id, _, m) -> (id, m)) logged in
-  if Array.length ops > 0 then t.deliver_app (Proto.Ops ops);
-  t.delivered_messages <- t.delivered_messages + Array.length ops;
-  (List.rev !exceptions, Proto.Wal_ops logged)
+  (List.rev !exceptions, Proto.Wal_ops (Array.of_list (List.rev !delivered)))
 
 let deliver_dense t (batch : Batch.t) (d : Batch.dense) =
   (* The whole range shares one (sequence number, tag): the usual per-client
@@ -455,21 +454,44 @@ let deliver_dense t (batch : Batch.t) (d : Batch.dense) =
     | None -> true
     | Some (last_seq, last_tag) -> batch.agg_seq > last_seq && d.tag <> last_tag
   in
-  if fresh then begin
-    Hashtbl.replace t.dense_last d.first_id (batch.agg_seq, d.tag);
-    t.deliver_app
-      (Proto.Bulk { first_id = d.first_id; count = d.count; tag = d.tag;
-                    msg_bytes = d.msg_bytes });
-    t.delivered_messages <- t.delivered_messages + d.count;
+  if fresh then
     ([],
      Proto.Wal_bulk
        { first_id = d.first_id; count = d.count; tag = d.tag;
          msg_bytes = d.msg_bytes; agg_seq = batch.agg_seq })
-  end
   else
     (* Whole-range replay: summarised as a single exception entry. *)
     ( [ (d.first_id, match last with Some (s, _) -> s | None -> -1) ],
       Proto.Wal_ops [||] )
+
+let apply_wal_ops t (op : Proto.wal_op) =
+  match op with
+  | Proto.Wal_ops entries ->
+    Array.iter
+      (fun (id, seq, m) -> Hashtbl.replace t.last_msg id (seq, m))
+      entries;
+    if Array.length entries > 0 then
+      t.deliver_app (Proto.Ops (Array.map (fun (id, _, m) -> (id, m)) entries));
+    t.delivered_messages <- t.delivered_messages + Array.length entries
+  | Proto.Wal_bulk { first_id; count; tag; msg_bytes; agg_seq } ->
+    Hashtbl.replace t.dense_last first_id (agg_seq, tag);
+    t.deliver_app (Proto.Bulk { first_id; count; tag; msg_bytes });
+    t.delivered_messages <- t.delivered_messages + count
+
+(* Apply batch [root]'s outcome at the next delivery position, which it
+   returns: the one step live delivery, WAL replay and state transfer
+   share.  It drives the application and the client dedup tables, and
+   positions the batch's body, if stored here, for {!gc_sweep}. *)
+let apply_batch t ~root ops =
+  apply_wal_ops t ops;
+  let position = t.delivery_counter in
+  t.delivery_counter <- position + 1;
+  (match Hashtbl.find t.batches root with
+   | stored ->
+     stored.position <- Some position;
+     Queue.push (position, root) t.gc_order
+   | exception Not_found -> ());
+  position
 
 let deliver_batch t ~broker ~number stored =
   let batch = stored.batch in
@@ -480,12 +502,9 @@ let deliver_batch t ~broker ~number stored =
     | Batch.Explicit entries -> deliver_explicit t batch entries
     | Batch.Dense d -> deliver_dense t batch d
   in
+  let position = apply_batch t ~root wal_ops in
   Trace.Counter.incr t.c_deliveries;
   Trace.Counter.add t.c_messages (t.delivered_messages - before_msgs);
-  t.delivery_counter <- t.delivery_counter + 1;
-  let position = t.delivery_counter - 1 in
-  stored.position <- Some position;
-  Queue.push (position, root) t.gc_order;
   t.peer_counters.(t.cfg.self) <- t.delivery_counter;
   wal_log t
     (Proto.Wal_batch
@@ -502,15 +521,62 @@ let deliver_batch t ~broker ~number stored =
     ~bytes:(Wire.completion_shard_bytes ~exceptions:(List.length exceptions))
     (Completion_shard { root; counter; exceptions; share })
 
-(* Forward reference to {!begin_catch_up} (defined with the state-transfer
-   machinery below): the fetch path escalates to a full re-sync when every
-   peer has garbage-collected a batch body it still needs. *)
-let resync_hook : (t -> unit) ref = ref (fun _ -> ())
+let dup_ref t o =
+  reject_instant t "dup_ref" ~id:(Trace.key o.o_root)
+    [ ("broker", Trace.A_int o.o_broker); ("number", Trace.A_int o.o_number) ]
+
+(* The §4.4 dedup: the first verified ref in STOB order for a (broker,
+   number) slot takes it and queues for delivery; a later one — a
+   redundant relay or an equivocating broker's second batch — is dropped.
+   This deduplication is what makes broker equivocation harmless. *)
+let order_ref t o =
+  if Lwm.add (window t.ordered_refs o.o_broker) o.o_number then begin
+    (let s = tr t in
+     if Trace.enabled s then
+       Trace.instant s ~now:(Engine.now t.engine) ~actor:t.cfg.self
+         ~cat:"server" ~name:"ordered" ~id:(Trace.key o.o_root)
+         ~attrs:[ ("number", Trace.A_int o.o_number) ]);
+    Queue.add o t.order_queue
+  end
+  else dup_ref t o
+
+let rec send_sync_request t =
+  let dst =
+    (* Rotate over active peers. *)
+    Option.value ~default:t.sync_peer
+      (Membership.next_active t.membership ~from:t.sync_peer ~skip:(Some t.cfg.self))
+  in
+  t.sync_peer <- (dst + 1) mod t.cfg.n;
+  t.send_server ~dst ~bytes:Wire.sync_request_bytes
+    (Sync_request { from_position = t.delivery_counter });
+  (* Seeded exponential backoff with a cap, so a restarter cut off from
+     its peers (mid-partition join) does not hammer the network at a
+     fixed period while it waits for the heal. *)
+  let delay = t.sync_backoff *. (0.75 +. Rng.float t.sync_rng 0.5) in
+  t.sync_backoff <- Float.min sync_backoff_cap (t.sync_backoff *. 2.0);
+  let epoch = t.restarts in
+  t.sync_timer <-
+    Some
+      (Engine.timer ~kind:t.k_timer t.engine ~delay (fun () ->
+           (* Peer crashed or partitioned: rotate to the next one. *)
+           if t.syncing && (not t.crashed) && t.restarts = epoch then begin
+             note_instant t "sync_retry"
+               [ ("peer", Trace.A_int dst);
+                 ("delay", Trace.A_float delay);
+                 ("position", Trace.A_int t.delivery_counter) ];
+             send_sync_request t
+           end))
+
+let begin_catch_up t =
+  t.syncing <- true;
+  t.sync_peer <- (t.cfg.self + 1) mod t.cfg.n;
+  t.sync_backoff <- sync_backoff_base;
+  send_sync_request t
 
 let rec drain_order_queue t =
-  (* While catching up after a cold restart, live ordered references queue
-     but must not deliver: the gap below them is being filled by state
-     transfer, and delivering out of turn would assign wrong positions. *)
+  (* While catching up the queue must not deliver: the gap below it is
+     being filled by state transfer, and delivering out of turn would
+     assign wrong positions. *)
   if t.delivering || t.syncing then ()
   else
   match Queue.peek_opt t.order_queue with
@@ -554,11 +620,11 @@ and fetch_batch ?(rounds = 0) t ~number ~root =
        past it while we trailed.  That is by design — the GC horizon
        assumes a laggard recovers the batch's *effects* through state
        transfer, not the batch itself — so stop fetching and re-enter
-       catch-up (forward reference: catch-up drains this queue). *)
+       catch-up, which drains this queue when it ends. *)
     note_instant t "refetch_resync"
       [ ("root", Trace.A_int (Trace.key root));
         ("position", Trace.A_int t.delivery_counter) ];
-    !resync_hook t
+    begin_catch_up t
   end
   else if not (Hashtbl.mem t.fetching root) then begin
     Hashtbl.add t.fetching root ();
@@ -579,23 +645,6 @@ and fetch_batch ?(rounds = 0) t ~number ~root =
   end
 
 (* --- cold restart: WAL replay and peer state transfer -------------------- *)
-
-let apply_wal_ops t (op : Proto.wal_op) =
-  (* Replay re-drives the application and the dedup tables, but does not
-     resend completion shards (the brokers got them the first time) and
-     does not touch the global trace delivery counters. *)
-  match op with
-  | Proto.Wal_ops entries ->
-    Array.iter
-      (fun (id, seq, m) -> Hashtbl.replace t.last_msg id (seq, m))
-      entries;
-    if Array.length entries > 0 then
-      t.deliver_app (Proto.Ops (Array.map (fun (id, _, m) -> (id, m)) entries));
-    t.delivered_messages <- t.delivered_messages + Array.length entries
-  | Proto.Wal_bulk { first_id; count; tag; msg_bytes; agg_seq } ->
-    Hashtbl.replace t.dense_last first_id (agg_seq, tag);
-    t.deliver_app (Proto.Bulk { first_id; count; tag; msg_bytes });
-    t.delivered_messages <- t.delivered_messages + count
 
 let replay_record t (r : Proto.wal_record) =
   match r with
@@ -624,21 +673,13 @@ let replay_record t (r : Proto.wal_record) =
   | Proto.Wal_batch { w_position; w_broker; w_number; w_root; w_ops } ->
     (* Contiguity: a record applies exactly at its position.  Records below
        the counter are duplicates (already covered by the checkpoint or an
-       earlier response); records above would leave a gap. *)
+       earlier response); records above would leave a gap.  A replayed
+       batch resends no completion shard (the brokers got them the first
+       time) and leaves the global trace delivery counters alone. *)
     if w_position <> t.delivery_counter then false
     else begin
-      apply_wal_ops t w_ops;
-      t.delivery_counter <- t.delivery_counter + 1;
+      ignore (apply_batch t ~root:w_root w_ops);
       ignore (Lwm.add (window t.ordered_refs w_broker) w_number);
-      Hashtbl.replace t.caught_up (w_broker, w_number) ();
-      (match Hashtbl.find_opt t.caught_up_top w_broker with
-       | Some top when top >= w_number -> ()
-       | Some _ | None -> Hashtbl.replace t.caught_up_top w_broker w_number);
-      (match Hashtbl.find_opt t.batches w_root with
-       | Some stored ->
-         stored.position <- Some w_position;
-         Queue.push (w_position, w_root) t.gc_order
-       | None -> ());
       true
     end
 
@@ -658,14 +699,6 @@ let restore_checkpoint t (ck : Proto.checkpoint) =
       Hashtbl.replace t.ordered_refs b
         (Lwm.restore ~window:ref_window ~low ~above ()))
     ck.Proto.ck_windows;
-  (* Live refs queued since the restart that the snapshot's windows cover
-     are the peer's to deliver (or were passed over); the rest keep marks. *)
-  Queue.iter
-    (fun o ->
-      if marked t.ordered_refs o.o_broker o.o_number then
-        Hashtbl.replace t.caught_up (o.o_broker, o.o_number) ()
-      else ignore (Lwm.add (window t.ordered_refs o.o_broker) o.o_number))
-    t.order_queue;
   List.iter (fun nonce -> Hashtbl.replace t.seen_signups nonce ()) ck.Proto.ck_signups;
   (* Rebuild the explicit directory from the checkpoint: a joining server
      restores a *peer's* snapshot, and its signup records live below the
@@ -684,62 +717,27 @@ let restore_checkpoint t (ck : Proto.checkpoint) =
   | Some restore -> restore ck.Proto.ck_app
   | None -> ()
 
-let rec send_sync_request t =
-  let dst =
-    (* Rotate over active peers. *)
-    Option.value ~default:t.sync_peer
-      (Membership.next_active t.membership ~from:t.sync_peer ~skip:(Some t.cfg.self))
-  in
-  t.sync_peer <- (dst + 1) mod t.cfg.n;
-  t.send_server ~dst ~bytes:Wire.sync_request_bytes
-    (Sync_request { from_position = t.delivery_counter });
-  (* Seeded exponential backoff with a cap, so a restarter cut off from
-     its peers (mid-partition join) does not hammer the network at a
-     fixed period while it waits for the heal. *)
-  let delay = t.sync_backoff *. (0.75 +. Rng.float t.sync_rng 0.5) in
-  t.sync_backoff <- Float.min sync_backoff_cap (t.sync_backoff *. 2.0);
-  let epoch = t.restarts in
-  t.sync_timer <-
-    Some
-      (Engine.timer ~kind:t.k_timer t.engine ~delay (fun () ->
-           (* Peer crashed or partitioned: rotate to the next one. *)
-           if t.syncing && (not t.crashed) && t.restarts = epoch then begin
-             note_instant t "sync_retry"
-               [ ("peer", Trace.A_int dst);
-                 ("delay", Trace.A_float delay);
-                 ("position", Trace.A_int t.delivery_counter) ];
-             send_sync_request t
-           end))
-
-let begin_catch_up t =
-  t.syncing <- true;
-  t.sync_peer <- (t.cfg.self + 1) mod t.cfg.n;
-  t.sync_backoff <- sync_backoff_base;
-  send_sync_request t
-
-let () = resync_hook := begin_catch_up
-
-(* Whether the peers delivered or dropped queued live ref [o], which this
-   server took from a window stale by the refs still in transfer.  The
-   peers ordered [o] either before an applied ref [r] of its broker, and so
-   delivered it before [r] (its own record applied), or after [r]: then,
-   if [o] lies below [r]'s window slide, as a duplicate. *)
-let passed_over t o =
-  Hashtbl.mem t.caught_up (o.o_broker, o.o_number)
-  || (match Hashtbl.find_opt t.caught_up_top o.o_broker with
-      | Some top -> o.o_number <= top - ref_window
-      | None -> false)
-
+(* The one catch-up rule.  The peer answered with an empty backlog, so it
+   had delivered or dropped every ref of the slots below its cursor: a ref
+   tagged at or below that cursor is covered by the transfer and dropped.
+   The rest come after the transferred state in STOB order.  A ref queued
+   before catch-up (a refetch re-sync) passed the dedup then, and gets its
+   mark back (a restored peer checkpoint may lack it); a held ref meets the
+   dedup now, as the peers' did at its slot. *)
 let finish_catch_up t ~peer_stob_cursor =
   t.syncing <- false;
-  let live =
-    Queue.of_seq
-      (Seq.filter (fun o -> not (passed_over t o)) (Queue.to_seq t.order_queue))
-  in
-  Queue.clear t.order_queue;
-  Queue.transfer live t.order_queue;
-  Hashtbl.reset t.caught_up;
-  Hashtbl.reset t.caught_up_top;
+  let covered o = o.o_tag <= peer_stob_cursor in
+  let queued = Queue.create () in
+  Queue.transfer t.order_queue queued;
+  Queue.iter
+    (fun o ->
+      if not (covered o) then begin
+        ignore (Lwm.add (window t.ordered_refs o.o_broker) o.o_number);
+        Queue.add o t.order_queue
+      end)
+    queued;
+  Queue.iter (fun o -> if not (covered o) then order_ref t o) t.held;
+  Queue.clear t.held;
   (* Everything the peers ordered below their cursor reached us as state
      transfer; fast-forward the underlay past the slots missed while down
      so live slots from here on deliver.  (Slots ordered after the peer's
@@ -753,14 +751,13 @@ let finish_catch_up t ~peer_stob_cursor =
 
 let cold_restart t =
   match t.store with
-  | None ->
-    (* No durable state: fall back to warm recovery (prefix-correct only). *)
-    t.crashed <- false
+  | None -> invalid_arg "Server.cold_restart: no durable store attached"
   | Some s ->
     t.crashed <- false;
     t.restarts <- t.restarts + 1;
     t.syncing <- true; (* gate delivery for the whole recovery window *)
     t.sync_rounds <- 0;
+    t.sync_floor <- t.stob_cursor ();
     t.catch_up_ck <- false;
     (* Wipe every in-memory structure: only the disk state survives. *)
     Hashtbl.reset t.batches;
@@ -769,8 +766,7 @@ let cold_restart t =
     Hashtbl.reset t.ordered_refs;
     Hashtbl.reset t.relayed_refs;
     Queue.clear t.order_queue;
-    Hashtbl.reset t.caught_up;
-    Hashtbl.reset t.caught_up_top;
+    Queue.clear t.held;
     Hashtbl.reset t.last_msg;
     Hashtbl.reset t.dense_last;
     t.delivery_counter <- 0;
@@ -915,7 +911,10 @@ let receive_server t ~src msg =
            | None -> from_position
          in
          let records = Store.records_from s ~position:base in
-         let backlog = order_queue_depth t + (if t.delivering then 1 else 0) in
+         (* A server catching up may lack refs its underlay has passed. *)
+         let backlog =
+           order_queue_depth t + (if t.delivering || t.syncing then 1 else 0)
+         in
          let bytes = Store_wire.sync_response_bytes ~checkpoint ~records in
          let resp =
            Proto.Sync_response
@@ -953,11 +952,13 @@ let receive_server t ~src msg =
             end)
           records;
         t.peer_counters.(t.cfg.self) <- t.delivery_counter;
-        if t.delivery_counter >= position && backlog = 0 then
-          finish_catch_up t ~peer_stob_cursor:stob_cursor
+        if t.delivery_counter >= position && backlog = 0
+           && stob_cursor >= t.sync_floor
+        then finish_catch_up t ~peer_stob_cursor:stob_cursor
         else begin
-          (* The peer is still ahead (or had deliveries in flight): let it
-             advance a little and ask again. *)
+          (* The peer is still ahead, had deliveries in flight, or has not
+             yet reached our restart's slots: let it advance a little and
+             ask again. *)
           let epoch = t.restarts in
           Engine.schedule ~kind:t.k_timer t.engine ~delay:0.25 (fun () ->
               if t.syncing && (not t.crashed) && t.restarts = epoch then
@@ -1010,13 +1011,13 @@ let on_stob_deliver t item =
         | _ -> ()
       end
     | Stob_item.Batch_ref { broker; number; root; witness } ->
-      if marked t.ordered_refs broker number then
-        (* A second batch reference for the same (broker, number) slot:
-           either a redundant relay or an equivocating broker.  Exactly
-           the first ordered reference wins (§4.4 — this deduplication is
-           what makes broker equivocation harmless). *)
-        reject_instant t "dup_ref" ~id:(Trace.key root)
-          [ ("broker", Trace.A_int broker); ("number", Trace.A_int number) ]
+      let o =
+        { o_broker = broker; o_number = number; o_root = root;
+          o_tag = t.stob_cursor (); o_paired = false }
+      in
+      if (not t.syncing) && marked t.ordered_refs broker number then
+        (* A taken slot: dropped before its witness costs a pairing. *)
+        dup_ref t o
       else begin
         let statement = Certs.witness_statement ~root ~broker ~number in
         Trace.Counter.incr t.c_verify;
@@ -1025,18 +1026,10 @@ let on_stob_deliver t item =
             ~quorum:(quorum t) witness
         then begin
           (* Only a verified ref takes its slot: a forged witness must not
-             use up (or slide past) an honest broker's numbers. *)
-          ignore (Lwm.add (window t.ordered_refs broker) number);
-          (let s = tr t in
-           if Trace.enabled s then
-             Trace.instant s ~now:(Engine.now t.engine) ~actor:t.cfg.self
-               ~cat:"server" ~name:"ordered" ~id:(Trace.key root)
-               ~attrs:[ ("number", Trace.A_int number) ]);
-          let o =
-            { o_broker = broker; o_number = number; o_root = root;
-              o_paired = false }
-          in
-          Queue.add o t.order_queue;
+             use up (or slide past) an honest broker's numbers.  While
+             catching up the windows are stale: hold it until they are
+             not. *)
+          if t.syncing then Queue.add o t.held else order_ref t o;
           (* One serial pairing job per reference, charged now: consecutive
              references pair on different lanes instead of queueing behind
              each delivery (DESIGN.md §4c). *)

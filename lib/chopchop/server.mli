@@ -82,8 +82,13 @@ val cold_restart : t -> unit
 (** Restart from durable state: wipe every in-memory structure, replay
     checkpoint + WAL off the simulated disk, then pull the missed suffix
     from live peers (Sync_request/Sync_response) until the delivery
-    counter reaches a live peer's and its ordering backlog is empty.
-    Falls back to {!recover} when no store is attached. *)
+    counter reaches a peer's that is not catching up itself, has an empty
+    ordering backlog, and whose underlay's cursor has passed this
+    server's at the restart.  Refs ordered meanwhile are held, each tagged with the underlay's
+    cursor; at the end those at or below the peer's cursor are dropped
+    (the transfer covered them) and the rest meet the ordered-ref dedup
+    in STOB order, as they did at the peers.
+    @raise Invalid_argument when no store is attached. *)
 
 val set_app_hooks :
   t -> snapshot:(unit -> string) -> restore:(string option -> unit) -> unit
@@ -116,8 +121,8 @@ val delivered_messages : t -> int
 (** Application messages delivered (after deduplication). *)
 
 val order_queue_depth : t -> int
-(** Ordered batch references not yet delivered (missing batch, or CPU
-    busy) — the STOB→delivery backlog. *)
+(** Ordered batch references not yet delivered (missing batch, CPU busy,
+    or held while catching up) — the STOB→delivery backlog. *)
 
 val ref_windows : t -> (int * int * int list) list
 (** Each broker's ordered-ref window as [(broker, low, above)], ascending
@@ -131,8 +136,8 @@ val ref_window : int
     ref_window] slides the mark to [n - ref_window + 1] (DESIGN.md §4b). *)
 
 val ref_state_words : t -> int
-(** Heap words of all batch-ref dedup state (ordered and relayed windows,
-    catch-up set): O(brokers × {!ref_window}) whatever brokers send. *)
+(** Heap words of all batch-ref dedup state, the ordered and relayed
+    windows: O(brokers × {!ref_window}) whatever brokers send. *)
 
 val stored_batches : t -> int
 val stored_bytes : t -> int

@@ -1,10 +1,10 @@
 #!/bin/sh
 # CI entry point: full build, the complete test suite (which also pins
-# the chaos suite, the loss sweep and the observed run's output), smoke
-# runs of the other experiment surfaces (trace export, reconfiguration,
-# broker scaling, fleet, sweep, run report, doctor, perfbench), the
-# full-scale headline point, plus the bench baseline gate.  Run from the
-# repository root.
+# the chaos suite, the loss sweep, the observed run's output and
+# perfbench's simulated outcome), smoke runs of the other experiment
+# surfaces (trace export, reconfiguration, broker scaling, fleet, sweep,
+# run report, doctor), the full-scale headline point, plus the bench
+# baseline gate.  Run from the repository root.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -13,10 +13,12 @@ echo "== dune build @all =="
 dune build @all
 
 echo "== dune runtest =="
-# Besides the test suites this diffs the deterministic CLI outputs pinned
-# in test/pins: every chaos scenario (each fails the run on a violated
-# invariant), the self-checking reliable-UDP loss sweep, and the observed
-# run's stdout and --no-wall report.
+# Besides the test suites this diffs the deterministic outputs pinned in
+# test/pins: every chaos scenario (each fails the run on a violated
+# invariant), the self-checking reliable-UDP loss sweep, the observed
+# run's stdout and --no-wall report, and the simulated outcome of every
+# perfbench workload at full size (each must also pass the benchmark's
+# own delivery check).
 dune runtest
 
 echo "== trace smoke: Chrome export + causal path =="
@@ -85,23 +87,6 @@ grep -q "Doctor diagnosis" "$prof_dir/doctor.out" \
 grep -q '"phase"' "$prof_dir/diag.json" \
   || { echo "doctor smoke: diagnosis JSON empty or missing phase"; exit 1; }
 rm -rf "$prof_dir"
-
-echo "== perfbench full-size correctness smoke + pinned outcome =="
-# The dune tests run every perfbench workload shrunk (Workload.Small).
-# These run at full size and must pass the benchmark's own delivery check
-# (agreement, no duplicates, everything delivered): classic-fleet and
-# distill-clients through the memoised batch roots and the linear
-# straggler joins, dense-pbft64 through the engine's calendar ring and
-# its overflow on a ~1M-event stream.  Their simulated outcome
-# (outcome.*, sim.events, net.msgs at seed 2) must match the committed
-# scripts/perfbench-outcomes.txt to the last digit: a change meant only
-# to make the simulator faster must not change the simulated system.
-dune build ./perfbench/main.exe
-outcomes="$(mktemp)"
-scripts/perfbench-outcomes >"$outcomes"
-diff -u scripts/perfbench-outcomes.txt "$outcomes" \
-  || { echo "perfbench smoke: simulated outcome differs from scripts/perfbench-outcomes.txt"; exit 1; }
-rm -f "$outcomes"
 
 echo "== paper headline: full-scale saturation point =="
 # Fig. 7's ChopChop-BFT-SMaRt point at the paper's scale: 64 servers,

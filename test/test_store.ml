@@ -375,6 +375,7 @@ let reference_sweep r ~membership ~checkpoint =
 
 let test_gc_sweep_matches_full_scan () =
   let engine = Engine.create ~seed:9L () in
+  let slots = ref 0 in (* the underlay's cursor: slots it has handed up *)
   let capacity = 5 in (* slots 0-3 active, slot 4 a spare *)
   let membership = Membership.create ~capacity ~initial:4 in
   let store = Store.create ~disk:(Disk.create engine ()) () in
@@ -388,7 +389,8 @@ let test_gc_sweep_matches_full_scan () =
     Server.create ~engine ~cpu:(Repro_sim.Cpu.create engine ())
       ~config:{ Server.self = 0; n = capacity; clients;
                 fair_rate = 0.; fair_burst = 0. }
-      ~store ~checkpoint_every:8 ~membership ~directory:dir
+      ~store ~checkpoint_every:8 ~stob_cursor:(fun () -> !slots) ~membership
+      ~directory:dir
       ~ms_sk:(fst keys.(0)) ~server_ms_pk:(fun i -> snd keys.(i))
       ~send_broker:(fun ~broker:_ ~bytes:_ _ -> ())
       ~send_server:(fun ~dst:_ ~bytes:_ _ -> ())
@@ -433,6 +435,7 @@ let test_gc_sweep_matches_full_scan () =
         (List.map (fun i -> (i, Certs.sign_shard (fst keys.(i)) statement)) [ 1; 2 ])
     in
     let position = Server.delivery_counter sv in
+    incr slots;
     Server.on_stob_deliver sv
       (Stob_item.Batch_ref { broker = 0; number = k; root = root k; witness });
     settle ();
@@ -481,7 +484,8 @@ let test_gc_sweep_matches_full_scan () =
   checki "checkpoint restored" 8 (Server.delivery_counter sv);
   check "cold restart";
   (* Catch-up positions the bodies it replays; a body collected before the
-     restart is fetched again. *)
+     restart is fetched again.  The peer's underlay handed up slots 1-10,
+     refs 0-9. *)
   for k = 8 to 9 do announce k done;
   fetched 2;
   let records =
@@ -494,7 +498,7 @@ let test_gc_sweep_matches_full_scan () =
   in
   Server.receive_server sv ~src:1
     (Proto.Sync_response
-       { position = 10; stob_cursor = 0; backlog = 0; checkpoint = None; records });
+       { position = 10; stob_cursor = 10; backlog = 0; checkpoint = None; records });
   settle ();
   checkb "caught up" false (Server.catching_up sv);
   List.iter (fun k -> snd (Hashtbl.find r.table (root k)) := Some k) [ 8; 9 ];
@@ -506,7 +510,9 @@ let test_gc_sweep_matches_full_scan () =
 (* --- ref windows: bounded dedup state ------------------------------------ *)
 
 (* One server of a 4-server committee whose STOB loops straight back into
-   it: every relayed ref is ordered 1 ms later, in relay order. *)
+   it: every relayed ref is ordered 1 ms later, in relay order.  The
+   underlay's cursor counts the slots handed up, as every underlay's does:
+   a ref's slot is [n] when the cursor reads [n] at its delivery. *)
 type solo = {
   s_engine : Engine.t;
   s_sv : Server.t;
@@ -515,9 +521,16 @@ type solo = {
   s_keys : (Multisig.secret_key * Multisig.public_key) array;
   s_relays : int ref; (* refs the server pushed into its STOB *)
   s_tags : int list ref; (* tags of the dense ranges delivered, newest first *)
+  s_slots : int ref; (* the underlay's cursor *)
+  s_sent : Proto.server_to_server list ref; (* to its peers, newest first *)
 }
 
-let solo () =
+(* Hand [item] up from the underlay's next slot. *)
+let stob_deliver s item =
+  incr s.s_slots;
+  Server.on_stob_deliver s.s_sv item
+
+let solo ?(checkpoint_every = 16) () =
   let engine = Engine.create ~seed:11L () in
   let store = Store.create ~disk:(Disk.create engine ()) () in
   let clients = 1024 in
@@ -526,27 +539,30 @@ let solo () =
     Array.init 4 (fun i ->
         Multisig.keygen_deterministic ~seed:(Printf.sprintf "solo-server-%d" i))
   in
-  let relays = ref 0 and tags = ref [] in
+  let relays = ref 0 and tags = ref [] and slots = ref 0 and sent = ref [] in
   let self = ref None in
   let sv =
     Server.create ~engine ~cpu:(Repro_sim.Cpu.create engine ())
       ~config:{ Server.self = 0; n = 4; clients; fair_rate = 0.; fair_burst = 0. }
-      ~store ~checkpoint_every:16 ~directory:dir
+      ~store ~checkpoint_every ~stob_cursor:(fun () -> !slots) ~directory:dir
       ~ms_sk:(fst keys.(0)) ~server_ms_pk:(fun i -> snd keys.(i))
       ~send_broker:(fun ~broker:_ ~bytes:_ _ -> ())
-      ~send_server:(fun ~dst:_ ~bytes:_ _ -> ())
+      ~send_server:(fun ~dst:_ ~bytes:_ msg -> sent := msg :: !sent)
       ~stob_broadcast:(fun item ->
         incr relays;
         Engine.schedule engine ~delay:0.001 (fun () ->
-            Option.iter (fun sv -> Server.on_stob_deliver sv item) !self))
+            Option.iter (fun s -> stob_deliver s item) !self))
       ~deliver_app:(function
         | Proto.Bulk { tag; _ } -> tags := tag :: !tags
         | Proto.Ops _ -> ())
       ()
   in
-  self := Some sv;
-  { s_engine = engine; s_sv = sv; s_store = store; s_dir = dir; s_keys = keys;
-    s_relays = relays; s_tags = tags }
+  let s =
+    { s_engine = engine; s_sv = sv; s_store = store; s_dir = dir; s_keys = keys;
+      s_relays = relays; s_tags = tags; s_slots = slots; s_sent = sent }
+  in
+  self := Some s;
+  s
 
 let settle s = Engine.run ~until:(Engine.now s.s_engine +. 1.) s.s_engine
 
@@ -571,12 +587,26 @@ let solo_witness s ~root ~broker ~number =
 let forged_witness () =
   Certs.assemble [ (1, Multisig.forge_garbage ()); (2, Multisig.forge_garbage ()) ]
 
+let solo_ref s ~root ~broker ~number =
+  Stob_item.Batch_ref
+    { broker; number; root; witness = solo_witness s ~root ~broker ~number }
+
 (* Order broker [broker]'s batch [number] under a valid witness. *)
 let solo_order s ~broker ~number =
   let root = solo_batch s ~broker ~number in
-  Server.on_stob_deliver s.s_sv
-    (Stob_item.Batch_ref
-       { broker; number; root; witness = solo_witness s ~root ~broker ~number })
+  stob_deliver s (solo_ref s ~root ~broker ~number)
+
+(* [peer]'s answer to a catch-up request from delivery position [from]. *)
+let sync_from peer ~from =
+  Server.receive_server peer.s_sv ~src:3 (Proto.Sync_request { from_position = from });
+  settle peer;
+  match
+    List.find_opt
+      (function Proto.Sync_response _ -> true | _ -> false)
+      !(peer.s_sent)
+  with
+  | Some r -> r
+  | None -> Alcotest.fail "the peer sent no Sync_response"
 
 let gossip s =
   let c = Server.delivery_counter s.s_sv in
@@ -652,7 +682,7 @@ let test_byzantine_ref_jumps () =
   List.iter
     (fun (broker, number) ->
       let root = solo_batch s ~broker ~number in
-      Server.on_stob_deliver s.s_sv
+      stob_deliver s
         (Stob_item.Batch_ref { broker; number; root; witness = forged_witness () });
       settle s)
     [ (0, !honest); (0, !honest + (4 * w)); (0, 1 lsl 50); (1, (1 lsl 40) + 1) ];
@@ -695,7 +725,8 @@ let test_byzantine_submit_flood () =
 (* Refs ordered live while a restarted server catches up, and applied by
    the state transfer, leave the order queue when catch-up ends: each
    batch is delivered once, and the first live ref behind them delivers
-   next. *)
+   next.  Refs 0-3 took slots 1-4, live refs 4-6 take slots 5-7, and the
+   peer answers after slot 6. *)
 let test_catch_up_drops_applied_refs () =
   let s = solo () in
   for number = 0 to 3 do solo_order s ~broker:0 ~number done;
@@ -710,11 +741,7 @@ let test_catch_up_drops_applied_refs () =
     Array.init 7 (fun number -> Batch.identity_root (solo_forge s ~broker:0 ~number))
   in
   for number = 4 to 6 do
-    let root = roots.(number) in
-    Server.on_stob_deliver s.s_sv
-      (Stob_item.Batch_ref
-         { broker = 0; number; root;
-           witness = solo_witness s ~root ~broker:0 ~number })
+    stob_deliver s (solo_ref s ~root:roots.(number) ~broker:0 ~number)
   done;
   settle s;
   checki "queued, not delivered" 3 (Server.order_queue_depth s.s_sv);
@@ -728,7 +755,7 @@ let test_catch_up_drops_applied_refs () =
   in
   Server.receive_server s.s_sv ~src:1
     (Proto.Sync_response
-       { position = 6; stob_cursor = 0; backlog = 0; checkpoint = None; records });
+       { position = 6; stob_cursor = 6; backlog = 0; checkpoint = None; records });
   checkb "caught up" false (Server.catching_up s.s_sv);
   checki "applied refs dropped" 1 (Server.order_queue_depth s.s_sv);
   s.s_tags := [];
@@ -742,15 +769,17 @@ let test_catch_up_drops_applied_refs () =
   checkb "only the live ref delivered" true (!(s.s_tags) = [ 7 ]);
   checkb "window covers 0-6" true (Server.ref_windows s.s_sv = [ (0, 7, []) ])
 
-(* The peers ordered ref [4 + W] before live ref 4 — this server had
-   ordered it too but crashed before delivering it, so its WAL lacks it —
-   and so their window had slid past 4 and they dropped 4 as a duplicate.
-   This server, its window stale, queues 4 during catch-up; the
-   transferred record of [4 + W] must make it drop 4 as well. *)
+(* The peers ordered ref [4 + W] at slot 5, before live ref 4 at slot 6 —
+   this server had ordered it too but crashed before delivering it, so its
+   WAL lacks it — and so their window had slid past 4 and they dropped 4
+   as a duplicate.  This server, its window stale, holds 4 during
+   catch-up; a peer past slot 6 transfers the record of [4 + W], and 4
+   must be dropped as well. *)
 let test_catch_up_drops_slid_refs () =
   let s = solo () in
   for number = 0 to 3 do solo_order s ~broker:0 ~number done;
   settle s;
+  incr s.s_slots; (* slot 5: ref [4 + W], ordered but lost in the crash *)
   Server.cold_restart s.s_sv;
   settle s;
   s.s_tags := [];
@@ -761,7 +790,7 @@ let test_catch_up_drops_slid_refs () =
   let far_root = Batch.identity_root (solo_forge s ~broker:0 ~number:far) in
   Server.receive_server s.s_sv ~src:1
     (Proto.Sync_response
-       { position = 5; stob_cursor = 0; backlog = 0; checkpoint = None;
+       { position = 5; stob_cursor = 6; backlog = 0; checkpoint = None;
          records =
            [ Proto.Wal_batch
                { w_position = 4; w_broker = 0; w_number = far; w_root = far_root;
@@ -773,6 +802,133 @@ let test_catch_up_drops_slid_refs () =
   checkb "ref 4 never delivered" true (!(s.s_tags) = []);
   checkb "window as at the peers" true
     (Server.ref_windows s.s_sv = [ (0, 5, [ far ]) ])
+
+(* A restarted server [s] and a never-crashed replica see the same slots.
+   Refs 0-3 take slots 1-4; [s] restarts and holds every ref from slot 5
+   on while it catches up from the replica, which answers after slot 6.
+   Slots 5-6 (ref 4, and ref [5 + W], whose slide passes 5) are covered:
+   the transfer applies them.  Slots 7-10 are not, and meet the dedup as
+   they did at the replica: ref 5 (the transferred slide passed it),
+   broker 1's batch 100 twice (an equivocation), and ref 6. *)
+let test_catch_up_by_stob_position () =
+  let peer = solo () and s = solo () in
+  let both f = f peer; f s in
+  for number = 0 to 3 do both (fun x -> solo_order x ~broker:0 ~number) done;
+  both settle;
+  Server.cold_restart s.s_sv;
+  settle s;
+  both (fun x -> x.s_tags := []);
+  let far = 5 + Server.ref_window in
+  both (fun x -> solo_order x ~broker:0 ~number:4);
+  both (fun x -> solo_order x ~broker:0 ~number:far);
+  settle peer;
+  let response = sync_from peer ~from:4 in
+  both (fun x -> solo_order x ~broker:0 ~number:5);
+  both (fun x -> solo_order x ~broker:1 ~number:100);
+  both (fun x ->
+      let second =
+        Batch.forge_dense x.s_dir ~broker:1 ~number:100 ~first_id:512 ~count:16
+          ~msg_bytes:8 ~tag:999 ~straggler_count:0
+      in
+      Server.receive_broker x.s_sv ~src_broker:1
+        (Proto.Batch_announce { batch = second; witness_requested = false });
+      stob_deliver x
+        (solo_ref x ~root:(Batch.identity_root second) ~broker:1 ~number:100));
+  both (fun x -> solo_order x ~broker:0 ~number:6);
+  both settle;
+  checki "held, not delivered" 6 (Server.order_queue_depth s.s_sv);
+  checki "the replica delivered 4, W + 5, batch 100 and 6" 8
+    (Server.delivery_counter peer.s_sv);
+  Server.receive_server s.s_sv ~src:1 response;
+  settle s;
+  checkb "caught up" false (Server.catching_up s.s_sv);
+  checki "nothing left queued" 0 (Server.order_queue_depth s.s_sv);
+  checki "same deliveries" (Server.delivery_counter peer.s_sv)
+    (Server.delivery_counter s.s_sv);
+  Alcotest.(check (list int)) "each batch once, in the replica's order"
+    !(peer.s_tags) !(s.s_tags);
+  checkb "windows as at the replica" true
+    (Server.ref_windows peer.s_sv = Server.ref_windows s.s_sv)
+
+(* The refetch re-sync: a live server whose next body every peer has
+   collected re-enters catch-up with refs still queued.  Ref 4 (slot 5)
+   lacks its body at [s]; ref 5 (slot 6) queues behind it, and ref 6
+   (slot 7) is held.  The peer answers after slot 5 with its checkpoint
+   at position 5: ref 4 is covered; ref 5, queued before catch-up, keeps
+   its slot over the checkpoint's windows, and ref 6 passes the dedup. *)
+let test_refetch_resync_keeps_later_refs () =
+  let peer = solo ~checkpoint_every:5 () and s = solo () in
+  let both f = f peer; f s in
+  for number = 0 to 3 do both (fun x -> solo_order x ~broker:0 ~number) done;
+  both settle;
+  both (fun x -> x.s_tags := []);
+  solo_order peer ~broker:0 ~number:4;
+  let root = Batch.identity_root (solo_forge s ~broker:0 ~number:4) in
+  stob_deliver s (solo_ref s ~root ~broker:0 ~number:4);
+  settle peer;
+  let response = sync_from peer ~from:4 in
+  both (fun x -> solo_order x ~broker:0 ~number:5);
+  (* Three fetch rounds for ref 4's body go unanswered. *)
+  Engine.run ~until:(Engine.now s.s_engine +. 4.) s.s_engine;
+  checkb "re-syncing" true (Server.catching_up s.s_sv);
+  both (fun x -> solo_order x ~broker:0 ~number:6);
+  both settle;
+  checki "two queued, one held" 3 (Server.order_queue_depth s.s_sv);
+  Server.receive_server s.s_sv ~src:1 response;
+  settle s;
+  checkb "caught up" false (Server.catching_up s.s_sv);
+  checkb "installed the peer's checkpoint" true
+    (Server.catch_up_checkpoint s.s_sv);
+  checki "same deliveries" (Server.delivery_counter peer.s_sv)
+    (Server.delivery_counter s.s_sv);
+  Alcotest.(check (list int)) "refs 5 and 6 delivered once each" [ 7; 6 ]
+    !(s.s_tags);
+  Alcotest.(check (list int)) "the replica delivered 4, 5 and 6" [ 7; 6; 5 ]
+    !(peer.s_tags);
+  checkb "windows as at the replica" true
+    (Server.ref_windows peer.s_sv = Server.ref_windows s.s_sv)
+
+(* [s] takes slot 5 (ref 4, its body not here yet) and restarts: ref 4
+   dies with its memory.  A peer short of slot 5 cannot bring it back, nor
+   can [other], which lost ref 4 the same way and is catching up itself:
+   their answers do not end catch-up.  A caught-up peer past slot 5 does,
+   and ref 5 (slot 6) then delivers at the replica's position. *)
+let test_catch_up_waits_past_restart () =
+  let peer = solo () and other = solo () and s = solo () in
+  let both f = f peer; f s in
+  for number = 0 to 3 do both (fun x -> solo_order x ~broker:0 ~number) done;
+  for number = 0 to 3 do solo_order other ~broker:0 ~number done;
+  both settle;
+  List.iter
+    (fun x ->
+      settle x;
+      let root = Batch.identity_root (solo_forge x ~broker:0 ~number:4) in
+      stob_deliver x (solo_ref x ~root ~broker:0 ~number:4);
+      settle x;
+      Server.cold_restart x.s_sv;
+      settle x)
+    [ other; s ];
+  both (fun x -> x.s_tags := []);
+  Server.receive_server s.s_sv ~src:1 (sync_from peer ~from:4);
+  settle s;
+  checkb "a peer short of slot 5 leaves it catching up" true
+    (Server.catching_up s.s_sv);
+  Server.receive_server s.s_sv ~src:2 (sync_from other ~from:4);
+  settle s;
+  checkb "so does a peer catching up itself" true (Server.catching_up s.s_sv);
+  solo_order peer ~broker:0 ~number:4;
+  settle peer;
+  Server.receive_server s.s_sv ~src:1 (sync_from peer ~from:4);
+  settle s;
+  checkb "caught up" false (Server.catching_up s.s_sv);
+  both (fun x -> solo_order x ~broker:0 ~number:5);
+  both settle;
+  checki "same deliveries" (Server.delivery_counter peer.s_sv)
+    (Server.delivery_counter s.s_sv);
+  Alcotest.(check (list int)) "refs 4 and 5, in the replica's order" [ 6; 5 ]
+    !(s.s_tags);
+  checkb "windows as at the replica" true
+    (Server.ref_windows peer.s_sv = Server.ref_windows s.s_sv)
 
 (* Two verified refs claim one (broker, number) slot — an equivocating
    broker's two batches, both witnessed: the first ordered is delivered,
@@ -786,15 +942,23 @@ let test_second_ref_for_a_slot_dropped () =
   in
   Server.receive_broker s.s_sv ~src_broker:0
     (Proto.Batch_announce { batch = other; witness_requested = false });
-  let root = Batch.identity_root other in
-  Server.on_stob_deliver s.s_sv
-    (Stob_item.Batch_ref
-       { broker = 0; number = 0; root;
-         witness = solo_witness s ~root ~broker:0 ~number:0 });
+  stob_deliver s
+    (solo_ref s ~root:(Batch.identity_root other) ~broker:0 ~number:0);
   settle s;
   checki "one delivery" 1 (Server.delivery_counter s.s_sv);
   checkb "only the first batch" true (!(s.s_tags) = [ 1 ]);
   checki "nothing left queued" 0 (Server.order_queue_depth s.s_sv)
+
+(* A cold restart needs durable state: without a store it refuses. *)
+let test_restart_without_store_raises () =
+  let d =
+    Deployment.create
+      { Deployment.default_config with underlay = Deployment.Sequencer }
+  in
+  Deployment.crash_server d 3;
+  match Deployment.restart_server d 3 with
+  | () -> Alcotest.fail "a store-less cold restart returned"
+  | exception Invalid_argument _ -> ()
 
 (* --- chaos integration ---------------------------------------------------- *)
 
@@ -832,7 +996,9 @@ let () =
          Alcotest.test_case "full WAL replay determinism" `Quick
            test_wal_replay_determinism;
          Alcotest.test_case "store on/off bit-identical without crashes"
-           `Quick test_store_on_off_identical ]);
+           `Quick test_store_on_off_identical;
+         Alcotest.test_case "cold restart without a store raises" `Quick
+           test_restart_without_store_raises ]);
       ("gc",
        [ Alcotest.test_case "checkpoint unblocks collection" `Quick
            test_gc_unblocked_by_checkpoint;
@@ -851,6 +1017,12 @@ let () =
            test_catch_up_drops_applied_refs;
          Alcotest.test_case "catch-up drops refs a slide passed" `Quick
            test_catch_up_drops_slid_refs;
+         Alcotest.test_case "catch-up judges held refs by STOB position" `Quick
+           test_catch_up_by_stob_position;
+         Alcotest.test_case "refetch re-sync keeps refs past the peer" `Quick
+           test_refetch_resync_keeps_later_refs;
+         Alcotest.test_case "catch-up waits for a peer past the restart" `Quick
+           test_catch_up_waits_past_restart;
          Alcotest.test_case "second ref for a slot dropped" `Quick
            test_second_ref_for_a_slot_dropped ]);
       ("chaos",
