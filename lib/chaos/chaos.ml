@@ -339,16 +339,14 @@ let dims = function Quick -> (4, 6, 2, 90.) | Full -> (7, 12, 3, 150.)
    unknown-identity sybil submissions ([dense_clients] > 0 required for
    the former); [duration] overrides the scale's default run length.
 
-   Fleet knobs (lib/fleet): [fleet] arms the broker-fleet client
+   Fleet knob (lib/fleet): [fleet] arms the broker-fleet client
    partitioning policy (clients home by hash instead of nearest-first and
-   signups shard across brokers); [fair_admission] = (rate, burst) arms
-   the servers' per-broker fair-admission token buckets on the order
-   queue ("reject_admission" instants). *)
+   signups shard across brokers). *)
 let run_case ?until ~name ~seed ~scale ~underlay ~n_brokers ?client_brokers
     ~make_schedule ?(crashed_clients = []) ?(degraded_servers = [])
     ?(expect_rejects = []) ?(store = false) ?(checkpoint_every = 0) ?apps
     ?(spare_servers = 0) ?(dense_clients = 0) ?admission ?surge ?spam
-    ?fleet ?fair_admission ?duration ?(post = fun _ _ -> []) () =
+    ?fleet ?duration ?(post = fun _ _ -> []) () =
   let n_servers, n_clients, msgs_each, base_duration = dims scale in
   let duration = Option.value duration ~default:base_duration in
   (* [until] kills the run early (doctor post-mortems on a run cut short
@@ -358,15 +356,11 @@ let run_case ?until ~name ~seed ~scale ~underlay ~n_brokers ?client_brokers
   let admission_rate, admission_burst =
     Option.value admission ~default:(0., 0.)
   in
-  let fair_admission_rate, fair_admission_burst =
-    Option.value fair_admission ~default:(0., 0.)
-  in
   let trace = Trace.Sink.memory () in
   let cfg =
     { Deployment.default_config with
       n_servers; spare_servers; n_brokers; underlay; seed; trace;
-      dense_clients; admission_rate; admission_burst;
-      fleet; fair_admission_rate; fair_admission_burst;
+      dense_clients; admission_rate; admission_burst; fleet;
       store_enabled = store; checkpoint_every }
   in
   let d = Deployment.create cfg in
@@ -1006,9 +1000,8 @@ let sc_fleet_hot_shard =
   { sc_name = "fleet-hot-shard";
     sc_summary =
       "a greedy flood aimed entirely at the fleet's hottest broker; the \
-       servers' per-broker fair-admission budget sheds the hot broker's \
-       excess (reject_admission) while the sibling partitions keep \
-       completing undisturbed";
+       servers check the brokers' witnesses in turn, so the sibling \
+       partitions keep completing undisturbed";
     sc_run =
       (fun ?until ~seed ~scale () ->
         let hot = ref 0 in
@@ -1016,8 +1009,6 @@ let sc_fleet_hot_shard =
           ~underlay:Deployment.Sequencer ~n_brokers:3
           ~fleet:Repro_fleet.Fleet.Hash
           ~dense_clients:2048
-          ~fair_admission:(1., 5.)
-          ~expect_rejects:[ "reject_admission" ]
           ~make_schedule:(fun d _ ->
             (match Deployment.fleet_hottest d with
              | Some (b, _) -> hot := b
@@ -1029,21 +1020,6 @@ let sc_fleet_hot_shard =
                   (Spam.start_greedy ~deployment:d ~rng ~rate:400.
                      ~first_id:0 ~clients:64 ~broker:!hot ~until:55. ()));
             [])
-          ~post:(fun d _ ->
-            match Deployment.admission_rejects d with
-            | [] -> [ "fleet: no per-broker admission rejects recorded" ]
-            | rejects ->
-              let worst, _ =
-                List.fold_left
-                  (fun (wb, wn) (b, n) -> if n > wn then (b, n) else (wb, wn))
-                  (-1, min_int) rejects
-              in
-              if worst <> !hot then
-                [ Printf.sprintf
-                    "fleet: broker %d collected the most admission rejects, \
-                     expected the flooded broker %d"
-                    worst !hot ]
-              else [])
           ()) }
 
 let sc_reconfig_kitchen_sink =

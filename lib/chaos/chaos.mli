@@ -191,7 +191,7 @@ val diagnostics : scenario list
     [stall-partition]: servers cut from brokers at t = 10 s, never
     healed).  Kept out of {!scenarios} so [chaos all], sweeps and CI stay
     green; resolvable via {!find_any} for [chopchop doctor] demos and the
-    CI doctor smoke stage. *)
+    doctor pin in test/pins. *)
 
 val find_any : string -> scenario option
 (** {!find}, but also searching {!diagnostics}. *)

@@ -31,10 +31,6 @@ type config = {
   fleet : Fleet.mode option;
       (* lib/fleet scale-out: partition clients across brokers and shard
          the Rank directory per broker (None = classic deployment) *)
-  fair_admission_rate : float;
-      (* server-side per-broker budget on the order queue, refs/s
-         (0 = unlimited) *)
-  fair_admission_burst : float; (* bucket depth for the above *)
   store_enabled : bool; (* per-server durable state (lib/store) *)
   checkpoint_every : int; (* snapshot every k deliveries (when enabled) *)
   trace : Repro_trace.Trace.Sink.t;
@@ -46,7 +42,7 @@ let default_config =
     flush_period = 0.2; reduce_timeout = 0.2;
     witness_margin = 1; max_batch = 65_536; net_loss = 0.; seed = 42L;
     stob_batch_timeout = 0.05; admission_rate = 0.; admission_burst = 0.;
-    fleet = None; fair_admission_rate = 0.; fair_admission_burst = 0.;
+    fleet = None;
     store_enabled = false; checkpoint_every = 64;
     trace = Repro_trace.Trace.Sink.null () }
 
@@ -60,7 +56,7 @@ let paper_config ~n_servers ~underlay =
     witness_margin = margin_for_size n_servers; max_batch = 65_536;
     net_loss = 0.; seed = 42L; stob_batch_timeout = 0.1;
     admission_rate = 0.; admission_burst = 0.;
-    fleet = None; fair_admission_rate = 0.; fair_admission_burst = 0.;
+    fleet = None;
     store_enabled = false; checkpoint_every = 1024;
     trace = Repro_trace.Trace.Sink.null () }
 
@@ -264,9 +260,7 @@ let build_server t ~slot ~ms_sk ~directory ~membership ~stob =
   let sv =
   Server.create ~engine:t.engine ~cpu:t.server_cpus.(slot)
     ~config:{ Server.self = slot; n = t.capacity;
-              clients = max t.cfg.dense_clients 1024;
-              fair_rate = t.cfg.fair_admission_rate;
-              fair_burst = t.cfg.fair_admission_burst }
+              clients = max t.cfg.dense_clients 1024 }
     ?store:t.stores.(slot) ~checkpoint_every:t.cfg.checkpoint_every
     ~stob_cursor:(fun () -> Stob.cursor stob)
     ~stob_resume:(fun cursor -> Stob.resume_at stob ~cursor)
@@ -737,19 +731,6 @@ let fleet_hottest t =
   match t.fleet with Some fl -> Fleet.hottest fl | None -> None
 
 let fleet_handoff_bytes t = t.fleet_handoff_bytes
-
-let admission_rejects t =
-  (* (broker, rejects) summed across every server's fair-admission gate. *)
-  let tbl = Hashtbl.create 8 in
-  Array.iter
-    (fun sv ->
-      List.iter
-        (fun (b, n) ->
-          Hashtbl.replace tbl b
-            (n + Option.value ~default:0 (Hashtbl.find_opt tbl b)))
-        (Server.admission_rejects sv))
-    t.servers;
-  List.sort compare (Hashtbl.fold (fun b n acc -> (b, n) :: acc) tbl [])
 
 let node_of_client t c =
   Hashtbl.fold

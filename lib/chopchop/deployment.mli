@@ -35,10 +35,6 @@ type config = {
       (* lib/fleet scale-out: partition clients across brokers by seeded
          hash and shard the Rank directory per broker;
          [None] (the default) is the classic single-directory deployment *)
-  fair_admission_rate : float;
-      (* server-side fair admission: per-broker token-bucket budget on the
-         order queue, batch refs/s (0 = unlimited, the default) *)
-  fair_admission_burst : float; (* token-bucket depth *)
   store_enabled : bool;
       (* attach a per-server simulated disk + WAL/checkpoint store
          (lib/store); required for {!restart_server} *)
@@ -194,10 +190,6 @@ val fleet_hottest : t -> (int * int) option
 val fleet_handoff_bytes : t -> int
 (** Cumulative shard-handoff wire bytes moved by broker crash failover
     and recovery rebalancing. *)
-
-val admission_rejects : t -> (int * int) list
-(** [(broker, rejected submits)] summed across every server's
-    fair-admission gate, sorted by broker id. *)
 
 val crash_client : t -> Client.t -> unit
 (** Crash-stop a client and its network node. *)

@@ -2,15 +2,16 @@ module Field61 = Repro_crypto.Field61
 module Multisig = Repro_crypto.Multisig
 
 (* Dense identities are deterministic functions of their index, so their
-   keypairs and prefix sums are memoised — per population (one deployment:
-   a directory, its replicas and shards), never process-wide.  Only the
-   indices actually touched are ever materialised: a 257 M-client
-   directory costs nothing until a range is queried. *)
+   keypairs and secret-scalar prefix sums are memoised — per population
+   (one deployment: a directory, its replicas and shards), never
+   process-wide.  Only the indices actually touched are ever materialised:
+   a 257 M-client directory costs nothing until a range is queried.  A
+   range's aggregate public key is derived from its secret sum: pk = x·G
+   is linear, so it equals the sum of the range's public keys. *)
 
 let zero_sk = Multisig.aggregate_secret_keys []
 
 type population = {
-  mutable pk_prefix : Field61.t array;
   mutable sk_prefix : Multisig.secret_key array;
   mutable prefix_len : int;
   keypairs : (int, Types.keypair) Hashtbl.t;
@@ -19,24 +20,19 @@ type population = {
 let ensure_prefix pop upto =
   if upto + 1 > pop.prefix_len then begin
     let needed = upto + 1 in
-    let cap = Array.length pop.pk_prefix in
+    let cap = Array.length pop.sk_prefix in
     if needed > cap then begin
-      let newcap = max needed (2 * cap) in
-      let pk = Array.make newcap Field61.zero in
-      let sk = Array.make newcap zero_sk in
-      Array.blit pop.pk_prefix 0 pk 0 pop.prefix_len;
+      let sk = Array.make (max needed (2 * cap)) zero_sk in
       Array.blit pop.sk_prefix 0 sk 0 pop.prefix_len;
-      pop.pk_prefix <- pk;
       pop.sk_prefix <- sk
     end;
-    let pk = pop.pk_prefix and sk = pop.sk_prefix in
+    let sk = pop.sk_prefix in
     for i = pop.prefix_len to needed - 1 do
       (* Prefix building does not need the signature keypair: derive only
          the multisig scalar to keep first-touch cost down. *)
-      let ms_sk, ms_pk =
+      let ms_sk, _ =
         Multisig.keygen_deterministic ~seed:(Types.dense_seed (i - 1))
       in
-      pk.(i) <- Field61.add pk.(i - 1) ms_pk;
       sk.(i) <- Multisig.aggregate_secret_keys [ sk.(i - 1); ms_sk ]
     done;
     pop.prefix_len <- needed
@@ -58,8 +54,8 @@ let create ?(dense_count = 0) () =
   replica
     { dense = dense_count; explicit = ref [||]; explicit_len = 0;
       pop =
-        { pk_prefix = Array.make 1 Field61.zero; sk_prefix = Array.make 1 zero_sk;
-          prefix_len = 1; keypairs = Hashtbl.create 4096 } }
+        { sk_prefix = Array.make 1 zero_sk; prefix_len = 1;
+          keypairs = Hashtbl.create 4096 } }
 
 let dense_keypair t i =
   match Hashtbl.find_opt t.pop.keypairs i with
@@ -101,17 +97,17 @@ let ms_pk t id =
 let aggregate_ms_pks t ids =
   Multisig.aggregate_public_keys (List.map (ms_pk t) ids)
 
-let aggregate_ms_pks_range t ~first ~count =
+let sk_range name t ~first ~count =
   if first < 0 || count < 0 || first + count > t.dense then
-    invalid_arg "Directory.aggregate_ms_pks_range: outside dense population";
-  ensure_prefix t.pop (first + count);
-  Field61.sub t.pop.pk_prefix.(first + count) t.pop.pk_prefix.(first)
-
-let aggregate_dense_ms_sks_range t ~first ~count =
-  if first < 0 || count < 0 || first + count > t.dense then
-    invalid_arg "Directory.aggregate_dense_ms_sks_range: outside dense population";
+    invalid_arg ("Directory." ^ name ^ ": outside dense population");
   ensure_prefix t.pop (first + count);
   Multisig.diff_secret_keys t.pop.sk_prefix.(first + count) t.pop.sk_prefix.(first)
+
+let aggregate_ms_pks_range t ~first ~count =
+  Multisig.public_key_of_secret
+    (sk_range "aggregate_ms_pks_range" t ~first ~count)
+
+let aggregate_dense_ms_sks_range t = sk_range "aggregate_dense_ms_sks_range" t
 
 (* --- shards (lib/fleet: one Rank partition per broker) ------------------- *)
 

@@ -53,7 +53,9 @@ val aggregate_ms_pks : t -> Types.client_id list -> Repro_crypto.Multisig.public
 (** Aggregate multi-signature public key of the given clients. *)
 
 val aggregate_ms_pks_range : t -> first:int -> count:int -> Repro_crypto.Multisig.public_key
-(** O(1) aggregate over a dense range via prefix sums.
+(** O(1) aggregate over a dense range: the public key of the range's
+    secret-scalar sum (prefix sums), which equals the sum of its public
+    keys because pk = x·G is linear.
     @raise Invalid_argument if the range leaves the dense population. *)
 
 val dense_keypair : t -> int -> Types.keypair

@@ -1,7 +1,6 @@
 module Engine = Repro_sim.Engine
 module Cpu = Repro_sim.Cpu
 module Cost = Repro_sim.Cost
-module Token_bucket = Repro_sim.Token_bucket
 module Store = Repro_store.Store
 module Disk = Repro_store.Disk
 module Multisig = Repro_crypto.Multisig
@@ -13,10 +12,6 @@ type config = {
   self : int;
   n : int;
   clients : int;
-  fair_rate : float;
-      (* per-broker admission budget on the order queue, as a token-bucket
-         refill in batch references/s (0 = unlimited, the default) *)
-  fair_burst : float; (* token-bucket depth for the above *)
 }
 (* [n] is the machine *capacity* (active servers plus spare slots); the
    active subset and the quorum thresholds live in {!Membership}. *)
@@ -31,6 +26,9 @@ type ordered = {
   o_tag : int;
   mutable o_paired : bool;
 }
+
+(* A relayed [Submit] whose witness awaits its pairing check. *)
+type check = { c_root : string; c_number : int; c_witness : Certs.quorum_cert }
 
 type stored = {
   batch : Batch.t;
@@ -101,11 +99,12 @@ type t = {
   mutable collected_batches : int;
   mutable app_snapshot : (unit -> string) option;
   mutable app_restore : (string option -> unit) option;
-  (* Fair admission across brokers (lib/fleet): per-broker token buckets
-     gating the [Submit] intake, so a hot or flooding broker spends only
-     its own budget on the order queue. *)
-  fair_buckets : int Token_bucket.t;
-  fair_rejects : (int, int) Hashtbl.t;
+  (* Witness checks of relayed [Submit]s (DESIGN.md §4b): one FIFO per
+     broker, the brokers with a non-empty one in turn, and the checks on
+     the CPU, at most one per lane. *)
+  checks : (int, check Queue.t) Hashtbl.t;
+  turns : int Queue.t;
+  mutable checking : int;
   (* Sharded Rank (lib/fleet): observer invoked after every ordered
      signup, so the deployment can route the card to the owning shard. *)
   mutable on_signup :
@@ -122,13 +121,16 @@ type t = {
 (* Span of a broker's ref window, in batch numbers (DESIGN.md §4b). *)
 let ref_window = 4096
 
-let window tbl broker =
+let per_broker tbl broker make =
   match Hashtbl.find tbl broker with
-  | w -> w
+  | v -> v
   | exception Not_found ->
-    let w = Lwm.create ~window:ref_window () in
-    Hashtbl.add tbl broker w;
-    w
+    let v = make () in
+    Hashtbl.add tbl broker v;
+    v
+
+let window tbl broker =
+  per_broker tbl broker (fun () -> Lwm.create ~window:ref_window ())
 
 let marked tbl broker number =
   match Hashtbl.find tbl broker with
@@ -170,9 +172,7 @@ let create ~engine ~cpu ~config ?store ?(checkpoint_every = 0)
     catch_up_records = 0; catch_up_ck = false;
     restarts = 0; collected_batches = 0;
     app_snapshot = None; app_restore = None;
-    fair_buckets =
-      Token_bucket.create ~rate:config.fair_rate ~burst:config.fair_burst;
-    fair_rejects = Hashtbl.create 8;
+    checks = Hashtbl.create 8; turns = Queue.create (); checking = 0;
     on_signup = None;
     mis_bad_shares = false; mis_refuse_witness = false;
     k_timer = Engine.kind engine "server.timer";
@@ -200,9 +200,6 @@ let note_instant t name attrs =
 let directory t = t.dir
 let set_on_signup t f = t.on_signup <- Some f
 
-let admission_rejects t =
-  List.sort compare
-    (Hashtbl.fold (fun b n acc -> (b, n) :: acc) t.fair_rejects [])
 let delivery_counter t = t.delivery_counter
 let delivered_messages t = t.delivered_messages
 let stored_batches t = Hashtbl.length t.batches
@@ -767,6 +764,9 @@ let cold_restart t =
     Hashtbl.reset t.relayed_refs;
     Queue.clear t.order_queue;
     Queue.clear t.held;
+    Hashtbl.reset t.checks;
+    Queue.clear t.turns;
+    t.checking <- 0;
     Hashtbl.reset t.last_msg;
     Hashtbl.reset t.dense_last;
     t.delivery_counter <- 0;
@@ -808,6 +808,42 @@ let cold_restart t =
 
 (* --- message handlers ----------------------------------------------------- *)
 
+(* Hand the CPU the next broker's oldest witness check while a lane is
+   free of them: an uncontended check starts at once, and a flooding
+   broker holds at most its turn's share of the lanes. *)
+let rec start_checks t =
+  if t.checking < Cpu.cores t.cpu && not (Queue.is_empty t.turns) then begin
+    let broker = Queue.pop t.turns in
+    let fifo = Hashtbl.find t.checks broker in
+    let { c_root = root; c_number = number; c_witness = witness } =
+      Queue.pop fifo
+    in
+    if not (Queue.is_empty fifo) then Queue.add broker t.turns;
+    t.checking <- t.checking + 1;
+    let epoch = t.restarts in
+    Cpu.submit t.cpu ~work:(Cpu.serial Cost.bls_verify) (fun () ->
+        if t.restarts = epoch then begin
+          t.checking <- t.checking - 1;
+          if not t.crashed then begin
+            Trace.Counter.incr t.c_verify;
+            let statement = Certs.witness_statement ~root ~broker ~number in
+            if
+              Certs.verify ~statement ~server_ms_pk:t.server_ms_pk
+                ~quorum:(quorum t) witness
+            then begin
+              t.stob_broadcast (Stob_item.Batch_ref { broker; number; root; witness });
+              t.send_broker ~broker ~bytes:(Wire.header_bytes + 32)
+                (Submit_ack { root })
+            end
+            else
+              reject_instant t "reject_witness" ~id:(Trace.key root)
+                [ ("broker", Trace.A_int broker); ("number", Trace.A_int number) ]
+          end;
+          start_checks t
+        end);
+    start_checks t
+  end
+
 let receive_broker t ~src_broker msg =
   if not t.crashed then
     match msg with
@@ -823,21 +859,11 @@ let receive_broker t ~src_broker msg =
     | Proto.Relay_signup { card; nonce } ->
       t.stob_broadcast (Stob_item.Signup { card; reply_broker = src_broker; nonce })
     | Proto.Submit { root; number; witness } ->
-      (* #12: relay the batch reference into the server-run STOB, once.
-         Fair admission first: each broker spends its own token budget, so
-         a flooding broker defers itself rather than starving siblings
-         (the broker's submit_timeout rotation retries the reference).  A
-         ref already ordered is only acknowledged: a second relay would
-         order a duplicate. *)
-      if not (Token_bucket.admit t.fair_buckets ~now:(Engine.now t.engine) src_broker)
-      then begin
-        Hashtbl.replace t.fair_rejects src_broker
-          (1 + Option.value ~default:0 (Hashtbl.find_opt t.fair_rejects src_broker));
-        reject_instant t "reject_admission" ~id:(Trace.key root)
-          [ ("broker", Trace.A_int src_broker);
-            ("number", Trace.A_int number) ]
-      end
-      else if marked t.ordered_refs src_broker number then begin
+      (* Relay the batch reference into the server-run STOB, once, after
+         its witness checks out.  A ref already ordered is only
+         acknowledged: a second relay would order a duplicate. *)
+      let fifo = per_broker t.checks src_broker Queue.create in
+      if marked t.ordered_refs src_broker number then begin
         (* Its slot is taken (§4.4): a retry whose ack went missing, or an
            equivocating broker's second batch.  Acknowledge, relay no
            duplicate. *)
@@ -847,33 +873,23 @@ let receive_broker t ~src_broker msg =
         t.send_broker ~broker:src_broker ~bytes:(Wire.header_bytes + 32)
           (Submit_ack { root })
       end
+      else if Queue.length fifo >= ref_window then
+        (* More checks queued than an honest broker has numbers out: shed
+           it unmarked, so the broker's retry is judged afresh. *)
+        reject_instant t "reject_admission" ~id:(Trace.key root)
+          [ ("broker", Trace.A_int src_broker);
+            ("number", Trace.A_int number) ]
       else begin
         let relayed = window t.relayed_refs src_broker in
         (* Relays the order has since covered need no mark of their own. *)
         (match Hashtbl.find t.ordered_refs src_broker with
          | w -> Lwm.advance relayed (Lwm.low w)
          | exception Not_found -> ());
-        if Lwm.add relayed number then
-          Cpu.submit t.cpu ~work:(Cpu.serial Cost.bls_verify) (fun () ->
-              if not t.crashed then begin
-                Trace.Counter.incr t.c_verify;
-                let statement =
-                  Certs.witness_statement ~root ~broker:src_broker ~number
-                in
-                if
-                  Certs.verify ~statement ~server_ms_pk:t.server_ms_pk
-                    ~quorum:(quorum t) witness
-                then begin
-                  t.stob_broadcast
-                    (Stob_item.Batch_ref { broker = src_broker; number; root; witness });
-                  t.send_broker ~broker:src_broker ~bytes:(Wire.header_bytes + 32)
-                    (Submit_ack { root })
-                end
-                else
-                  reject_instant t "reject_witness" ~id:(Trace.key root)
-                    [ ("broker", Trace.A_int src_broker);
-                      ("number", Trace.A_int number) ]
-              end)
+        if Lwm.add relayed number then begin
+          if Queue.is_empty fifo then Queue.add src_broker t.turns;
+          Queue.add { c_root = root; c_number = number; c_witness = witness } fifo;
+          start_checks t
+        end
       end
 
 let receive_server t ~src msg =

@@ -13,6 +13,12 @@
     upcall.  CPU time for verification, deduplication and serialization is
     charged on the node's {!Repro_sim.Cpu} queue before effects happen.
 
+    Brokers are untrusted, so the witness checks of their [Submit]s share
+    the CPU round-robin: one FIFO per broker, at most one check per lane
+    on the CPU, the next taken from the next broker in turn.  A FIFO holds
+    at most {!ref_window} checks; a [Submit] past that is shed
+    (["reject_admission"]) and its broker's retry judged afresh.
+
     With a {!Repro_store.Store} attached the server additionally keeps a
     durable WAL of delivery outcomes plus periodic checkpoints, and
     supports {!cold_restart}: wipe all in-memory state, replay the local
@@ -25,10 +31,6 @@ type config = {
   self : int;
   n : int; (* server slot capacity; f follows the active membership *)
   clients : int; (* directory size, for wire arithmetic *)
-  fair_rate : float;
-      (* per-broker admission budget on the order queue, batch refs/s
-         (0 = unlimited — the classic single-queue server) *)
-  fair_burst : float; (* token-bucket depth for the above *)
 }
 
 val create :
@@ -166,10 +168,6 @@ val restarts : t -> int
 val directory : t -> Directory.t
 
 (** {2 Fleet hooks (lib/fleet)} *)
-
-val admission_rejects : t -> (int * int) list
-(** [(broker, rejected submits)] pairs, sorted by broker — how often each
-    broker exhausted its admission budget ("reject_admission" instants). *)
 
 val set_on_signup :
   t -> (id:Types.client_id -> reply_broker:int -> Types.keycard -> unit) -> unit

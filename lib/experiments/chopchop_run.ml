@@ -148,15 +148,27 @@ let run p =
           ())
   in
   let k_pump = Engine.kind engine "exp.pump" in
-  let rec pump c () =
+  (* A server delivers a client's message only if it differs from that
+     client's previous one, so each payload is the client's own send
+     counter: its last [msg_bytes] decimal digits, zero-padded. *)
+  let payload n =
+    let s = Printf.sprintf "%0*d" p.msg_bytes n in
+    String.sub s (String.length s - p.msg_bytes) p.msg_bytes
+  in
+  let rec pump c n () =
     if Engine.now engine < p.duration then begin
-      if Client.pending c < 2 then
-        Client.broadcast c (String.make p.msg_bytes 'x');
-      Engine.schedule ~kind:k_pump engine ~delay:0.5 (pump c)
+      let n =
+        if Client.pending c < 2 then begin
+          Client.broadcast c (payload n);
+          n + 1
+        end
+        else n
+      in
+      Engine.schedule ~kind:k_pump engine ~delay:0.5 (pump c n)
     end
   in
   List.iter
-    (fun c -> Engine.schedule ~kind:k_pump engine ~delay:0.2 (pump c))
+    (fun c -> Engine.schedule ~kind:k_pump engine ~delay:0.2 (pump c 0))
     clients;
   D.server_deliver_hook d (fun srv del ->
       if srv = 0 then Stats.Window.record w (Repro_chopchop.Proto.delivery_count del);

@@ -20,7 +20,6 @@ type diagnosis = {
   d_quorum : int;
   d_backlogs : backlog list; (* deepest first *)
   d_hottest_broker : (int * int) option; (* (broker, clients homed), fleet only *)
-  d_admission_rejects : (int * int) list; (* per-broker fair-admission rejects *)
 }
 
 let probe_backlogs d =
@@ -50,7 +49,6 @@ let diagnose d ~progress ~expected ~last_progress_at ~reason =
     !c
   in
   let hottest = D.fleet_hottest d in
-  let rejects = D.admission_rejects d in
   let phase =
     match partition with
     | Some groups ->
@@ -92,8 +90,7 @@ let diagnose d ~progress ~expected ~last_progress_at ~reason =
     d_active_servers = active;
     d_quorum = quorum;
     d_backlogs = backlogs;
-    d_hottest_broker = hottest;
-    d_admission_rejects = rejects }
+    d_hottest_broker = hottest }
 
 (* --- the watchdog --------------------------------------------------------- *)
 
@@ -186,12 +183,6 @@ let pp ppf d =
    | Some (broker, clients) ->
      pf "- fleet: hottest broker %d with %d clients homed@." broker clients
    | None -> ());
-  (match d.d_admission_rejects with
-   | [] -> ()
-   | l ->
-     pf "- admission rejects (broker:count): %s@."
-       (String.concat " "
-          (List.map (fun (b, n) -> Printf.sprintf "%d:%d" b n) l)));
   pf "- backlogs (deepest first):@.";
   List.iter
     (fun b ->
@@ -239,12 +230,4 @@ let to_json d =
         | Some (broker, clients) ->
           Json.Obj
             [ ("broker", Json.Num (float_of_int broker));
-              ("clients", Json.Num (float_of_int clients)) ] );
-      ( "admission_rejects",
-        Json.List
-          (List.map
-             (fun (b, n) ->
-               Json.Obj
-                 [ ("broker", Json.Num (float_of_int b));
-                   ("rejects", Json.Num (float_of_int n)) ])
-             d.d_admission_rejects) ) ]
+              ("clients", Json.Num (float_of_int clients)) ] ) ]

@@ -32,9 +32,6 @@ type diagnosis = {
   d_hottest_broker : (int * int) option;
       (* (broker, clients homed) — present only when the deployment runs
          a lib/fleet partitioned broker roster *)
-  d_admission_rejects : (int * int) list;
-      (* per-broker fair-admission rejects summed across servers, sorted
-         by broker; empty when fair admission is off *)
 }
 
 val diagnose :

@@ -2,8 +2,8 @@
 
     One bucket per key, created full on the key's first request, refilled
     continuously at [rate] tokens/s up to [burst].  Each admitted request
-    spends one token.  The broker keys them by client (spam shedding) and
-    the server by broker (fair admission onto the order queue). *)
+    spends one token.  The broker keys them by client: spam past a
+    client's rate is shed at admission. *)
 
 type 'k t
 

@@ -97,6 +97,25 @@ let test_directory_sk_range () =
     (Multisig.signature_equal (Multisig.sign agg_sk "stmt")
        (Multisig.aggregate_signatures shares))
 
+(* Both range aggregates equal the naive per-key sums, over random ranges
+   of one population whose prefix memo grows in whatever order they come. *)
+let test_directory_range_sums =
+  let dense = 4096 in
+  let d = Directory.create ~dense_count:dense () in
+  qtest "range aggregates equal naive sums"
+    QCheck.(pair (int_bound (dense - 1)) (int_bound 300))
+    (fun (first, count) ->
+      let count = min count (dense - first) in
+      let keys = List.init count (fun i -> Directory.dense_keypair d (first + i)) in
+      let naive_pk =
+        Multisig.aggregate_public_keys (List.map (fun k -> k.Types.card.ms_pk) keys)
+      in
+      let naive_sk = Multisig.aggregate_secret_keys (List.map (fun k -> k.Types.ms_sk) keys) in
+      Repro_crypto.Field61.equal naive_pk
+        (Directory.aggregate_ms_pks_range d ~first ~count)
+      && Multisig.signature_equal (Multisig.sign naive_sk "stmt")
+           (Multisig.sign (Directory.aggregate_dense_ms_sks_range d ~first ~count) "stmt"))
+
 let test_directory_range_bounds () =
   let d = Directory.create ~dense_count:10 () in
   Alcotest.check_raises "outside dense population"
@@ -861,6 +880,7 @@ let () =
          Alcotest.test_case "dense population" `Quick test_directory_dense;
          Alcotest.test_case "range aggregation" `Quick test_directory_range_aggregation;
          Alcotest.test_case "secret range aggregation" `Quick test_directory_sk_range;
+         test_directory_range_sums;
          Alcotest.test_case "range bounds" `Quick test_directory_range_bounds ]);
       ("certs",
        [ Alcotest.test_case "quorum" `Quick test_certs_quorum;

@@ -3,8 +3,8 @@
    monolithic Rank; a 1-broker fleet is a bit-identical no-op against the
    legacy nearest-first routing; crash failover re-routes clients onto
    the rendezvous successor (with the shard handed off to the same
-   place); and the servers' per-broker fair-admission budget stops a
-   flooded partition from starving its siblings. *)
+   place); and the servers' round-robin witness checks stop a flooded
+   partition from starving its siblings. *)
 
 module Engine = Repro_sim.Engine
 module Rng = Repro_sim.Rng
@@ -193,16 +193,14 @@ let test_crash_failover () =
      | None -> false)
 
 let test_fair_admission_starvation () =
-  (* Flood the hottest partition's broker far past the servers' per-broker
-     budget: its excess is shed at admission while every honest client —
-     including those homed on the flooded broker — still completes.  The
-     honest second wave matters: its submissions carry delivery-cert
+  (* Flood the hottest partition's broker: the servers check the brokers'
+     witnesses in turn, so every honest client — including those homed on
+     the flooded broker — still completes.  The honest second wave matters: its submissions carry delivery-cert
      evidence, which is what legitimizes the flood's seq > 0 spam at the
      broker (the cached-best rule), keeping the hot pipeline saturated. *)
   let cfg =
     { Deployment.default_config with
-      n_brokers = 3; dense_clients = 2048; fleet = Some Fleet.Hash;
-      fair_admission_rate = 1.; fair_admission_burst = 5. }
+      n_brokers = 3; dense_clients = 2048; fleet = Some Fleet.Hash }
   in
   let d = Deployment.create cfg in
   let clients = Array.init 6 (fun _ -> Deployment.add_client d ()) in
@@ -228,17 +226,7 @@ let test_fair_admission_starvation () =
   Array.iter
     (fun c -> checki "honest broadcasts complete under the flood" 2
         (Client.completed c))
-    clients;
-  let rejects = Deployment.admission_rejects d in
-  let hot_rejects = Option.value (List.assoc_opt hot rejects) ~default:0 in
-  checkb "the flooded broker was throttled" true (hot_rejects > 0);
-  List.iter
-    (fun (b, n) ->
-      if b <> hot then
-        checkb
-          (Printf.sprintf "sibling broker %d rejected less than the hot one" b)
-          true (n <= hot_rejects))
-    rejects
+    clients
 
 let () =
   Alcotest.run "fleet"

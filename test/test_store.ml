@@ -387,8 +387,7 @@ let test_gc_sweep_matches_full_scan () =
   in
   let sv =
     Server.create ~engine ~cpu:(Repro_sim.Cpu.create engine ())
-      ~config:{ Server.self = 0; n = capacity; clients;
-                fair_rate = 0.; fair_burst = 0. }
+      ~config:{ Server.self = 0; n = capacity; clients }
       ~store ~checkpoint_every:8 ~stob_cursor:(fun () -> !slots) ~membership
       ~directory:dir
       ~ms_sk:(fst keys.(0)) ~server_ms_pk:(fun i -> snd keys.(i))
@@ -543,7 +542,7 @@ let solo ?(checkpoint_every = 16) () =
   let self = ref None in
   let sv =
     Server.create ~engine ~cpu:(Repro_sim.Cpu.create engine ())
-      ~config:{ Server.self = 0; n = 4; clients; fair_rate = 0.; fair_burst = 0. }
+      ~config:{ Server.self = 0; n = 4; clients }
       ~store ~checkpoint_every ~stob_cursor:(fun () -> !slots) ~directory:dir
       ~ms_sk:(fst keys.(0)) ~server_ms_pk:(fun i -> snd keys.(i))
       ~send_broker:(fun ~broker:_ ~bytes:_ _ -> ())
@@ -698,10 +697,12 @@ let test_byzantine_ref_jumps () =
 (* Case (b): a broker floods Submits with garbage witnesses at rising
    numbers with gaps (so its relay mark cannot simply advance); none is
    relayed, its relay window slides instead of growing, and an honest
-   broker's Submits in between all relay and deliver. *)
+   broker's Submits in between all relay and deliver.  The witness checks
+   take the brokers in turn, so each honest ref is relayed within the
+   settle that follows it, not behind the flood's backlog. *)
 let test_byzantine_submit_flood () =
   let s = solo () in
-  let honest = ref 0 in
+  let honest = ref 0 and late = ref 0 in
   for k = 0 to 10 * Server.ref_window do
     Server.receive_broker s.s_sv ~src_broker:1
       (Proto.Submit
@@ -713,9 +714,11 @@ let test_byzantine_submit_flood () =
       Server.receive_broker s.s_sv ~src_broker:0
         (Proto.Submit { root; number; witness = solo_witness s ~root ~broker:0 ~number });
       incr honest;
-      settle s
+      settle s;
+      if !(s.s_relays) < !honest then incr late
     end
   done;
+  checki "honest refs relayed after their settle" 0 !late;
   (* Every forged witness still costs a pairing: drain the CPU backlog. *)
   Engine.run s.s_engine;
   checki "only the honest refs relayed" !honest !(s.s_relays);
