@@ -171,6 +171,9 @@ let identity_root t =
   | None ->
     let root =
       match t.entries with
+      | Explicit _ when Array.for_all (fun s -> s.s_seq = t.agg_seq) t.stragglers ->
+        (* Every leaf carries [agg_seq]: the reduction leaves exactly. *)
+        reduction_root t
       | Explicit entries -> explicit_root entries (Array.get (entry_seqs t))
       | Dense d -> dense_root "identity" d t.agg_seq
     in
@@ -281,6 +284,13 @@ let make_explicit ~broker ~number ~entries ~agg_seq ~stragglers ~agg_sig =
   Array.sort (fun a b -> Int.compare a.s_id b.s_id) stragglers;
   { broker; number; entries = Explicit entries; agg_seq; stragglers; agg_sig;
     roots = no_roots }
+
+let of_reduction_tree ~broker ~number ~entries ~agg_seq ~stragglers ~agg_sig tree =
+  if Merkle.leaf_count tree <> Array.length entries then
+    invalid_arg "Batch.of_reduction_tree: tree and entries differ in length";
+  let t = make_explicit ~broker ~number ~entries ~agg_seq ~stragglers ~agg_sig in
+  (roots t).reduction <- Some (Merkle.root tree);
+  t
 
 let forge_dense dir ~broker ~number ~first_id ~count ~msg_bytes ~tag ~straggler_count =
   if straggler_count < 0 || straggler_count > count then

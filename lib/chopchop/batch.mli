@@ -79,7 +79,9 @@ val reduction_root : t -> string
 val identity_root : t -> string
 (** Both roots are computed once per batch value and memoised on it (see
     the [roots] field); the simulated cost of recomputing them is charged
-    by {!witness_cpu_work}, not by these functions. *)
+    by {!witness_cpu_work}, not by these functions.  When every straggler
+    carries [agg_seq] the two roots commit to the same leaves, and the
+    identity root is the reduction root. *)
 
 val entry_seqs : t -> Types.sequence_number array
 (** Explicit batches only: the sequence number each entry carries in the
@@ -121,6 +123,22 @@ val make_explicit :
   agg_sig:Repro_crypto.Multisig.signature option ->
   t
 (** @raise Invalid_argument if entries are not sorted strictly by id. *)
+
+val of_reduction_tree :
+  broker:int ->
+  number:int ->
+  entries:entry array ->
+  agg_seq:int ->
+  stragglers:straggler array ->
+  agg_sig:Repro_crypto.Multisig.signature option ->
+  Repro_crypto.Merkle.t ->
+  t
+(** {!make_explicit} for the broker that proposed the batch: the tree must
+    be {!Repro_crypto.Merkle.build} over [leaf ~id ~seq:agg_seq] of every
+    entry, in order.  The batch takes its root as the reduction root
+    instead of hashing the entries again, and keeps no reference to the
+    tree.
+    @raise Invalid_argument if the tree and [entries] differ in length. *)
 
 val forge_dense :
   Directory.t ->

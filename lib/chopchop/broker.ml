@@ -65,7 +65,7 @@ type t = {
   cfg : config;
   membership : Membership.t; (* shared routing view of the active servers *)
   dir : Directory.view;
-  server_ms_pk : int -> Multisig.public_key;
+  certs : Certs.checker; (* the deployment's *)
   send_server : dst:int -> bytes:int -> Proto.broker_to_server -> unit;
   send_client : client:Types.client_id -> bytes:int -> Proto.broker_to_client -> unit;
   send_anon : nonce:int -> bytes:int -> Proto.broker_to_client -> unit;
@@ -95,7 +95,7 @@ type t = {
   c_verify : Trace.Counter.t; (* signature-verification operations *)
 }
 
-let create ~engine ~cpu ~config ?membership ~directory ~server_ms_pk
+let create ~engine ~cpu ~config ?membership ~directory ~certs
     ~send_server ~send_client ~send_anon ~stob_signup () =
   let membership =
     match membership with
@@ -104,7 +104,7 @@ let create ~engine ~cpu ~config ?membership ~directory ~server_ms_pk
       Membership.create ~capacity:config.n_servers ~initial:config.n_servers
   in
   { engine; cpu; cfg = config; membership;
-    dir = directory; server_ms_pk; send_server; send_client; send_anon; stob_signup;
+    dir = directory; certs; send_server; send_client; send_anon; stob_signup;
     pool = Hashtbl.create 1024; overflow = Hashtbl.create 64;
     buckets =
       Token_bucket.create ~rate:config.admission_rate
@@ -152,8 +152,7 @@ let note_evidence t (cert : Certs.delivery_cert) =
        legitimacy screening of the carrying submission is not delayed. *)
     Cpu.charge t.cpu ~work:(Cpu.serial Cost.bls_verify);
     Trace.Counter.incr t.c_verify;
-    if Certs.verify_delivery ~server_ms_pk:t.server_ms_pk ~quorum:(bq t) cert
-    then t.evidence <- Some cert
+    if Certs.check_delivery t.certs ~quorum:(bq t) cert then t.evidence <- Some cert
   end
 
 let reject_instant t name ~id =
@@ -402,8 +401,8 @@ and distill_done t st root valid_shares =
       let number = t.number in
       t.number <- number + 1;
       let batch =
-        Batch.make_explicit ~broker:t.cfg.broker_id ~number ~entries:st.r_entries
-          ~agg_seq:st.r_agg_seq ~stragglers ~agg_sig
+        Batch.of_reduction_tree ~broker:t.cfg.broker_id ~number ~entries:st.r_entries
+          ~agg_seq:st.r_agg_seq ~stragglers ~agg_sig st.r_tree
       in
       (let s = tr t in
        if Trace.enabled s then
@@ -570,7 +569,7 @@ and on_witness_shard t ~src fl share =
       Certs.witness_statement ~root:fl.w_root ~broker:t.cfg.broker_id
         ~number:fl.w_batch.Batch.number
     in
-    if not (Multisig.verify (t.server_ms_pk src) statement share) then begin
+    if not (Multisig.verify (Certs.server_pk t.certs src) statement share) then begin
       let s = tr t in
       if Trace.enabled s then
         Trace.instant s ~now:(Engine.now t.engine) ~actor:(tr_actor t)
@@ -634,7 +633,7 @@ and on_completion_shard t ~src fl ~counter ~exceptions share =
     let key = (counter, exc_hash) in
     Trace.Counter.incr t.c_verify;
     let statement = Certs.completion_statement ~root:fl.w_root ~counter ~exc_hash in
-    if Multisig.verify (t.server_ms_pk src) statement share then begin
+    if Multisig.verify (Certs.server_pk t.certs src) statement share then begin
       let prev = Option.value (Hashtbl.find_opt fl.w_completions key) ~default:[] in
       if not (List.mem_assoc src prev) then begin
         let shards = (src, share) :: prev in

@@ -41,7 +41,7 @@ val create :
   config:config ->
   ?membership:Membership.t ->
   directory:Directory.view ->
-  server_ms_pk:(int -> Repro_crypto.Multisig.public_key) ->
+  certs:Certs.checker ->
   send_server:(dst:int -> bytes:int -> Proto.broker_to_server -> unit) ->
   send_client:(client:Types.client_id -> bytes:int -> Proto.broker_to_client -> unit) ->
   send_anon:(nonce:int -> bytes:int -> Proto.broker_to_client -> unit) ->

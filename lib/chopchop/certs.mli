@@ -53,6 +53,41 @@ val verify_delivery :
   delivery_cert ->
   bool
 
+(** {2 The deployment's checker}
+
+    {!verify} and {!verify_delivery} are pure and execute every check.  A
+    deployment holds one [checker], shared by its clients, brokers and
+    servers.  It checks the quorum and the signer list on every call, and
+    the multi-signature only when no verdict was given on the same
+    inputs: the same certificate value (compared physically), the same
+    statement fields and the same current key for every signer (through
+    their aggregate, the only way the check reads them), so a replaced
+    server's new key invalidates what its old key signed.  At most
+    {!memo_bound} verdicts are kept, oldest out first.  Callers still
+    charge the simulated cost of every logical check. *)
+
+type checker
+
+val checker : server_ms_pk:(int -> Repro_crypto.Multisig.public_key) -> checker
+(** [server_ms_pk] is read at every check, so it must return each slot's
+    current key. *)
+
+val server_pk : checker -> int -> Repro_crypto.Multisig.public_key
+(** The current key of one server slot. *)
+
+val check_delivery : checker -> quorum:int -> delivery_cert -> bool
+(** Same verdict as {!verify_delivery}. *)
+
+val check_witness :
+  checker -> root:string -> broker:int -> number:int -> quorum:int -> quorum_cert -> bool
+(** Same verdict as {!verify} over {!witness_statement}. *)
+
+val memo_bound : int
+(** The most verdicts a checker keeps. *)
+
+val memo_size : checker -> int
+(** Verdicts kept now. *)
+
 val legitimizes : delivery_cert option -> Types.sequence_number -> bool
 (** [legitimizes evidence k]: [k = 0] needs no evidence; otherwise the
     certificate's counter must reach [k].  (§4.2 induction: the largest

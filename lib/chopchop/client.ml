@@ -16,8 +16,11 @@ type config = {
 type in_flight = {
   fl_msg : Types.message;
   fl_seq : int; (* sequence number submitted (#2) *)
+  fl_tsig : Schnorr.signature; (* over (id, fl_seq, fl_msg), for every resubmission *)
   mutable fl_adopted : int; (* aggregate sequence number adopted, >= fl_seq *)
   fl_started : float;
+  mutable fl_proven : (string * string * Merkle.proof) option;
+      (* (root, leaf, proof) of the last inclusion proof that checked out *)
 }
 
 type t = {
@@ -25,7 +28,7 @@ type t = {
   cfg : config;
   kp : Types.keypair;
   membership : Membership.t; (* live committee view (the deployment's) *)
-  server_ms_pk : int -> Multisig.public_key;
+  certs : Certs.checker; (* the deployment's *)
   send_broker : broker:int -> bytes:int -> Proto.client_to_broker -> unit;
   on_delivered : Types.message -> latency:float -> unit;
   nonce : int;
@@ -55,10 +58,10 @@ let jitter_rng ~nonce =
     (Int64.logxor 0x6A09E667F3BCC909L
        (Int64.mul (Int64.of_int (nonce + 1)) 0x9E3779B97F4A7C15L))
 
-let create ~engine ~config ~keypair ~membership ~server_ms_pk ~send_broker
+let create ~engine ~config ~keypair ~membership ~certs ~send_broker
     ?(on_delivered = fun _ ~latency:_ -> ()) ?(nonce = 0) () =
   { engine; cfg = config; kp = keypair; membership;
-    server_ms_pk; send_broker; on_delivered; nonce;
+    certs; send_broker; on_delivered; nonce;
     id = None; broker_idx = 0; seq = 0; evidence = None;
     queue = Queue.create (); flight = None; timeout = None;
     rng = jitter_rng ~nonce;
@@ -141,14 +144,12 @@ let rec signup t =
 let rec submit t =
   match (t.flight, t.id) with
   | Some fl, Some id when not t.crashed ->
-    let tsig =
-      Schnorr.sign t.kp.sig_sk (Types.message_statement ~id ~seq:fl.fl_seq fl.fl_msg)
-    in
     let ctx = Trace.Ctx.make ~root:(msg_key ~id ~seq:fl.fl_seq) in
     t.send_broker ~broker:(current_broker t)
       ~bytes:(Wire.submission_bytes ~clients:t.cfg.clients ~msg_bytes:(msg_bytes t))
       (Submission
-         { id; seq = fl.fl_seq; msg = fl.fl_msg; tsig; evidence = t.evidence; ctx });
+         { id; seq = fl.fl_seq; msg = fl.fl_msg; tsig = fl.fl_tsig;
+           evidence = t.evidence; ctx });
     arm_timeout t (fun () ->
         if not t.crashed then begin
           (* No progress: fall back on a different broker (§4.4.2). *)
@@ -158,24 +159,24 @@ let rec submit t =
   | _ -> ()
 
 let launch_next t =
-  if t.flight = None && not (Queue.is_empty t.queue) && t.id <> None && not t.crashed
-  then begin
+  match t.id with
+  | Some id when t.flight = None && not (Queue.is_empty t.queue || t.crashed) ->
     let msg = Queue.pop t.queue in
     t.flight <-
-      Some { fl_msg = msg; fl_seq = t.seq; fl_adopted = t.seq;
-             fl_started = Engine.now t.engine };
+      Some { fl_msg = msg; fl_seq = t.seq;
+             fl_tsig =
+               Schnorr.sign t.kp.sig_sk (Types.message_statement ~id ~seq:t.seq msg);
+             fl_adopted = t.seq; fl_started = Engine.now t.engine;
+             fl_proven = None };
     (let s = Engine.trace t.engine in
      if Trace.enabled s then
-       match t.id with
-       | Some id ->
-         Trace.instant s ~now:(Engine.now t.engine) ~actor:(tr_actor ~id)
-           ~cat:"client" ~name:"send" ~id:(msg_key ~id ~seq:t.seq)
-           ~attrs:[ ("seq", Trace.A_int t.seq) ]
-       | None -> ());
+       Trace.instant s ~now:(Engine.now t.engine) ~actor:(tr_actor ~id)
+         ~cat:"client" ~name:"send" ~id:(msg_key ~id ~seq:t.seq)
+         ~attrs:[ ("seq", Trace.A_int t.seq) ]);
     cancel_timeout t;
     reset_backoff t;
     submit t
-  end
+  | Some _ | None -> ()
 
 let broadcast t msg =
   Queue.add msg t.queue;
@@ -197,8 +198,9 @@ let on_inclusion t ~root ~proof ~agg_seq ~evidence =
           | None -> agg_seq = fl.fl_seq
           | Some e ->
             Trace.Counter.incr t.c_verify;
-            Certs.verify_delivery ~server_ms_pk:t.server_ms_pk ~quorum:(cquorum t) e)
+            Certs.check_delivery t.certs ~quorum:(cquorum t) e)
     then begin
+      fl.fl_proven <- Some (root, leaf, proof);
       fl.fl_adopted <- max fl.fl_adopted agg_seq;
       let share =
         if t.bad_share then Multisig.forge_garbage ()
@@ -221,8 +223,7 @@ let on_deliver_cert t ~cert ~seq ~proof =
   match (t.flight, t.id) with
   | Some fl, Some id ->
     Trace.Counter.incr t.c_verify;
-    if Certs.verify_delivery ~server_ms_pk:t.server_ms_pk ~quorum:(cquorum t) cert
-    then begin
+    if Certs.check_delivery t.certs ~quorum:(cquorum t) cert then begin
       (* Track the freshest legitimacy evidence regardless of whose batch
          this certifies. *)
       (match t.evidence with
@@ -231,7 +232,14 @@ let on_deliver_cert t ~cert ~seq ~proof =
       let ours =
         match proof with
         | Some proof ->
-          Merkle.verify cert.Certs.root ~leaf:(Batch.leaf ~id ~seq fl.fl_msg) proof
+          let root = cert.Certs.root and leaf = Batch.leaf ~id ~seq fl.fl_msg in
+          (* The proof that checked out under this root at inclusion
+             needs no second check; any other proof gets one. *)
+          (match fl.fl_proven with
+           | Some (r, l, p) ->
+             String.equal r root && String.equal l leaf && Merkle.proof_equal p proof
+           | None -> false)
+          || Merkle.verify root ~leaf proof
         | None -> false
       in
       let replayed = List.mem_assoc id cert.Certs.exceptions in

@@ -34,7 +34,7 @@ val create :
   config:config ->
   keypair:Types.keypair ->
   membership:Membership.t ->
-  server_ms_pk:(int -> Repro_crypto.Multisig.public_key) ->
+  certs:Certs.checker ->
   send_broker:(broker:int -> bytes:int -> Proto.client_to_broker -> unit) ->
   ?on_delivered:(Types.message -> latency:float -> unit) ->
   ?nonce:int ->
@@ -43,8 +43,8 @@ val create :
 (** [nonce] must be unique per client in the deployment (used to route the
     sign-up response); defaults are assigned by {!Deployment}.
     [membership] is the live committee view shared with the deployment:
-    delivery certificates are verified against the current epoch's
-    quorum. *)
+    delivery certificates are verified, through the deployment's [certs],
+    against the current epoch's quorum. *)
 
 val signup : t -> unit
 (** Start the sign-up; queued messages flow once the id is assigned. *)

@@ -86,6 +86,7 @@ type t = {
   mutable servers : Server.t array;
   server_cpus : Cpu.t array;
   server_pks : Multisig.public_key array;
+  certs : Certs.checker; (* every certificate check, against [server_pks] *)
   stores : (Proto.checkpoint, Proto.wal_record) Store.t option array;
   mutable stobs : Stob_item.t Stob.t array;
   mutable brokers : broker_slot array;
@@ -150,6 +151,7 @@ let link t ~client_node ~broker_node =
 let engine t = t.engine
 let config t = t.cfg
 let directory t = t.directory
+let certs t = t.certs
 let servers t = t.servers
 let broker t i = t.brokers.(i).br
 let n_brokers t = Array.length t.brokers
@@ -208,7 +210,7 @@ let install_broker t ~region ~flush_period ~reduce_timeout ~max_batch ?cores
   let b =
     Broker.create ~engine:t.engine ~cpu ~config:cfg_b ~directory
       ~membership:t.membership
-      ~server_ms_pk:(fun j -> t.server_pks.(j))
+      ~certs:t.certs
       ~send_server:(fun ~dst ~bytes m -> Net.send t.net ~src:node ~dst ~bytes (B2s m))
       ~send_client:(fun ~client ~bytes m ->
         match Hashtbl.find_opt t.client_nodes client with
@@ -270,7 +272,7 @@ let build_server t ~slot ~ms_sk ~directory ~membership ~stob =
       Net.disconnect t.net slot;
       Stob.crash t.stobs.(slot))
     ~directory ~ms_sk
-    ~server_ms_pk:(fun j -> t.server_pks.(j))
+    ~certs:t.certs
     ~send_broker:(fun ~broker ~bytes m ->
       if broker < Array.length t.brokers then
         Net.send t.net ~src:slot ~dst:t.brokers.(broker).br_node ~bytes (S2b m))
@@ -338,7 +340,9 @@ let create cfg =
       membership = Membership.create ~capacity ~initial:n;
       engine; net;
       directory = Directory.create ~dense_count:cfg.dense_clients ();
-      servers = [||]; server_cpus; server_pks; stores; stobs = [||];
+      servers = [||]; server_cpus; server_pks;
+      certs = Certs.checker ~server_ms_pk:(Array.get server_pks);
+      stores; stobs = [||];
       brokers = [||];
       broker_of_node = Hashtbl.create 16;
       client_nodes = Hashtbl.create 1024;
@@ -478,7 +482,7 @@ let add_client t ?region ?identity ?on_delivered ?brokers () =
   let c =
     Client.create ~engine:t.engine ~config:cfg_c ~keypair
       ~membership:t.membership
-      ~server_ms_pk:(fun j -> t.server_pks.(j))
+      ~certs:t.certs
       ~send_broker:(fun ~broker ~bytes m ->
         Rudp.send (link t ~client_node:node ~broker_node:t.brokers.(broker).br_node).up
           ~bytes m)

@@ -66,6 +66,10 @@ val directory : t -> Directory.t
 (** Owner of the deployment's dense population: servers hold replicas of
     it, fleet brokers shards over it. *)
 
+val certs : t -> Certs.checker
+(** The one certificate checker that every client, broker and server of
+    the deployment checks certificates through. *)
+
 val servers : t -> Server.t array
 val broker : t -> int -> Broker.t
 val n_brokers : t -> int

@@ -43,7 +43,7 @@ type t = {
   membership : Membership.t;
   dir : Directory.t;
   ms_sk : Multisig.secret_key;
-  server_ms_pk : int -> Multisig.public_key;
+  certs : Certs.checker; (* the deployment's *)
   set_server_pk : int -> Multisig.public_key -> unit;
   on_self_leave : unit -> unit;
   send_broker : broker:int -> bytes:int -> Proto.server_to_broker -> unit;
@@ -143,7 +143,7 @@ let sync_backoff_cap = 8.0
 let create ~engine ~cpu ~config ?store ?(checkpoint_every = 0)
     ?(stob_cursor = fun () -> 0) ?(stob_resume = fun _ -> ()) ?membership
     ?(set_server_pk = fun _ _ -> ()) ?(on_self_leave = fun () -> ())
-    ~directory ~ms_sk ~server_ms_pk ~send_broker ~send_server
+    ~directory ~ms_sk ~certs ~send_broker ~send_server
     ~stob_broadcast ~deliver_app () =
   let membership =
     match membership with
@@ -151,7 +151,7 @@ let create ~engine ~cpu ~config ?store ?(checkpoint_every = 0)
     | None -> Membership.create ~capacity:config.n ~initial:config.n
   in
   { engine; cpu; cfg = config; membership;
-    dir = directory; ms_sk; server_ms_pk; set_server_pk; on_self_leave;
+    dir = directory; ms_sk; certs; set_server_pk; on_self_leave;
     send_broker; send_server; stob_broadcast; deliver_app;
     store; checkpoint_every; stob_cursor; stob_resume;
     batches = Hashtbl.create 512; stored_bytes = 0; gc_order = Queue.create ();
@@ -826,10 +826,9 @@ let rec start_checks t =
           t.checking <- t.checking - 1;
           if not t.crashed then begin
             Trace.Counter.incr t.c_verify;
-            let statement = Certs.witness_statement ~root ~broker ~number in
             if
-              Certs.verify ~statement ~server_ms_pk:t.server_ms_pk
-                ~quorum:(quorum t) witness
+              Certs.check_witness t.certs ~root ~broker ~number ~quorum:(quorum t)
+                witness
             then begin
               t.stob_broadcast (Stob_item.Batch_ref { broker; number; root; witness });
               t.send_broker ~broker ~bytes:(Wire.header_bytes + 32)
@@ -1035,11 +1034,10 @@ let on_stob_deliver t item =
         (* A taken slot: dropped before its witness costs a pairing. *)
         dup_ref t o
       else begin
-        let statement = Certs.witness_statement ~root ~broker ~number in
         Trace.Counter.incr t.c_verify;
         if
-          Certs.verify ~statement ~server_ms_pk:t.server_ms_pk
-            ~quorum:(quorum t) witness
+          Certs.check_witness t.certs ~root ~broker ~number ~quorum:(quorum t)
+            witness
         then begin
           (* Only a verified ref takes its slot: a forged witness must not
              use up (or slide past) an honest broker's numbers.  While

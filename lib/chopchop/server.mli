@@ -46,7 +46,7 @@ val create :
   ?on_self_leave:(unit -> unit) ->
   directory:Directory.t ->
   ms_sk:Repro_crypto.Multisig.secret_key ->
-  server_ms_pk:(int -> Repro_crypto.Multisig.public_key) ->
+  certs:Certs.checker ->
   send_broker:(broker:int -> bytes:int -> Proto.server_to_broker -> unit) ->
   send_server:(dst:int -> bytes:int -> Proto.server_to_server -> unit) ->
   stob_broadcast:(Stob_item.t -> unit) ->
@@ -59,8 +59,9 @@ val create :
     past slots recovered through state transfer.  [membership] shares the
     dynamic server roster (defaults to a static full one);
     [set_server_pk] publishes a joining/replacing server's multisig key to
-    the deployment; [on_self_leave] fires when an ordered [Leave] of this
-    very slot is delivered. *)
+    the deployment, where [certs] reads the keys it checks witness
+    certificates against; [on_self_leave] fires when an ordered [Leave] of
+    this very slot is delivered. *)
 
 val start : t -> unit
 (** Arm the periodic GC gossip. *)

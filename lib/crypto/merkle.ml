@@ -66,6 +66,12 @@ let verify root_hash ~leaf { index = _; path } =
   in
   String.equal h root_hash
 
+let proof_equal p q =
+  p.index = q.index
+  && List.equal
+       (fun (l, h) (l', h') -> Bool.equal l l' && String.equal h h')
+       p.path q.path
+
 let proof_index p = p.index
 let proof_length p = List.length p.path
 let proof_size_bytes p = (32 * List.length p.path) + 8

@@ -29,6 +29,10 @@ val verify : root -> leaf:string -> proof -> bool
 (** [verify root ~leaf proof] checks that [leaf] is committed under [root]
     at the position recorded in [proof]. *)
 
+val proof_equal : proof -> proof -> bool
+(** Same position and same sibling path: a proof equal to one that
+    {!verify} accepted for a root and a leaf is accepted for them again. *)
+
 val proof_index : proof -> int
 (** Position of the proven leaf in the committed vector. *)
 

@@ -7,6 +7,7 @@
 open Repro_chopchop
 module Schnorr = Repro_crypto.Schnorr
 module Multisig = Repro_crypto.Multisig
+module Merkle = Repro_crypto.Merkle
 module Cpu = Repro_sim.Cpu
 module Cost = Repro_sim.Cost
 module Trace = Repro_trace.Trace
@@ -167,6 +168,79 @@ let test_legitimizes () =
   checkb "counter = seq legitimizes (paper's induction bound)" true
     (Certs.legitimizes (Some dc) 10);
   checkb "counter < seq does not" false (Certs.legitimizes (Some dc) 11)
+
+(* The checker: a cached verdict is reused only on the same inputs. *)
+
+let delivery_cert keys ~signers ~root ~counter =
+  let statement =
+    Certs.completion_statement ~root ~counter ~exc_hash:(Certs.exceptions_hash [])
+  in
+  { Certs.root; counter; exceptions = [];
+    qc =
+      Certs.assemble
+        (List.map (fun i -> (i, Certs.sign_shard (fst keys.(i)) statement)) signers) }
+
+let test_checker_inputs () =
+  let keys = server_keys 4 in
+  let c = Certs.checker ~server_ms_pk:(fun i -> snd keys.(i)) in
+  let dc = delivery_cert keys ~signers:[ 0; 1 ] ~root:"r" ~counter:3 in
+  checkb "valid" true (Certs.check_delivery c ~quorum:2 dc);
+  checkb "valid again, from the memo" true (Certs.check_delivery c ~quorum:2 dc);
+  checkb "another aggregate" false
+    (Certs.check_delivery c ~quorum:2
+       { dc with qc = { dc.qc with agg = Multisig.forge_garbage () } });
+  checkb "another counter" false
+    (Certs.check_delivery c ~quorum:2 { dc with counter = 4 });
+  checkb "a higher quorum" false (Certs.check_delivery c ~quorum:3 dc);
+  checkb "an equal copy" true (Certs.check_delivery c ~quorum:2 { dc with counter = 3 });
+  let root = "w" and broker = 1 and number = 7 in
+  let statement = Certs.witness_statement ~root ~broker ~number in
+  let qc =
+    Certs.assemble
+      (List.map (fun i -> (i, Certs.sign_shard (fst keys.(i)) statement)) [ 2; 3 ])
+  in
+  let witness ?(root = root) ?(broker = broker) ?(number = number) () =
+    Certs.check_witness c ~root ~broker ~number ~quorum:2 qc
+  in
+  (* Enough other statements that some share the valid one's hash bucket. *)
+  for k = 1 to 300 do
+    checkb "witness valid" true (witness ());
+    checkb "witness under another number" false (witness ~number:(number + k) ());
+    checkb "witness under another broker" false (witness ~broker:(broker + k) ());
+    checkb "witness under another root" false (witness ~root:(root ^ string_of_int k) ())
+  done
+
+let test_checker_replaced_key () =
+  let d =
+    Deployment.create
+      { Deployment.default_config with n_servers = 4; store_enabled = true }
+  in
+  (* The deployment's initial server keys. *)
+  let keys =
+    Array.init 4 (fun i ->
+        Multisig.keygen_deterministic ~seed:(Printf.sprintf "server-%d" i))
+  in
+  let dc = delivery_cert keys ~signers:[ 0; 1 ] ~root:"r" ~counter:1 in
+  let quorum = Membership.quorum (Deployment.membership d) in
+  checkb "signed by the current keys" true
+    (Certs.check_delivery (Deployment.certs d) ~quorum dc);
+  Deployment.replace_server d 0;
+  checkb "server 0's old key no longer counts" false
+    (Certs.check_delivery (Deployment.certs d) ~quorum dc)
+
+let test_checker_bounded () =
+  let keys = server_keys 4 in
+  let c = Certs.checker ~server_ms_pk:(fun i -> snd keys.(i)) in
+  let dc = delivery_cert keys ~signers:[ 0; 1 ] ~root:"r" ~counter:1 in
+  let forged = { dc with qc = { dc.qc with agg = Multisig.forge_garbage () } } in
+  for counter = 1 to 4 * Certs.memo_bound do
+    checkb "forgery rejected" false
+      (Certs.check_delivery c ~quorum:2 { forged with counter })
+  done;
+  checki "the memo stays at its bound" Certs.memo_bound (Certs.memo_size c);
+  checkb "a valid certificate still checks out" true
+    (Certs.check_delivery c ~quorum:2 dc);
+  checki "still at its bound" Certs.memo_bound (Certs.memo_size c)
 
 (* --- Batch -------------------------------------------------------------------- *)
 
@@ -381,6 +455,149 @@ let test_ceil_log2_boundaries () =
   let depth leaves = Cost.merkle_verify_proof ~leaves /. Cost.hash_per_byte /. 64. in
   checkb "proof depth 16 at 64k leaves" true (abs_float (depth 65_536 -. 16.) < 1e-6);
   checkb "proof depth 10 at 1024 leaves" true (abs_float (depth 1024 -. 10.) < 1e-6)
+
+(* --- delivery proofs ---------------------------------------------------------- *)
+
+(* A lone client shown [inclusion] under the root of [tree], then a
+   delivery certificate for that root carrying [delivery]: how many
+   messages it completed. *)
+let completed_after ~tree ~inclusion ~delivery =
+  let keys = server_keys 4 in
+  let engine = Repro_sim.Engine.create () in
+  let c =
+    Client.create ~engine
+      ~config:
+        { Client.brokers = [ 0 ]; resubmit_timeout = 8.0; max_resubmit_timeout = 60.0;
+          clients = 1024 }
+      ~keypair:(dense_kp 7)
+      ~membership:(Membership.create ~capacity:4 ~initial:4)
+      ~certs:(Certs.checker ~server_ms_pk:(fun i -> snd keys.(i)))
+      ~send_broker:(fun ~broker:_ ~bytes:_ _ -> ())
+      ()
+  in
+  Client.force_identity c 7;
+  Client.broadcast c "m7";
+  let root = Merkle.root tree in
+  Client.receive c
+    (Proto.Inclusion { root; proof = inclusion; agg_seq = 0; evidence = None });
+  Client.receive c
+    (Proto.Deliver_cert
+       { cert = delivery_cert keys ~signers:[ 0; 1 ] ~root ~counter:1; seq = 0;
+         proof = Some delivery });
+  Client.completed c
+
+let test_delivery_proof_reuse () =
+  let leaf = Batch.leaf ~id:7 ~seq:0 "m7" in
+  (* The client's leaf twice: leaves 0 and 1 have different proofs, and
+     both hold. *)
+  let tree = Merkle.build [| leaf; leaf; "a"; "b" |] in
+  let other = Merkle.build [| leaf; "c"; "a"; "b" |] in
+  let completed delivery =
+    completed_after ~tree ~inclusion:(Merkle.prove tree 0) ~delivery
+  in
+  checki "the inclusion proof again" 1 (completed (Merkle.prove tree 0));
+  checki "another proof that holds" 1 (completed (Merkle.prove tree 1));
+  checki "another leaf's proof" 0 (completed (Merkle.prove tree 2));
+  checki "same position, another path" 0 (completed (Merkle.prove other 0))
+
+(* One broker, four scripted servers and sixteen dense clients in two
+   batches.  Client 2 straggles with a sequence number below its batch's,
+   so the first batch's identity root is not its reduction root; clients
+   5, 10 and 13 straggle at their batch's number, so the second batch's
+   is. *)
+let test_broker_delivery_proofs () =
+  let keys = server_keys 4 in
+  let engine = Repro_sim.Engine.create () in
+  let later f = Repro_sim.Engine.schedule engine ~delay:0.01 f in
+  let broker = ref None in
+  let receive_client m = Broker.receive_client (Option.get !broker) m in
+  let receive_server ~src m = Broker.receive_server (Option.get !broker) ~src m in
+  let msg id = Printf.sprintf "m%d" id and seq id = if id = 2 then 1 else 3 in
+  let included = Hashtbl.create 16 and delivered = ref [] in
+  let send_client ~client ~bytes:_ = function
+    | Proto.Inclusion { root; _ } ->
+      Hashtbl.replace included client root;
+      if client mod 8 <> 2 && client mod 8 <> 5 then
+        later (fun () ->
+            receive_client
+              (Proto.Reduction
+                 { id = client; root;
+                   share =
+                     Multisig.sign (dense_kp client).Types.ms_sk
+                       (Types.reduction_statement ~root) }))
+    | Proto.Deliver_cert { cert; seq; proof } ->
+      delivered := (client, cert, seq, proof) :: !delivered
+    | Proto.Signup_response _ -> ()
+  in
+  let counter = ref 0 in
+  let send_server ~dst ~bytes:_ = function
+    | Proto.Batch_announce { batch; witness_requested = true } ->
+      let root = Batch.identity_root batch in
+      let share =
+        Certs.sign_shard (fst keys.(dst))
+          (Certs.witness_statement ~root ~broker:batch.Batch.broker
+             ~number:batch.Batch.number)
+      in
+      later (fun () -> receive_server ~src:dst (Proto.Witness_shard { root; share }))
+    | Proto.Submit { root; _ } ->
+      incr counter;
+      let counter = !counter in
+      let statement =
+        Certs.completion_statement ~root ~counter ~exc_hash:(Certs.exceptions_hash [])
+      in
+      later (fun () ->
+          receive_server ~src:dst (Proto.Submit_ack { root });
+          Array.iteri
+            (fun src (sk, _) ->
+              receive_server ~src
+                (Proto.Completion_shard
+                   { root; counter; exceptions = [];
+                     share = Certs.sign_shard sk statement }))
+            keys)
+    | Proto.Batch_announce _ | Proto.Witness_request _ | Proto.Relay_signup _ -> ()
+  in
+  broker :=
+    Some
+      (Broker.create ~engine ~cpu:(Cpu.create engine ~cores:4 ())
+         ~config:(Broker.default_config ~n_servers:4 ~clients:16)
+         ~directory:(Directory.Whole (Directory.create ~dense_count:16 ()))
+         ~certs:(Certs.checker ~server_ms_pk:(fun i -> snd keys.(i)))
+         ~send_server ~send_client
+         ~send_anon:(fun ~nonce:_ ~bytes:_ _ -> ())
+         ~stob_signup:ignore ());
+  Broker.start (Option.get !broker);
+  (* Evidence legitimising sequence numbers up to 3. *)
+  let evidence = Some (delivery_cert keys ~signers:[ 0; 1 ] ~root:"earlier" ~counter:3) in
+  let submit ids =
+    List.iter
+      (fun id ->
+        let seq = seq id and msg = msg id in
+        receive_client
+          (Proto.Submission
+             { id; seq; msg;
+               tsig =
+                 Schnorr.sign (dense_kp id).Types.sig_sk
+                   (Types.message_statement ~id ~seq msg);
+               evidence; ctx = Trace.Ctx.make ~root:id }))
+      ids
+  in
+  submit (List.init 8 Fun.id);
+  Repro_sim.Engine.schedule engine ~delay:1.5 (fun () -> submit (List.init 8 (( + ) 8)));
+  Repro_sim.Engine.run engine ~until:10.0;
+  checki "one certificate per client" 16 (List.length !delivered);
+  List.iter
+    (fun (id, cert, s, proof) ->
+      checki (Printf.sprintf "client %d: its own number" id) (seq id) s;
+      checkb (Printf.sprintf "client %d: proof verifies" id) true
+        (match proof with
+         | Some proof ->
+           Merkle.verify cert.Certs.root ~leaf:(Batch.leaf ~id ~seq:s (msg id)) proof
+         | None -> false);
+      checkb
+        (Printf.sprintf "client %d: identity root is the reduction root" id)
+        (id >= 8)
+        (String.equal cert.Certs.root (Hashtbl.find included id)))
+    !delivered
 
 (* --- protocol integration over the idealised sequencer ----------------------- *)
 
@@ -807,7 +1024,47 @@ let test_batch_memo_invalidation () =
      && Batch.verify dir good)
 
 let suite_batch_props =
-  [ qtest ~count:150 "joins match the quadratic reference on Byzantine stragglers"
+  [ qtest ~count:150 "identity root matches a fresh tree"
+      QCheck.(
+        triple
+          (list_of_size (Gen.int_range 1 12) (int_bound 40))
+          (list_of_size (Gen.int_range 0 10) (pair (int_bound 45) (int_bound 2)))
+          bool)
+      (fun (raw_ids, spec, raw) ->
+        let agg_seq = 2 in
+        let entries = mk_entries (List.sort_uniq compare raw_ids) in
+        (* Stragglers carrying [agg_seq] (the reduction leaves exactly) or
+           a number of their own, some not in the batch; [raw] keeps them
+           unsorted and duplicated instead of letting [make_explicit] sort
+           them. *)
+        let stragglers =
+          Array.of_list
+            (List.map
+               (fun (id, k) ->
+                 { Batch.s_id = id; s_seq = (if k = 0 then agg_seq - 1 else agg_seq);
+                   s_sig = Schnorr.forge_garbage () })
+               spec)
+        in
+        let tree =
+          Merkle.build
+            (Array.map (fun e -> Batch.leaf ~id:e.Batch.e_id ~seq:agg_seq e.Batch.e_msg)
+               entries)
+        in
+        let b =
+          Batch.of_reduction_tree ~broker:0 ~number:0 ~entries ~agg_seq ~stragglers
+            ~agg_sig:None tree
+        in
+        let b = if raw then { b with Batch.stragglers } else b in
+        let seqs = Batch.entry_seqs b in
+        let fresh =
+          Merkle.build
+            (Array.mapi
+               (fun i e -> Batch.leaf ~id:e.Batch.e_id ~seq:seqs.(i) e.Batch.e_msg)
+               entries)
+        in
+        Batch.identity_root b = Merkle.root fresh
+        && Batch.reduction_root b = Merkle.root tree);
+    qtest ~count:150 "joins match the quadratic reference on Byzantine stragglers"
       QCheck.(
         triple
           (list_of_size (Gen.int_range 1 12) (int_bound 40))
@@ -886,7 +1143,12 @@ let () =
        [ Alcotest.test_case "quorum" `Quick test_certs_quorum;
          Alcotest.test_case "signer dedup" `Quick test_certs_dedup_signers;
          Alcotest.test_case "forged signer list" `Quick test_certs_forged_signer_list;
-         Alcotest.test_case "legitimizes" `Quick test_legitimizes ]);
+         Alcotest.test_case "legitimizes" `Quick test_legitimizes;
+         Alcotest.test_case "checker reuses only equal inputs" `Quick test_checker_inputs;
+         Alcotest.test_case "checker forgets a replaced key" `Quick
+           test_checker_replaced_key;
+         Alcotest.test_case "checker bounded under a flood" `Quick
+           test_checker_bounded ]);
       ("batch",
        [ Alcotest.test_case "explicit verifies" `Quick test_batch_explicit_verifies;
          Alcotest.test_case "with stragglers" `Quick test_batch_with_stragglers;
@@ -919,4 +1181,7 @@ let () =
          Alcotest.test_case "liveness under f crashes" `Quick test_crash_f_servers_liveness;
          Alcotest.test_case "no send before cpu completion" `Quick
            test_no_send_before_cpu_completion;
-         Alcotest.test_case "stob item bytes" `Quick test_stob_item_bytes ]) ]
+         Alcotest.test_case "stob item bytes" `Quick test_stob_item_bytes;
+         Alcotest.test_case "delivery proof reuse" `Quick test_delivery_proof_reuse;
+         Alcotest.test_case "broker delivery proofs verify" `Quick
+           test_broker_delivery_proofs ]) ]

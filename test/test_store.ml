@@ -390,7 +390,8 @@ let test_gc_sweep_matches_full_scan () =
       ~config:{ Server.self = 0; n = capacity; clients }
       ~store ~checkpoint_every:8 ~stob_cursor:(fun () -> !slots) ~membership
       ~directory:dir
-      ~ms_sk:(fst keys.(0)) ~server_ms_pk:(fun i -> snd keys.(i))
+      ~ms_sk:(fst keys.(0))
+      ~certs:(Certs.checker ~server_ms_pk:(fun i -> snd keys.(i)))
       ~send_broker:(fun ~broker:_ ~bytes:_ _ -> ())
       ~send_server:(fun ~dst:_ ~bytes:_ _ -> ())
       ~stob_broadcast:(fun _ -> ()) ~deliver_app:(fun _ -> ()) ()
@@ -544,7 +545,8 @@ let solo ?(checkpoint_every = 16) () =
     Server.create ~engine ~cpu:(Repro_sim.Cpu.create engine ())
       ~config:{ Server.self = 0; n = 4; clients }
       ~store ~checkpoint_every ~stob_cursor:(fun () -> !slots) ~directory:dir
-      ~ms_sk:(fst keys.(0)) ~server_ms_pk:(fun i -> snd keys.(i))
+      ~ms_sk:(fst keys.(0))
+      ~certs:(Certs.checker ~server_ms_pk:(fun i -> snd keys.(i)))
       ~send_broker:(fun ~broker:_ ~bytes:_ _ -> ())
       ~send_server:(fun ~dst:_ ~bytes:_ msg -> sent := msg :: !sent)
       ~stob_broadcast:(fun item ->
