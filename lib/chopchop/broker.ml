@@ -64,15 +64,15 @@ type t = {
   cpu : Cpu.t;
   cfg : config;
   membership : Membership.t; (* shared routing view of the active servers *)
-  dir : Directory.view;
+  dir : Directory.t; (* a server's copy of the one Rank directory *)
   certs : Certs.checker; (* the deployment's *)
   send_server : dst:int -> bytes:int -> Proto.broker_to_server -> unit;
   send_client : client:Types.client_id -> bytes:int -> Proto.broker_to_client -> unit;
   send_anon : nonce:int -> bytes:int -> Proto.broker_to_client -> unit;
   stob_signup : Stob_item.t -> unit;
-  (* Submission intake: one live submission per client; extras queue. *)
+  (* Submission intake: one pooled submission per client, the highest
+     sequence number seen. *)
   pool : (Types.client_id, submission) Hashtbl.t;
-  overflow : (Types.client_id, submission Queue.t) Hashtbl.t;
   buckets : Types.client_id Token_bucket.t; (* per-client rate limits *)
   mutable flush_cursor : int; (* fair-queue rotation point for oversubscribed flushes *)
   mutable reducing : (string, reducing) Hashtbl.t; (* keyed by proposal root *)
@@ -105,7 +105,7 @@ let create ~engine ~cpu ~config ?membership ~directory ~certs
   in
   { engine; cpu; cfg = config; membership;
     dir = directory; certs; send_server; send_client; send_anon; stob_signup;
-    pool = Hashtbl.create 1024; overflow = Hashtbl.create 64;
+    pool = Hashtbl.create 1024;
     buckets =
       Token_bucket.create ~rate:config.admission_rate
         ~burst:config.admission_burst;
@@ -164,24 +164,13 @@ let reject_instant t name ~id =
 
 (* --- submission intake (#2) ---------------------------------------------- *)
 
+(* A client has one message in flight, so a newer submission supersedes
+   the pooled one; a retransmission or an older one is dropped.  The pool
+   holds at most one submission per client whatever a client sends. *)
 let accept_submission t (sub : submission) =
-  if Hashtbl.mem t.pool sub.sub_id then begin
-    let q =
-      match Hashtbl.find_opt t.overflow sub.sub_id with
-      | Some q -> q
-      | None ->
-        let q = Queue.create () in
-        Hashtbl.add t.overflow sub.sub_id q;
-        q
-    in
-    (* Retransmissions of the same (seq, msg) are dropped. *)
-    let dup =
-      (Hashtbl.find t.pool sub.sub_id).sub_seq = sub.sub_seq
-      || Queue.fold (fun acc s -> acc || s.sub_seq = sub.sub_seq) false q
-    in
-    if not dup then Queue.add sub q
-  end
-  else Hashtbl.replace t.pool sub.sub_id sub
+  match Hashtbl.find_opt t.pool sub.sub_id with
+  | Some pooled when pooled.sub_seq >= sub.sub_seq -> ()
+  | Some _ | None -> Hashtbl.replace t.pool sub.sub_id sub
 
 (* --- flush: build a proposal and ask for reductions (#3, #4) ------------- *)
 
@@ -214,14 +203,6 @@ let rec flush t =
       end
     in
     List.iter (fun s -> Hashtbl.remove t.pool s.sub_id) subs;
-    (* Refill the pool from per-client overflow queues. *)
-    List.iter
-      (fun s ->
-        match Hashtbl.find_opt t.overflow s.sub_id with
-        | Some q when not (Queue.is_empty q) ->
-          Hashtbl.replace t.pool s.sub_id (Queue.pop q)
-        | Some _ | None -> ())
-      subs;
     (* Bulk-authenticate the submissions (§5.1 EdDSA batch verification);
        on failure fall back to per-signature checks and drop forgeries.
        Completion-gated: no inclusion proof leaves before the charged
@@ -229,7 +210,7 @@ let rec flush t =
     let to_verify =
       List.map
         (fun s ->
-          ( Directory.view_sig_pk t.dir s.sub_id,
+          ( Directory.sig_pk t.dir s.sub_id,
             Types.message_statement ~id:s.sub_id ~seq:s.sub_seq s.sub_msg,
             s.sub_tsig ))
         subs
@@ -252,7 +233,7 @@ let rec flush t =
                     (List.filter
                        (fun s ->
                          Schnorr.verify
-                           (Directory.view_sig_pk t.dir s.sub_id)
+                           (Directory.sig_pk t.dir s.sub_id)
                            (Types.message_statement ~id:s.sub_id ~seq:s.sub_seq
                               s.sub_msg)
                            s.sub_tsig)
@@ -333,7 +314,7 @@ and reduce t root =
          completes on the sim clock. *)
       let share_list =
         Hashtbl.fold
-          (fun id share acc -> (id, Directory.view_ms_pk t.dir id, share) :: acc)
+          (fun id share acc -> (id, Directory.ms_pk t.dir id, share) :: acc)
           st.r_shares []
       in
       let statement = Types.reduction_statement ~root in
@@ -710,7 +691,7 @@ let receive_client t msg =
       (* Sybil screening before anything else: an identity the directory
          has never issued must not reach the signature pipeline (its
          sig_pk lookup would fail) nor consume pool memory. *)
-      if Directory.view_find t.dir id = None then
+      if Directory.find t.dir id = None then
         reject_instant t "reject_unknown" ~id
       else if not (Token_bucket.admit t.buckets ~now:(Engine.now t.engine) id) then
         (* Per-client token bucket: spam past the admission rate is shed

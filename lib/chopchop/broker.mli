@@ -40,7 +40,7 @@ val create :
   cpu:Repro_sim.Cpu.t ->
   config:config ->
   ?membership:Membership.t ->
-  directory:Directory.view ->
+  directory:Directory.t ->
   certs:Certs.checker ->
   send_server:(dst:int -> bytes:int -> Proto.broker_to_server -> unit) ->
   send_client:(client:Types.client_id -> bytes:int -> Proto.broker_to_client -> unit) ->
@@ -48,6 +48,9 @@ val create :
   stob_signup:(Stob_item.t -> unit) ->
   unit ->
   t
+(** [directory] is a server's copy of the one Rank directory: every
+    broker, in a broker fleet or not, resolves any client identifier
+    through it. *)
 
 val start : t -> unit
 (** Arm the periodic flush. *)
@@ -99,7 +102,9 @@ val misbehave_withhold_certs : t -> unit
 val batches_in_flight : t -> int
 
 val pool_depth : t -> int
-(** Live submissions waiting for the next flush (one per client). *)
+(** Submissions waiting for the next flush: one per client, the one with
+    the highest sequence number received (a lower or equal one is
+    dropped). *)
 
 val batches_completed : t -> int
 

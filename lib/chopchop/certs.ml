@@ -21,14 +21,16 @@ let assemble shards =
   { signers = List.map fst shards;
     agg = Multisig.aggregate_signatures (List.map snd shards) }
 
-(* At least [quorum] signers, none twice: the part of {!verify} that reads
-   no key. *)
-let well_formed ~quorum qc =
+(* At least [quorum] signers, none twice, each one of the [capacity] key
+   slots: the part of {!verify} that reads no key. *)
+let well_formed ~capacity ~quorum qc =
   let distinct = List.sort_uniq Int.compare qc.signers in
-  List.length distinct = List.length qc.signers && List.length distinct >= quorum
+  List.length distinct = List.length qc.signers
+  && List.length distinct >= quorum
+  && List.for_all (fun i -> i >= 0 && i < capacity) distinct
 
-let verify ~statement ~server_ms_pk ~quorum qc =
-  well_formed ~quorum qc
+let verify ~statement ~server_ms_pk ~capacity ~quorum qc =
+  well_formed ~capacity ~quorum qc
   && Multisig.verify_multi (List.map server_ms_pk qc.signers) statement qc.agg
 
 type delivery_cert = {
@@ -43,7 +45,8 @@ let delivery_statement dc =
     ~exc_hash:(exceptions_hash dc.exceptions)
 
 let verify_delivery ~server_ms_pk ~quorum dc =
-  verify ~statement:(delivery_statement dc) ~server_ms_pk ~quorum dc.qc
+  verify ~statement:(delivery_statement dc) ~server_ms_pk ~capacity:max_int
+    ~quorum dc.qc
 
 (* --- the deployment's checker ------------------------------------------- *)
 
@@ -80,14 +83,15 @@ type verdict = { v_agg_pk : Multisig.public_key; v_ok : bool }
 
 type checker = {
   server_ms_pk : int -> Multisig.public_key;
+  capacity : int; (* key slots: valid signers are [0, capacity) *)
   memo : verdict Memo.t;
   order : subject Queue.t; (* memo keys, oldest first *)
 }
 
 let memo_bound = 64
 
-let checker ~server_ms_pk =
-  { server_ms_pk; memo = Memo.create memo_bound; order = Queue.create () }
+let checker ~capacity ~server_ms_pk =
+  { server_ms_pk; capacity; memo = Memo.create memo_bound; order = Queue.create () }
 
 let server_pk c i = c.server_ms_pk i
 let memo_size c = Memo.length c.memo
@@ -96,7 +100,7 @@ let memo_size c = Memo.length c.memo
    multi-signature only when no verdict was given on the same subject
    under the same keys. *)
 let check c subject ~quorum qc statement =
-  well_formed ~quorum qc
+  well_formed ~capacity:c.capacity ~quorum qc
   &&
   let agg_pk = Multisig.aggregate_public_keys (List.map c.server_ms_pk qc.signers) in
   match Memo.find_opt c.memo subject with

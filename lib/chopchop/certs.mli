@@ -33,10 +33,13 @@ val assemble : (int * Repro_crypto.Multisig.signature) list -> quorum_cert
 val verify :
   statement:string ->
   server_ms_pk:(int -> Repro_crypto.Multisig.public_key) ->
+  capacity:int ->
   quorum:int ->
   quorum_cert ->
   bool
-(** At least [quorum] distinct signers and a valid aggregate. *)
+(** At least [quorum] distinct signers, each a key slot in
+    [[0, capacity)], and a valid aggregate.  [server_ms_pk] is read only
+    for such signers. *)
 
 type delivery_cert = {
   root : string;
@@ -52,6 +55,9 @@ val verify_delivery :
   quorum:int ->
   delivery_cert ->
   bool
+(** {!verify} with no slot bound: [server_ms_pk] is read for every
+    signer, so it must be total over them.  The kernel of one client
+    check; a deployment bounds the signers through {!check_delivery}. *)
 
 (** {2 The deployment's checker}
 
@@ -68,8 +74,11 @@ val verify_delivery :
 
 type checker
 
-val checker : server_ms_pk:(int -> Repro_crypto.Multisig.public_key) -> checker
-(** [server_ms_pk] is read at every check, so it must return each slot's
+val checker :
+  capacity:int -> server_ms_pk:(int -> Repro_crypto.Multisig.public_key) -> checker
+(** [capacity] is the number of key slots: a certificate naming a signer
+    outside [[0, capacity)] is rejected before any key is read.
+    [server_ms_pk] is read at every check, so it must return each slot's
     current key. *)
 
 val server_pk : checker -> int -> Repro_crypto.Multisig.public_key

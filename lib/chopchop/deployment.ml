@@ -29,8 +29,8 @@ type config = {
   admission_rate : float; (* broker per-client token rate; 0 = unlimited *)
   admission_burst : float; (* bucket depth for the above *)
   fleet : Fleet.mode option;
-      (* lib/fleet scale-out: partition clients across brokers and shard
-         the Rank directory per broker (None = classic deployment) *)
+      (* lib/fleet scale-out: home clients on brokers by seeded hash
+         (None = classic deployment) *)
   store_enabled : bool; (* per-server durable state (lib/store) *)
   checkpoint_every : int; (* snapshot every k deliveries (when enabled) *)
   trace : Repro_trace.Trace.Sink.t;
@@ -72,7 +72,6 @@ type broker_slot = {
   br : Broker.t;
   br_node : int;
   br_cpu : Cpu.t;
-  br_shard : Directory.shard option; (* this broker's Rank partition (fleet) *)
 }
 
 type t = {
@@ -98,9 +97,7 @@ type t = {
   mutable deliver_hook : int -> Proto.delivery -> unit;
   (* lib/fleet scale-out (None/unused in a classic deployment). *)
   fleet : Fleet.t option;
-  shard_home : (Types.client_id, int) Hashtbl.t; (* id -> home broker *)
   client_home : (int, int) Hashtbl.t; (* client node -> home broker *)
-  mutable fleet_handoff_bytes : int; (* shard bytes moved on crash/recovery *)
   links : (int * int, link) Hashtbl.t; (* (client node, broker node) *)
 }
 
@@ -191,24 +188,13 @@ let install_broker t ~region ~flush_period ~reduce_timeout ~max_batch ?cores
       admission_rate = t.cfg.admission_rate;
       admission_burst = t.cfg.admission_burst }
   in
-  (* Classic deployment: brokers read any server's directory — all correct
-     servers hold the same one (signups flow through the STOB); use server
-     0's.  Fleet deployment: each broker resolves identifiers through its
-     own Rank shard (dense population + the explicit cards it owns). *)
-  let shard =
-    match t.fleet with
-    | Some fl ->
-      ignore (Fleet.register fl);
-      Some (Directory.create_shard t.directory)
-    | None -> None
-  in
-  let directory =
-    match shard with
-    | Some sh -> Directory.Shard sh
-    | None -> Directory.Whole (Server.directory t.servers.(0))
-  in
+  Option.iter (fun fl -> ignore (Fleet.register fl)) t.fleet;
+  (* Every broker, in a fleet or not, reads any server's directory: all
+     correct servers hold the same one (signups flow through the STOB);
+     use server 0's. *)
   let b =
-    Broker.create ~engine:t.engine ~cpu ~config:cfg_b ~directory
+    Broker.create ~engine:t.engine ~cpu ~config:cfg_b
+      ~directory:(Server.directory t.servers.(0))
       ~membership:t.membership
       ~certs:t.certs
       ~send_server:(fun ~dst ~bytes m -> Net.send t.net ~src:node ~dst ~bytes (B2s m))
@@ -249,7 +235,7 @@ let install_broker t ~region ~flush_period ~reduce_timeout ~max_batch ?cores
   Hashtbl.replace t.broker_of_node node broker_id;
   t.brokers <-
     Array.append t.brokers
-      [| { br = b; br_node = node; br_cpu = cpu; br_shard = shard } |];
+      [| { br = b; br_node = node; br_cpu = cpu } |];
   Broker.start b;
   broker_id
 
@@ -259,7 +245,6 @@ let install_broker t ~region ~flush_period ~reduce_timeout ~max_batch ?cores
    CPU, store and STOB handle.  Used both at construction time and by
    {!replace_server} to install a fresh identity in a vacated slot. *)
 let build_server t ~slot ~ms_sk ~directory ~membership ~stob =
-  let sv =
   Server.create ~engine:t.engine ~cpu:t.server_cpus.(slot)
     ~config:{ Server.self = slot; n = t.capacity;
               clients = max t.cfg.dense_clients 1024 }
@@ -281,28 +266,6 @@ let build_server t ~slot ~ms_sk ~directory ~membership ~stob =
     ~stob_broadcast:(Stob.broadcast stob)
     ~deliver_app:(fun d -> t.deliver_hook slot d)
     ()
-  in
-  (* Sharded Rank: route each ordered signup's card to the shard of the
-     broker that relayed it (its reply_broker = the client's home broker).
-     Shards are deployment-level objects, so one observer suffices — slot
-     0's, matching the classic "brokers read server 0's directory" idiom. *)
-  (match t.fleet with
-   | Some fl when slot = 0 ->
-     Server.set_on_signup sv (fun ~id ~reply_broker card ->
-         let home =
-           if reply_broker >= 0 && reply_broker < Array.length t.brokers then
-             reply_broker
-           else 0
-         in
-         Hashtbl.replace t.shard_home id home;
-         let owner =
-           if Fleet.alive fl home then home else Fleet.first_alive fl ~key:id ()
-         in
-         match t.brokers.(owner).br_shard with
-         | Some shard -> Directory.shard_insert shard ~id card
-         | None -> ())
-   | _ -> ());
-  sv
 
 let create cfg =
   (* A disabled sink holds no events, only counters: give every
@@ -341,7 +304,7 @@ let create cfg =
       engine; net;
       directory = Directory.create ~dense_count:cfg.dense_clients ();
       servers = [||]; server_cpus; server_pks;
-      certs = Certs.checker ~server_ms_pk:(Array.get server_pks);
+      certs = Certs.checker ~capacity ~server_ms_pk:(Array.get server_pks);
       stores; stobs = [||];
       brokers = [||];
       broker_of_node = Hashtbl.create 16;
@@ -354,9 +317,7 @@ let create cfg =
         (match cfg.fleet with
          | Some Fleet.Hash -> Some (Fleet.create ~seed:cfg.seed ())
          | None -> None);
-      shard_home = Hashtbl.create 256;
       client_home = Hashtbl.create 256;
-      fleet_handoff_bytes = 0;
       links = Hashtbl.create 64 }
   in
   (* Server network nodes dispatch into the instances through [t]: a slot
@@ -663,78 +624,27 @@ let backlog_sites =
 let set_server_app t i ~snapshot ~restore =
   Server.set_app_hooks t.servers.(i) ~snapshot ~restore
 
-(* Move every explicit card of broker [from_]'s shard that [belongs] to a
-   new owner chosen per card; returns the handoff wire bytes accounted. *)
-let reshard t ~from_ ~belongs ~owner_of =
-  match t.brokers.(from_).br_shard with
-  | None -> 0
-  | Some src ->
-    let moved = ref 0 in
-    List.iter
-      (fun (id, card) ->
-        if belongs id then begin
-          let dst = owner_of id in
-          if dst <> from_ then
-            match t.brokers.(dst).br_shard with
-            | Some dshard ->
-              Directory.shard_remove src ~id;
-              Directory.shard_insert dshard ~id card;
-              incr moved
-            | None -> ()
-        end)
-      (Directory.shard_cards src);
-    if !moved > 0 then Wire.shard_handoff_bytes ~cards:!moved else 0
-
 let crash_broker t i =
   Broker.crash t.brokers.(i).br;
-  Net.disconnect t.net t.brokers.(i).br_node;
-  (* Fleet failover: the crashed partition's cards move to each key's
-     first alive failover broker — the same successor the clients' broker
-     rotation lands on, so re-routed submissions still resolve. *)
-  match t.fleet with
-  | Some fl ->
-    Fleet.mark_down fl i;
-    t.fleet_handoff_bytes <-
-      t.fleet_handoff_bytes
-      + reshard t ~from_:i
-          ~belongs:(fun _ -> true)
-          ~owner_of:(fun id -> Fleet.first_alive fl ~key:id ())
-  | None -> ()
+  Net.disconnect t.net t.brokers.(i).br_node
 
 let recover_broker t i =
   Net.reconnect t.net t.brokers.(i).br_node;
   Broker.recover t.brokers.(i).br;
-  (* Fleet rebalance: cards homed on the recovered broker move back, and
-     its clients point their rotation at the head of the preference list
-     again (with their backoff forgotten). *)
-  match t.fleet with
-  | Some fl ->
-    Fleet.mark_up fl i;
-    let back = ref 0 in
-    for j = 0 to Array.length t.brokers - 1 do
-      if j <> i then
-        back :=
-          !back
-          + reshard t ~from_:j
-              ~belongs:(fun id -> Hashtbl.find_opt t.shard_home id = Some i)
-              ~owner_of:(fun _ -> i)
-    done;
-    t.fleet_handoff_bytes <- t.fleet_handoff_bytes + !back;
-    Hashtbl.iter
-      (fun node c ->
-        if Hashtbl.find_opt t.client_home node = Some i then Client.rehome c)
-      t.clients_by_node
-  | None -> ()
+  (* Fleet rebalance: the clients homed on the recovered broker (only a
+     fleet homes clients) point their rotation at the head of the
+     preference list again, with their backoff forgotten. *)
+  Hashtbl.iter
+    (fun node c ->
+      if Hashtbl.find_opt t.client_home node = Some i then Client.rehome c)
+    t.clients_by_node
 
 (* --- fleet introspection (lib/fleet) ------------------------------------- *)
 
 let fleet t = t.fleet
-let broker_shard t i = t.brokers.(i).br_shard
 
 let fleet_hottest t =
   match t.fleet with Some fl -> Fleet.hottest fl | None -> None
-
-let fleet_handoff_bytes t = t.fleet_handoff_bytes
 
 let node_of_client t c =
   Hashtbl.fold

@@ -32,9 +32,9 @@ type config = {
          submissions/s (0 = unlimited, the default) *)
   admission_burst : float; (* token-bucket depth *)
   fleet : Repro_fleet.Fleet.mode option;
-      (* lib/fleet scale-out: partition clients across brokers by seeded
-         hash and shard the Rank directory per broker;
-         [None] (the default) is the classic single-directory deployment *)
+      (* lib/fleet scale-out: home clients on brokers by seeded hash
+         instead of nearest-first; every broker still reads the one Rank
+         directory.  [None] (the default) is the classic deployment *)
   store_enabled : bool;
       (* attach a per-server simulated disk + WAL/checkpoint store
          (lib/store); required for {!restart_server} *)
@@ -64,7 +64,7 @@ val config : t -> config
 
 val directory : t -> Directory.t
 (** Owner of the deployment's dense population: servers hold replicas of
-    it, fleet brokers shards over it. *)
+    it, and every broker reads server 0's replica. *)
 
 val certs : t -> Certs.checker
 (** The one certificate checker that every client, broker and server of
@@ -169,14 +169,13 @@ val add_injector :
 
 val crash_broker : t -> int -> unit
 (** Crash-stop a broker (by broker id): its state machine and NIC.
-    Clients waiting on it time out and fail over (§4.4.2).  In a fleet
-    deployment the crashed partition's Rank shard moves to each key's
-    first alive failover broker. *)
+    Clients waiting on it time out and fail over (§4.4.2); any other
+    broker resolves their identifiers. *)
 
 val recover_broker : t -> int -> unit
 (** Un-crash a broker: it resumes batching from its surviving state.  In
-    a fleet deployment its shard cards move back and its clients rehome
-    (rotation reset to the head of the preference list). *)
+    a fleet deployment its clients rehome (rotation reset to the head of
+    the preference list). *)
 
 (** {2 Broker fleet (lib/fleet)}
 
@@ -185,15 +184,8 @@ val recover_broker : t -> int -> unit
 
 val fleet : t -> Repro_fleet.Fleet.t option
 
-val broker_shard : t -> int -> Directory.shard option
-(** Broker [i]'s Rank partition. *)
-
 val fleet_hottest : t -> (int * int) option
 (** [(broker, clients)] of the most loaded partition. *)
-
-val fleet_handoff_bytes : t -> int
-(** Cumulative shard-handoff wire bytes moved by broker crash failover
-    and recovery rebalancing. *)
 
 val crash_client : t -> Client.t -> unit
 (** Crash-stop a client and its network node. *)

@@ -3,7 +3,7 @@ module Multisig = Repro_crypto.Multisig
 
 (* Dense identities are deterministic functions of their index, so their
    keypairs and secret-scalar prefix sums are memoised — per population
-   (one deployment: a directory, its replicas and shards), never
+   (one deployment: a directory and its replicas), never
    process-wide.  Only the indices actually touched are ever materialised:
    a 257 M-client directory costs nothing until a range is queried.  A
    range's aggregate public key is derived from its secret sum: pk = x·G
@@ -108,79 +108,3 @@ let aggregate_ms_pks_range t ~first ~count =
     (sk_range "aggregate_ms_pks_range" t ~first ~count)
 
 let aggregate_dense_ms_sks_range t = sk_range "aggregate_dense_ms_sks_range" t
-
-(* --- shards (lib/fleet: one Rank partition per broker) ------------------- *)
-
-(* A shard is a broker's partial view of the global directory: the dense
-   population (derived, read through the deployment's directory) plus only
-   the explicit cards its partition owns.  Identifiers stay global — they
-   are assigned by the ordered union on the servers — so a shard stores
-   (global id, card) pairs rather than re-ranking, and cards can move
-   between shards on crash failover without renumbering anything. *)
-
-type shard = {
-  sh_dir : t; (* dense population *)
-  sh_cards : (int, Types.keycard) Hashtbl.t; (* global id -> card *)
-}
-
-let create_shard dir = { sh_dir = dir; sh_cards = Hashtbl.create 64 }
-
-let shard_size sh = Hashtbl.length sh.sh_cards
-
-let shard_insert sh ~id card =
-  if id < sh.sh_dir.dense then
-    invalid_arg "Directory.shard_insert: dense ids are derived, not stored";
-  Hashtbl.replace sh.sh_cards id card
-
-let shard_remove sh ~id = Hashtbl.remove sh.sh_cards id
-let shard_mem sh id = Hashtbl.mem sh.sh_cards id
-
-let shard_cards sh =
-  List.sort
-    (fun (a, _) (b, _) -> Int.compare a b)
-    (Hashtbl.fold (fun id card acc -> (id, card) :: acc) sh.sh_cards [])
-
-let shard_find sh id =
-  if id < 0 then None
-  else if id < sh.sh_dir.dense then Some (dense_keypair sh.sh_dir id).card
-  else Hashtbl.find_opt sh.sh_cards id
-
-(* Rebuild the monolithic directory from a partitioning: the shards'
-   explicit ids must together cover a contiguous range above the dense
-   population (each ordered signup landed in exactly one shard).  The
-   correctness statement of sharded signups — asserted by test_fleet. *)
-let merge_shards dir shards =
-  let t = replica dir in
-  let all = List.concat_map shard_cards shards in
-  let all = List.sort (fun (a, _) (b, _) -> Int.compare a b) all in
-  List.iteri
-    (fun i (id, card) ->
-      if id <> t.dense + i then
-        invalid_arg
-          (Printf.sprintf
-             "Directory.merge_shards: ids not a contiguous partition (want %d, got %d)"
-             (t.dense + i) id);
-      ignore (append t card))
-    all;
-  t
-
-(* --- views (whole directory or one shard) -------------------------------- *)
-
-(* Brokers look identifiers up through a [view]: the monolithic directory
-   in a classic deployment, their own shard in a fleet one.  Dispatch is
-   one match — a [Whole] view costs what the bare directory did. *)
-
-type view = Whole of t | Shard of shard
-
-let view_find v id =
-  match v with Whole t -> find t id | Shard sh -> shard_find sh id
-
-let view_sig_pk v id =
-  match view_find v id with
-  | Some c -> c.Types.sig_pk
-  | None -> raise Not_found
-
-let view_ms_pk v id =
-  match view_find v id with
-  | Some c -> c.Types.ms_pk
-  | None -> raise Not_found

@@ -5,7 +5,8 @@
     Atomic Broadcast; every correct server appends the keycard at the same
     position thanks to total order, so a client's identifier is simply its
     sign-up rank.  Identifiers then replace 32 B public keys on the wire
-    (3.5 B at 257 M clients).
+    (3.5 B at 257 M clients).  It is one logical map: every broker, in a
+    fleet or not, resolves identifiers through a server's copy.
 
     Two populations coexist:
 
@@ -18,7 +19,7 @@
       by {!Repro_sim.Cost.bls_aggregate_pks}.
 
     Dense keypairs and prefix sums are memoised per population: {!create}
-    starts one, its {!replica}s and shards share it. *)
+    starts one and its {!replica}s share it. *)
 
 type t
 
@@ -62,49 +63,6 @@ val dense_keypair : t -> int -> Types.keypair
 (** The deterministic identity of dense client [i] (simulation-only:
     workload generators use it to pre-sign batches, mirroring the paper's
     pre-generated message files). *)
-
-(** {2 Shards (lib/fleet)}
-
-    One Rank partition per broker: its directory's dense population plus
-    the explicit cards the partition owns, keyed by {e global} identifier
-    (ids are assigned by the ordered union on the servers; shards never re-rank).
-    Cards move between shards on crash failover and back on recovery. *)
-
-type shard
-
-val create_shard : t -> shard
-val shard_size : shard -> int
-(** Explicit cards held (dense identities are derived, not stored). *)
-
-val shard_insert : shard -> id:Types.client_id -> Types.keycard -> unit
-(** @raise Invalid_argument for an id inside the dense population. *)
-
-val shard_remove : shard -> id:Types.client_id -> unit
-val shard_mem : shard -> Types.client_id -> bool
-val shard_cards : shard -> (Types.client_id * Types.keycard) list
-(** Explicit (id, card) pairs in id order (the handoff payload). *)
-
-val shard_find : shard -> Types.client_id -> Types.keycard option
-
-val merge_shards : t -> shard list -> t
-(** Rebuild the monolithic directory from a partitioning (a {!replica}).
-    @raise Invalid_argument unless the shards' explicit ids form a
-    contiguous range above the dense population (each ordered signup in
-    exactly one shard). *)
-
-(** {2 Views}
-
-    What a broker resolves identifiers through: the whole directory
-    (classic deployment) or its own shard (fleet deployment). *)
-
-type view = Whole of t | Shard of shard
-
-val view_find : view -> Types.client_id -> Types.keycard option
-
-val view_sig_pk : view -> Types.client_id -> Repro_crypto.Schnorr.public_key
-(** @raise Not_found for unknown ids. *)
-
-val view_ms_pk : view -> Types.client_id -> Repro_crypto.Multisig.public_key
 
 val aggregate_dense_ms_sks_range :
   t -> first:int -> count:int -> Repro_crypto.Multisig.secret_key

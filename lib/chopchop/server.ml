@@ -105,10 +105,6 @@ type t = {
   checks : (int, check Queue.t) Hashtbl.t;
   turns : int Queue.t;
   mutable checking : int;
-  (* Sharded Rank (lib/fleet): observer invoked after every ordered
-     signup, so the deployment can route the card to the owning shard. *)
-  mutable on_signup :
-    (id:Types.client_id -> reply_broker:int -> Types.keycard -> unit) option;
   (* Byzantine fault injection (lib/chaos). *)
   mutable mis_bad_shares : bool;
   mutable mis_refuse_witness : bool;
@@ -173,7 +169,6 @@ let create ~engine ~cpu ~config ?store ?(checkpoint_every = 0)
     restarts = 0; collected_batches = 0;
     app_snapshot = None; app_restore = None;
     checks = Hashtbl.create 8; turns = Queue.create (); checking = 0;
-    on_signup = None;
     mis_bad_shares = false; mis_refuse_witness = false;
     k_timer = Engine.kind engine "server.timer";
     c_verify =
@@ -198,7 +193,6 @@ let note_instant t name attrs =
       ~name ~id:(Trace.key (string_of_int t.cfg.self)) ~attrs
 
 let directory t = t.dir
-let set_on_signup t f = t.on_signup <- Some f
 
 let delivery_counter t = t.delivery_counter
 let delivered_messages t = t.delivered_messages
@@ -988,9 +982,6 @@ let on_stob_deliver t item =
       if not (Hashtbl.mem t.seen_signups nonce) then begin
         Hashtbl.add t.seen_signups nonce ();
         let id = Directory.append t.dir card in
-        (match t.on_signup with
-         | Some f -> f ~id ~reply_broker card
-         | None -> ());
         wal_log t
           (Proto.Wal_signup
              { w_nonce = nonce; w_card = card; w_id = id;

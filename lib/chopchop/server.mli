@@ -168,14 +168,6 @@ val restarts : t -> int
 
 val directory : t -> Directory.t
 
-(** {2 Fleet hooks (lib/fleet)} *)
-
-val set_on_signup :
-  t -> (id:Types.client_id -> reply_broker:int -> Types.keycard -> unit) -> unit
-(** Observer of ordered signups, invoked right after the card is appended
-    to the directory; the deployment uses it to route the card into the
-    owning broker's Rank shard. *)
-
 (** {2 Dynamic membership} *)
 
 val membership : t -> Membership.t

@@ -67,9 +67,3 @@ let delivery_cert_bytes = header_bytes + hash_bytes + multisig_bytes + seqno_byt
 let keycard_bytes = 2 * pk_bytes
 
 let sync_request_bytes = header_bytes + 8
-
-(* --- broker fleet (lib/fleet) ----------------------------------------- *)
-
-(* Shard handoff on crash failover: the successor broker inherits the
-   crashed partition's explicit cards, each shipped as (global id, card). *)
-let shard_handoff_bytes ~cards = header_bytes + 8 + (cards * (keycard_bytes + 8))

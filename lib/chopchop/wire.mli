@@ -69,7 +69,3 @@ val keycard_bytes : int
 (** An explicit directory entry: signature + multisig public key. *)
 
 val sync_request_bytes : int
-
-val shard_handoff_bytes : cards:int -> int
-(** Rank-shard handoff on broker crash failover: [cards] explicit
-    (global id, keycard) pairs inherited by the successor broker. *)

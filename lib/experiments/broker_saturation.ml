@@ -12,7 +12,7 @@
      ceiling.  One broker saturates at its NIC bound; a fleet of N
      partitions the client population by seeded hash and carries ~N
      times that, end to end through the fleet layer (partitioned clients,
-     per-broker Rank shards, shared server-run ordering).
+     one Rank directory, shared server-run ordering).
 
    Load is injected as raw signed [Proto.Submission]s straight into a
    broker (no client nodes): each uses a fresh dense identity at

@@ -3,8 +3,11 @@
     scale-out.
 
     Every decision is a pure function of (seed, client key, roster), so
-    clients, servers and observers agree on the partitioning without
-    coordination.  The deployment owns one instance; components query it. *)
+    clients and observers agree on the partitioning without coordination.
+    It decides only where a client is homed: every broker resolves
+    identifiers through the servers' one Rank directory, so a client's
+    failover broker can serve it at once.  The deployment owns one
+    instance; components query it. *)
 
 type mode = Hash
 (** Seeded hash of the client key, uniform across the fleet.  The only
@@ -22,10 +25,6 @@ val register : t -> int
 (** Add a broker to the roster; returns its fleet id (= deployment broker
     id when registered in installation order). *)
 
-val alive : t -> int -> bool
-val mark_down : t -> int -> unit
-val mark_up : t -> int -> unit
-
 val mix : t -> int -> int
 (** The seeded SplitMix64 avalanche of a client key (non-negative).
     Exposed so tests can assert assignment = mix mod fleet size. *)
@@ -36,11 +35,6 @@ val assignment : t -> key:int -> unit -> int list
 
 val home : t -> key:int -> unit -> int
 (** Head of {!assignment}.  @raise Invalid_argument on an empty fleet. *)
-
-val first_alive : t -> key:int -> unit -> int
-(** First alive broker of the failover list — where crash failover
-    reroutes this key's traffic and shard.  Falls back to the home broker
-    when every broker is down. *)
 
 val note_client : t -> int -> unit
 (** Record one client homed on broker [b] (partition-load accounting). *)

@@ -3,7 +3,8 @@
 # the chaos suite, the loss sweep, the observed run's output, the
 # doctor's diagnosis of a stalled run and perfbench's simulated outcome),
 # smoke runs of the other experiment surfaces (trace export,
-# reconfiguration, broker scaling, fleet, sweep, run report), the
+# reconfiguration, broker scaling, sweep, run report), the fleet
+# scale-out run compared with its pinned stdout, the
 # full-scale headline point, plus the bench baseline gate.  Run from the repository root.
 set -eu
 
@@ -43,12 +44,18 @@ echo "== broker multi-core scalability smoke =="
 # saturate at the NIC bound.
 dune exec bin/main.exe -- run broker-cores --scale quick
 
-echo "== broker fleet scale-out smoke =="
+echo "== broker fleet scale-out =="
 # lib/fleet: 1/2/4/8 hash-partitioned brokers under per-point saturation;
 # the experiment itself fails if delivered throughput is not monotone in
 # fleet size, if 2 brokers do not clear the single-broker NIC bound, or
-# if 4 brokers land below 2.5x it.
-dune exec bin/main.exe -- run broker-scaleout --scale quick
+# if 4 brokers land below 2.5x it.  Its stdout is deterministic and
+# pinned byte for byte (about 65 s, so it runs here and not under
+# runtest).
+scaleout_out="$(mktemp)"
+dune exec bin/main.exe -- run broker-scaleout --scale quick > "$scaleout_out"
+cmp test/pins/broker_scaleout.expected "$scaleout_out" \
+  || { echo "broker-scaleout: stdout differs from test/pins/broker_scaleout.expected"; exit 1; }
+rm -f "$scaleout_out"
 
 echo "== sweep orchestrator smoke =="
 # Tiny manifest, run serially: the aggregated results file must exist

@@ -135,13 +135,13 @@ let test_certs_quorum () =
   let qc = Certs.assemble shards in
   let pk i = snd keys.(i) in
   checkb "f+1 distinct shards verify" true
-    (Certs.verify ~statement:stmt ~server_ms_pk:pk ~quorum:2 qc);
+    (Certs.verify ~statement:stmt ~server_ms_pk:pk ~capacity:4 ~quorum:2 qc);
   checkb "insufficient quorum rejected" false
-    (Certs.verify ~statement:stmt ~server_ms_pk:pk ~quorum:3 qc);
+    (Certs.verify ~statement:stmt ~server_ms_pk:pk ~capacity:4 ~quorum:3 qc);
   checkb "wrong statement rejected" false
     (Certs.verify
        ~statement:(Certs.witness_statement ~root:"r" ~broker:1 ~number:8)
-       ~server_ms_pk:pk ~quorum:2 qc)
+       ~server_ms_pk:pk ~capacity:4 ~quorum:2 qc)
 
 let test_certs_dedup_signers () =
   let keys = server_keys 4 in
@@ -157,8 +157,8 @@ let test_certs_forged_signer_list () =
   let qc = Certs.assemble [ (0, Certs.sign_shard (fst keys.(0)) stmt) ] in
   let forged = { qc with Certs.signers = [ 0; 1 ] } in
   checkb "padded signer list fails verification" false
-    (Certs.verify ~statement:stmt ~server_ms_pk:(fun i -> snd keys.(i)) ~quorum:2
-       forged)
+    (Certs.verify ~statement:stmt ~server_ms_pk:(fun i -> snd keys.(i))
+       ~capacity:4 ~quorum:2 forged)
 
 let test_legitimizes () =
   checkb "seq 0 needs no evidence" true (Certs.legitimizes None 0);
@@ -182,7 +182,7 @@ let delivery_cert keys ~signers ~root ~counter =
 
 let test_checker_inputs () =
   let keys = server_keys 4 in
-  let c = Certs.checker ~server_ms_pk:(fun i -> snd keys.(i)) in
+  let c = Certs.checker ~capacity:4 ~server_ms_pk:(fun i -> snd keys.(i)) in
   let dc = delivery_cert keys ~signers:[ 0; 1 ] ~root:"r" ~counter:3 in
   checkb "valid" true (Certs.check_delivery c ~quorum:2 dc);
   checkb "valid again, from the memo" true (Certs.check_delivery c ~quorum:2 dc);
@@ -210,6 +210,32 @@ let test_checker_inputs () =
     checkb "witness under another root" false (witness ~root:(root ^ string_of_int k) ())
   done
 
+(* A signer outside the key slots is rejected before any key is read. *)
+let test_certs_out_of_range_signer () =
+  let keys = server_keys 4 in
+  let pk i = snd keys.(i) in
+  let c = Certs.checker ~capacity:4 ~server_ms_pk:pk in
+  let root = "w" and broker = 1 and number = 7 in
+  let statement = Certs.witness_statement ~root ~broker ~number in
+  let qc signers =
+    Certs.assemble
+      (List.mapi (fun k i -> (i, Certs.sign_shard (fst keys.(k)) statement)) signers)
+  in
+  checkb "signers [0; 1] verify" true
+    (Certs.verify ~statement ~server_ms_pk:pk ~capacity:4 ~quorum:2 (qc [ 0; 1 ]));
+  List.iter
+    (fun signers ->
+      let label = String.concat "; " (List.map string_of_int signers) in
+      checkb ("verify rejects signers " ^ label) false
+        (Certs.verify ~statement ~server_ms_pk:pk ~capacity:4 ~quorum:2 (qc signers));
+      checkb ("check_witness rejects signers " ^ label) false
+        (Certs.check_witness c ~root ~broker ~number ~quorum:2 (qc signers)))
+    [ [ 0; 99 ]; [ -1; 0 ]; [ 0; 4 ] ];
+  let dc = delivery_cert keys ~signers:[ 0; 1 ] ~root:"r" ~counter:3 in
+  checkb "check_delivery rejects signers [0; 99]" false
+    (Certs.check_delivery c ~quorum:2
+       { dc with qc = { dc.qc with Certs.signers = [ 0; 99 ] } })
+
 let test_checker_replaced_key () =
   let d =
     Deployment.create
@@ -230,7 +256,7 @@ let test_checker_replaced_key () =
 
 let test_checker_bounded () =
   let keys = server_keys 4 in
-  let c = Certs.checker ~server_ms_pk:(fun i -> snd keys.(i)) in
+  let c = Certs.checker ~capacity:4 ~server_ms_pk:(fun i -> snd keys.(i)) in
   let dc = delivery_cert keys ~signers:[ 0; 1 ] ~root:"r" ~counter:1 in
   let forged = { dc with qc = { dc.qc with agg = Multisig.forge_garbage () } } in
   for counter = 1 to 4 * Certs.memo_bound do
@@ -471,7 +497,7 @@ let completed_after ~tree ~inclusion ~delivery =
           clients = 1024 }
       ~keypair:(dense_kp 7)
       ~membership:(Membership.create ~capacity:4 ~initial:4)
-      ~certs:(Certs.checker ~server_ms_pk:(fun i -> snd keys.(i)))
+      ~certs:(Certs.checker ~capacity:4 ~server_ms_pk:(fun i -> snd keys.(i)))
       ~send_broker:(fun ~broker:_ ~bytes:_ _ -> ())
       ()
   in
@@ -560,8 +586,8 @@ let test_broker_delivery_proofs () =
     Some
       (Broker.create ~engine ~cpu:(Cpu.create engine ~cores:4 ())
          ~config:(Broker.default_config ~n_servers:4 ~clients:16)
-         ~directory:(Directory.Whole (Directory.create ~dense_count:16 ()))
-         ~certs:(Certs.checker ~server_ms_pk:(fun i -> snd keys.(i)))
+         ~directory:(Directory.create ~dense_count:16 ())
+         ~certs:(Certs.checker ~capacity:4 ~server_ms_pk:(fun i -> snd keys.(i)))
          ~send_server ~send_client
          ~send_anon:(fun ~nonce:_ ~bytes:_ _ -> ())
          ~stob_signup:ignore ());
@@ -598,6 +624,51 @@ let test_broker_delivery_proofs () =
         (id >= 8)
         (String.equal cert.Certs.root (Hashtbl.find included id)))
     !delivered
+
+(* The pool keeps one submission per client: a higher sequence number
+   replaces the pooled one, an equal or lower one is dropped, and nothing
+   waits behind it for the next flush. *)
+let test_broker_pools_highest_seq () =
+  let keys = server_keys 4 in
+  let engine = Repro_sim.Engine.create () in
+  let inclusions = ref [] in
+  let send_client ~client ~bytes:_ = function
+    | Proto.Inclusion { root; proof; agg_seq; _ } ->
+      inclusions := (client, root, proof, agg_seq) :: !inclusions
+    | Proto.Deliver_cert _ | Proto.Signup_response _ -> ()
+  in
+  let broker =
+    Broker.create ~engine ~cpu:(Cpu.create engine ~cores:4 ())
+      ~config:(Broker.default_config ~n_servers:4 ~clients:16)
+      ~directory:(Directory.create ~dense_count:16 ())
+      ~certs:(Certs.checker ~capacity:4 ~server_ms_pk:(fun i -> snd keys.(i)))
+      ~send_server:(fun ~dst:_ ~bytes:_ _ -> ()) ~send_client
+      ~send_anon:(fun ~nonce:_ ~bytes:_ _ -> ())
+      ~stob_signup:ignore ()
+  in
+  Broker.start broker;
+  let evidence = Some (delivery_cert keys ~signers:[ 0; 1 ] ~root:"earlier" ~counter:5) in
+  let id = 3 in
+  let submit seq msg =
+    Broker.receive_client broker
+      (Proto.Submission
+         { id; seq; msg;
+           tsig = Schnorr.sign (dense_kp id).Types.sig_sk (Types.message_statement ~id ~seq msg);
+           evidence; ctx = Trace.Ctx.make ~root:id })
+  in
+  submit 2 "m2";
+  submit 4 "m4";
+  submit 4 "m4-again";
+  submit 3 "m3";
+  checki "one pooled submission" 1 (Broker.pool_depth broker);
+  Repro_sim.Engine.run engine ~until:3.5;
+  match !inclusions with
+  | [ (client, root, proof, agg_seq) ] ->
+    checki "included client" id client;
+    checki "the highest sequence number was pooled" 4 agg_seq;
+    checkb "its message is the first one with that number" true
+      (Merkle.verify root ~leaf:(Batch.leaf ~id ~seq:4 "m4") proof)
+  | l -> Alcotest.failf "expected one inclusion, got %d" (List.length l)
 
 (* --- protocol integration over the idealised sequencer ----------------------- *)
 
@@ -808,6 +879,27 @@ let test_illegitimate_sequence_rejected () =
          ctx = Repro_trace.Trace.Ctx.make ~root:0 });
   Deployment.run d ~until:40.0;
   checki "legitimate first message delivered (as straggler)" 4 !delivered
+
+(* Legitimacy evidence naming a signer outside the deployment's key slots
+   is an invalid certificate: the broker drops it and the run goes on. *)
+let test_evidence_signer_out_of_range () =
+  let d = mk_deployment ~dense:16 () in
+  let keys =
+    Array.init 4 (fun i ->
+        Multisig.keygen_deterministic ~seed:(Printf.sprintf "server-%d" i))
+  in
+  let dc = delivery_cert keys ~signers:[ 0; 1 ] ~root:"r" ~counter:3 in
+  let evidence = Some { dc with qc = { dc.qc with Certs.signers = [ 0; 99 ] } } in
+  let id = 3 and seq = 1 and msg = "m" in
+  let send = Deployment.add_injector d () in
+  send ~broker:0 ~bytes:200
+    (Proto.Submission
+       { id; seq; msg;
+         tsig = Schnorr.sign (dense_kp id).Types.sig_sk (Types.message_statement ~id ~seq msg);
+         evidence; ctx = Trace.Ctx.make ~root:id });
+  Deployment.run d ~until:10.0;
+  checkb "the run reaches its horizon" true
+    (Repro_sim.Engine.now (Deployment.engine d) >= 10.0)
 
 let test_gc_collects () =
   let d = mk_deployment ~dense:100_000 () in
@@ -1145,6 +1237,8 @@ let () =
          Alcotest.test_case "forged signer list" `Quick test_certs_forged_signer_list;
          Alcotest.test_case "legitimizes" `Quick test_legitimizes;
          Alcotest.test_case "checker reuses only equal inputs" `Quick test_checker_inputs;
+         Alcotest.test_case "out-of-range signer rejected" `Quick
+           test_certs_out_of_range_signer;
          Alcotest.test_case "checker forgets a replaced key" `Quick
            test_checker_replaced_key;
          Alcotest.test_case "checker bounded under a flood" `Quick
@@ -1184,4 +1278,8 @@ let () =
          Alcotest.test_case "stob item bytes" `Quick test_stob_item_bytes;
          Alcotest.test_case "delivery proof reuse" `Quick test_delivery_proof_reuse;
          Alcotest.test_case "broker delivery proofs verify" `Quick
-           test_broker_delivery_proofs ]) ]
+           test_broker_delivery_proofs;
+         Alcotest.test_case "broker pools the highest sequence number" `Quick
+           test_broker_pools_highest_seq;
+         Alcotest.test_case "out-of-range evidence signer dropped" `Quick
+           test_evidence_signer_out_of_range ]) ]

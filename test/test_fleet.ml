@@ -1,18 +1,23 @@
 (* lib/fleet tests: the partitioning policy is a deterministic pure
-   function of (seed, key, roster); shard directories merge back into the
-   monolithic Rank; a 1-broker fleet is a bit-identical no-op against the
-   legacy nearest-first routing; crash failover re-routes clients onto
-   the rendezvous successor (with the shard handed off to the same
-   place); and the servers' round-robin witness checks stop a flooded
-   partition from starving its siblings. *)
+   function of (seed, key, roster); every fleet broker resolves every
+   signed-up client through the one Rank directory; a 1-broker fleet is a
+   bit-identical no-op against the legacy nearest-first routing; crash
+   failover re-routes clients onto their next broker, and so does a cut
+   between a client and its live home broker; and the servers'
+   round-robin witness checks stop a flooded partition from starving its
+   siblings. *)
 
 module Engine = Repro_sim.Engine
 module Rng = Repro_sim.Rng
 module Trace = Repro_trace.Trace
 module Deployment = Repro_chopchop.Deployment
 module Client = Repro_chopchop.Client
+module Broker = Repro_chopchop.Broker
+module Server = Repro_chopchop.Server
+module Proto = Repro_chopchop.Proto
 module Directory = Repro_chopchop.Directory
 module Types = Repro_chopchop.Types
+module Schnorr = Repro_crypto.Schnorr
 module Fleet = Repro_fleet.Fleet
 module Spam = Repro_workload.Spam
 
@@ -65,48 +70,96 @@ let test_seed_sensitivity () =
   done;
   checkb "different seeds shuffle the partition" true (!diff > 0)
 
-(* --- shard directories ------------------------------------------------ *)
+(* --- one directory ------------------------------------------------------ *)
 
-let test_shard_merge_monolithic () =
-  let dense = 16 in
-  let mono = Directory.create ~dense_count:dense () in
+let fleet_config n_brokers =
+  { Deployment.default_config with
+    n_brokers; dense_clients = 1024; fleet = Some Fleet.Hash }
+
+(* Clients sign up through each of three fleet brokers; then every broker
+   is handed a correctly signed submission from every signed-up client.
+   A broker includes a submission in a proposal only once its signature
+   checks out under the key it resolved, so an "include" from every
+   broker for every client shows each broker resolving each id to the
+   card the servers ranked. *)
+let test_brokers_read_one_directory () =
+  let trace = Trace.Sink.memory () in
+  let d = Deployment.create { (fleet_config 3) with trace } in
+  let clients =
+    List.concat_map
+      (fun b -> List.init 2 (fun _ -> (b, Deployment.add_client d ~brokers:[ b ] ())))
+      [ 0; 1; 2 ]
+  in
+  List.iter (fun (_, c) -> Client.signup c) clients;
+  Deployment.run d ~until:10.;
+  let signed_up =
+    List.map
+      (fun (b, c) ->
+        let id = Option.get (Client.id c) in
+        let node = Option.get (Deployment.node_of_client d c) in
+        (* The key a deployment derives for a client node. *)
+        let kp = Types.keypair_of_seed (Printf.sprintf "client-node-%d" node) in
+        Array.iteri
+          (fun i s ->
+            checkb
+              (Printf.sprintf "server %d ranks the card signed up via broker %d" i b)
+              true
+              (Directory.find (Server.directory s) id = Some kp.Types.card))
+          (Deployment.servers d);
+        (id, kp))
+      clients
+  in
+  let key ~broker id = (broker * 1_000_000) + id in
+  for broker = 0 to 2 do
+    List.iter
+      (fun (id, kp) ->
+        let msg = Printf.sprintf "via-%d" broker in
+        Broker.receive_client (Deployment.broker d broker)
+          (Proto.Submission
+             { id; seq = 0; msg;
+               tsig =
+                 Schnorr.sign kp.Types.sig_sk (Types.message_statement ~id ~seq:0 msg);
+               evidence = None; ctx = Trace.Ctx.make ~root:(key ~broker id) }))
+      signed_up
+  done;
+  Deployment.run d ~until:14.;
+  let included = Hashtbl.create 32 in
+  List.iter
+    (fun (e : Trace.event) ->
+      if e.ev_phase = Trace.I && e.ev_name = "include" then
+        Hashtbl.replace included (e.ev_actor - 1000, e.ev_id) ())
+    (Trace.Sink.events trace);
+  for broker = 0 to 2 do
+    List.iter
+      (fun (id, _) ->
+        checkb
+          (Printf.sprintf "broker %d resolves client %d" broker id)
+          true
+          (Hashtbl.mem included (broker, key ~broker id)))
+      signed_up
+  done
+
+let test_directory_append_find () =
+  let dir = Directory.create ~dense_count:8 () in
+  checkb "a dense id resolves to its derived card" true
+    (Directory.find dir 3 = Some (Directory.dense_keypair dir 3).Types.card);
+  checkb "no card past the directory" true (Directory.find dir 8 = None);
+  checkb "no card below zero" true (Directory.find dir (-1) = None);
   let cards =
-    List.init 6 (fun i ->
+    List.init 3 (fun i ->
         (Types.keypair_of_seed (Printf.sprintf "fleet-card-%d" i)).Types.card)
   in
-  let ids = List.map (Directory.append mono) cards in
-  let shards = [ Directory.create_shard mono; Directory.create_shard mono ] in
-  List.iteri
-    (fun i (id, card) ->
-      Directory.shard_insert (List.nth shards (i mod 2)) ~id card)
-    (List.combine ids cards);
-  let merged = Directory.merge_shards mono shards in
-  checki "merged size equals monolithic" (Directory.size mono)
-    (Directory.size merged);
+  let ids = List.map (Directory.append dir) cards in
+  Alcotest.(check (list int)) "explicit ids rank above the dense population"
+    [ 8; 9; 10 ] ids;
   List.iter2
     (fun id card ->
-      checkb
-        (Printf.sprintf "id %d resolves to the same card" id)
-        true
-        (Directory.find merged id = Some card
-        && Directory.find mono id = Some card))
+      checkb (Printf.sprintf "id %d round-trips" id) true
+        (Directory.find dir id = Some card))
     ids cards;
-  (* Dense identities resolve identically through shard views too. *)
-  let sh = List.hd shards in
-  checkb "dense id resolves through the shard" true
-    (Directory.shard_find sh 3 = Directory.find mono 3)
-
-let test_shard_dense_guard () =
-  let sh = Directory.create_shard (Directory.create ~dense_count:8 ()) in
-  let card = (Types.keypair_of_seed "dense-guard").Types.card in
-  Alcotest.check_raises "dense ids are never re-ranked"
-    (Invalid_argument "Directory.shard_insert: dense ids are derived, not stored")
-    (fun () ->
-      Directory.shard_insert sh ~id:3 card);
-  Directory.shard_insert sh ~id:8 card;
-  checkb "explicit id inserted" true (Directory.shard_mem sh 8);
-  Directory.shard_remove sh ~id:8;
-  checkb "explicit id removed" false (Directory.shard_mem sh 8)
+  checkb "dense ids keep their derived cards" true
+    (Directory.find dir 3 = Some (Directory.dense_keypair dir 3).Types.card);
+  checki "size counts both populations" 11 (Directory.size dir)
 
 (* --- deployment integration ------------------------------------------- *)
 
@@ -154,43 +207,55 @@ let test_repeat_runs_bit_identical () =
   checki "repeat completes identically" c1 c2;
   checkb "3-broker fleet runs are bit-identical" true (compare ev1 ev2 = 0)
 
-let test_crash_failover () =
-  let cfg =
-    { Deployment.default_config with
-      n_brokers = 3; dense_clients = 1024; fleet = Some Fleet.Hash }
-  in
-  let d = Deployment.create cfg in
+(* One signed-up fleet client that has completed a broadcast through its
+   home broker: the deployment, the client, its node and its failover
+   order (home first). *)
+let homed_client () =
+  let d = Deployment.create (fleet_config 3) in
   let c = Deployment.add_client d () in
   Client.signup c;
   Deployment.run d ~until:10.;
   let fl = Option.get (Deployment.fleet d) in
   let node = Option.get (Deployment.node_of_client d c) in
-  let home = Fleet.home fl ~key:node () in
-  Client.broadcast c "before-crash";
+  let order = Fleet.assignment fl ~key:node () in
+  Client.broadcast c "first";
   Deployment.run d ~until:20.;
   checki "first broadcast completes through the home broker" 1
     (Client.completed c);
+  checkb "the home broker completed it" true
+    (Broker.batches_completed (Deployment.broker d (List.hd order)) > 0);
+  (d, c, node, order)
+
+let test_crash_failover () =
+  let d, c, _, order = homed_client () in
+  let home = List.hd order and successor = List.nth order 1 in
   Deployment.crash_broker d home;
-  checkb "crash moved the shard to the successor" true
-    (Deployment.fleet_handoff_bytes d > 0);
-  checkb "crashed partition emptied" true
-    (match Deployment.broker_shard d home with
-     | Some sh -> Directory.shard_size sh = 0
-     | None -> false);
   Client.broadcast c "after-crash";
   (* Re-route happens on the client's seeded resubmit backoff: generous
      horizon, but completion is the assertion. *)
   Deployment.run d ~until:70.;
   checki "broadcast completes via the failover broker" 2 (Client.completed c);
-  let successor = Fleet.first_alive fl ~key:node () in
-  checkb "failover target differs from the crashed home" true
-    (successor <> home);
+  checkb "the next broker of the failover list completed it" true
+    (Broker.batches_completed (Deployment.broker d successor) > 0);
   Deployment.recover_broker d home;
+  let at_home = Broker.batches_completed (Deployment.broker d home) in
+  Client.broadcast c "after-recovery";
   Deployment.run d ~until:80.;
-  checkb "recovery reshards the partition back" true
-    (match Deployment.broker_shard d home with
-     | Some sh -> Directory.shard_mem sh 1024 (* the client's explicit id *)
-     | None -> false)
+  checki "broadcast after recovery completes" 3 (Client.completed c);
+  checkb "the rehomed client is served by its home broker again" true
+    (Broker.batches_completed (Deployment.broker d home) > at_home)
+
+(* The home broker stays up but every packet between it and the client
+   is lost: the client's resubmissions rotate to the next broker, which
+   serves it because every broker reads the one directory. *)
+let test_cut_off_from_home () =
+  let d, c, node, order = homed_client () in
+  let home_node = Deployment.broker_node_id d (List.hd order) in
+  Deployment.set_link_loss d ~src:node ~dst:home_node 1.0;
+  Deployment.set_link_loss d ~src:home_node ~dst:node 1.0;
+  Client.broadcast c "cut-off";
+  Deployment.run d ~until:120.;
+  checki "broadcast completes through another broker" 2 (Client.completed c)
 
 let test_fair_admission_starvation () =
   (* Flood the hottest partition's broker: the servers check the brokers'
@@ -239,9 +304,9 @@ let () =
            test_seed_sensitivity ]);
       ("shards",
        [ Alcotest.test_case "shard merge equals the monolithic directory"
-           `Quick test_shard_merge_monolithic;
+           `Quick test_brokers_read_one_directory;
          Alcotest.test_case "dense ids are guarded; explicit ids round-trip"
-           `Quick test_shard_dense_guard ]);
+           `Quick test_directory_append_find ]);
       ("deployment",
        [ Alcotest.test_case "1-broker fleet is a bit-identical no-op" `Quick
            test_single_broker_noop;
@@ -249,5 +314,7 @@ let () =
            test_repeat_runs_bit_identical;
          Alcotest.test_case "crash failover re-routes and reshards" `Quick
            test_crash_failover;
+         Alcotest.test_case "client cut off from its home broker completes elsewhere"
+           `Quick test_cut_off_from_home;
          Alcotest.test_case "fair admission stops partition starvation"
            `Quick test_fair_admission_starvation ]) ]

@@ -391,7 +391,7 @@ let test_gc_sweep_matches_full_scan () =
       ~store ~checkpoint_every:8 ~stob_cursor:(fun () -> !slots) ~membership
       ~directory:dir
       ~ms_sk:(fst keys.(0))
-      ~certs:(Certs.checker ~server_ms_pk:(fun i -> snd keys.(i)))
+      ~certs:(Certs.checker ~capacity ~server_ms_pk:(fun i -> snd keys.(i)))
       ~send_broker:(fun ~broker:_ ~bytes:_ _ -> ())
       ~send_server:(fun ~dst:_ ~bytes:_ _ -> ())
       ~stob_broadcast:(fun _ -> ()) ~deliver_app:(fun _ -> ()) ()
@@ -546,7 +546,7 @@ let solo ?(checkpoint_every = 16) () =
       ~config:{ Server.self = 0; n = 4; clients }
       ~store ~checkpoint_every ~stob_cursor:(fun () -> !slots) ~directory:dir
       ~ms_sk:(fst keys.(0))
-      ~certs:(Certs.checker ~server_ms_pk:(fun i -> snd keys.(i)))
+      ~certs:(Certs.checker ~capacity:4 ~server_ms_pk:(fun i -> snd keys.(i)))
       ~send_broker:(fun ~broker:_ ~bytes:_ _ -> ())
       ~send_server:(fun ~dst:_ ~bytes:_ msg -> sent := msg :: !sent)
       ~stob_broadcast:(fun item ->
