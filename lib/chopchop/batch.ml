@@ -2,6 +2,7 @@ module Schnorr = Repro_crypto.Schnorr
 module Multisig = Repro_crypto.Multisig
 module Merkle = Repro_crypto.Merkle
 module Sha256 = Repro_crypto.Sha256
+module Field61 = Repro_crypto.Field61
 module Cost = Repro_sim.Cost
 module Cpu = Repro_sim.Cpu
 
@@ -24,16 +25,30 @@ type dense = {
 
 type entries = Explicit of entry array | Dense of dense
 
-(* Roots derived from exactly these field values (compared physically for
-   the arrays).  A copy made with [{ b with number = ... }] shares them; a
-   rebuild with new [entries], [stragglers] or [agg_seq] fails the key
-   check and derives its own. *)
+(* A [verify] verdict and every directory key it was given under: each
+   straggler's (or each sampled dense straggler's) signature key, in order,
+   and the reducers' aggregate multi-signature key, if there are reducers.
+   A multi-signature reads the reducers' keys only through their
+   aggregate, so the aggregate stands for all of them. *)
+type verdict = {
+  sig_pks : Schnorr.public_key array;
+  agg_pk : Multisig.public_key option;
+  ok : bool;
+}
+
+(* Roots and verdict derived from exactly these field values (compared
+   physically for the arrays and the signature).  A copy made with
+   [{ b with number = ... }] shares them; a rebuild with new [entries],
+   [stragglers], [agg_seq] or [agg_sig] fails the tag check and derives
+   its own. *)
 type roots = {
   of_entries : entries;
   of_stragglers : straggler array;
   of_agg_seq : Types.sequence_number;
+  of_agg_sig : Multisig.signature option;
   mutable reduction : string option;
   mutable identity : string option;
+  mutable verdict : verdict option;
 }
 
 type t = {
@@ -50,17 +65,19 @@ let no_roots =
   { of_entries =
       Dense { first_id = -1; count = 0; msg_bytes = 0; tag = 0;
               straggler_count = 0; straggler_sample = [||] };
-    of_stragglers = [||]; of_agg_seq = 0; reduction = None; identity = None }
+    of_stragglers = [||]; of_agg_seq = 0; of_agg_sig = None; reduction = None;
+    identity = None; verdict = None }
 
 let roots t =
   let r = t.roots in
   if r.of_entries == t.entries && r.of_stragglers == t.stragglers
-     && r.of_agg_seq = t.agg_seq
+     && r.of_agg_seq = t.agg_seq && r.of_agg_sig == t.agg_sig
   then r
   else begin
     let r =
       { of_entries = t.entries; of_stragglers = t.stragglers;
-        of_agg_seq = t.agg_seq; reduction = None; identity = None }
+        of_agg_seq = t.agg_seq; of_agg_sig = t.agg_sig; reduction = None;
+        identity = None; verdict = None }
     in
     t.roots <- r;
     r
@@ -201,59 +218,125 @@ let wire_bytes ~clients t =
   Wire.distilled_batch_bytes ~clients ~count:(count t)
     ~msg_bytes:(payload_bytes_per_entry t) ~stragglers:(straggler_count t)
 
-let verify dir t =
+(* The ids whose signatures are checked one by one, in order: an explicit
+   batch's stragglers, a dense batch's sampled stragglers. *)
+let signed_count t =
+  match t.entries with
+  | Explicit _ -> Array.length t.stragglers
+  | Dense d -> Array.length d.straggler_sample
+
+let signed_id t k =
+  match t.entries with
+  | Explicit _ -> t.stragglers.(k).s_id
+  | Dense d -> fst d.straggler_sample.(k)
+
+let sig_pk dir t k = Option.map (fun c -> c.Types.sig_pk) (Directory.find dir (signed_id t k))
+
+(* The first half of [verify]: every check that needs neither a signature
+   key nor cryptography, then the reducers' aggregate key ([Some None]
+   without reducers).  [None] when the batch fails them.  No bound can
+   overflow. *)
+let read_agg_pk dir t =
   match t.entries with
   | Explicit entries ->
-    strictly_sorted (fun e -> e.e_id) entries
-    && Array.for_all
-         (fun s ->
-           match Directory.find dir s.s_id with
-           | None -> false
-           | Some card ->
-             (* [entries] passed [strictly_sorted]: a binary search finds
-                the one entry with this id. *)
-             (match search (fun e -> e.e_id) entries s.s_id with
-              | -1 -> false
-              | i ->
-                Schnorr.verify card.Types.sig_pk
-                  (Types.message_statement ~id:s.s_id ~seq:s.s_seq entries.(i).e_msg)
-                  s.s_sig))
-         t.stragglers
-    &&
-    let reducers = reducer_ids t in
-    (match (reducers, t.agg_sig) with
-     | [], None -> true
-     | [], Some _ -> false
-     | _ :: _, None -> false
-     | _ :: _, Some agg ->
-       let pk = Directory.aggregate_ms_pks dir reducers in
-       Multisig.verify pk (Types.reduction_statement ~root:(reduction_root t)) agg)
+    let n = Array.length entries in
+    (* Sorted ids lie in [0, size) when the first and the last do. *)
+    if not (strictly_sorted (fun e -> e.e_id) entries
+            && (n = 0 || (entries.(0).e_id >= 0 && entries.(n - 1).e_id < Directory.size dir)))
+    then None
+    else (
+      match (reducer_ids t, t.agg_sig) with
+      | [], None -> Some None
+      | [], Some _ | _ :: _, None -> None
+      | reducers, Some _ -> Some (Some (Directory.aggregate_ms_pks dir reducers)))
   | Dense d ->
-    d.count > 0 && d.straggler_count >= 0 && d.straggler_count <= d.count
-    && d.first_id >= 0
-    && d.first_id + d.count <= Directory.dense_count dir
-    (* Sample of straggler signatures is genuinely checked. *)
-    && Array.for_all
-         (fun (id, s) ->
-           is_straggler_dense d id
-           &&
-           match Directory.find dir id with
-           | None -> false
-           | Some card ->
-             Schnorr.verify card.Types.sig_pk
-               (Types.message_statement ~id ~seq:(dense_straggler_seq d)
-                  (dense_message d id))
-               s)
-         d.straggler_sample
-    &&
     let reduced = d.count - d.straggler_count in
-    (match t.agg_sig with
-     | None -> reduced = 0
-     | Some agg ->
-       reduced > 0
-       &&
-       let pk = Directory.aggregate_ms_pks_range dir ~first:d.first_id ~count:reduced in
-       Multisig.verify pk (Types.reduction_statement ~root:(reduction_root t)) agg)
+    if not (d.count > 0 && d.straggler_count >= 0 && d.straggler_count <= d.count
+            && d.first_id >= 0
+            && d.count <= Directory.dense_count dir - d.first_id
+            && Array.for_all (fun (id, _) -> is_straggler_dense d id) d.straggler_sample)
+    then None
+    else (
+      match t.agg_sig with
+      | None when reduced = 0 -> Some None
+      | Some _ when reduced > 0 ->
+        Some (Some (Directory.aggregate_ms_pks_range dir ~first:d.first_id ~count:reduced))
+      | None | Some _ -> None)
+
+(* The signature key of every signed id, or [None] if one has no card. *)
+let read_sig_pks dir t =
+  let pks = Array.make (signed_count t) Field61.zero in
+  let rec fill k =
+    k = Array.length pks
+    ||
+    match sig_pk dir t k with
+    | Some pk -> pks.(k) <- pk; fill (k + 1)
+    | None -> false
+  in
+  if fill 0 then Some pks else None
+
+(* The second half: every signature of [t] under the keys read for it. *)
+let signatures_hold t sig_pks agg_pk =
+  (match t.entries with
+   | Explicit entries ->
+     Array.for_all2
+       (fun pk s ->
+         (* [entries] are strictly sorted: a binary search finds the one
+            entry with this id. *)
+         match search (fun e -> e.e_id) entries s.s_id with
+         | -1 -> false
+         | i ->
+           Schnorr.verify pk
+             (Types.message_statement ~id:s.s_id ~seq:s.s_seq entries.(i).e_msg)
+             s.s_sig)
+       sig_pks t.stragglers
+   | Dense d ->
+     (* The sample of straggler signatures is genuinely checked. *)
+     Array.for_all2
+       (fun pk (id, s) ->
+         Schnorr.verify pk
+           (Types.message_statement ~id ~seq:(dense_straggler_seq d) (dense_message d id))
+           s)
+       sig_pks d.straggler_sample)
+  &&
+  match (agg_pk, t.agg_sig) with
+  | Some pk, Some agg ->
+    Multisig.verify pk (Types.reduction_statement ~root:(reduction_root t)) agg
+  | _ -> true
+
+let verify dir t =
+  match read_agg_pk dir t with
+  | None -> false
+  | Some agg_pk ->
+    (match read_sig_pks dir t with
+     | None -> false
+     | Some sig_pks -> signatures_hold t sig_pks agg_pk)
+
+(* Re-reads every signed id's key and compares it with [pks] in place: a
+   verdict reused by many servers costs no array per server. *)
+let same_sig_pks dir t pks =
+  let rec go k =
+    k = Array.length pks
+    || (match sig_pk dir t k with Some pk -> Field61.equal pk pks.(k) | None -> false)
+       && go (k + 1)
+  in
+  go 0
+
+let check dir t =
+  match read_agg_pk dir t with
+  | None -> false
+  | Some agg_pk ->
+    let r = roots t in
+    (match r.verdict with
+     | Some v when Option.equal Field61.equal v.agg_pk agg_pk && same_sig_pks dir t v.sig_pks ->
+       v.ok
+     | _ ->
+       (match read_sig_pks dir t with
+        | None -> false
+        | Some sig_pks ->
+          let ok = signatures_hold t sig_pks agg_pk in
+          r.verdict <- Some { sig_pks; agg_pk; ok };
+          ok))
 
 (* The full well-formedness check.  For a fully distilled 65,536-message
    batch this matches the paper's §3.2 anchor (2.19 ms per batch: public
@@ -313,15 +396,13 @@ let forge_dense dir ~broker ~number ~first_id ~count ~msg_bytes ~tag ~straggler_
             (Types.message_statement ~id ~seq:(dense_straggler_seq d0) msg) ))
   in
   let d = { d0 with straggler_sample = sample } in
-  let t =
-    { broker; number; entries = Dense d; agg_seq; stragglers = [||]; agg_sig = None;
-      roots = no_roots }
-  in
   let agg_sig =
     if reduced = 0 then None
     else begin
       let agg_sk = Directory.aggregate_dense_ms_sks_range dir ~first:first_id ~count:reduced in
-      Some (Multisig.sign agg_sk (Types.reduction_statement ~root:(reduction_root t)))
+      let root = dense_root "reduction" d agg_seq in
+      Some (Multisig.sign agg_sk (Types.reduction_statement ~root))
     end
   in
-  { t with agg_sig }
+  { broker; number; entries = Dense d; agg_seq; stragglers = [||]; agg_sig;
+    roots = no_roots }

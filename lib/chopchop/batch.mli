@@ -49,8 +49,9 @@ type entries =
   | Dense of dense
 
 type roots
-(** The memoised {!reduction_root} and {!identity_root} of a batch, tagged
-    with the [entries], [stragglers] and [agg_seq] they were derived from. *)
+(** The memoised {!reduction_root}, {!identity_root} and {!check} verdict
+    of a batch, tagged with the [entries], [stragglers], [agg_seq] and
+    [agg_sig] they were derived from. *)
 
 type t = {
   broker : int;
@@ -60,9 +61,9 @@ type t = {
   stragglers : straggler array; (* Explicit only; sorted by id *)
   agg_sig : Repro_crypto.Multisig.signature option;
   mutable roots : roots;
-      (* root memo, owned by this module: a batch rebuilt with
-         [{ b with entries | stragglers | agg_seq = ... }] re-derives its
-         roots instead of inheriting stale ones.  The [entries] and
+      (* root and verdict memo, owned by this module: a batch rebuilt
+         with [{ b with entries | stragglers | agg_seq | agg_sig = ... }]
+         re-derives them instead of inheriting stale ones.  The [entries] and
          [stragglers] arrays must not be mutated once wrapped in a batch. *)
 }
 
@@ -99,9 +100,24 @@ val wire_bytes : clients:int -> t -> int
 
 val verify : Directory.t -> t -> bool
 (** Full well-formedness check, as performed by a witnessing server (#9):
-    identifiers strictly increasing (hence distinct), every straggler's
-    individual signature valid, and the aggregate multi-signature valid
-    over the reduction root for exactly the reduced identities. *)
+    identifiers strictly increasing (hence distinct) and registered in the
+    directory, every straggler's individual signature valid, and the
+    aggregate multi-signature valid over the reduction root for exactly
+    the reduced identities.  Pure and unmemoised: every call runs every
+    signature check, and perfbench's [batch.verify_ms] kernel times it. *)
+
+val check : Directory.t -> t -> bool
+(** {!verify}'s verdict, executed once per batch value and directory keys:
+    what a witnessing server calls.  Every call does the checks that need
+    no cryptography and reads every directory key {!verify} reads (each
+    straggler's signature key, the reducers' aggregate key, and for a
+    dense batch the population bound and range aggregate); it reuses the
+    verdict kept on the batch only if those keys equal the ones it was
+    given under, and otherwise checks the signatures and keeps the new
+    verdict.  The verdict lives on the batch (see the [roots] field), is
+    freed with it, and a copy rebuilt with a new [entries], [stragglers],
+    [agg_seq] or [agg_sig] does not inherit it.  The simulated cost stays
+    with {!witness_cpu_work}, which every checking server is charged. *)
 
 val witness_cpu_work : t -> Repro_sim.Cpu.work
 (** Simulated CPU work of {!verify} on a server, from {!Repro_sim.Cost}:

@@ -98,7 +98,7 @@ let aggregate_ms_pks t ids =
   Multisig.aggregate_public_keys (List.map (ms_pk t) ids)
 
 let sk_range name t ~first ~count =
-  if first < 0 || count < 0 || first + count > t.dense then
+  if first < 0 || count < 0 || count > t.dense - first then
     invalid_arg ("Directory." ^ name ^ ": outside dense population");
   ensure_prefix t.pop (first + count);
   Multisig.diff_secret_keys t.pop.sk_prefix.(first + count) t.pop.sk_prefix.(first)

@@ -384,9 +384,12 @@ let rec witness_batch ?(attempt = 0) t batch =
           Trace.span_end s ~now:(Engine.now t.engine) ~actor:t.cfg.self
             ~cat:"server" ~name:"witness_verify" ~id:(Trace.key root);
         if not t.crashed then begin
-          (* Aggregate check plus one per-straggler fallback signature. *)
+          (* Aggregate check plus one per-straggler fallback signature.
+             This counts the server's logical checks: [Batch.check] may
+             reuse the verdict another server's check gave on the same
+             batch and keys, but this server pays for its own. *)
           Trace.Counter.add t.c_verify (1 + Batch.straggler_count batch);
-          if Batch.verify t.dir batch then begin
+          if Batch.check t.dir batch then begin
             let statement =
               Certs.witness_statement ~root ~broker:batch.Batch.broker
                 ~number:batch.Batch.number

@@ -121,7 +121,10 @@ let test_directory_range_bounds () =
   let d = Directory.create ~dense_count:10 () in
   Alcotest.check_raises "outside dense population"
     (Invalid_argument "Directory.aggregate_ms_pks_range: outside dense population")
-    (fun () -> ignore (Directory.aggregate_ms_pks_range d ~first:5 ~count:10))
+    (fun () -> ignore (Directory.aggregate_ms_pks_range d ~first:5 ~count:10));
+  Alcotest.check_raises "a range whose end overflows"
+    (Invalid_argument "Directory.aggregate_ms_pks_range: outside dense population")
+    (fun () -> ignore (Directory.aggregate_ms_pks_range d ~first:(max_int - 10) ~count:100))
 
 (* --- Certs ------------------------------------------------------------------ *)
 
@@ -901,6 +904,47 @@ let test_evidence_signer_out_of_range () =
   checkb "the run reaches its horizon" true
     (Repro_sim.Engine.now (Deployment.engine d) >= 10.0)
 
+(* A Byzantine broker announces [batch] to every server of a 4-server
+   deployment and asks each to witness it: every server refuses it, and
+   the run reaches its horizon. *)
+let check_byzantine_batch_rejected batch =
+  let trace = Trace.Sink.memory () in
+  let d =
+    Deployment.create { Deployment.default_config with dense_clients = 16; trace }
+  in
+  Array.iter
+    (fun sv ->
+      Server.receive_broker sv ~src_broker:0
+        (Proto.Batch_announce { batch; witness_requested = true }))
+    (Deployment.servers d);
+  Deployment.run d ~until:5.0;
+  let rejects =
+    List.length
+      (List.filter
+         (fun (e : Trace.event) -> e.ev_phase = Trace.I && e.ev_name = "reject_batch")
+         (Trace.Sink.events trace))
+  in
+  checki "every server rejects the batch" 4 rejects;
+  checkb "the run reaches its horizon" true
+    (Repro_sim.Engine.now (Deployment.engine d) >= 5.0)
+
+(* [first_id + count] wraps around past [max_int]. *)
+let test_overflowing_dense_range () =
+  let dir = Directory.create ~dense_count:16 () in
+  let b =
+    Batch.forge_dense dir ~broker:0 ~number:0 ~first_id:0 ~count:16 ~msg_bytes:8 ~tag:1
+      ~straggler_count:0
+  in
+  let d = match b.Batch.entries with Batch.Dense d -> d | Batch.Explicit _ -> assert false in
+  check_byzantine_batch_rejected
+    { b with Batch.entries = Batch.Dense { d with Batch.first_id = max_int - 10; count = 100 } }
+
+(* A reducer id no directory holds. *)
+let test_negative_reducer_id () =
+  check_byzantine_batch_rejected
+    (Batch.make_explicit ~broker:0 ~number:0 ~entries:(mk_entries [ -1 ]) ~agg_seq:0
+       ~stragglers:[||] ~agg_sig:(Some (Multisig.forge_garbage ())))
+
 let test_gc_collects () =
   let d = mk_deployment ~dense:100_000 () in
   let dir = Server.directory (Deployment.servers d).(0) in
@@ -1073,11 +1117,18 @@ let straggler_for id ~seq ~valid =
            (Types.message_statement ~id ~seq msg)
        else Schnorr.forge_garbage ()) }
 
+(* [Batch.check] is held to the reference too: on its first call (which
+   runs the signatures), on a repeated call and on a renumbered copy
+   (which reuse the verdict). *)
 let agrees_with_reference dir b =
+  let expected = Ref_batch.verify dir b in
   Batch.identity_root b = Ref_batch.identity_root b
   && Batch.reduction_root b = Ref_batch.reduction_root b
   && Batch.reducer_ids b = Ref_batch.reducer_ids b
-  && Batch.verify dir b = Ref_batch.verify dir b
+  && Batch.verify dir b = expected
+  && Batch.check dir b = expected
+  && Batch.check dir b = expected
+  && Batch.check dir { b with Batch.number = b.Batch.number + 1 } = expected
 
 let test_batch_memo_invalidation () =
   let dir = Directory.create ~dense_count:100 () in
@@ -1114,6 +1165,52 @@ let test_batch_memo_invalidation () =
   checkb "the original still has its roots and verifies" true
     (Batch.identity_root good = id0 && Batch.reduction_root good = red0
      && Batch.verify dir good)
+
+(* A verdict kept on a batch is reused only for the same batch fields and
+   the same directory keys. *)
+let test_batch_verdict_inputs () =
+  let dir = Directory.create ~dense_count:100 () in
+  let good = explicit_batch dir ~ids:[ 1; 5; 9; 42 ] ~agg_seq:3 ~straggler_ids:[ 5; 42 ] in
+  checkb "valid verdict" true (Batch.check dir good);
+  checkb "garbage aggregate rejected" false
+    (Batch.check dir { good with Batch.agg_sig = Some (Multisig.forge_garbage ()) });
+  let forged =
+    Array.map (fun s -> { s with Batch.s_sig = Schnorr.forge_garbage () }) good.Batch.stragglers
+  in
+  checkb "tampered stragglers rejected" false
+    (Batch.check dir { good with Batch.stragglers = forged });
+  let tampered = Array.copy (Ref_batch.entries good) in
+  tampered.(0) <- { (tampered.(0)) with Batch.e_msg = "EVIL" };
+  checkb "tampered entries rejected" false
+    (Batch.check dir { good with Batch.entries = Batch.Explicit tampered });
+  checkb "the original keeps its verdict" true (Batch.check dir good);
+  (* Two directories that differ only in straggler 3's explicit card. *)
+  let with_cards other =
+    let d = Directory.create () in
+    for id = 0 to 3 do
+      let kp = if id = 3 && other then Types.keypair_of_seed "other" else dense_kp id in
+      ignore (Directory.append d kp.Types.card)
+    done;
+    d
+  in
+  let dir_a = with_cards false and dir_b = with_cards true in
+  let fresh () = explicit_batch dir ~ids:[ 0; 1; 2; 3 ] ~agg_seq:1 ~straggler_ids:[ 1; 3 ] in
+  let b = fresh () in
+  checkb "A first: valid under A" true (Batch.check dir_a b);
+  checkb "A first: invalid under B" false (Batch.check dir_b b);
+  checkb "A first: valid under A again" true (Batch.check dir_a b);
+  let b = fresh () in
+  checkb "B first: invalid under B" false (Batch.check dir_b b);
+  checkb "B first: valid under A" true (Batch.check dir_a b);
+  (* A dense range the smaller population does not hold. *)
+  let big = Directory.create ~dense_count:1000 () in
+  let dense =
+    Batch.forge_dense big ~broker:0 ~number:0 ~first_id:900 ~count:100 ~msg_bytes:8
+      ~tag:1 ~straggler_count:10
+  in
+  checkb "dense valid" true (Batch.check big dense);
+  checkb "dense outside a smaller population rejected" false
+    (Batch.check (Directory.create ~dense_count:950 ()) dense)
 
 let suite_batch_props =
   [ qtest ~count:150 "identity root matches a fresh tree"
@@ -1251,6 +1348,7 @@ let () =
          Alcotest.test_case "rejects forgery" `Quick test_batch_rejects_forgery;
          Alcotest.test_case "rejects bad straggler sig" `Quick test_batch_rejects_bad_straggler_sig;
          Alcotest.test_case "root memo follows rebuilt fields" `Quick test_batch_memo_invalidation;
+         Alcotest.test_case "verdict reuses only equal inputs" `Quick test_batch_verdict_inputs;
          Alcotest.test_case "dense verifies" `Quick test_batch_dense_verifies;
          Alcotest.test_case "dense rejects" `Quick test_batch_dense_rejects;
          Alcotest.test_case "dense/explicit equivalence" `Quick test_batch_dense_explicit_equivalence;
@@ -1282,4 +1380,8 @@ let () =
          Alcotest.test_case "broker pools the highest sequence number" `Quick
            test_broker_pools_highest_seq;
          Alcotest.test_case "out-of-range evidence signer dropped" `Quick
-           test_evidence_signer_out_of_range ]) ]
+           test_evidence_signer_out_of_range;
+         Alcotest.test_case "overflowing dense range rejected" `Quick
+           test_overflowing_dense_range;
+         Alcotest.test_case "negative reducer id rejected" `Quick
+           test_negative_reducer_id ]) ]
