@@ -348,6 +348,21 @@ let batch_ready t (batch : Batch.t) =
    | Batch.Dense _ -> true)
   && Array.for_all (fun s -> s.Batch.s_id < n) batch.Batch.stragglers
 
+(* Refuse to witness [batch] for good.  Its body leaves storage too, if
+   the stored copy is this very batch and the order has not positioned it
+   (only {!gc_sweep} collects a positioned one): should a ref to its root
+   be ordered after all, the server fetches a copy from a peer. *)
+let reject_batch t batch =
+  let root = Batch.identity_root batch in
+  reject_instant t "reject_batch" ~id:(Trace.key root)
+    [ ("broker", Trace.A_int batch.Batch.broker);
+      ("number", Trace.A_int batch.Batch.number) ];
+  match Hashtbl.find_opt t.batches root with
+  | Some ({ position = None; _ } as stored) when stored.batch == batch ->
+    Hashtbl.remove t.batches root;
+    t.stored_bytes <- t.stored_bytes - stored.bytes
+  | Some _ | None -> ()
+
 let rec witness_batch ?(attempt = 0) t batch =
   (* A syncing (bootstrapping) or inactive server must not witness: its
      committee share only counts once it is a caught-up active member. *)
@@ -365,11 +380,8 @@ let rec witness_batch ?(attempt = 0) t batch =
           if not t.crashed then witness_batch ~attempt:(attempt + 1) t batch)
     else
       (* Identifiers the order never produced: a Byzantine broker made
-         them up.  Refuse for good. *)
-      reject_instant t "reject_batch"
-        ~id:(Trace.key (Batch.identity_root batch))
-        [ ("broker", Trace.A_int batch.Batch.broker);
-          ("number", Trace.A_int batch.Batch.number) ]
+         them up. *)
+      reject_batch t batch
   end
   else begin
     let root = Batch.identity_root batch in
@@ -404,9 +416,7 @@ let rec witness_batch ?(attempt = 0) t batch =
           else
             (* Garbled / malformed batch from a Byzantine broker: refuse to
                witness, loudly. *)
-            reject_instant t "reject_batch" ~id:(Trace.key root)
-              [ ("broker", Trace.A_int batch.Batch.broker);
-                ("number", Trace.A_int batch.Batch.number) ]
+            reject_batch t batch
         end)
   end
 

@@ -7,8 +7,15 @@
     message deliveries are engine events.
 
     The queue is a two-level calendar/ladder structure (near-future slot
-    ring + far-future overflow, heap order inside a bucket) with pooled
-    event records.  It dispatches in (time, seq) order. *)
+    ring + far-future overflow) over one table of event rows, and it
+    dispatches in (time, seq) order.  A row keeps its event's time, seq,
+    scheduling time, kind and closure in flat arrays, so times are stored
+    unboxed, and rows are recycled through a free list.  A future slot is
+    an unsorted list of rows; only the cursor's slot and the overflow are
+    binary heaps, each with its entries' time and seq in flat arrays of its
+    own, so a sift compares unboxed numbers.  The clock, too, is held
+    unboxed.  The table grows to the queue's deepest and is given back when
+    the queue runs dry, so memory follows the queue's depth. *)
 
 type t
 
@@ -97,8 +104,10 @@ val max_pending : t -> int
     samples is invisible to periodic probes; this is the envelope. *)
 
 val pool_stats : t -> int * int
-(** [(fresh, reused)] event records: heap allocations vs pool recycles.
-    Deterministic for a fixed seed. *)
+(** [(fresh, reused)] rows taken for scheduled events: rows that had never
+    held an event since the table was last made vs recycled ones.  Fresh
+    rows are bounded by the queue's deepest.  Deterministic for a fixed
+    seed. *)
 
 (** {2 Profiling}
 

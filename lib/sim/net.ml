@@ -1,11 +1,20 @@
-type 'msg node = {
-  region : Region.t;
+(* A node's two NIC queues: their rates and the instants they are next
+   free.  An all-float record stores its fields unboxed, so advancing a
+   queue writes the number in place instead of allocating a box. *)
+type nic = {
   ingress_bps : float;
   egress_bps : float;
-  kind : int; (* interned Engine kind attributing this node's events *)
-  handler : src:int -> 'msg -> unit;
   mutable out_free : float;
   mutable in_free : float;
+}
+
+type 'msg node = {
+  region : Region.t;
+  kind : int option;
+      (* interned Engine kind attributing this node's events; the option is
+         made once, so that scheduling does not allocate it *)
+  handler : src:int -> 'msg -> unit;
+  nic : nic;
   mutable sent : int;
   mutable received : int;
   mutable connected : bool;
@@ -14,7 +23,10 @@ type 'msg node = {
 type 'msg t = {
   engine : Engine.t;
   loss : float;
-  nodes : (int, 'msg node) Hashtbl.t;
+  (* Node ids are small dense ints, so the table is an array indexed by
+     id; [absent] fills the ids no node was added at. *)
+  mutable nodes : 'msg node array;
+  absent : 'msg node;
   rng : Rng.t;
   (* Fault-injection state (lib/chaos).  [groups] maps node id -> partition
      group; unlisted nodes implicitly belong to group 0.  The per-link
@@ -40,7 +52,12 @@ let server_default_egress_bps = 3.125e9
 
 let create engine ?(loss = 0.) () =
   let sink = Engine.trace engine in
-  { engine; loss; nodes = Hashtbl.create 256; rng = Rng.split (Engine.rng engine);
+  let absent =
+    { region = Region.Paris; kind = None; handler = (fun ~src:_ _ -> ());
+      nic = { ingress_bps = 0.; egress_bps = 0.; out_free = 0.; in_free = 0. };
+      sent = 0; received = 0; connected = false }
+  in
+  { engine; loss; nodes = [||]; absent; rng = Rng.split (Engine.rng engine);
     groups = None; link_loss = Hashtbl.create 16; link_delay = Hashtbl.create 16;
     faults_active = false;
     c_msgs = Repro_trace.Trace.Sink.counter sink ~cat:"net" ~name:"msgs";
@@ -50,16 +67,27 @@ let create engine ?(loss = 0.) () =
 
 let add_node t ~id ~region ?(ingress_bps = server_default_ingress_bps)
     ?(egress_bps = server_default_egress_bps) ?kind ~handler () =
-  if Hashtbl.mem t.nodes id then invalid_arg "Net.add_node: duplicate id";
-  let kind = match kind with Some k -> Engine.kind t.engine k | None -> 0 in
-  Hashtbl.add t.nodes id
-    { region; ingress_bps; egress_bps; kind; handler;
-      out_free = 0.; in_free = 0.; sent = 0; received = 0; connected = true }
+  if id < 0 then invalid_arg "Net.add_node: negative id";
+  let len = Array.length t.nodes in
+  if id < len && t.nodes.(id) != t.absent then
+    invalid_arg "Net.add_node: duplicate id";
+  if id >= len then begin
+    let bigger = Array.make (max (id + 1) (2 * len)) t.absent in
+    Array.blit t.nodes 0 bigger 0 len;
+    t.nodes <- bigger
+  end;
+  let kind =
+    Some (match kind with Some k -> Engine.kind t.engine k | None -> 0)
+  in
+  t.nodes.(id) <-
+    { region; kind; handler;
+      nic = { ingress_bps; egress_bps; out_free = 0.; in_free = 0. };
+      sent = 0; received = 0; connected = true }
 
 let node t id =
-  match Hashtbl.find_opt t.nodes id with
-  | Some n -> n
-  | None -> invalid_arg (Printf.sprintf "Net: unknown node %d" id)
+  if id >= 0 && id < Array.length t.nodes && t.nodes.(id) != t.absent then
+    t.nodes.(id)
+  else invalid_arg (Printf.sprintf "Net: unknown node %d" id)
 
 let reachable t src dst =
   match t.groups with
@@ -73,8 +101,9 @@ let reachable t src dst =
 let charge_egress_only t s bytes =
   let now = Engine.now t.engine in
   s.sent <- s.sent + bytes;
-  let out_start = Float.max now s.out_free in
-  s.out_free <- out_start +. (float_of_int (8 * bytes) /. s.egress_bps)
+  let nic = s.nic in
+  let out_start = Float.max now nic.out_free in
+  nic.out_free <- out_start +. (float_of_int (8 * bytes) /. nic.egress_bps)
 
 let transmit t ~src ~dst ~bytes msg =
   let s = node t src and d = node t dst in
@@ -88,9 +117,10 @@ let transmit t ~src ~dst ~bytes msg =
       s.sent <- s.sent + bytes;
       Repro_trace.Trace.Counter.incr t.c_msgs;
       Repro_trace.Trace.Counter.add t.c_bytes bytes;
-      let out_start = Float.max now s.out_free in
-      let out_end = out_start +. (float_of_int (8 * bytes) /. s.egress_bps) in
-      s.out_free <- out_end;
+      let nic = s.nic in
+      let out_start = Float.max now nic.out_free in
+      let out_end = out_start +. (float_of_int (8 * bytes) /. nic.egress_bps) in
+      nic.out_free <- out_end;
       let extra =
         if t.faults_active then
           Option.value (Hashtbl.find_opt t.link_delay (src, dst)) ~default:0.
@@ -99,14 +129,17 @@ let transmit t ~src ~dst ~bytes msg =
       let arrival = out_end +. Region.latency s.region d.region +. extra in
       (* Ingress occupancy is decided at arrival time: delay the enqueue.
          Both events — the arrival enqueue and the handler dispatch — are
-         work done on behalf of the destination, so both carry its kind. *)
-      Engine.schedule_at ~kind:d.kind t.engine ~time:arrival (fun () ->
+         work done on behalf of the destination, so both carry its kind.
+         The arrival event runs at [arrival], so it reads the time from the
+         clock: a float kept in its closure would cost a box of its own. *)
+      Engine.schedule_at ?kind:d.kind t.engine ~time:arrival (fun () ->
           if d.connected then begin
-            let in_start = Float.max arrival d.in_free in
-            let in_end = in_start +. (float_of_int (8 * bytes) /. d.ingress_bps) in
-            d.in_free <- in_end;
+            let nic = d.nic in
+            let in_start = Float.max (Engine.now t.engine) nic.in_free in
+            let in_end = in_start +. (float_of_int (8 * bytes) /. nic.ingress_bps) in
+            nic.in_free <- in_end;
             d.received <- d.received + bytes;
-            Engine.schedule_at ~kind:d.kind t.engine ~time:in_end (fun () ->
+            Engine.schedule_at ?kind:d.kind t.engine ~time:in_end (fun () ->
                 if d.connected then d.handler ~src msg)
           end)
     end

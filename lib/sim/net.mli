@@ -15,7 +15,12 @@
     The ['msg] parameter is the deployment's message union type; protocol
     state machines never see this module directly — they are handed
     [send] callbacks (dependency inversion keeps {!Repro_stob} and
-    {!Repro_chopchop} independent of each other's wire formats). *)
+    {!Repro_chopchop} independent of each other's wire formats).
+
+    Node ids are small dense ints, so the node table is an array indexed
+    by id: a send finds both ends without hashing.  Each node's NIC
+    queues keep their next free instants in an all-float record, which
+    stores them unboxed, so a send writes them without allocating. *)
 
 type 'msg t
 
@@ -46,7 +51,11 @@ val add_node :
     this node's delivery events to (arrival enqueue and handler dispatch
     both count as work done for the destination); omitted nodes land in
     the ["other"] bucket.
-    @raise Invalid_argument on duplicate id. *)
+
+    Ids need not be contiguous, but the table is as long as the largest
+    id, so they should be small.  Sending from or to an id no node was
+    added at raises [Invalid_argument "Net: unknown node <id>"].
+    @raise Invalid_argument on a duplicate or negative id. *)
 
 val send : 'msg t -> src:int -> dst:int -> bytes:int -> 'msg -> unit
 (** Reliable delivery (TCP-like). *)

@@ -96,8 +96,11 @@ echo "== paper headline: full-scale saturation point =="
 # Fig. 7's ChopChop-BFT-SMaRt point at the paper's scale: 64 servers,
 # 4.4e7 op/s offered (~1.5 min).  The experiment fails itself if it
 # delivers less than 95% of the offered rate or if no measurement client
-# completed a message inside the window (an empty latency sample).
+# completed a message inside the window (an empty latency sample).  The
+# longest step here, so its wall seconds are printed.
+headline_start="$(date +%s)"
 dune exec bin/main.exe -- run headline --scale full
+echo "headline: $(( $(date +%s) - headline_start )) s wall"
 
 echo "== bench baseline regression gate =="
 # Regenerate the machine-readable baseline and diff it against the

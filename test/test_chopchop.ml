@@ -907,7 +907,7 @@ let test_evidence_signer_out_of_range () =
 (* A Byzantine broker announces [batch] to every server of a 4-server
    deployment and asks each to witness it: every server refuses it, and
    the run reaches its horizon. *)
-let check_byzantine_batch_rejected batch =
+let check_byzantine_batch_rejected ~until batch =
   let trace = Trace.Sink.memory () in
   let d =
     Deployment.create { Deployment.default_config with dense_clients = 16; trace }
@@ -917,7 +917,7 @@ let check_byzantine_batch_rejected batch =
       Server.receive_broker sv ~src_broker:0
         (Proto.Batch_announce { batch; witness_requested = true }))
     (Deployment.servers d);
-  Deployment.run d ~until:5.0;
+  Deployment.run d ~until;
   let rejects =
     List.length
       (List.filter
@@ -925,8 +925,13 @@ let check_byzantine_batch_rejected batch =
          (Trace.Sink.events trace))
   in
   checki "every server rejects the batch" 4 rejects;
+  Array.iter
+    (fun sv ->
+      checki "the refused batch is not kept" 0 (Server.stored_batches sv);
+      checki "nor its bytes" 0 (Server.stored_bytes sv))
+    (Deployment.servers d);
   checkb "the run reaches its horizon" true
-    (Repro_sim.Engine.now (Deployment.engine d) >= 5.0)
+    (Repro_sim.Engine.now (Deployment.engine d) >= until)
 
 (* [first_id + count] wraps around past [max_int]. *)
 let test_overflowing_dense_range () =
@@ -936,14 +941,22 @@ let test_overflowing_dense_range () =
       ~straggler_count:0
   in
   let d = match b.Batch.entries with Batch.Dense d -> d | Batch.Explicit _ -> assert false in
-  check_byzantine_batch_rejected
+  check_byzantine_batch_rejected ~until:5.0
     { b with Batch.entries = Batch.Dense { d with Batch.first_id = max_int - 10; count = 100 } }
 
 (* A reducer id no directory holds. *)
 let test_negative_reducer_id () =
-  check_byzantine_batch_rejected
+  check_byzantine_batch_rejected ~until:5.0
     (Batch.make_explicit ~broker:0 ~number:0 ~entries:(mk_entries [ -1 ]) ~agg_seq:0
        ~stragglers:[||] ~agg_sig:(Some (Multisig.forge_garbage ())))
+
+(* A reducer id the order never produced: each server defers its witness
+   while its directory might still catch up (100 tries, 0.2 s apart), then
+   refuses for good. *)
+let test_made_up_reducer_id () =
+  check_byzantine_batch_rejected ~until:25.0
+    (Batch.make_explicit ~broker:0 ~number:0 ~entries:(mk_entries [ 1_000_000 ])
+       ~agg_seq:0 ~stragglers:[||] ~agg_sig:(Some (Multisig.forge_garbage ())))
 
 let test_gc_collects () =
   let d = mk_deployment ~dense:100_000 () in
@@ -1384,4 +1397,6 @@ let () =
          Alcotest.test_case "overflowing dense range rejected" `Quick
            test_overflowing_dense_range;
          Alcotest.test_case "negative reducer id rejected" `Quick
-           test_negative_reducer_id ]) ]
+           test_negative_reducer_id;
+         Alcotest.test_case "made-up reducer id rejected" `Quick
+           test_made_up_reducer_id ]) ]

@@ -319,6 +319,28 @@ let test_engine_pool_reuse () =
   checkb "records recycled" true (reused > 0);
   checkb "fresh bounded by peak depth" true (fresh <= Engine.max_pending e + 8)
 
+(* A burst far deeper than the queue ever is again must not stay in the
+   engine: once the queue has run dry, the engine holds no more than a
+   fresh one does. *)
+let test_engine_burst_memory () =
+  let words e = Obj.reachable_words (Obj.repr e) in
+  let fresh = words (Engine.create ()) in
+  let e = Engine.create () in
+  let ran = ref 0 in
+  for i = 0 to 99_999 do
+    (* 100k events inside one 1 ms calendar slot. *)
+    Engine.schedule_at e ~time:(0.5 +. (float_of_int i *. 1e-9)) (fun () ->
+        incr ran)
+  done;
+  checki "burst queued" 100_000 (Engine.pending e);
+  Engine.run e;
+  checki "burst ran dry" 100_000 !ran;
+  let after = words e in
+  checkb
+    (Printf.sprintf "drained engine %d words, fresh %d" after fresh)
+    true
+    (after - fresh < 1_024)
+
 (* --- Region ------------------------------------------------------------- *)
 
 let test_region_symmetric () =
@@ -525,6 +547,27 @@ let test_net_duplicate_node () =
   Alcotest.check_raises "duplicate id" (Invalid_argument "Net.add_node: duplicate id")
     (fun () ->
       Net.add_node net ~id:0 ~region:Region.Paris ~handler:(fun ~src:_ () -> ()) ())
+
+(* The node table is an array indexed by id: gaps below an id are fine,
+   an id never added is refused by name, and a negative one at once. *)
+let test_net_sparse_ids () =
+  let e = Engine.create () in
+  let net = Net.create e () in
+  let got = ref [] in
+  Net.add_node net ~id:5 ~region:Region.Paris
+    ~handler:(fun ~src () -> got := src :: !got)
+    ();
+  Net.add_node net ~id:7 ~region:Region.London ~handler:(fun ~src:_ () -> ()) ();
+  Net.send net ~src:7 ~dst:5 ~bytes:100 ();
+  Engine.run e;
+  Alcotest.(check (list int)) "node 5 delivers with ids 0-4 unused" [ 7 ] !got;
+  Alcotest.check_raises "never added" (Invalid_argument "Net: unknown node 3")
+    (fun () -> Net.send net ~src:5 ~dst:3 ~bytes:100 ());
+  Alcotest.check_raises "past the table" (Invalid_argument "Net: unknown node 64")
+    (fun () -> Net.send net ~src:64 ~dst:5 ~bytes:100 ());
+  Alcotest.check_raises "negative id" (Invalid_argument "Net.add_node: negative id")
+    (fun () ->
+      Net.add_node net ~id:(-1) ~region:Region.Paris ~handler:(fun ~src:_ () -> ()) ())
 
 (* --- Cpu -------------------------------------------------------------------- *)
 
@@ -1005,7 +1048,9 @@ let () =
          Alcotest.test_case "every boundary semantics" `Quick
            test_engine_every_boundary;
          Alcotest.test_case "dispatch order" `Quick test_engine_dispatch_order;
-         Alcotest.test_case "event pool reuse" `Quick test_engine_pool_reuse ]);
+         Alcotest.test_case "event pool reuse" `Quick test_engine_pool_reuse;
+         Alcotest.test_case "burst memory given back" `Quick
+           test_engine_burst_memory ]);
       ("region",
        [ Alcotest.test_case "symmetric" `Quick test_region_symmetric;
          Alcotest.test_case "table equals the great-circle formula" `Quick
@@ -1022,7 +1067,8 @@ let () =
          Alcotest.test_case "partition + heal" `Quick test_net_partition_heal;
          Alcotest.test_case "per-link loss" `Quick test_net_link_loss;
          Alcotest.test_case "degrade link" `Quick test_net_degrade_link;
-         Alcotest.test_case "duplicate node" `Quick test_net_duplicate_node ]);
+         Alcotest.test_case "duplicate node" `Quick test_net_duplicate_node;
+         Alcotest.test_case "sparse ids" `Quick test_net_sparse_ids ]);
       ("cpu",
        [ Alcotest.test_case "fifo" `Quick test_cpu_fifo;
          Alcotest.test_case "capacity" `Quick test_cpu_capacity;

@@ -636,9 +636,8 @@ let test_ref_state_flat () =
     checki "delivered" n (Server.delivery_counter s.s_sv);
     checki "checkpoint at the last delivery" n (Store.checkpoint_position s.s_store);
     checki "engine drained" 0 (Engine.pending s.s_engine);
-    (* Net of the engine: its calendar buckets each grow to the busiest
-       slot they have held, with simulated time rather than with server
-       state, and with nothing pending the engine reaches no server. *)
+    (* Net of the engine: its size follows the depth of its queue, not
+       server state, and with nothing pending it reaches no server. *)
     ( Obj.reachable_words (Obj.repr s.s_sv)
       - Obj.reachable_words (Obj.repr s.s_engine),
       Store.last_checkpoint_bytes s.s_store )
