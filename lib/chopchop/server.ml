@@ -350,8 +350,10 @@ let batch_ready t (batch : Batch.t) =
 
 (* Refuse to witness [batch] for good.  Its body leaves storage too, if
    the stored copy is this very batch and the order has not positioned it
-   (only {!gc_sweep} collects a positioned one): should a ref to its root
-   be ordered after all, the server fetches a copy from a peer. *)
+   (only {!gc_sweep} collects a positioned one).  A copy under the same
+   root that passes its check is stored again ({!keep_witnessed}), so a
+   server never lacks the body of a root it witnessed, and a peer that
+   lacks it fetches it from one that did. *)
 let reject_batch t batch =
   let root = Batch.identity_root batch in
   reject_instant t "reject_batch" ~id:(Trace.key root)
@@ -362,6 +364,26 @@ let reject_batch t batch =
     Hashtbl.remove t.batches root;
     t.stored_bytes <- t.stored_bytes - stored.bytes
   | Some _ | None -> ()
+
+(* [batch] passed its check: it becomes the stored body of its root,
+   unless the order has positioned a copy already.  The root covers
+   neither the aggregate nor the straggler signatures, so a garbled copy
+   stored first may have been refused and dropped, or may be refused
+   after this.  A root absent while its ref is ordered here is left to
+   the fetch path: the body was collected, or the order took another
+   batch for that number. *)
+let keep_witnessed t root batch =
+  let put ~replaced =
+    let bytes = Batch.wire_bytes ~clients:t.cfg.clients batch in
+    Hashtbl.replace t.batches root { batch; bytes; position = None };
+    t.stored_bytes <- t.stored_bytes - replaced + bytes
+  in
+  match Hashtbl.find_opt t.batches root with
+  | Some { position = Some _; _ } -> ()
+  | Some stored when stored.batch == batch -> ()
+  | Some stored -> put ~replaced:stored.bytes
+  | None when marked t.ordered_refs batch.Batch.broker batch.Batch.number -> ()
+  | None -> put ~replaced:0
 
 let rec witness_batch ?(attempt = 0) t batch =
   (* A syncing (bootstrapping) or inactive server must not witness: its
@@ -402,6 +424,7 @@ let rec witness_batch ?(attempt = 0) t batch =
              batch and keys, but this server pays for its own. *)
           Trace.Counter.add t.c_verify (1 + Batch.straggler_count batch);
           if Batch.check t.dir batch then begin
+            keep_witnessed t root batch;
             let statement =
               Certs.witness_statement ~root ~broker:batch.Batch.broker
                 ~number:batch.Batch.number

@@ -132,12 +132,13 @@ let slot time = int_of_float (time /. cal_width)
    deeper queue, is given back then. *)
 let table_keep = 1024
 
-(* The virtual clock, in an all-float record so that setting it stores the
-   number in place instead of allocating a box. *)
-type clock = { mutable now : float }
+(* [r_seq] of a free row, and of a cancelled event's row. *)
+let free_seq = -1
+let cancelled_seq = -2
 
 type t = {
-  (* The row table.  A free row has seq -1; a cancelled one kind -1. *)
+  (* The row table.  A row's seq is its event's, or [free_seq] or
+     [cancelled_seq]. *)
   mutable r_time : float array;
   mutable r_seq : int array;
   mutable r_born : float array; (* clock at scheduling: the profiler's dwell *)
@@ -156,7 +157,7 @@ type t = {
   mutable queued : int; (* events in the queue, cancelled included *)
   mutable cancelled : int; (* cancelled events still awaiting their slot *)
   mutable max_pending : int; (* high-water mark of *live* queued events *)
-  clock : clock;
+  mutable now : float; (* the clock: [now] reads it without allocating *)
   mutable next_seq : int;
   rng : Rng.t;
   trace : Repro_trace.Trace.Sink.t;
@@ -193,7 +194,7 @@ let create ?(seed = 1L) ?(trace = Repro_trace.Trace.Sink.null ()) () =
     queued = 0;
     cancelled = 0;
     max_pending = 0;
-    clock = { now = 0. };
+    now = 0.;
     next_seq = 0;
     rng = Rng.create seed;
     trace;
@@ -203,7 +204,7 @@ let create ?(seed = 1L) ?(trace = Repro_trace.Trace.Sink.null ()) () =
     n_kinds = 1;
     profiler = None }
 
-let now t = t.clock.now
+let now t = t.now
 let rng t = t.rng
 let pending t = t.queued - t.cancelled
 let max_pending t = t.max_pending
@@ -249,7 +250,7 @@ let grow t =
     b
   in
   t.r_time <- extend t.r_time 0.;
-  t.r_seq <- extend t.r_seq (-1);
+  t.r_seq <- extend t.r_seq free_seq;
   t.r_born <- extend t.r_born 0.;
   t.r_kind <- extend t.r_kind 0;
   t.r_fn <- extend t.r_fn noop;
@@ -275,7 +276,7 @@ let take_row t =
 (* Free a dispatched row.  Its closure is dropped at once, so everything
    it captured becomes collectable. *)
 let free_row t r =
-  t.r_seq.(r) <- -1;
+  t.r_seq.(r) <- free_seq;
   t.r_fn.(r) <- noop;
   t.r_next.(r) <- t.free;
   t.free <- r
@@ -384,7 +385,7 @@ let insert t time ~kind f =
   let r = take_row t in
   t.r_time.(r) <- time;
   t.r_seq.(r) <- t.next_seq;
-  t.r_born.(r) <- t.clock.now;
+  t.r_born.(r) <- t.now;
   t.r_kind.(r) <- kind;
   t.r_fn.(r) <- f;
   t.next_seq <- t.next_seq + 1;
@@ -414,26 +415,27 @@ let rec settle t =
 (* --- scheduling ------------------------------------------------------------ *)
 
 let schedule_at ?(kind = 0) t ~time f =
-  if time < t.clock.now then ignore (insert t t.clock.now ~kind f)
+  if time < t.now then ignore (insert t t.now ~kind f)
   else ignore (insert t time ~kind f)
 
 let schedule ?kind t ~delay f =
   if delay < 0. then invalid_arg "Engine.schedule: negative delay";
-  schedule_at ?kind t ~time:(t.clock.now +. delay) f
+  schedule_at ?kind t ~time:(t.now +. delay) f
 
 let timer ?(kind = 0) t ~delay f =
   if delay < 0. then invalid_arg "Engine.timer: negative delay";
-  let r = insert t (t.clock.now +. delay) ~kind f in
+  let r = insert t (t.now +. delay) ~kind f in
   { tm_eng = t; tm_row = r; tm_seq = t.r_seq.(r) }
 
 let cancel tm =
   let t = tm.tm_eng and r = tm.tm_row in
-  if r < Array.length t.r_seq && t.r_seq.(r) = tm.tm_seq && t.r_kind.(r) >= 0
-  then begin
+  if r < Array.length t.r_seq && t.r_seq.(r) = tm.tm_seq then begin
     (* The event stays queued until its deadline (consumed as a dead
        slot), but the closure is dropped now and the live-event count is
-       corrected immediately. *)
-    t.r_kind.(r) <- -1;
+       corrected immediately.  A row that moves into a heap after this
+       carries the marker as its seq, so its dead slot may come before
+       same-time events: it runs nothing, so no order changes. *)
+    t.r_seq.(r) <- cancelled_seq;
     t.r_fn.(r) <- noop;
     t.cancelled <- t.cancelled + 1
   end
@@ -442,7 +444,7 @@ let rec every ?kind ?(inclusive = true) t ~period ?until f =
   schedule ?kind t ~delay:period (fun () ->
       match until with
       | Some stop when
-          (if inclusive then t.clock.now > stop else t.clock.now >= stop) ->
+          (if inclusive then t.now > stop else t.now >= stop) ->
         ()
       | _ ->
         f ();
@@ -451,6 +453,7 @@ let rec every ?kind ?(inclusive = true) t ~period ?until f =
 (* Dispatch the minimum; [settle t] must have returned [true]. *)
 let dispatch t =
   let r = heap_pop t.cur in
+  let dead = t.r_seq.(r) = cancelled_seq in
   let time = t.r_time.(r) and born = t.r_born.(r) in
   let kind = t.r_kind.(r) and f = t.r_fn.(r) in
   (* Free the row *before* dispatch: events the handler schedules reuse
@@ -458,8 +461,8 @@ let dispatch t =
   free_row t r;
   t.queued <- t.queued - 1;
   if t.queued = 0 then shrink_dry t;
-  t.clock.now <- time;
-  if kind < 0 then
+  t.now <- time;
+  if dead then
     (* Dead slot of a cancelled timer: consume it silently.  The clock
        still advances and [step] still reports progress, but no step is
        counted. *)
@@ -496,4 +499,4 @@ let run ?until t =
     while settle t && t.cur.h_time.(0) <= stop do
       dispatch t
     done;
-    t.clock.now <- stop
+    t.now <- stop

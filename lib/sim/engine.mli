@@ -13,9 +13,9 @@
     unboxed, and rows are recycled through a free list.  A future slot is
     an unsorted list of rows; only the cursor's slot and the overflow are
     binary heaps, each with its entries' time and seq in flat arrays of its
-    own, so a sift compares unboxed numbers.  The clock, too, is held
-    unboxed.  The table grows to the queue's deepest and is given back when
-    the queue runs dry, so memory follows the queue's depth. *)
+    own, so a sift compares unboxed numbers.  The table grows to the
+    queue's deepest and is given back when the queue runs dry, so memory
+    follows the queue's depth. *)
 
 type t
 
@@ -105,9 +105,10 @@ val max_pending : t -> int
 
 val pool_stats : t -> int * int
 (** [(fresh, reused)] rows taken for scheduled events: rows that had never
-    held an event since the table was last made vs recycled ones.  Fresh
-    rows are bounded by the queue's deepest.  Deterministic for a fixed
-    seed. *)
+    held an event since the table was last made vs recycled ones.  Per
+    table, fresh rows are bounded by the queue's deepest; a new table is
+    made each time the queue runs dry holding more than 1,024 rows.
+    Deterministic for a fixed seed. *)
 
 (** {2 Profiling}
 

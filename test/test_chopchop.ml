@@ -958,6 +958,39 @@ let test_made_up_reducer_id () =
     (Batch.make_explicit ~broker:0 ~number:0 ~entries:(mk_entries [ 1_000_000 ])
        ~agg_seq:0 ~stragglers:[||] ~agg_sig:(Some (Multisig.forge_garbage ())))
 
+(* A Byzantine broker announces a garbled copy of a batch to every server
+   (same identity root, forged aggregate signature) and asks each to
+   witness it; the valid copy then arrives while every server is still
+   checking the garbled one, so it finds that one stored, and it is
+   witnessed, certified and ordered.  Refusing the garbled copy must not
+   leave the servers without a body for the root they witnessed: the
+   batch is delivered everywhere. *)
+let test_garbled_copy_then_valid () =
+  let d = mk_deployment ~dense:10_000 () in
+  let delivered = Array.make 4 0 in
+  Deployment.server_deliver_hook d (fun srv del ->
+      delivered.(srv) <- delivered.(srv) + Proto.delivery_count del);
+  let dir = Server.directory (Deployment.servers d).(0) in
+  let good =
+    Batch.forge_dense dir ~broker:0 ~number:0 ~first_id:0 ~count:64 ~msg_bytes:8
+      ~tag:1 ~straggler_count:0
+  in
+  let garbled = { good with Batch.agg_sig = Some (Multisig.forge_garbage ()) } in
+  Array.iteri
+    (fun i sv ->
+      (* Busy for longer than any broker-to-server latency. *)
+      Repro_sim.Cpu.submit (Deployment.server_cpu d i)
+        ~work:(Repro_sim.Cpu.parallel 10.0) (fun () -> ());
+      Server.receive_broker sv ~src_broker:0
+        (Proto.Batch_announce { batch = garbled; witness_requested = true }))
+    (Deployment.servers d);
+  let completed = ref false in
+  Broker.submit_prebuilt (Deployment.broker d 0) good ~on_complete:(fun _ ->
+      completed := true);
+  Deployment.run d ~until:30.0;
+  checkb "the valid batch completes" true !completed;
+  Array.iter (checki "delivered at every server" 64) delivered
+
 let test_gc_collects () =
   let d = mk_deployment ~dense:100_000 () in
   let dir = Server.directory (Deployment.servers d).(0) in
@@ -1399,4 +1432,6 @@ let () =
          Alcotest.test_case "negative reducer id rejected" `Quick
            test_negative_reducer_id;
          Alcotest.test_case "made-up reducer id rejected" `Quick
-           test_made_up_reducer_id ]) ]
+           test_made_up_reducer_id;
+         Alcotest.test_case "garbled copy then valid delivered" `Quick
+           test_garbled_copy_then_valid ]) ]

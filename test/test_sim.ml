@@ -319,6 +319,19 @@ let test_engine_pool_reuse () =
   checkb "records recycled" true (reused > 0);
   checkb "fresh bounded by peak depth" true (fresh <= Engine.max_pending e + 8)
 
+(* A kind is only a label: an event scheduled with a negative one runs,
+   and a cancelled timer with one stays cancelled. *)
+let test_engine_negative_kind () =
+  let e = Engine.create () in
+  let ran = ref 0 in
+  Engine.schedule ~kind:(-1) e ~delay:0.1 (fun () -> incr ran);
+  let tm = Engine.timer ~kind:(-1) e ~delay:0.2 (fun () -> ran := !ran + 10) in
+  Engine.cancel tm;
+  checki "one live event" 1 (Engine.pending e);
+  Engine.run e;
+  checki "the live event ran, the cancelled did not" 1 !ran;
+  checki "queue drained" 0 (Engine.pending e)
+
 (* A burst far deeper than the queue ever is again must not stay in the
    engine: once the queue has run dry, the engine holds no more than a
    fresh one does. *)
@@ -1050,7 +1063,8 @@ let () =
          Alcotest.test_case "dispatch order" `Quick test_engine_dispatch_order;
          Alcotest.test_case "event pool reuse" `Quick test_engine_pool_reuse;
          Alcotest.test_case "burst memory given back" `Quick
-           test_engine_burst_memory ]);
+           test_engine_burst_memory;
+         Alcotest.test_case "negative kind" `Quick test_engine_negative_kind ]);
       ("region",
        [ Alcotest.test_case "symmetric" `Quick test_region_symmetric;
          Alcotest.test_case "table equals the great-circle formula" `Quick
