@@ -91,7 +91,7 @@ type t = {
   mutable mis_malform : bool;
   mutable mis_withhold : bool;
   mis_twins : (string, string) Hashtbl.t; (* equivocal half -> the other *)
-  k_timer : int; (* Engine kind attributing broker timer events *)
+  k_timer : int option; (* Engine kind of broker timers, built once *)
   c_verify : Trace.Counter.t; (* signature-verification operations *)
 }
 
@@ -116,7 +116,7 @@ let create ~engine ~cpu ~config ?membership ~directory ~certs
     signups_seen = Hashtbl.create 64;
     mis_equivocate = false; mis_garble = false; mis_malform = false;
     mis_withhold = false; mis_twins = Hashtbl.create 8;
-    k_timer = Engine.kind engine "broker.timer";
+    k_timer = Some (Engine.kind engine "broker.timer");
     c_verify =
       Trace.Sink.counter (Engine.trace engine) ~cat:"crypto" ~name:"verify_ops" }
 
@@ -295,7 +295,7 @@ and propose t subs =
                 ~bytes:(Wire.inclusion_bytes ~count:(Array.length entries))
                 (Inclusion { root; proof; agg_seq; evidence = t.evidence }))
             entries;
-          Engine.schedule ~kind:t.k_timer t.engine ~delay:t.cfg.reduce_timeout (fun () ->
+          Engine.schedule ?kind:t.k_timer t.engine ~delay:t.cfg.reduce_timeout (fun () ->
               reduce t root)
         end)
   end
@@ -522,7 +522,7 @@ and launch ?(only = fun _ -> true) ?(force_witness = false) t batch ~on_complete
       end)
 
 and arm_witness_extension t root =
-  Engine.schedule ~kind:t.k_timer t.engine ~delay:t.cfg.witness_timeout (fun () ->
+  Engine.schedule ?kind:t.k_timer t.engine ~delay:t.cfg.witness_timeout (fun () ->
       match Hashtbl.find_opt t.flight root with
       | Some fl when fl.w_witness = None && not t.crashed ->
         let active = Membership.active_slots t.membership in
@@ -598,7 +598,7 @@ and submit_ref t fl witness =
   let dst = List.nth active (fl.w_submit_target mod n_act) in
   t.send_server ~dst ~bytes:Wire.stob_submission_bytes
     (Submit { root = fl.w_root; number = fl.w_batch.Batch.number; witness });
-  Engine.schedule ~kind:t.k_timer t.engine ~delay:t.cfg.submit_timeout (fun () ->
+  Engine.schedule ?kind:t.k_timer t.engine ~delay:t.cfg.submit_timeout (fun () ->
       if (not fl.w_acked) && (not fl.w_done) && not t.crashed then begin
         fl.w_submit_target <- (fl.w_submit_target + 1) mod n_act;
         submit_ref t fl witness
@@ -681,7 +681,7 @@ and finish t fl ~counter ~exceptions shards =
 (* --- entry points ---------------------------------------------------------- *)
 
 let start t =
-  Engine.every ~kind:t.k_timer t.engine ~period:t.cfg.flush_period (fun () ->
+  Engine.every ?kind:t.k_timer t.engine ~period:t.cfg.flush_period (fun () ->
       if not t.crashed then flush t)
 
 let receive_client t msg =

@@ -47,7 +47,7 @@ type t = {
   mutable crashed : bool;
   mutable bad_share : bool;
   mutable mute_reduction : bool;
-  k_timer : int; (* Engine kind attributing client timer events *)
+  k_timer : int option; (* Engine kind of client timers, built once *)
   c_verify : Trace.Counter.t; (* signature verifications (certificates) *)
 }
 
@@ -68,7 +68,7 @@ let create ~engine ~config ~keypair ~membership ~certs ~send_broker
     backoff = config.resubmit_timeout;
     completed = 0;
     crashed = false; bad_share = false; mute_reduction = false;
-    k_timer = Engine.kind engine "client.timer";
+    k_timer = Some (Engine.kind engine "client.timer");
     c_verify =
       Trace.Sink.counter (Engine.trace engine) ~cat:"crypto" ~name:"verify_ops" }
 
@@ -121,7 +121,7 @@ let reset_backoff t = t.backoff <- t.cfg.resubmit_timeout
 
 let arm_timeout t f =
   t.timeout <-
-    Some (Engine.timer ~kind:t.k_timer t.engine ~delay:(resubmit_delay t) f)
+    Some (Engine.timer ?kind:t.k_timer t.engine ~delay:(resubmit_delay t) f)
 
 let cancel_timeout t = Option.iter Engine.cancel t.timeout
 
@@ -208,7 +208,7 @@ let on_inclusion t ~root ~proof ~agg_seq ~evidence =
       in
       (* The BLS share takes [client_multisig_sign] on the t3.small's one
          core; the reduction may not depart before the signing is done. *)
-      Engine.schedule ~kind:t.k_timer t.engine ~delay:Cost.client_multisig_sign (fun () ->
+      Engine.schedule ?kind:t.k_timer t.engine ~delay:Cost.client_multisig_sign (fun () ->
           match t.flight with
           | Some fl' when fl' == fl && not t.crashed ->
             t.send_broker ~broker:(current_broker t) ~bytes:Wire.reduction_bytes

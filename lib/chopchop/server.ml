@@ -108,7 +108,7 @@ type t = {
   (* Byzantine fault injection (lib/chaos). *)
   mutable mis_bad_shares : bool;
   mutable mis_refuse_witness : bool;
-  k_timer : int; (* Engine kind attributing server timer events *)
+  k_timer : int option; (* Engine kind of server timers, built once *)
   c_verify : Trace.Counter.t; (* signature-verification operations *)
   c_deliveries : Trace.Counter.t; (* batches delivered (all servers) *)
   c_messages : Trace.Counter.t; (* messages delivered (all servers) *)
@@ -170,7 +170,7 @@ let create ~engine ~cpu ~config ?store ?(checkpoint_every = 0)
     app_snapshot = None; app_restore = None;
     checks = Hashtbl.create 8; turns = Queue.create (); checking = 0;
     mis_bad_shares = false; mis_refuse_witness = false;
-    k_timer = Engine.kind engine "server.timer";
+    k_timer = Some (Engine.kind engine "server.timer");
     c_verify =
       Trace.Sink.counter (Engine.trace engine) ~cat:"crypto" ~name:"verify_ops";
     c_deliveries =
@@ -322,7 +322,7 @@ let gc_sweep t =
 let gc_period = 0.5
 
 let start t =
-  Engine.every ~kind:t.k_timer t.engine ~period:gc_period (fun () ->
+  Engine.every ?kind:t.k_timer t.engine ~period:gc_period (fun () ->
       if not t.crashed then begin
         t.peer_counters.(t.cfg.self) <- t.delivery_counter;
         for dst = 0 to t.cfg.n - 1 do
@@ -398,7 +398,7 @@ let rec witness_batch ?(attempt = 0) t batch =
     (* 100 × 0.2 s rides out an orderer outage (the signup rank cannot be
        delivered anywhere while the order itself is stalled). *)
     if attempt < 100 then
-      Engine.schedule ~kind:t.k_timer t.engine ~delay:0.2 (fun () ->
+      Engine.schedule ?kind:t.k_timer t.engine ~delay:0.2 (fun () ->
           if not t.crashed then witness_batch ~attempt:(attempt + 1) t batch)
     else
       (* Identifiers the order never produced: a Byzantine broker made
@@ -584,7 +584,7 @@ let rec send_sync_request t =
   let epoch = t.restarts in
   t.sync_timer <-
     Some
-      (Engine.timer ~kind:t.k_timer t.engine ~delay (fun () ->
+      (Engine.timer ?kind:t.k_timer t.engine ~delay (fun () ->
            (* Peer crashed or partitioned: rotate to the next one. *)
            if t.syncing && (not t.crashed) && t.restarts = epoch then begin
              note_instant t "sync_retry"
@@ -664,7 +664,7 @@ and fetch_batch ?(rounds = 0) t ~number ~root =
     t.send_server ~dst:target ~bytes:Wire.witness_request_bytes
       (Request_batch { root });
     (* Retry from another peer if the batch does not show up. *)
-    Engine.schedule ~kind:t.k_timer t.engine ~delay:1.0 (fun () ->
+    Engine.schedule ?kind:t.k_timer t.engine ~delay:1.0 (fun () ->
         if (not t.crashed) && Hashtbl.mem t.fetching root then begin
           Hashtbl.remove t.fetching root;
           fetch_batch ~rounds:(rounds + 1) t ~number ~root
@@ -1005,7 +1005,7 @@ let receive_server t ~src msg =
              yet reached our restart's slots: let it advance a little and
              ask again. *)
           let epoch = t.restarts in
-          Engine.schedule ~kind:t.k_timer t.engine ~delay:0.25 (fun () ->
+          Engine.schedule ?kind:t.k_timer t.engine ~delay:0.25 (fun () ->
               if t.syncing && (not t.crashed) && t.restarts = epoch then
                 send_sync_request t)
         end

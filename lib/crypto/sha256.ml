@@ -1,6 +1,9 @@
-(* SHA-256 on native ints: 32-bit words live in the low bits of an int and
-   are masked after every addition.  Rotations work on the masked word
-   doubled into the high half (see [dbl]). *)
+(* SHA-256.  The block compression runs on the CPU's SHA extensions
+   (sha256_stubs.c) when the CPU has them, and otherwise in OCaml on
+   native ints: 32-bit words live in the low bits of an int and are
+   masked after every addition, and rotations work on the masked word
+   doubled into the high half (see [dbl]).  Both compress the same
+   [int array] state, so padding, buffering and output are shared. *)
 
 let mask = 0xFFFF_FFFF
 
@@ -24,6 +27,18 @@ type ctx = {
   mutable total : int;        (* total message length in bytes *)
 }
 
+external ni_probe : unit -> bool = "caml_sha256_ni_probe" [@@noalloc]
+
+(* [ni_blocks h s off n] compresses the [n] blocks of [s] starting at
+   [off] into [h], trusting [off + 64 * n <= String.length s]. *)
+external ni_blocks : int array -> string -> int -> int -> unit
+  = "caml_sha256_ni_blocks" [@@noalloc]
+
+(* Asked once: the CPU does not change under a running process. *)
+let has_ni = ni_probe ()
+
+let kernel () = if has_ni then "sha-ni" else "ocaml"
+
 let init () = {
   h = [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a;
          0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |];
@@ -43,11 +58,12 @@ let schedule = Domain.DLS.new_key (fun () -> Array.make 64 0)
    needs bit 63, which a native int does not have. *)
 let dbl x = x lor (x lsl 32)
 
-let compress ctx block off =
+(* The reference compression of the block of [s] at [off] into [h]. *)
+let compress h s off =
   let w = Domain.DLS.get schedule in
   for i = 0 to 15 do
     Array.unsafe_set w i
-      (Int32.to_int (Bytes.get_int32_be block (off + (4 * i))) land mask)
+      (Int32.to_int (String.get_int32_be s (off + (4 * i))) land mask)
   done;
   for i = 16 to 63 do
     let x = Array.unsafe_get w (i - 15) and y = Array.unsafe_get w (i - 2) in
@@ -57,7 +73,6 @@ let compress ctx block off =
     Array.unsafe_set w i
       ((Array.unsafe_get w (i - 16) + s0 + Array.unsafe_get w (i - 7) + s1) land mask)
   done;
-  let h = ctx.h in
   let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
   let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
   for i = 0 to 63 do
@@ -81,7 +96,23 @@ let compress ctx block off =
   h.(6) <- (h.(6) + !g) land mask;
   h.(7) <- (h.(7) + !hh) land mask
 
-let feed ctx s =
+(* Compress [n] consecutive blocks of [s] from [off] straight from the
+   caller's string: only a partial block is ever copied into [ctx.buf].
+   [ni] is [has_ni], except on the reference path, where it is false; it
+   is passed down rather than kept in [ctx], which would cost every
+   context a word. *)
+let blocks ni ctx s off n =
+  if off < 0 || n < 0 || off + (64 * n) > String.length s then
+    invalid_arg "Sha256.blocks";
+  if ni then ni_blocks ctx.h s off n
+  else
+    for i = 0 to n - 1 do
+      compress ctx.h s (off + (64 * i))
+    done
+
+let compress_buf ni ctx = blocks ni ctx (Bytes.unsafe_to_string ctx.buf) 0 1
+
+let feed_with ni ctx s =
   let n = String.length s in
   ctx.total <- ctx.total + n;
   let pos = ref 0 in
@@ -92,30 +123,32 @@ let feed ctx s =
     ctx.buf_len <- ctx.buf_len + take;
     pos := take;
     if ctx.buf_len = 64 then begin
-      compress ctx ctx.buf 0;
+      compress_buf ni ctx;
       ctx.buf_len <- 0
     end
   end;
-  while n - !pos >= 64 do
-    Bytes.blit_string s !pos ctx.buf 0 64;
-    compress ctx ctx.buf 0;
-    pos := !pos + 64
-  done;
+  let full = (n - !pos) / 64 in
+  if full > 0 then begin
+    blocks ni ctx s !pos full;
+    pos := !pos + (64 * full)
+  end;
   if !pos < n then begin
     Bytes.blit_string s !pos ctx.buf 0 (n - !pos);
     ctx.buf_len <- n - !pos
   end
+
+let feed ctx s = feed_with has_ni ctx s
 
 let feed_char ctx c =
   Bytes.set ctx.buf ctx.buf_len c;
   ctx.total <- ctx.total + 1;
   ctx.buf_len <- ctx.buf_len + 1;
   if ctx.buf_len = 64 then begin
-    compress ctx ctx.buf 0;
+    compress_buf has_ni ctx;
     ctx.buf_len <- 0
   end
 
-let finalize ctx =
+let finalize_with ni ctx =
   (* Padding, written in place: 0x80, zeros up to byte 56 of a block (a
      second block when fewer than 9 bytes are left), then the 8-byte
      big-endian bit length. *)
@@ -124,22 +157,29 @@ let finalize ctx =
   let used = ctx.buf_len + 1 in
   if used > 56 then begin
     Bytes.fill buf used (64 - used) '\x00';
-    compress ctx buf 0;
+    compress_buf ni ctx;
     Bytes.fill buf 0 56 '\x00'
   end
   else Bytes.fill buf used (56 - used) '\x00';
   Bytes.set_int64_be buf 56 (Int64.of_int (ctx.total * 8));
-  compress ctx buf 0;
+  compress_buf ni ctx;
   let out = Bytes.create 32 in
   for i = 0 to 7 do
     Bytes.set_int32_be out (4 * i) (Int32.of_int ctx.h.(i))
   done;
   Bytes.unsafe_to_string out
 
+let finalize ctx = finalize_with has_ni ctx
+
 let digest s =
   let ctx = init () in
   feed ctx s;
   finalize ctx
+
+let reference_digest s =
+  let ctx = init () in
+  feed_with false ctx s;
+  finalize_with false ctx
 
 let rec feed_all ctx = function
   | [] -> ()

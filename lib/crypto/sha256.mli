@@ -1,9 +1,15 @@
-(** SHA-256 (FIPS 180-4), implemented from scratch on native ints.
+(** SHA-256 (FIPS 180-4).
 
     Digests are returned as 32-byte binary strings.  This module is the
     repository's only hash function: Merkle trees, Fiat–Shamir challenges
     and batch commitments all go through it (the paper uses blake3; any
-    collision-resistant hash preserves behaviour). *)
+    collision-resistant hash preserves behaviour).
+
+    Blocks are compressed by the x86 SHA extensions (SHA-NI, one C
+    function in [sha256_stubs.c]) when the CPU reports SHA, SSSE3 and
+    SSE4.1, checked once when the module is initialised, and by an OCaml
+    implementation on native ints everywhere else.  Nothing selects the
+    path but the CPU, and both give the same digests. *)
 
 type ctx
 
@@ -29,3 +35,12 @@ val hmac : key:string -> string -> string
 
 val to_hex : string -> string
 (** Lowercase hex rendering of a binary digest. *)
+
+(** {2 For tests} *)
+
+val reference_digest : string -> string
+(** [digest] through the OCaml compression whatever the CPU: the
+    reference the SHA-NI kernel is tested against. *)
+
+val kernel : unit -> string
+(** The compression in use: ["sha-ni"] or ["ocaml"]. *)

@@ -147,7 +147,7 @@ let run p =
           ~on_delivered:(fun _ ~latency -> Stats.Window.latency w latency)
           ())
   in
-  let k_pump = Engine.kind engine "exp.pump" in
+  let k_pump = Some (Engine.kind engine "exp.pump") in
   (* A server delivers a client's message only if it differs from that
      client's previous one, so each payload is the client's own send
      counter: its last [msg_bytes] decimal digits, zero-padded. *)
@@ -164,11 +164,11 @@ let run p =
         end
         else n
       in
-      Engine.schedule ~kind:k_pump engine ~delay:0.5 (pump c n)
+      Engine.schedule ?kind:k_pump engine ~delay:0.5 (pump c n)
     end
   in
   List.iter
-    (fun c -> Engine.schedule ~kind:k_pump engine ~delay:0.2 (pump c 0))
+    (fun c -> Engine.schedule ?kind:k_pump engine ~delay:0.2 (pump c 0))
     clients;
   D.server_deliver_hook d (fun srv del ->
       if srv = 0 then Stats.Window.record w (Repro_chopchop.Proto.delivery_count del);

@@ -19,14 +19,14 @@ type t = {
   busy : float array; (* per lane: charged seconds, incl. queued *)
   m_boot : mark;
   actor : int option;
-  kind : int; (* interned Engine kind attributing job completions *)
+  kind : int option; (* Engine kind of job completions, built once *)
   mutable jobs : int;
 }
 
 let create engine ?(cores = 1) ?(capacity = 1.0) ?actor ?kind () =
   if cores < 1 then invalid_arg "Cpu.create: cores must be >= 1";
   if capacity <= 0. then invalid_arg "Cpu.create: capacity must be positive";
-  let kind = match kind with Some k -> Engine.kind engine k | None -> 0 in
+  let kind = Some (match kind with Some k -> Engine.kind engine k | None -> 0) in
   { engine; capacity; n_cores = cores;
     next_free = Array.make cores 0.; busy = Array.make cores 0.;
     m_boot = { m_time = Engine.now engine; m_exec = Array.make cores 0. };
@@ -110,7 +110,7 @@ let submit t ~work:w k =
   in
   let job = t.jobs in
   t.jobs <- job + 1;
-  Engine.schedule_at ~kind:t.kind t.engine ~time:finish (fun () ->
+  Engine.schedule_at ?kind:t.kind t.engine ~time:finish (fun () ->
       (match t.actor with
        | Some actor ->
          let s = Engine.trace t.engine in

@@ -10,6 +10,8 @@ type nic = {
 
 type 'msg node = {
   region : Region.t;
+  row : int; (* [Region.index region * Region.count]: this node as sender *)
+  col : int; (* [Region.index region]: this node as receiver *)
   kind : int option;
       (* interned Engine kind attributing this node's events; the option is
          made once, so that scheduling does not allocate it *)
@@ -53,7 +55,8 @@ let server_default_egress_bps = 3.125e9
 let create engine ?(loss = 0.) () =
   let sink = Engine.trace engine in
   let absent =
-    { region = Region.Paris; kind = None; handler = (fun ~src:_ _ -> ());
+    { region = Region.Paris; row = 0; col = 0; kind = None;
+      handler = (fun ~src:_ _ -> ());
       nic = { ingress_bps = 0.; egress_bps = 0.; out_free = 0.; in_free = 0. };
       sent = 0; received = 0; connected = false }
   in
@@ -80,7 +83,8 @@ let add_node t ~id ~region ?(ingress_bps = server_default_ingress_bps)
     Some (match kind with Some k -> Engine.kind t.engine k | None -> 0)
   in
   t.nodes.(id) <-
-    { region; kind; handler;
+    { region; row = Region.index region * Region.count;
+      col = Region.index region; kind; handler;
       nic = { ingress_bps; egress_bps; out_free = 0.; in_free = 0. };
       sent = 0; received = 0; connected = true }
 
@@ -126,7 +130,7 @@ let transmit t ~src ~dst ~bytes msg =
           Option.value (Hashtbl.find_opt t.link_delay (src, dst)) ~default:0.
         else 0.
       in
-      let arrival = out_end +. Region.latency s.region d.region +. extra in
+      let arrival = out_end +. Region.latency_table.(s.row + d.col) +. extra in
       (* Ingress occupancy is decided at arrival time: delay the enqueue.
          Both events — the arrival enqueue and the handler dispatch — are
          work done on behalf of the destination, so both carry its kind.

@@ -109,13 +109,13 @@ let count = List.length all
 
 (* Every message crossing the network reads its propagation delay here,
    so the great-circle formula runs once per ordered pair, at start-up. *)
-let table =
+let latency_table =
   let regions = Array.of_list all in
   Array.iteri (fun i r -> assert (index r = i)) regions;
   Array.init (count * count) (fun k ->
       great_circle_latency regions.(k / count) regions.(k mod count))
 
-let latency a b = table.((index a * count) + index b)
+let latency a b = latency_table.((index a * count) + index b)
 
 let name = function
   | Cape_town -> "af-south-1 (Cape Town)"

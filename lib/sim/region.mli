@@ -55,6 +55,17 @@ val latency : t -> t -> float
     1.4 for real routes, at 200,000 km/s.  Read from a table built once,
     so a message pays a lookup, not the formula. *)
 
+val count : int
+(** Number of regions. *)
+
+val index : t -> int
+(** Position of a region in {!all}: [0 .. count - 1]. *)
+
+val latency_table : float array
+(** [latency_table.((index a * count) + index b) = latency a b]; read-only.
+    A caller that keeps region indices reads an unboxed float here, where
+    a call to {!latency} from another module returns a boxed one. *)
+
 val name : t -> string
 val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool

@@ -21,7 +21,7 @@ type 'a sender = {
   mutable next_seq : int;
   flight : (int, Engine.timer) Hashtbl.t; (* seq -> its pending timeout *)
   backlog : (int * 'a) Queue.t; (* (bytes, payload) waiting for a window slot *)
-  k_retx : int; (* Engine kind for the retransmission timers *)
+  k_retx : int option; (* Engine kind of retransmissions, built once *)
   c_retx : Repro_trace.Trace.Counter.t;
   c_gave_up : Repro_trace.Trace.Counter.t;
 }
@@ -30,7 +30,7 @@ let sender ~engine ~transmit =
   let sink = Engine.trace engine in
   { engine; transmit; next_seq = 0; flight = Hashtbl.create 1;
     backlog = Queue.create ();
-    k_retx = Engine.kind engine "rudp.retx";
+    k_retx = Some (Engine.kind engine "rudp.retx");
     c_retx = Repro_trace.Trace.Sink.counter sink ~cat:"rudp" ~name:"retransmissions";
     c_gave_up = Repro_trace.Trace.Sink.counter sink ~cat:"rudp" ~name:"gave_up" }
 
@@ -42,7 +42,7 @@ let queued t = Queue.length t.backlog
 let rec transmit t ~seq ~bytes payload ~retries =
   t.transmit (Data { seq; payload; bytes });
   Hashtbl.replace t.flight seq
-    (Engine.timer ~kind:t.k_retx t.engine ~delay:rto (fun () ->
+    (Engine.timer ?kind:t.k_retx t.engine ~delay:rto (fun () ->
          if retries >= max_retries then begin
            (* Give up: the peer is unreachable; higher-level timeouts
               (broker rotation) own recovery from here. *)

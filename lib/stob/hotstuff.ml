@@ -52,7 +52,7 @@ type ('p, 'w) t = {
   mutable nv_ready : int; (* view entered via a NewView quorum *)
   proposal_deadline : Engine.timer option ref;
   view_timer : Engine.timer option ref;
-  k_timer : int; (* Engine kind attributing hotstuff timer events *)
+  k_timer : int option; (* Engine kind of hotstuff timers, built once *)
 }
 
 let header = 48
@@ -70,7 +70,7 @@ let create r ~batch_max ~batch_timeout =
     pool = []; pool_len = 0; block_counter = 0;
     proposed_this_view = false; nv_ready = -1;
     proposal_deadline = ref None; view_timer = ref None;
-    k_timer = Engine.kind r.engine "hotstuff.timer" }
+    k_timer = Some (Engine.kind r.engine "hotstuff.timer") }
 
 let leader_of ~n v = v mod n
 let is_leader t v = leader_of ~n:t.r.n v = t.r.self
@@ -157,7 +157,7 @@ let try_commit t qc =
 
 let rec arm_view_timer t =
   t.view_timer :=
-    Some (Engine.timer ~kind:t.k_timer t.r.engine ~delay:view_timeout (fun () ->
+    Some (Engine.timer ?kind:t.k_timer t.r.engine ~delay:view_timeout (fun () ->
         t.view_timer := None;
         on_view_timeout t))
 
@@ -238,7 +238,7 @@ and maybe_propose t =
     if t.pool_len >= t.batch_max then propose t
     else if !(t.proposal_deadline) = None then
       t.proposal_deadline :=
-        Some (Engine.timer ~kind:t.k_timer t.r.engine ~delay:t.batch_timeout (fun () ->
+        Some (Engine.timer ?kind:t.k_timer t.r.engine ~delay:t.batch_timeout (fun () ->
             t.proposal_deadline := None;
             if is_leader t t.view && not t.proposed_this_view then propose t))
 

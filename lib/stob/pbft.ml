@@ -56,7 +56,7 @@ type ('p, 'w) t = {
   queued_rids : (Replica.rid, unit) Hashtbl.t;   (* leader-side dedup *)
   view_changes : (int, Tally.t * (int, 'p item list) Hashtbl.t) Hashtbl.t;
   progress_timer : Engine.timer option ref;
-  k_timer : int; (* Engine kind attributing pbft timer events *)
+  k_timer : int option; (* Engine kind of pbft timers, built once *)
 }
 
 let leader_of_view ~n v = v mod n
@@ -75,7 +75,7 @@ let create r ~batch_max ~batch_timeout ~max_outstanding =
     queue = []; queue_len = 0; flush_armed = false;
     queued_rids = Hashtbl.create 1024;
     view_changes = Hashtbl.create 4;
-    progress_timer = ref None; k_timer = Engine.kind r.engine "pbft.timer" }
+    progress_timer = ref None; k_timer = Some (Engine.kind r.engine "pbft.timer") }
 
 let is_leader t = leader_of_view ~n:t.r.n t.view = t.r.self
 let quorum t = (2 * t.r.f) + 1
@@ -97,7 +97,7 @@ let request t ~dst it =
 let rec arm_progress t =
   if !(t.progress_timer) = None && not t.r.crashed then
     t.progress_timer :=
-      Some (Engine.timer ~kind:t.k_timer t.r.engine ~delay:view_timeout (fun () ->
+      Some (Engine.timer ?kind:t.k_timer t.r.engine ~delay:view_timeout (fun () ->
           t.progress_timer := None;
           start_view_change t (t.view + 1)))
 
@@ -219,7 +219,7 @@ and flush t =
 and arm_flush t =
   if not t.flush_armed then begin
     t.flush_armed <- true;
-    Engine.schedule ~kind:t.k_timer t.r.engine ~delay:t.batch_timeout (fun () ->
+    Engine.schedule ?kind:t.k_timer t.r.engine ~delay:t.batch_timeout (fun () ->
         if t.flush_armed then flush t)
   end
 

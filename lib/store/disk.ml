@@ -6,7 +6,7 @@ type t = {
   fsync_s : float;
   write_bps : float;
   read_bps : float;
-  kind : int; (* Engine kind attributing I/O completion events *)
+  kind : int option; (* Engine kind of I/O completions, built once *)
   mutable next_free : float;
   mutable total_busy : float;
   mutable bytes_written : int;
@@ -20,7 +20,7 @@ let create engine ?(fsync_s = Cost.disk_fsync_s) ?(write_bps = Cost.disk_write_b
   if write_bps <= 0. || read_bps <= 0. then
     invalid_arg "Disk.create: bandwidth must be positive";
   { engine; fsync_s; write_bps; read_bps;
-    kind = Engine.kind engine "disk.io";
+    kind = Some (Engine.kind engine "disk.io");
     next_free = 0.; total_busy = 0.;
     bytes_written = 0; bytes_read = 0; fsyncs = 0; reads = 0 }
 
@@ -32,7 +32,7 @@ let submit t ~duration k =
   let finish = start +. duration in
   t.next_free <- finish;
   t.total_busy <- t.total_busy +. duration;
-  Engine.schedule_at ~kind:t.kind t.engine ~time:finish k
+  Engine.schedule_at ?kind:t.kind t.engine ~time:finish k
 
 let write t ~bytes k =
   if bytes < 0 then invalid_arg "Disk.write: negative bytes";

@@ -2,7 +2,7 @@
 # CI entry point: full build, the complete test suite (which also pins
 # the chaos suite, the loss sweep, the observed run's output, the
 # doctor's diagnosis of a stalled run and perfbench's simulated outcome),
-# smoke runs of the other experiment surfaces (trace export,
+# a long run of the SHA-256 kernel against its OCaml reference, smoke runs of the other experiment surfaces (trace export,
 # reconfiguration, broker scaling, sweep, run report), the fleet
 # scale-out run compared with its pinned stdout, the
 # full-scale headline point, plus the bench baseline gate.  Run from the repository root.
@@ -22,6 +22,21 @@ echo "== dune runtest =="
 # workload at full size (each must also pass the benchmark's own delivery
 # check).
 dune runtest
+
+echo "== SHA-256: the block kernel against the OCaml reference =="
+# test_crypto's property "kernel agrees with the reference" runs 300
+# random inputs under runtest; QCHECK_LONG runs 20,100 here.  The kernel
+# in use is printed, and printed again beside the wall times below, which
+# depend on it: "sha-ni" where the CPU has the x86 SHA extensions,
+# "ocaml" elsewhere.
+sha_log="$(mktemp)"
+QCHECK_LONG=1 dune exec test/test_crypto.exe -- test sha256 --verbose \
+  > "$sha_log" 2>&1 \
+  || { cat "$sha_log"; echo "sha256: kernel differs from the reference"; exit 1; }
+sha_kernel="$(grep -a -o 'sha256 kernel: [a-z-]*' "$sha_log")" \
+  || { echo "sha256: the kernel test printed no kernel line"; exit 1; }
+rm -f "$sha_log"
+echo "$sha_kernel"
 
 echo "== trace smoke: Chrome export + causal path =="
 # The traced run must export Chrome trace_event JSON, and one delivered
@@ -55,7 +70,7 @@ echo "== broker fleet scale-out =="
 scaleout_out="$(mktemp)"
 scaleout_start="$(date +%s)"
 dune exec bin/main.exe -- run broker-scaleout --scale quick > "$scaleout_out"
-echo "broker-scaleout: $(( $(date +%s) - scaleout_start )) s wall"
+echo "broker-scaleout: $(( $(date +%s) - scaleout_start )) s wall ($sha_kernel)"
 cmp test/pins/broker_scaleout.expected "$scaleout_out" \
   || { echo "broker-scaleout: stdout differs from test/pins/broker_scaleout.expected"; exit 1; }
 rm -f "$scaleout_out"
@@ -100,7 +115,7 @@ echo "== paper headline: full-scale saturation point =="
 # longest step here, so its wall seconds are printed.
 headline_start="$(date +%s)"
 dune exec bin/main.exe -- run headline --scale full
-echo "headline: $(( $(date +%s) - headline_start )) s wall"
+echo "headline: $(( $(date +%s) - headline_start )) s wall ($sha_kernel)"
 
 echo "== bench baseline regression gate =="
 # Regenerate the machine-readable baseline and diff it against the

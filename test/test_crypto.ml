@@ -6,8 +6,8 @@ open Repro_crypto
 
 let check = Alcotest.check
 let checkb = Alcotest.check Alcotest.bool
-let qtest ?(count = 300) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)
+let qtest ?(count = 300) ?long_factor name gen prop =
+  QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ?long_factor ~name gen prop)
 
 let rng = Repro_sim.Rng.create 7L
 let next64 () = Repro_sim.Rng.next64 rng
@@ -28,7 +28,9 @@ let sha_vectors =
 let test_sha_vectors () =
   List.iter
     (fun (input, expected) ->
-      check Alcotest.string input expected (Sha256.to_hex (Sha256.digest input)))
+      check Alcotest.string input expected (Sha256.to_hex (Sha256.digest input));
+      check Alcotest.string (input ^ " (reference)") expected
+        (Sha256.to_hex (Sha256.reference_digest input)))
     sha_vectors
 
 let test_sha_million_a () =
@@ -88,6 +90,8 @@ let test_sha_boundaries () =
       let m = boundary_message n in
       let name what = Printf.sprintf "%d bytes, %s" n what in
       check Alcotest.string (name "one shot") expected (Sha256.to_hex (Sha256.digest m));
+      check Alcotest.string (name "reference") expected
+        (Sha256.to_hex (Sha256.reference_digest m));
       check Alcotest.string (name "1-byte chunks") expected
         (Sha256.to_hex (feed_parts (List.init n (fun i -> String.make 1 m.[i]))));
       let ctx = Sha256.init () in
@@ -113,10 +117,82 @@ let printf_hex s =
   |> Seq.map (fun c -> Printf.sprintf "%02x" (Char.code c))
   |> List.of_seq |> String.concat ""
 
+(* The compression in use ([Sha256.kernel]) against the OCaml reference:
+   every entry point, with the input cut into random pieces.  Pieces at
+   odd positions go through [feed_char] one byte at a time, so a piece
+   fed whole often starts at an odd offset into a part-filled block.
+   Under QCHECK_LONG (scripts/ci.sh) the property runs 20,100 cases. *)
+let split_at s cuts =
+  let rec go from = function
+    | [] -> [ String.sub s from (String.length s - from) ]
+    | c :: rest -> String.sub s from (c - from) :: go c rest
+  in
+  go 0 cuts
+
+let feed_pieces pieces =
+  let ctx = Sha256.init () in
+  List.iteri
+    (fun i p ->
+      if i mod 2 = 1 then String.iter (Sha256.feed_char ctx) p else Sha256.feed ctx p)
+    pieces;
+  Sha256.finalize ctx
+
+let agrees_with_reference s cuts =
+  let expected = Sha256.reference_digest s and pieces = split_at s cuts in
+  Sha256.digest s = expected
+  && Sha256.digest_list pieces = expected
+  && feed_pieces pieces = expected
+
+let sha_input =
+  let open QCheck.Gen in
+  let* s = string_size (int_bound 1100) in
+  let* cuts = list_size (int_bound 6) (int_bound (String.length s)) in
+  return (s, List.sort_uniq compare cuts)
+
+let test_sha_kernel () =
+  let k = Sha256.kernel () in
+  Printf.printf "sha256 kernel: %s\n" k;
+  checkb "a known kernel" true (k = "sha-ni" || k = "ocaml");
+  (* Where the CPU lists the three extensions, the probe must find them. *)
+  match In_channel.with_open_text "/proc/cpuinfo" In_channel.input_all with
+  | exception Sys_error _ -> ()
+  | info ->
+    let flags = String.split_on_char ' ' (String.map (function '\t' | '\n' -> ' ' | c -> c) info) in
+    if List.for_all (fun f -> List.mem f flags) [ "sha_ni"; "ssse3"; "sse4_1" ] then
+      check Alcotest.string "cpuinfo lists sha_ni" "sha-ni" k
+
+let test_sha_kernel_boundaries () =
+  let rng = Random.State.make [| 28 |] in
+  let random n = String.init n (fun _ -> Char.chr (Random.State.int rng 256)) in
+  List.iter
+    (fun n ->
+      let s = random n in
+      checkb (Printf.sprintf "%d bytes" n) true
+        (agrees_with_reference s [ n / 2 ] && agrees_with_reference s []))
+    [ 0; 1; 55; 56; 63; 64; 65; 119; 120; 127; 128; 129 ];
+  (* A multi-block [feed] whose first whole block starts at an odd offset
+     of the string: the buffer holds [k] bytes, the top-up takes [64 - k]. *)
+  let big = random 1000 in
+  List.iter
+    (fun k ->
+      let ctx = Sha256.init () in
+      Sha256.feed ctx (String.sub big 0 k);
+      Sha256.feed ctx (String.sub big k (1000 - k));
+      checkb (Printf.sprintf "%d-byte head" k) true
+        (Sha256.finalize ctx = Sha256.reference_digest big))
+    [ 1; 3; 31; 33; 63 ]
+
 let suite_sha_props =
   [ qtest ~count:200 "to_hex matches the %02x rendering"
       QCheck.(string_of_size (Gen.return 32))
-      (fun s -> Sha256.to_hex s = printf_hex s) ]
+      (fun s -> Sha256.to_hex s = printf_hex s);
+    qtest ~count:300 ~long_factor:67 "kernel agrees with the reference"
+      (QCheck.make
+         ~print:(fun (s, cuts) ->
+           Printf.sprintf "%d bytes, cut at [%s]" (String.length s)
+             (String.concat "; " (List.map string_of_int cuts)))
+         sha_input)
+      (fun (s, cuts) -> agrees_with_reference s cuts) ]
 
 let test_hmac_rfc4231 () =
   check Alcotest.string "case 1"
@@ -403,7 +479,9 @@ let () =
          Alcotest.test_case "incremental feeding" `Quick test_sha_incremental;
          Alcotest.test_case "digest_list" `Quick test_sha_digest_list;
          Alcotest.test_case "padding boundaries and splits" `Quick test_sha_boundaries;
-         Alcotest.test_case "hmac rfc4231" `Quick test_hmac_rfc4231 ]
+         Alcotest.test_case "hmac rfc4231" `Quick test_hmac_rfc4231;
+         Alcotest.test_case "kernel matches the CPU" `Quick test_sha_kernel;
+         Alcotest.test_case "kernel at block boundaries" `Quick test_sha_kernel_boundaries ]
        @ suite_sha_props);
       ("field61",
        Alcotest.test_case "basics" `Quick test_field_basics
