@@ -14,18 +14,22 @@ type config = {
   flush_period : float;
   reduce_timeout : float;
   witness_margin : int;
-  witness_timeout : float;
-  submit_timeout : float;
   max_batch : int;
   admission_rate : float; (* per-client token refill rate; 0 = unlimited *)
   admission_burst : float; (* token-bucket depth *)
 }
 
+(* Extend the witnessing set when no witness has formed after this long. *)
+let witness_timeout = 2.0
+
+(* Re-target the STOB relay when the submission is not acknowledged
+   after this long. *)
+let submit_timeout = 4.0
+
 let default_config ~n_servers ~clients =
   { broker_id = 0; n_servers; clients;
     flush_period = 1.0; reduce_timeout = 1.0;
-    witness_margin = 4; witness_timeout = 2.0; submit_timeout = 4.0;
-    max_batch = 65_536; admission_rate = 0.; admission_burst = 0. }
+    witness_margin = 4; max_batch = 65_536; admission_rate = 0.; admission_burst = 0. }
 
 type submission = {
   sub_id : Types.client_id;
@@ -522,7 +526,7 @@ and launch ?(only = fun _ -> true) ?(force_witness = false) t batch ~on_complete
       end)
 
 and arm_witness_extension t root =
-  Engine.schedule ?kind:t.k_timer t.engine ~delay:t.cfg.witness_timeout (fun () ->
+  Engine.schedule ?kind:t.k_timer t.engine ~delay:witness_timeout (fun () ->
       match Hashtbl.find_opt t.flight root with
       | Some fl when fl.w_witness = None && not t.crashed ->
         let active = Membership.active_slots t.membership in
@@ -598,7 +602,7 @@ and submit_ref t fl witness =
   let dst = List.nth active (fl.w_submit_target mod n_act) in
   t.send_server ~dst ~bytes:Wire.stob_submission_bytes
     (Submit { root = fl.w_root; number = fl.w_batch.Batch.number; witness });
-  Engine.schedule ?kind:t.k_timer t.engine ~delay:t.cfg.submit_timeout (fun () ->
+  Engine.schedule ?kind:t.k_timer t.engine ~delay:submit_timeout (fun () ->
       if (not fl.w_acked) && (not fl.w_done) && not t.crashed then begin
         fl.w_submit_target <- (fl.w_submit_target + 1) mod n_act;
         submit_ref t fl witness

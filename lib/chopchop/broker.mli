@@ -25,8 +25,6 @@ type config = {
   flush_period : float; (* batch collection window (1 s in §5.1) *)
   reduce_timeout : float; (* distillation timeout (1 s in §5.1) *)
   witness_margin : int; (* ask f+1+margin servers for shards (§6.2) *)
-  witness_timeout : float; (* extend the witnessing set after this *)
-  submit_timeout : float; (* re-target the STOB relay after this *)
   max_batch : int; (* cap on entries per batch (65,536 in §6.2) *)
   admission_rate : float;
       (* per-client token-bucket refill, submissions/s (0 = no limit) *)

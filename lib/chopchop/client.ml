@@ -8,10 +8,12 @@ module Trace = Repro_trace.Trace
 
 type config = {
   brokers : int list;
-  resubmit_timeout : float;
-  max_resubmit_timeout : float;
   clients : int;
 }
+
+(* Resubmission backoff: the first delay, and the cap it doubles up to. *)
+let resubmit_timeout = 8.0
+let max_resubmit_timeout = 60.0
 
 type in_flight = {
   fl_msg : Types.message;
@@ -65,7 +67,7 @@ let create ~engine ~config ~keypair ~membership ~certs ~send_broker
     id = None; broker_idx = 0; seq = 0; evidence = None;
     queue = Queue.create (); flight = None; timeout = None;
     rng = jitter_rng ~nonce;
-    backoff = config.resubmit_timeout;
+    backoff = resubmit_timeout;
     completed = 0;
     crashed = false; bad_share = false; mute_reduction = false;
     k_timer = Some (Engine.kind engine "client.timer");
@@ -102,7 +104,7 @@ let next_broker t = t.broker_idx <- t.broker_idx + 1
    the accumulated backoff — the next submission goes home directly. *)
 let rehome t =
   t.broker_idx <- 0;
-  t.backoff <- t.cfg.resubmit_timeout
+  t.backoff <- resubmit_timeout
 
 let msg_bytes t = match t.flight with Some fl -> String.length fl.fl_msg | None -> 8
 
@@ -114,10 +116,10 @@ let msg_bytes t = match t.flight with Some fl -> String.length fl.fl_msg | None 
    resubmission storm. *)
 let resubmit_delay t =
   let d = t.backoff in
-  t.backoff <- Float.min t.cfg.max_resubmit_timeout (t.backoff *. 2.0);
+  t.backoff <- Float.min max_resubmit_timeout (t.backoff *. 2.0);
   d *. (0.75 +. Rng.float t.rng 0.5)
 
-let reset_backoff t = t.backoff <- t.cfg.resubmit_timeout
+let reset_backoff t = t.backoff <- resubmit_timeout
 
 let arm_timeout t f =
   t.timeout <-

@@ -21,13 +21,11 @@ type t
 
 type config = {
   brokers : int list; (* broker ids, in preference order *)
-  resubmit_timeout : float; (* initial resubmission delay *)
-  max_resubmit_timeout : float; (* backoff cap *)
   clients : int; (* directory size, for wire arithmetic *)
 }
-(** Resubmissions back off exponentially from [resubmit_timeout] to
-    [max_resubmit_timeout], with deterministic seeded jitter (±25%) so
-    clients orphaned by the same broker crash fail over unsynchronized. *)
+(** Resubmissions back off exponentially from 8 s to a 60 s cap, with
+    deterministic seeded jitter (±25%) so clients orphaned by the same
+    broker crash fail over unsynchronized. *)
 
 val create :
   engine:Repro_sim.Engine.t ->

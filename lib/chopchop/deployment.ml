@@ -184,7 +184,7 @@ let install_broker t ~region ~flush_period ~reduce_timeout ~max_batch ?cores
       clients = max t.cfg.dense_clients 1024;
       flush_period; reduce_timeout;
       witness_margin = t.cfg.witness_margin;
-      witness_timeout = 2.0; submit_timeout = 4.0; max_batch;
+      max_batch;
       admission_rate = t.cfg.admission_rate;
       admission_burst = t.cfg.admission_burst }
   in
@@ -437,8 +437,7 @@ let add_client t ?region ?identity ?on_delivered ?brokers () =
     | None -> Types.keypair_of_seed (Printf.sprintf "client-node-%d" node)
   in
   let cfg_c =
-    { Client.brokers = broker_list; resubmit_timeout = 8.0;
-      max_resubmit_timeout = 60.0; clients = max t.cfg.dense_clients 1024 }
+    { Client.brokers = broker_list; clients = max t.cfg.dense_clients 1024 }
   in
   let c =
     Client.create ~engine:t.engine ~config:cfg_c ~keypair

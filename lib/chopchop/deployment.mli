@@ -47,9 +47,13 @@ type config = {
 val default_config : config
 (** 4 servers, 2 brokers, sequencer underlay — the unit-test topology. *)
 
+val margin_for_size : int -> int
+(** The paper's witness margin m for a system of [n] servers (0/1/2/4
+    up to 8/16/32/64 servers, §6.2): brokers ask f+1+m servers. *)
+
 val paper_config : n_servers:int -> underlay:underlay -> config
-(** The §6.2 setup: 6 brokers, witness margin per system size (0/1/2/4 for
-    8/16/32/64 servers), 65,536-message batches, 257 M dense clients. *)
+(** The §6.2 setup: 6 brokers, witness margin {!margin_for_size},
+    65,536-message batches, 257 M dense clients. *)
 
 type t
 

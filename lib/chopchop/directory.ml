@@ -61,7 +61,7 @@ let dense_keypair t i =
   match Hashtbl.find_opt t.pop.keypairs i with
   | Some kp -> kp
   | None ->
-    let kp = Types.keypair_of_seed (Types.dense_seed i) in
+    let kp = Types.dense_keypair i in
     Hashtbl.add t.pop.keypairs i kp;
     kp
 

@@ -60,7 +60,7 @@ val aggregate_ms_pks_range : t -> first:int -> count:int -> Repro_crypto.Multisi
     @raise Invalid_argument if the range leaves the dense population. *)
 
 val dense_keypair : t -> int -> Types.keypair
-(** The deterministic identity of dense client [i] (simulation-only:
+(** {!Types.dense_keypair}, memoised per directory (simulation-only:
     workload generators use it to pre-sign batches, mirroring the paper's
     pre-generated message files). *)
 

@@ -20,6 +20,8 @@ let keypair_of_seed seed =
 
 let dense_seed i = "dense-client-" ^ string_of_int i
 
+let dense_keypair i = keypair_of_seed (dense_seed i)
+
 let message_statement ~id ~seq msg =
   String.concat "|" [ "message"; string_of_int id; string_of_int seq; msg ]
 

@@ -28,6 +28,10 @@ val keypair_of_seed : string -> keypair
 val dense_seed : int -> string
 (** Canonical seed for the [i]-th pre-generated (load) client. *)
 
+val dense_keypair : int -> keypair
+(** The identity of dense client [i]: [keypair_of_seed (dense_seed i)].
+    Pure and unmemoised; {!Directory.dense_keypair} memoises it. *)
+
 val message_statement : id:client_id -> seq:sequence_number -> message -> string
 (** Statement a client signs with its individual (Schnorr) key: binds the
     id, the sequence number and the message (the [t_i] of §4.2). *)

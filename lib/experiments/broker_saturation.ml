@@ -23,7 +23,6 @@
 
 module Engine = Repro_sim.Engine
 module Region = Repro_sim.Region
-module Cost = Repro_sim.Cost
 module Schnorr = Repro_crypto.Schnorr
 module Fleet = Repro_fleet.Fleet
 module D = Repro_chopchop.Deployment
@@ -31,7 +30,6 @@ module Broker = Repro_chopchop.Broker
 module Directory = Repro_chopchop.Directory
 module Types = Repro_chopchop.Types
 module Proto = Repro_chopchop.Proto
-module Wire = Repro_chopchop.Wire
 module Trace = Repro_trace.Trace
 
 type params = {
@@ -56,14 +54,9 @@ type point = {
    footprint: with no clients answering inclusions, every batch ships with
    all its entries as stragglers, once per server link. *)
 let nic_bound p =
-  let batch_bytes =
-    Wire.distilled_batch_bytes ~clients:p.dense_clients ~count:p.max_batch
-      ~msg_bytes:8 ~stragglers:p.max_batch
-  in
-  let wire_per_msg =
-    float_of_int (batch_bytes * p.n_servers) /. float_of_int p.max_batch
-  in
-  p.egress_bps /. 8. /. wire_per_msg
+  Ceiling.broker_egress ~egress_bps:p.egress_bps ~n_servers:p.n_servers
+    ~clients:p.dense_clients ~count:p.max_batch ~msg_bytes:8
+    ~stragglers:p.max_batch
 
 let deployment p =
   { D.default_config with
@@ -143,29 +136,13 @@ let cores_params = function
 (* Harness budget: never inject above this, msg/s. *)
 let rate_cap = 40_000.
 
-(* Dominant per-message broker work: one Ed25519 signature inside a
-   batched verification (the merkle build and serialization are orders of
-   magnitude below it). *)
-let per_msg_core_s = Cost.ed25519_batch_verify 1
-
-(* Per-batch serial work that does not amortise over lanes: the reduce
-   aggregate check, f+1 witness shards and the first completion shards
-   are each one BLS pairing on a single lane. *)
-let per_batch_serial_s = 5. *. Cost.bls_verify
-
-(* Capacity-model ceiling of a K-lane broker at this batch size. *)
-let cpu_bound p ~cores =
-  float_of_int cores *. p.capacity
-  /. (per_msg_core_s +. (per_batch_serial_s /. float_of_int p.max_batch))
-
 let cores_point p cores =
   (* Measure each configuration at its own saturation point (as the
      throughput-latency methodology of Fig. 7 does): inject ~30% above
      the lesser of the CPU and NIC ceilings.  A fixed huge rate would
      only grow unbounded queues and push completions past the window. *)
-  let offered =
-    Float.min rate_cap (1.3 *. Float.min (cpu_bound p ~cores) (nic_bound p))
-  in
+  let cpu = Ceiling.broker_cpu ~cores ~capacity:p.capacity ~max_batch:p.max_batch in
+  let offered = Float.min rate_cap (1.3 *. Float.min cpu (nic_bound p)) in
   let throughput =
     run_point ~p ~config:(deployment p) ~brokers:1 ~lanes:cores ~offered
       (* Flush when roughly a full batch has accumulated. *)
@@ -181,12 +158,10 @@ let cores_sweep p =
    | [ one; _; _; last ] ->
      if last.throughput < 2. *. one.throughput then
        failwith "broker-cores: no scaling from 1 to 32 lanes";
-     if last.throughput > last.nic_bound *. 1.05 then
-       failwith "broker-cores: delivered above the NIC bound";
      (* At 32 lanes the CPU ceiling clears the NIC ceiling: the run must
         actually be network-limited, not stuck far below both. *)
-     if last.throughput < last.nic_bound *. 0.5 then
-       failwith "broker-cores: 32 lanes did not reach the NIC regime"
+     Ceiling.check ~what:"broker-cores: 32 lanes (bound: NIC)"
+       ~delivered:last.throughput ~bound:last.nic_bound ~floor:0.5
    | _ -> assert false);
   points
 
@@ -200,7 +175,10 @@ let print_cores fmt scale =
       Format.fprintf fmt
         "  %2d cores: %8.0f msg/s delivered (offered %.0f, cpu bound %.0f, nic bound %.0f)@."
         pt.size pt.throughput pt.offered
-        (min (cpu_bound p ~cores:pt.size) pt.offered)
+        (min
+           (Ceiling.broker_cpu ~cores:pt.size ~capacity:p.capacity
+              ~max_batch:p.max_batch)
+           pt.offered)
         pt.nic_bound)
     points;
   let first = List.hd points and last = List.hd (List.rev points) in
@@ -246,30 +224,17 @@ let scaleout_point p n =
 let scaleout_sweep p =
   let points = List.map (scaleout_point p) [ 1; 2; 4; 8 ] in
   monotone ~id:"broker-scaleout" ~unit:"brokers" points;
+  (* Every point stays under the fleet's aggregate NIC bound; 2 brokers
+     must clear one broker's bound and 4 must reach 2.5x it. *)
   List.iter
     (fun pt ->
-      if pt.throughput > 1.05 *. float_of_int pt.size *. pt.nic_bound then
-        failwith
-          (Printf.sprintf
-             "broker-scaleout: %d brokers delivered above the aggregate NIC \
-              bound"
-             pt.size))
+      let floor = match pt.size with 2 -> 1. /. 2. | 4 -> 2.5 /. 4. | _ -> 0. in
+      Ceiling.check
+        ~what:(Printf.sprintf "broker-scaleout: %d brokers (bound: %d NICs)"
+                 pt.size pt.size)
+        ~delivered:pt.throughput
+        ~bound:(float_of_int pt.size *. pt.nic_bound) ~floor)
     points;
-  (match points with
-   | [ _; two; four; _ ] ->
-     if two.throughput <= two.nic_bound then
-       failwith
-         (Printf.sprintf
-            "broker-scaleout: 2 brokers did not clear the single-broker NIC \
-             bound (%.0f <= %.0f)"
-            two.throughput two.nic_bound);
-     if four.throughput < 2.5 *. four.nic_bound then
-       failwith
-         (Printf.sprintf
-            "broker-scaleout: 4 brokers below 2.5x the single-broker NIC \
-             bound (%.0f < %.0f)"
-            four.throughput (2.5 *. four.nic_bound))
-   | _ -> assert false);
   points
 
 (* Gated bench metric: 4-broker aggregate delivered throughput over the

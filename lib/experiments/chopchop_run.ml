@@ -97,20 +97,17 @@ let run p =
      much load it can generate: provision enough of them (the paper uses
      up to 64 OVH machines). *)
   let batches_per_s = p.rate /. float_of_int p.batch_count in
-  let batch_bytes =
-    Wire.distilled_batch_bytes ~clients:p.dense_clients ~count:p.batch_count
+  let one_load_broker =
+    (* With 30% headroom on its NIC. *)
+    Ceiling.broker_egress
+      ~egress_bps:(0.7 *. Repro_sim.Net.server_default_egress_bps)
+      ~n_servers:p.n_servers ~clients:p.dense_clients ~count:p.batch_count
       ~msg_bytes:p.msg_bytes
       ~stragglers:
         (int_of_float
            (ceil ((1. -. p.distill_fraction) *. float_of_int p.batch_count)))
   in
-  let lb_egress_bps = Repro_sim.Net.server_default_egress_bps in
-  let needed =
-    int_of_float
-      (ceil
-         (batches_per_s *. float_of_int (batch_bytes * 8 * p.n_servers)
-          /. (lb_egress_bps *. 0.7)))
-  in
+  let needed = int_of_float (ceil (p.rate /. one_load_broker)) in
   let n_load_brokers = max p.n_load_brokers (max 1 needed) in
   let lb_regions = Array.of_list Region.load_broker_regions in
   let loads =

@@ -1,6 +1,5 @@
 module D = Repro_chopchop.Deployment
 module Wire = Repro_chopchop.Wire
-module Cost = Repro_sim.Cost
 module Hist = Repro_trace.Trace.Hist
 
 type scale = Repro_chaos.Chaos.scale = Quick | Full
@@ -20,17 +19,6 @@ let cc_params scale =
 let saturation_rate = function Quick -> 2.0e7 | Full -> 4.4e7
 (* Full scale: the paper's measured maximal stable throughput; the fig7
    sweep additionally drives 6e7 to exhibit the overload collapse. *)
-
-(* Witness-CPU capacity of an n-server system on fully distilled 65,536
-   batches, from the §3.2 anchors: each batch costs the witnessing set
-   one distilled verification and every server a delivery pass. *)
-let cc_capacity n =
-  let margin = D.(paper_config ~n_servers:n ~underlay:Pbft).witness_margin in
-  let asked = float_of_int (((n - 1) / 3) + 1 + margin) in
-  let per_server_per_batch =
-    (asked /. float_of_int n /. 457.1) +. 0.00031
-  in
-  65_536. /. per_server_per_batch
 
 let header fmt title =
   Format.fprintf fmt "@.=== %s ===@." title
@@ -117,12 +105,8 @@ let fig3 fmt _scale =
 
 let micro fmt _scale =
   header fmt "§3.2 — Distillation microbenchmark (batches of 65,536 / second)";
-  (* Machine rates: single-core batch costs pipelined over the
-     c6i.8xlarge's 32 lanes (the serial pairing of batch k overlaps the
-     aggregation of batch k+1). *)
-  let lanes = float_of_int Cost.vcpus in
-  let classic = lanes /. Cost.ed25519_batch_verify 65_536 in
-  let distilled = lanes /. (Cost.bls_aggregate_pks 65_536 +. Cost.bls_verify) in
+  let classic = Ceiling.classic_auth_rate
+  and distilled = Ceiling.distilled_auth_rate in
   row fmt "  classic batch authentication         %8.1f /s  (paper: 16.2 +- 0.4)@." classic;
   row fmt "  fully distilled authentication       %8.1f /s  (paper: 457.1 +- 0.3)@." distilled;
   row fmt "  CPU cost ratio                       %8.1f x   (paper: 28.2 x)@."
@@ -190,14 +174,12 @@ let headline fmt scale =
   header fmt "Headline — ChopChop-BFT-SMaRt at the saturation rate";
   let r = cc_max scale in
   pp_tp_lat fmt ("ChopChop-BFT-SMaRt", r.offered, r.throughput, r.latency);
-  let share = r.throughput /. r.offered in
-  row fmt "  delivered/offered %.3f  (paper: 44M op/s at ~2.0 s, 64 servers)@." share;
+  row fmt "  delivered/offered %.3f  (paper: 44M op/s at ~2.0 s, 64 servers)@."
+    (r.throughput /. r.offered);
   if Hist.count r.latency = 0 then
     failwith "headline: no latency sample in the measurement window";
-  if share < 0.95 then
-    failwith
-      (Printf.sprintf "headline: delivered %.3g of %.3g op/s offered (%.3f < 0.95)"
-         r.throughput r.offered share)
+  Ceiling.check ~what:"headline (bound: offered rate)" ~delivered:r.throughput
+    ~bound:r.offered ~floor:0.95
 
 (* --- Fig. 8a ----------------------------------------------------------------- *)
 
@@ -213,24 +195,17 @@ let fig8a fmt scale =
   (* Drive each configuration just below its witness-CPU capacity:
      unlike the fully distilled case, classic batches saturate the
      servers' signature-verification budget (ed25519_batch anchors). *)
-  let witness_capacity scale frac =
-    let n = n_servers scale in
-    let asked = float_of_int (((n - 1) / 3) + 1 + D.(paper_config ~n_servers:n ~underlay:Pbft).witness_margin) in
-    let per_batch = (1. -. frac) /. 16.2 +. (frac /. 457.1) in
-    float_of_int n /. (asked *. per_batch) *. 65_536.
-  in
-  let no_distill =
+  let below_capacity distill_fraction =
     cc_run
       { (cc_params scale) with
-        rate = 0.8 *. witness_capacity scale 0.; distill_fraction = 0. }
+        distill_fraction;
+        rate =
+          0.8 *. Ceiling.witness_cpu ~n_servers:(n_servers scale) ~distill_fraction }
   in
+  let no_distill = below_capacity 0. in
   row fmt "  ChopChop, no distillation      %10.3g op/s  (paper: 1.5M)@."
     no_distill.throughput;
-  let half =
-    cc_run
-      { (cc_params scale) with
-        rate = 0.8 *. witness_capacity scale 0.5; distill_fraction = 0.5 }
-  in
+  let half = below_capacity 0.5 in
   row fmt "  ChopChop, 50%% distilled        %10.3g op/s  (ablation; not in paper)@."
     half.throughput;
   let full = cc_max scale in
@@ -244,9 +219,10 @@ let fig8b fmt scale =
     (* 8 B saturates CPU; larger sizes saturate the server NIC: drive at
        ~85% of the ingress budget so the system saturates rather than
        entering its overload collapse. *)
-    let bw_cap msg =
-      0.85 *. Repro_sim.Net.server_default_ingress_bps /. 8.
-      /. (float_of_int msg +. 3.5)
+    let bw_cap msg_bytes =
+      Ceiling.server_ingress
+        ~ingress_bps:(0.85 *. Repro_sim.Net.server_default_ingress_bps)
+        ~clients:Chopchop_run.default.dense_clients ~msg_bytes
     in
     [ (8, saturation_rate scale); (32, Float.min (bw_cap 32) (saturation_rate scale));
       (128, bw_cap 128); (512, bw_cap 512) ]
@@ -309,7 +285,11 @@ let fig10a fmt scale =
     (fun n ->
       (* Just below each size's witness-CPU capacity: the paper's
          "maximum throughput" bars. *)
-      let rate = Float.min (0.82 *. cc_capacity n) (saturation_rate scale) in
+      let rate =
+        Float.min
+          (0.82 *. Ceiling.witness_cpu ~n_servers:n ~distill_fraction:1.)
+          (saturation_rate scale)
+      in
       let r = cc_run { (cc_params scale) with n_servers = n; rate } in
       row fmt "  ChopChop %2d servers            %10.3g op/s@." n r.throughput)
     sizes;

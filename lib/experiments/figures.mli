@@ -33,8 +33,8 @@ val cc_max : scale -> Chopchop_run.result
 
 val headline : Format.formatter -> scale -> unit
 (** The paper's headline at one scale: prints the {!cc_max} point and
-    fails unless it delivers at least 95% of the offered rate with a
-    non-empty latency sample. *)
+    fails unless it delivers between 0.95 and 1.05 times the offered
+    rate ({!Ceiling.check}) with a non-empty latency sample. *)
 
 val fig8a : Format.formatter -> scale -> unit
 (** Distillation benefit: 0% vs 100% distilled, vs the sig baseline. *)

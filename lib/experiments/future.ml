@@ -29,30 +29,14 @@ type offload_result = {
   offloaded_capacity : float;
 }
 
-(* Capacity from the §3.2 anchors: a witnessing server pays aggregation
-   (the dominant per-key term) plus one constant verification; every
-   server pays the delivery pass.  Offloading moves the per-key term to
-   the (untrusted, horizontally scalable) brokers. *)
+(* Offloading moves the per-key aggregation term from the witnessing
+   servers to the (untrusted, horizontally scalable) brokers. *)
 let pk_offload ~servers =
   List.map
     (fun n ->
-      let margin =
-        Repro_chopchop.Deployment.(paper_config ~n_servers:n ~underlay:Pbft)
-          .witness_margin
-      in
-      let asked = float_of_int (((n - 1) / 3) + 1 + margin) in
-      let delivery = 0.00031 in
-      let with_agg = (asked /. float_of_int n /. 457.1) +. delivery in
-      let verify_only =
-        (* bls_verify is a single-core cost; this is machine-capacity
-           math, so spread it over the machine's lanes. *)
-        (asked /. float_of_int n
-        *. (Repro_sim.Cost.bls_verify /. float_of_int Repro_sim.Cost.vcpus))
-        +. delivery
-      in
       { servers = n;
-        baseline_capacity = 65_536. /. with_agg;
-        offloaded_capacity = 65_536. /. verify_only })
+        baseline_capacity = Ceiling.witness_cpu ~n_servers:n ~distill_fraction:1.;
+        offloaded_capacity = Ceiling.witness_cpu_offloaded ~n_servers:n })
     servers
 
 let print fmt scale =

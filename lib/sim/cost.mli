@@ -26,6 +26,17 @@ val vcpus : int
 (** Parallelism of the reference server (32) — the default lane count a
     server or broker {!Cpu} is created with. *)
 
+val classic_batch_rate : float
+(** §3.2 anchor: classic batches of {!anchor_batch} authenticated per
+    second per machine (16.2). *)
+
+val distilled_batch_rate : float
+(** §3.2 anchor: fully distilled batches of {!anchor_batch}
+    authenticated per second per machine (457.1). *)
+
+val anchor_batch : float
+(** Messages per anchor batch (65,536). *)
+
 (* Server-side, single-core seconds. *)
 
 val ed25519_batch_verify : int -> float

@@ -3,8 +3,8 @@
 # the chaos suite, the loss sweep, the observed run's output, the
 # doctor's diagnosis of a stalled run and perfbench's simulated outcome),
 # a long run of the SHA-256 kernel against its OCaml reference, smoke runs of the other experiment surfaces (trace export,
-# reconfiguration, broker scaling, sweep, run report), the fleet
-# scale-out run compared with its pinned stdout, the
+# reconfiguration, sweep, run report), the future-work, broker-lanes and
+# fleet scale-out runs compared with their pinned stdout, the
 # full-scale headline point, plus the bench baseline gate.  Run from the repository root.
 set -eu
 
@@ -53,17 +53,29 @@ echo "== reconfiguration under load =="
 # The throughput cost of an ordered join + leave under sustained load.
 dune exec bin/main.exe -- run reconfig-load --scale quick
 
-echo "== broker multi-core scalability smoke =="
-# Sweeps 1/4/16/32 worker lanes on one overloaded broker; the experiment
-# itself fails if throughput is not monotone in lanes or does not
-# saturate at the NIC bound.
-dune exec bin/main.exe -- run broker-cores --scale quick
+echo "== capacity model: future work and broker lanes, pinned =="
+# Both read their bounds from Ceiling (lib/experiments/ceiling.ml), the
+# one capacity model; their stdout is deterministic and pinned byte for
+# byte.  future prints the pk-offload ceilings.  broker-cores sweeps
+# 1/4/16/32 worker lanes on one overloaded broker and fails itself if
+# throughput is not monotone in lanes, does not scale from 1 to 32
+# lanes, or if 32 lanes land above 1.05x or below 0.5x the NIC bound
+# (Ceiling.check).
+for pin in future broker-cores; do
+  pin_out="$(mktemp)"
+  dune exec bin/main.exe -- run "$pin" --scale quick > "$pin_out"
+  cmp "test/pins/$(echo "$pin" | tr - _).expected" "$pin_out" \
+    || { echo "$pin: stdout differs from its test/pins file"; exit 1; }
+  rm -f "$pin_out"
+done
 
 echo "== broker fleet scale-out =="
 # lib/fleet: 1/2/4/8 hash-partitioned brokers under per-point saturation;
 # the experiment itself fails if delivered throughput is not monotone in
-# fleet size, if 2 brokers do not clear the single-broker NIC bound, or
-# if 4 brokers land below 2.5x it.  Its stdout is deterministic and
+# fleet size, and through Ceiling.check if a point delivers above 1.05x
+# the fleet's aggregate NIC bound, if 2 brokers do not clear the
+# single-broker NIC bound, or if 4 brokers land below 2.5x it.  Its
+# stdout is deterministic and
 # pinned byte for byte (about 40 s, so it runs here and not under
 # runtest).  Its wall seconds are printed so that a slowdown shows in the
 # log.

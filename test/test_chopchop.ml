@@ -81,6 +81,17 @@ let test_directory_dense () =
   checki "explicit appended after the dense range" 1000
     (Directory.append d (Types.keypair_of_seed "x").card)
 
+(* The pure derivation and the directory's memo give the same identity,
+   the first and the last of the paper's 257 M ids included. *)
+let test_directory_dense_keypair_pure () =
+  let d = Directory.create ~dense_count:257_000_000 () in
+  List.iter
+    (fun i ->
+      checkb (Printf.sprintf "dense keypair %d" i) true
+        (Types.dense_keypair i = Directory.dense_keypair d i
+        && Types.dense_keypair i = Types.keypair_of_seed (Types.dense_seed i)))
+    [ 0; 1; 42; 65_535; 65_536; 1_000_003; 256_999_999 ]
+
 let test_directory_range_aggregation () =
   let d = Directory.create ~dense_count:500 () in
   let range_agg = Directory.aggregate_ms_pks_range d ~first:100 ~count:50 in
@@ -496,8 +507,7 @@ let completed_after ~tree ~inclusion ~delivery =
   let c =
     Client.create ~engine
       ~config:
-        { Client.brokers = [ 0 ]; resubmit_timeout = 8.0; max_resubmit_timeout = 60.0;
-          clients = 1024 }
+        { Client.brokers = [ 0 ]; clients = 1024 }
       ~keypair:(dense_kp 7)
       ~membership:(Membership.create ~capacity:4 ~initial:4)
       ~certs:(Certs.checker ~capacity:4 ~server_ms_pk:(fun i -> snd keys.(i)))
@@ -1370,6 +1380,8 @@ let () =
       ("directory",
        [ Alcotest.test_case "ranks" `Quick test_directory_ranks;
          Alcotest.test_case "dense population" `Quick test_directory_dense;
+         Alcotest.test_case "dense keypair pure = memoised" `Quick
+           test_directory_dense_keypair_pure;
          Alcotest.test_case "range aggregation" `Quick test_directory_range_aggregation;
          Alcotest.test_case "secret range aggregation" `Quick test_directory_sk_range;
          test_directory_range_sums;

@@ -240,6 +240,60 @@ let test_future_pk_offload_model () =
         (r.Future.offloaded_capacity > r.Future.baseline_capacity))
     (Future.pk_offload ~servers:[ 8; 64 ])
 
+(* The capacity model's machine rates are the §3.2 anchors it was built
+   from, and its NIC bounds are the hand arithmetic over the wire sizes. *)
+let close what expect got =
+  checkb (Printf.sprintf "%s: %.9g = %.9g" what got expect) true
+    (Float.abs (got -. expect) <= 1e-9 *. expect)
+
+let test_ceiling_anchors () =
+  let open Repro_experiments in
+  close "classic machine rate" 16.2 Ceiling.classic_auth_rate;
+  close "classic anchor" Repro_sim.Cost.classic_batch_rate
+    Ceiling.classic_auth_rate;
+  close "distilled machine rate" 457.1 Ceiling.distilled_auth_rate;
+  close "distilled anchor" Repro_sim.Cost.distilled_batch_rate
+    Ceiling.distilled_auth_rate
+
+let test_ceiling_nic_bounds () =
+  let open Repro_experiments in
+  let module Wire = Repro_chopchop.Wire in
+  (* 257 M ids pack into 28 bits: an 8 B entry is 11.5 B on the wire, and
+     a 5 Gb/s server NIC takes 5e9 / 8 / 11.5 of them per second. *)
+  close "entry bytes" 11.5
+    (Wire.distilled_entry_bytes ~clients:257_000_000 ~msg_bytes:8);
+  close "server ingress" 54_347_826.086956522
+    (Ceiling.server_ingress ~ingress_bps:Repro_sim.Net.server_default_ingress_bps
+       ~clients:257_000_000 ~msg_bytes:8);
+  (* broker-cores at quick scale: 1,024 all-straggler entries of 1 M ids
+     (20 bits) are 192 + 8 + 1024 x 10.5 + 1024 x 72 = 84,680 B, sent to
+     4 servers behind a 55 Mb/s NIC. *)
+  checki "all-straggler batch bytes" 84_680
+    (Wire.distilled_batch_bytes ~clients:1_000_000 ~count:1024 ~msg_bytes:8
+       ~stragglers:1024);
+  close "broker egress" (55e6 /. 8. /. (84_680. *. 4. /. 1024.))
+    (Ceiling.broker_egress ~egress_bps:55e6 ~n_servers:4 ~clients:1_000_000
+       ~count:1024 ~msg_bytes:8 ~stragglers:1024);
+  (* A fully distilled 65,536 batch of 257 M ids: 200 + 753,664 B, sent
+     to 16 servers by a 3.125 Gb/s load broker. *)
+  close "distilled egress" (3.125e9 /. 8. /. (753_864. *. 16. /. 65_536.))
+    (Ceiling.broker_egress ~egress_bps:Repro_sim.Net.server_default_egress_bps
+       ~n_servers:16 ~clients:257_000_000 ~count:65_536 ~msg_bytes:8
+       ~stragglers:0)
+
+let test_ceiling_check () =
+  let open Repro_experiments in
+  let fails ~delivered ~floor =
+    match Ceiling.check ~what:"t" ~delivered ~bound:1000. ~floor with
+    | () -> false
+    | exception Failure _ -> true
+  in
+  checkb "1.06x the bound fails" true (fails ~delivered:1060. ~floor:0.);
+  checkb "1.04x the bound passes" false (fails ~delivered:1040. ~floor:0.);
+  checkb "below the floor fails" true (fails ~delivered:490. ~floor:0.5);
+  checkb "at the floor passes" false (fails ~delivered:500. ~floor:0.5);
+  checkb "no floor, far below passes" false (fails ~delivered:1. ~floor:0.)
+
 let () =
   Alcotest.run "integration"
     [ ("underlays",
@@ -258,4 +312,8 @@ let () =
            test_order_independent_of_lane_backlog;
          Alcotest.test_case "baseline runner" `Slow test_baseline_runner;
          Alcotest.test_case "app calibration" `Quick test_app_calibration;
-         Alcotest.test_case "pk-offload capacity model" `Quick test_future_pk_offload_model ]) ]
+         Alcotest.test_case "pk-offload capacity model" `Quick test_future_pk_offload_model;
+         Alcotest.test_case "ceiling machine rates are the anchors" `Quick
+           test_ceiling_anchors;
+         Alcotest.test_case "ceiling NIC bounds by hand" `Quick test_ceiling_nic_bounds;
+         Alcotest.test_case "ceiling check" `Quick test_ceiling_check ]) ]
