@@ -3,6 +3,7 @@ module Multisig = Repro_crypto.Multisig
 module Merkle = Repro_crypto.Merkle
 module Sha256 = Repro_crypto.Sha256
 module Field61 = Repro_crypto.Field61
+module Decimal = Repro_crypto.Decimal
 module Cost = Repro_sim.Cost
 module Cpu = Repro_sim.Cpu
 
@@ -99,7 +100,7 @@ let dense_message d id =
   let rec pad s = if String.length s >= d.msg_bytes then String.sub s 0 d.msg_bytes else pad (s ^ s) in
   pad base
 
-let leaf ~id ~seq msg = String.concat "|" [ string_of_int id; string_of_int seq; msg ]
+let leaf ~id ~seq msg = String.concat "|" [ Decimal.of_int id; Decimal.of_int seq; msg ]
 
 let dense_straggler_seq d = d.tag
 (* Dense stragglers carry their own per-round sequence number (the round

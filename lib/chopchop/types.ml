@@ -23,6 +23,7 @@ let dense_seed i = "dense-client-" ^ string_of_int i
 let dense_keypair i = keypair_of_seed (dense_seed i)
 
 let message_statement ~id ~seq msg =
-  String.concat "|" [ "message"; string_of_int id; string_of_int seq; msg ]
+  let enc = Repro_crypto.Decimal.of_int in
+  String.concat "|" [ "message"; enc id; enc seq; msg ]
 
 let reduction_statement ~root = "reduction|" ^ root

@@ -57,19 +57,28 @@ let inv a =
   if a = 0 then raise Division_by_zero;
   pow a (p - 2)
 
+(* Folds the input as 7-byte little-endian words [w], with
+   [acc <- acc * 1_099_511_628_211 + w], the last word holding the 1 to
+   7 bytes left over.  A 7-byte word is
+   below 2^56 < p, so it is already canonical.  Every key and signature
+   depends on this exact fold: a word is read with one 8-byte load and
+   masked to its 7 bytes while 8 bytes remain, and assembled byte by
+   byte after that. *)
 let of_bytes s =
-  (* Fold 8-byte little-endian words of the input into the accumulator with
-     a multiplicative mix so that every byte influences the result. *)
   let n = String.length s in
-  let acc = ref 0 in
-  let word = ref 0 in
-  for i = 0 to n - 1 do
-    word := !word lor ((Char.code s.[i]) lsl (8 * (i mod 7)));
-    if i mod 7 = 6 || i = n - 1 then begin
-      acc := add (mul !acc 1_099_511_628_211) (of_int !word);
-      word := 0
-    end
+  let mix acc w = add (mul acc 1_099_511_628_211) w in
+  let acc = ref 0 and i = ref 0 in
+  while !i + 8 <= n do
+    acc := mix !acc (Int64.to_int (String.get_int64_le s !i) land 0xFF_FFFF_FFFF_FFFF);
+    i := !i + 7
   done;
+  if !i < n then begin
+    let w = ref 0 in
+    for j = n - 1 downto !i do
+      w := (!w lsl 8) lor Char.code (String.unsafe_get s j)
+    done;
+    acc := mix !acc !w
+  end;
   (* Avoid mapping short inputs to zero, which would be an annoying
      degenerate group element downstream. *)
   if !acc = 0 then one else !acc

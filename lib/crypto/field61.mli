@@ -45,7 +45,8 @@ val inv : t -> t
 
 val of_bytes : string -> t
 (** Folds an arbitrary byte string (e.g. a SHA-256 digest) into a field
-    element.  Uniform up to the negligible bias of reducing 64 bits mod p. *)
+    element, 7 little-endian bytes at a time.  The empty string gives
+    [one]. *)
 
 val random : (unit -> int64) -> t
 (** [random next64] draws a uniformly distributed element using the given

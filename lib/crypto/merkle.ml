@@ -7,18 +7,9 @@ type t = { levels : string array array }
 type proof = { index : int; path : (bool * string) list }
 (* Each path element is (sibling_is_left, sibling_hash), leaf to root. *)
 
-let hash_leaf leaf =
-  let ctx = Sha256.init () in
-  Sha256.feed_char ctx '\x00';
-  Sha256.feed ctx leaf;
-  Sha256.finalize ctx
+let hash_leaf leaf = Sha256.digest_tagged '\x00' leaf ""
 
-let hash_node l r =
-  let ctx = Sha256.init () in
-  Sha256.feed_char ctx '\x01';
-  Sha256.feed ctx l;
-  Sha256.feed ctx r;
-  Sha256.finalize ctx
+let hash_node l r = Sha256.digest_tagged '\x01' l r
 
 let build leaves =
   if Array.length leaves = 0 then invalid_arg "Merkle.build: empty leaf vector";

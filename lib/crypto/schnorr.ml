@@ -18,16 +18,14 @@ let keygen_deterministic ~seed =
   let sk = Field61.of_bytes (Sha256.digest ("keygen|" ^ seed)) in
   (sk, scale sk)
 
+let enc x = Decimal.of_int (Field61.to_int x)
+
 let challenge ~r ~pk msg =
-  let enc x = string_of_int (Field61.to_int x) in
   Field61.of_bytes (Sha256.digest_list [ "chal|"; enc r; "|"; enc pk; "|"; msg ])
 
 let sign sk msg =
   (* Deterministic nonce, Ed25519-style: k = H(sk || m). *)
-  let k =
-    Field61.of_bytes
-      (Sha256.digest_list [ "nonce|"; string_of_int (Field61.to_int sk); "|"; msg ])
-  in
+  let k = Field61.of_bytes (Sha256.digest_list [ "nonce|"; enc sk; "|"; msg ]) in
   let r = scale k in
   let e = challenge ~r ~pk:(scale sk) msg in
   let s = Field61.add k (Field61.mul e sk) in
@@ -38,30 +36,11 @@ let verify pk msg { r; s } =
   let e = challenge ~r ~pk msg in
   Field61.equal (scale s) (Field61.add r (Field61.mul e pk))
 
-let batch_verify entries =
-  match entries with
-  | [] -> true
-  | entries ->
-    (* Random coefficients derived from the whole batch transcript make the
-       linear combination non-malleable across entries. *)
-    let transcript =
-      Sha256.digest_list
-        (List.concat_map
-           (fun (pk, msg, { r; s }) ->
-             [ string_of_int (Field61.to_int pk); msg;
-               string_of_int (Field61.to_int r);
-               string_of_int (Field61.to_int s) ])
-           entries)
-    in
-    let lhs = ref Field61.zero and rhs = ref Field61.zero in
-    List.iteri
-      (fun i (pk, msg, { r; s }) ->
-        let z = Field61.of_bytes (Sha256.digest (transcript ^ string_of_int i)) in
-        let e = challenge ~r ~pk msg in
-        lhs := Field61.add !lhs (Field61.mul z s);
-        rhs := Field61.add !rhs (Field61.add (Field61.mul z r) (Field61.mul (Field61.mul z e) pk)))
-      entries;
-    Field61.equal (scale !lhs) !rhs
+(* Each entry costs one digest and two multiplications; a random linear
+   combination would add a transcript digest and one more digest per
+   entry.  The amortisation Ed25519 batching buys is charged by
+   [Cost.ed25519_batch_verify], not executed here. *)
+let batch_verify entries = List.for_all (fun (pk, msg, sg) -> verify pk msg sg) entries
 
 let pp_signature fmt { r; s } = Format.fprintf fmt "(%a,%a)" Field61.pp r Field61.pp s
 

@@ -1,9 +1,9 @@
-(* SHA-256.  The block compression runs on the CPU's SHA extensions
-   (sha256_stubs.c) when the CPU has them, and otherwise in OCaml on
-   native ints: 32-bit words live in the low bits of an int and are
-   masked after every addition, and rotations work on the masked word
-   doubled into the high half (see [dbl]).  Both compress the same
-   [int array] state, so padding, buffering and output are shared. *)
+(* SHA-256.  Where the CPU has the SHA extensions, every one-shot digest
+   is one call into sha256_stubs.c, which absorbs, pads and compresses in
+   C.  Elsewhere, and always for the streaming context, the compression
+   runs in OCaml on native ints: 32-bit words live in the low bits of an
+   int and are masked after every addition, and rotations work on the
+   masked word doubled into the high half (see [dbl]). *)
 
 let mask = 0xFFFF_FFFF
 
@@ -29,10 +29,10 @@ type ctx = {
 
 external ni_probe : unit -> bool = "caml_sha256_ni_probe" [@@noalloc]
 
-(* [ni_blocks h s off n] compresses the [n] blocks of [s] starting at
-   [off] into [h], trusting [off + 64 * n <= String.length s]. *)
-external ni_blocks : int array -> string -> int -> int -> unit
-  = "caml_sha256_ni_blocks" [@@noalloc]
+(* [ni_digest tag a b] digests the byte [tag] (none when negative), then
+   [a], then [b]; [ni_digest_list] digests a list's concatenation. *)
+external ni_digest : int -> string -> string -> string = "caml_sha256_ni_digest"
+external ni_digest_list : string list -> string = "caml_sha256_ni_digest_list"
 
 (* Asked once: the CPU does not change under a running process. *)
 let has_ni = ni_probe ()
@@ -96,23 +96,9 @@ let compress h s off =
   h.(6) <- (h.(6) + !g) land mask;
   h.(7) <- (h.(7) + !hh) land mask
 
-(* Compress [n] consecutive blocks of [s] from [off] straight from the
-   caller's string: only a partial block is ever copied into [ctx.buf].
-   [ni] is [has_ni], except on the reference path, where it is false; it
-   is passed down rather than kept in [ctx], which would cost every
-   context a word. *)
-let blocks ni ctx s off n =
-  if off < 0 || n < 0 || off + (64 * n) > String.length s then
-    invalid_arg "Sha256.blocks";
-  if ni then ni_blocks ctx.h s off n
-  else
-    for i = 0 to n - 1 do
-      compress ctx.h s (off + (64 * i))
-    done
+let compress_buf ctx = compress ctx.h (Bytes.unsafe_to_string ctx.buf) 0
 
-let compress_buf ni ctx = blocks ni ctx (Bytes.unsafe_to_string ctx.buf) 0 1
-
-let feed_with ni ctx s =
+let feed ctx s =
   let n = String.length s in
   ctx.total <- ctx.total + n;
   let pos = ref 0 in
@@ -123,32 +109,22 @@ let feed_with ni ctx s =
     ctx.buf_len <- ctx.buf_len + take;
     pos := take;
     if ctx.buf_len = 64 then begin
-      compress_buf ni ctx;
+      compress_buf ctx;
       ctx.buf_len <- 0
     end
   end;
-  let full = (n - !pos) / 64 in
-  if full > 0 then begin
-    blocks ni ctx s !pos full;
-    pos := !pos + (64 * full)
-  end;
+  (* Whole blocks straight from the caller's string: only a partial block
+     is ever copied into [ctx.buf]. *)
+  while n - !pos >= 64 do
+    compress ctx.h s !pos;
+    pos := !pos + 64
+  done;
   if !pos < n then begin
     Bytes.blit_string s !pos ctx.buf 0 (n - !pos);
     ctx.buf_len <- n - !pos
   end
 
-let feed ctx s = feed_with has_ni ctx s
-
-let feed_char ctx c =
-  Bytes.set ctx.buf ctx.buf_len c;
-  ctx.total <- ctx.total + 1;
-  ctx.buf_len <- ctx.buf_len + 1;
-  if ctx.buf_len = 64 then begin
-    compress_buf has_ni ctx;
-    ctx.buf_len <- 0
-  end
-
-let finalize_with ni ctx =
+let finalize ctx =
   (* Padding, written in place: 0x80, zeros up to byte 56 of a block (a
      second block when fewer than 9 bytes are left), then the 8-byte
      big-endian bit length. *)
@@ -157,38 +133,31 @@ let finalize_with ni ctx =
   let used = ctx.buf_len + 1 in
   if used > 56 then begin
     Bytes.fill buf used (64 - used) '\x00';
-    compress_buf ni ctx;
+    compress_buf ctx;
     Bytes.fill buf 0 56 '\x00'
   end
   else Bytes.fill buf used (56 - used) '\x00';
   Bytes.set_int64_be buf 56 (Int64.of_int (ctx.total * 8));
-  compress_buf ni ctx;
+  compress_buf ctx;
   let out = Bytes.create 32 in
   for i = 0 to 7 do
     Bytes.set_int32_be out (4 * i) (Int32.of_int ctx.h.(i))
   done;
   Bytes.unsafe_to_string out
 
-let finalize ctx = finalize_with has_ni ctx
-
-let digest s =
+let stream parts =
   let ctx = init () in
-  feed ctx s;
+  List.iter (feed ctx) parts;
   finalize ctx
 
-let reference_digest s =
-  let ctx = init () in
-  feed_with false ctx s;
-  finalize_with false ctx
+let reference_digest s = stream [ s ]
 
-let rec feed_all ctx = function
-  | [] -> ()
-  | s :: rest -> feed ctx s; feed_all ctx rest
+let digest s = if has_ni then ni_digest (-1) s "" else reference_digest s
 
-let digest_list ss =
-  let ctx = init () in
-  feed_all ctx ss;
-  finalize ctx
+let digest_list ss = if has_ni then ni_digest_list ss else stream ss
+
+let digest_tagged tag a b =
+  if has_ni then ni_digest (Char.code tag) a b else stream [ String.make 1 tag; a; b ]
 
 let hmac ~key msg =
   let key = if String.length key > 64 then digest key else key in

@@ -5,24 +5,13 @@
     and batch commitments all go through it (the paper uses blake3; any
     collision-resistant hash preserves behaviour).
 
-    Blocks are compressed by the x86 SHA extensions (SHA-NI, one C
-    function in [sha256_stubs.c]) when the CPU reports SHA, SSSE3 and
-    SSE4.1, checked once when the module is initialised, and by an OCaml
-    implementation on native ints everywhere else.  Nothing selects the
-    path but the CPU, and both give the same digests. *)
-
-type ctx
-
-val init : unit -> ctx
-val feed : ctx -> string -> unit
-(** Absorb bytes; may be called repeatedly. *)
-
-val feed_char : ctx -> char -> unit
-(** Absorb one byte, e.g. a domain-separation prefix, without allocating
-    a one-byte string. *)
-
-val finalize : ctx -> string
-(** Produce the 32-byte digest.  The context must not be reused. *)
+    When the CPU reports SHA, SSSE3 and SSE4.1 (checked once when the
+    module is initialised), each one-shot digest ({!digest},
+    {!digest_list}, {!digest_tagged}) is one C call on the x86 SHA
+    extensions ([sha256_stubs.c]) that allocates only its result.
+    Everywhere else they run the streaming context below, which always
+    compresses in OCaml on native ints.  Nothing selects the path but the
+    CPU, and both give the same digests. *)
 
 val digest : string -> string
 (** One-shot [digest s = finalize (feed (init ()) s)]. *)
@@ -30,16 +19,35 @@ val digest : string -> string
 val digest_list : string list -> string
 (** Digest of the concatenation, without building the concatenation. *)
 
+val digest_tagged : char -> string -> string -> string
+(** [digest_tagged tag a b] is the digest of the byte [tag] followed by
+    [a] and [b] (Merkle's domain-separated leaf and node hashes), without
+    building the concatenation. *)
+
 val hmac : key:string -> string -> string
 (** HMAC-SHA-256 (RFC 2104). *)
 
 val to_hex : string -> string
 (** Lowercase hex rendering of a binary digest. *)
 
+(** {2 Streaming, in OCaml}
+
+    The fallback of the one-shot digests and the reference they are
+    tested against: it compresses in OCaml whatever the CPU. *)
+
+type ctx
+
+val init : unit -> ctx
+val feed : ctx -> string -> unit
+(** Absorb bytes; may be called repeatedly. *)
+
+val finalize : ctx -> string
+(** Produce the 32-byte digest.  The context must not be reused. *)
+
 (** {2 For tests} *)
 
 val reference_digest : string -> string
-(** [digest] through the OCaml compression whatever the CPU: the
+(** [digest] through the streaming context whatever the CPU: the
     reference the SHA-NI kernel is tested against. *)
 
 val kernel : unit -> string

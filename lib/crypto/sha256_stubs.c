@@ -1,18 +1,19 @@
-/* SHA-256 block compression on the x86 SHA extensions (SHA-NI).
+/* One-shot SHA-256 digests on the x86 SHA extensions (SHA-NI).
 
    The only C in the repository.  [Sha256] probes the CPU once at module
    initialisation; where the probe fails, or on any target other than
-   x86-64 with a GCC-compatible compiler, it keeps compressing in OCaml
-   and this file contributes a probe that answers false.
+   x86-64 with a GCC-compatible compiler, it digests in OCaml and this
+   file contributes a probe that answers false.
 
-   The block function is called [@@noalloc]: it runs without the OCaml
-   runtime lock being released, allocates nothing and raises nothing.  It
-   updates the caller's 8-word [int array] state in place and compresses
-   [n] consecutive 64-byte blocks of the caller's string, starting at
-   byte [off].  The OCaml side has already checked that
-   [off + 64 * n <= length]. */
+   Each digest is one call: the input is absorbed into a context on the C
+   stack (whole blocks straight from the caller's strings, a partial block
+   through a 64-byte buffer), padded there, and only the 32-byte result is
+   allocated, after the last read of an input string.  The calls run
+   without the OCaml runtime lock being released and raise nothing. */
 
 #include <stdint.h>
+#include <string.h>
+#include <caml/alloc.h>
 #include <caml/mlvalues.h>
 
 #if defined(__x86_64__) && defined(__GNUC__)
@@ -91,14 +92,99 @@ static void compress_ni(uint32_t state[8], const uint8_t *p, intnat n)
   _mm_storeu_si128((__m128i *)&state[4], _mm_alignr_epi8(cdgh, tmp, 8));
 }
 
-value caml_sha256_ni_blocks(value h, value s, value off, value n)
+typedef struct {
+  uint32_t h[8];
+  uint8_t buf[64];
+  size_t len;                   /* bytes pending in [buf] */
+  uint64_t total;               /* message length in bytes */
+} ctx;
+
+static void init(ctx *c)
 {
-  uint32_t state[8];
-  for (int i = 0; i < 8; i++) state[i] = (uint32_t)Long_val(Field(h, i));
-  compress_ni(state, (const uint8_t *)String_val(s) + Long_val(off), Long_val(n));
-  /* The state words are immediates, so no write barrier is needed. */
-  for (int i = 0; i < 8; i++) Field(h, i) = Val_long(state[i]);
-  return Val_unit;
+  static const uint32_t iv[8] = {
+    0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+    0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19
+  };
+  memcpy(c->h, iv, sizeof iv);
+  c->len = 0;
+  c->total = 0;
+}
+
+static void feed(ctx *c, const uint8_t *p, size_t n)
+{
+  c->total += n;
+  if (c->len > 0) {
+    size_t take = 64 - c->len < n ? 64 - c->len : n;
+    memcpy(c->buf + c->len, p, take);
+    c->len += take;
+    p += take;
+    n -= take;
+    if (c->len < 64) return;
+    compress_ni(c->h, c->buf, 1);
+    c->len = 0;
+  }
+  if (n >= 64) {
+    compress_ni(c->h, p, (intnat)(n / 64));
+    p += n & ~(size_t)63;
+    n &= 63;
+  }
+  memcpy(c->buf, p, n);
+  c->len = n;
+}
+
+static void feed_string(ctx *c, value s)
+{
+  feed(c, (const uint8_t *)String_val(s), caml_string_length(s));
+}
+
+/* Pad (0x80, zeros to byte 56 of a block, a second block when fewer than
+   9 bytes are left, then the big-endian bit length) and allocate the
+   big-endian digest. */
+static value finish(ctx *c)
+{
+  uint64_t bits = c->total * 8;
+  c->buf[c->len++] = 0x80;
+  if (c->len > 56) {
+    memset(c->buf + c->len, 0, 64 - c->len);
+    compress_ni(c->h, c->buf, 1);
+    c->len = 0;
+  }
+  memset(c->buf + c->len, 0, 56 - c->len);
+  for (int i = 0; i < 8; i++) c->buf[56 + i] = (uint8_t)(bits >> (56 - 8 * i));
+  compress_ni(c->h, c->buf, 1);
+  value out = caml_alloc_string(32);
+  uint8_t *o = (uint8_t *)Bytes_val(out);
+  for (int i = 0; i < 8; i++) {
+    o[4 * i] = (uint8_t)(c->h[i] >> 24);
+    o[4 * i + 1] = (uint8_t)(c->h[i] >> 16);
+    o[4 * i + 2] = (uint8_t)(c->h[i] >> 8);
+    o[4 * i + 3] = (uint8_t)c->h[i];
+  }
+  return out;
+}
+
+/* Digest of [tag] as one byte (none when [tag] is negative), then [a],
+   then [b]: a plain digest, a Merkle leaf or a Merkle node. */
+value caml_sha256_ni_digest(value tag, value a, value b)
+{
+  ctx c;
+  init(&c);
+  if (Long_val(tag) >= 0) {
+    uint8_t t = (uint8_t)Long_val(tag);
+    feed(&c, &t, 1);
+  }
+  feed_string(&c, a);
+  feed_string(&c, b);
+  return finish(&c);
+}
+
+/* Digest of the concatenation of a string list. */
+value caml_sha256_ni_digest_list(value l)
+{
+  ctx c;
+  init(&c);
+  for (; Is_block(l); l = Field(l, 1)) feed_string(&c, Field(l, 0));
+  return finish(&c);
 }
 
 #else
@@ -111,10 +197,16 @@ value caml_sha256_ni_probe(value unit)
   return Val_false;
 }
 
-/* Unreachable: [Sha256] calls it only after the probe answered true. */
-value caml_sha256_ni_blocks(value h, value s, value off, value n)
+/* Unreachable: [Sha256] calls these only after the probe answered true. */
+value caml_sha256_ni_digest(value tag, value a, value b)
 {
-  (void)h; (void)s; (void)off; (void)n;
+  (void)tag; (void)a; (void)b;
+  abort();
+}
+
+value caml_sha256_ni_digest_list(value l)
+{
+  (void)l;
   abort();
 }
 

@@ -17,6 +17,8 @@ type t = {
   n_cores : int;
   next_free : float array; (* per lane: when its queue drains *)
   busy : float array; (* per lane: charged seconds, incl. queued *)
+  order : int array; (* lanes by (ready time, index) at the last waterfill *)
+  ready : float array; (* scratch: per lane, max(now, next_free) *)
   m_boot : mark;
   actor : int option;
   kind : int option; (* Engine kind of job completions, built once *)
@@ -29,6 +31,7 @@ let create engine ?(cores = 1) ?(capacity = 1.0) ?actor ?kind () =
   let kind = Some (match kind with Some k -> Engine.kind engine k | None -> 0) in
   { engine; capacity; n_cores = cores;
     next_free = Array.make cores 0.; busy = Array.make cores 0.;
+    order = Array.init cores Fun.id; ready = Array.make cores 0.;
     m_boot = { m_time = Engine.now engine; m_exec = Array.make cores 0. };
     actor; kind; jobs = 0 }
 
@@ -54,22 +57,38 @@ let submit t ~work:w k =
   let finish_parallel =
     if d_p <= 0. then now
     else begin
-      let ready = Array.map (Float.max now) t.next_free in
-      let order = Array.init t.n_cores Fun.id in
-      Array.sort
-        (fun a b ->
-          match Float.compare ready.(a) ready.(b) with
-          | 0 -> Int.compare a b
-          | c -> c)
-        order;
-      let rec level k prefix =
-        (* k earliest lanes share the work; stop when the level stays
-           below the next lane's ready time. *)
-        let tk = (d_p +. prefix) /. float_of_int k in
-        if k = t.n_cores || tk <= ready.(order.(k)) then tk
-        else level (k + 1) (prefix +. ready.(order.(k)))
-      in
-      let tl = level 1 ready.(order.(0)) in
+      (* [Float.max now] for the clock's times, never NaN or -0. *)
+      let ready = t.ready and order = t.order in
+      for i = 0 to t.n_cores - 1 do
+        let r = t.next_free.(i) in
+        ready.(i) <- (if r > now then r else now)
+      done;
+      (* Restore the (ready time, index) order with one insertion pass: a
+         job moves few lanes, so the last order is nearly sorted. *)
+      for k = 1 to t.n_cores - 1 do
+        let x = order.(k) in
+        let rx = ready.(x) in
+        let j = ref (k - 1) in
+        while
+          !j >= 0
+          && (let y = order.(!j) in
+              ready.(y) > rx || (ready.(y) = rx && y > x))
+        do
+          order.(!j + 1) <- order.(!j);
+          decr j
+        done;
+        order.(!j + 1) <- x
+      done;
+      (* The [k] earliest lanes share the work; stop when the level stays
+         below the next lane's ready time. *)
+      let k = ref 1 and prefix = ref ready.(order.(0)) in
+      let tl = ref (d_p +. !prefix) in
+      while !k < t.n_cores && !tl > ready.(order.(!k)) do
+        prefix := !prefix +. ready.(order.(!k));
+        incr k;
+        tl := (d_p +. !prefix) /. float_of_int !k
+      done;
+      let tl = !tl in
       for i = 0 to t.n_cores - 1 do
         if ready.(i) < tl then begin
           t.busy.(i) <- t.busy.(i) +. (tl -. ready.(i));

@@ -2,10 +2,12 @@
 # CI entry point: full build, the complete test suite (which also pins
 # the chaos suite, the loss sweep, the observed run's output, the
 # doctor's diagnosis of a stalled run and perfbench's simulated outcome),
-# a long run of the SHA-256 kernel against its OCaml reference, smoke runs of the other experiment surfaces (trace export,
-# reconfiguration, sweep, run report), the future-work, broker-lanes and
-# fleet scale-out runs compared with their pinned stdout, the
-# full-scale headline point, plus the bench baseline gate.  Run from the repository root.
+# a long run of the SHA-256 kernel, Field61.of_bytes and the decimal
+# encoder against their references, smoke runs of the other experiment
+# surfaces (trace export, reconfiguration, sweep, run report), the
+# future-work, broker-lanes and fleet scale-out runs compared with their
+# pinned stdout, the full-scale headline point, plus the bench baseline
+# gate.  Run from the repository root.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -24,13 +26,17 @@ echo "== dune runtest =="
 dune runtest
 
 echo "== SHA-256: the block kernel against the OCaml reference =="
-# test_crypto's property "kernel agrees with the reference" runs 300
-# random inputs under runtest; QCHECK_LONG runs 20,100 here.  The kernel
-# in use is printed, and printed again beside the wall times below, which
-# depend on it: "sha-ni" where the CPU has the x86 SHA extensions,
-# "ocaml" elsewhere.
+# Under runtest each property runs a few hundred random inputs;
+# QCHECK_LONG multiplies that here.  test_crypto's "kernel agrees with
+# the reference" (one-shot digest, digest_list, the Merkle-tagged digest
+# and the OCaml stream against reference_digest) runs 20,100 inputs;
+# "of_bytes matches the byte-wise fold" (Field61's word-wise fold) and
+# the two "of_int = string_of_int" properties (the decimal encoder of
+# hashed statements) run 20,000 each.  The kernel in use is printed, and
+# printed again beside the wall times below, which depend on it:
+# "sha-ni" where the CPU has the x86 SHA extensions, "ocaml" elsewhere.
 sha_log="$(mktemp)"
-QCHECK_LONG=1 dune exec test/test_crypto.exe -- test sha256 --verbose \
+QCHECK_LONG=1 dune exec test/test_crypto.exe -- test '^(sha256|field61|decimal)$' --verbose \
   > "$sha_log" 2>&1 \
   || { cat "$sha_log"; echo "sha256: kernel differs from the reference"; exit 1; }
 sha_kernel="$(grep -a -o 'sha256 kernel: [a-z-]*' "$sha_log")" \

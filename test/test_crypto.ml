@@ -94,9 +94,11 @@ let test_sha_boundaries () =
         (Sha256.to_hex (Sha256.reference_digest m));
       check Alcotest.string (name "1-byte chunks") expected
         (Sha256.to_hex (feed_parts (List.init n (fun i -> String.make 1 m.[i]))));
-      let ctx = Sha256.init () in
-      String.iter (Sha256.feed_char ctx) m;
-      check Alcotest.string (name "feed_char") expected (Sha256.to_hex (Sha256.finalize ctx));
+      if n > 0 then
+        check Alcotest.string (name "tagged") expected
+          (Sha256.to_hex
+             (Sha256.digest_tagged m.[0] (String.sub m 1 (n / 2))
+                (String.sub m (1 + (n / 2)) (n - 1 - (n / 2)))));
       List.iter
         (fun cut ->
           if cut <= n then
@@ -117,11 +119,11 @@ let printf_hex s =
   |> Seq.map (fun c -> Printf.sprintf "%02x" (Char.code c))
   |> List.of_seq |> String.concat ""
 
-(* The compression in use ([Sha256.kernel]) against the OCaml reference:
-   every entry point, with the input cut into random pieces.  Pieces at
-   odd positions go through [feed_char] one byte at a time, so a piece
-   fed whole often starts at an odd offset into a part-filled block.
-   Under QCHECK_LONG (scripts/ci.sh) the property runs 20,100 cases. *)
+(* The digests in use ([Sha256.kernel]) against the OCaml reference:
+   every entry point, with the input cut into random pieces, so a piece
+   often starts at an odd offset into a part-filled block.  The tagged
+   digest takes the first byte as its tag and the rest cut in two.  Under
+   QCHECK_LONG (scripts/ci.sh) the property runs 20,100 cases. *)
 let split_at s cuts =
   let rec go from = function
     | [] -> [ String.sub s from (String.length s - from) ]
@@ -129,19 +131,17 @@ let split_at s cuts =
   in
   go 0 cuts
 
-let feed_pieces pieces =
-  let ctx = Sha256.init () in
-  List.iteri
-    (fun i p ->
-      if i mod 2 = 1 then String.iter (Sha256.feed_char ctx) p else Sha256.feed ctx p)
-    pieces;
-  Sha256.finalize ctx
-
 let agrees_with_reference s cuts =
   let expected = Sha256.reference_digest s and pieces = split_at s cuts in
+  let n = String.length s in
+  let tagged () =
+    let cut = match cuts with c :: _ when c > 0 -> c | _ -> 1 in
+    Sha256.digest_tagged s.[0] (String.sub s 1 (cut - 1)) (String.sub s cut (n - cut))
+  in
   Sha256.digest s = expected
   && Sha256.digest_list pieces = expected
-  && feed_pieces pieces = expected
+  && feed_parts pieces = expected
+  && (n = 0 || tagged () = expected)
 
 let sha_input =
   let open QCheck.Gen in
@@ -182,6 +182,39 @@ let test_sha_kernel_boundaries () =
         (Sha256.finalize ctx = Sha256.reference_digest big))
     [ 1; 3; 31; 33; 63 ]
 
+(* Every one-shot entry point at every length up to a few blocks, and a
+   Merkle node's 65 bytes (tag, left, right) cut at every point. *)
+let test_sha_one_shot () =
+  let rng = Random.State.make [| 30 |] in
+  let random n = String.init n (fun _ -> Char.chr (Random.State.int rng 256)) in
+  for n = 0 to 200 do
+    let s = random n in
+    let expected = Sha256.reference_digest s in
+    let name what = Printf.sprintf "%d bytes, %s" n what in
+    checkb (name "digest") true (Sha256.digest s = expected);
+    checkb (name "digest_list") true (Sha256.digest_list [ s ] = expected);
+    if n > 0 then
+      checkb (name "tagged") true
+        (Sha256.digest_tagged s.[0] (String.sub s 1 (n - 1)) "" = expected)
+  done;
+  let node = random 65 in
+  let expected = Sha256.reference_digest node in
+  for k = 0 to 64 do
+    checkb (Printf.sprintf "node, left %d bytes" k) true
+      (Sha256.digest_tagged node.[0] (String.sub node 1 k) (String.sub node (1 + k) (64 - k))
+       = expected);
+    checkb (Printf.sprintf "node as a list cut at %d" k) true
+      (Sha256.digest_list [ String.sub node 0 k; String.sub node k (65 - k) ] = expected)
+  done;
+  checkb "empty list" true (Sha256.digest_list [] = Sha256.reference_digest "");
+  checkb "empty parts" true
+    (Sha256.digest_list [ ""; "abc"; ""; ""; "def"; "" ] = Sha256.reference_digest "abcdef");
+  let l = random 32 and r = random 32 in
+  let leaf x = Sha256.reference_digest ("\x00" ^ x) in
+  checkb "merkle root of two leaves" true
+    (Merkle.root (Merkle.build [| l; r |])
+     = Sha256.reference_digest ("\x01" ^ leaf l ^ leaf r))
+
 let suite_sha_props =
   [ qtest ~count:200 "to_hex matches the %02x rendering"
       QCheck.(string_of_size (Gen.return 32))
@@ -216,6 +249,21 @@ let test_field_basics () =
   checkb "negative of_int" true
     (Field61.equal (Field61.of_int (-1)) (Field61.of_int (Field61.p - 1)))
 
+(* [Field61.of_bytes] as it folded one byte at a time, before it read
+   words: bytes [7k .. 7k+6] form the little-endian word [k]. *)
+let of_bytes_bytewise s =
+  let n = String.length s in
+  let acc = ref Field61.zero and word = ref 0 in
+  for i = 0 to n - 1 do
+    word := !word lor (Char.code s.[i] lsl (8 * (i mod 7)));
+    if i mod 7 = 6 || i = n - 1 then begin
+      acc :=
+        Field61.add (Field61.mul !acc (Field61.of_int 1_099_511_628_211)) (Field61.of_int !word);
+      word := 0
+    end
+  done;
+  Field61.to_int (if Field61.equal !acc Field61.zero then Field61.one else !acc)
+
 let suite_field =
   [ qtest "mul matches double-and-add reference"
       QCheck.(pair field_gen field_gen)
@@ -240,13 +288,45 @@ let suite_field =
         Field61.equal (Field61.pow a e) (naive Field61.one e));
     qtest ~count:50 "fermat little theorem" field_gen (fun a ->
         QCheck.assume (not (Field61.equal a Field61.zero));
-        Field61.equal (Field61.pow a (Field61.p - 1)) Field61.one) ]
+        Field61.equal (Field61.pow a (Field61.p - 1)) Field61.one);
+    qtest ~count:500 ~long_factor:40 "of_bytes matches the byte-wise fold"
+      QCheck.(string_of_size (Gen.int_bound 100))
+      (fun s -> Field61.to_int (Field61.of_bytes s) = of_bytes_bytewise s) ]
+
+let test_field_of_bytes () =
+  checkb "empty gives one" true (Field61.equal (Field61.of_bytes "") Field61.one);
+  let rng = Random.State.make [| 61 |] in
+  for n = 0 to 80 do
+    List.iter
+      (fun s ->
+        Alcotest.(check int) (Printf.sprintf "%d bytes" n) (of_bytes_bytewise s)
+          (Field61.to_int (Field61.of_bytes s)))
+      [ String.make n '\xff'; String.make n '\x00';
+        String.init n (fun _ -> Char.chr (Random.State.int rng 256)) ]
+  done
 
 let test_field_random_range () =
   for _ = 1 to 1000 do
     let x = Field61.to_int (Field61.random next64) in
     assert (x >= 0 && x < Field61.p)
   done
+
+(* --- Decimal ------------------------------------------------------------- *)
+
+let test_decimal_edges () =
+  List.iter
+    (fun n -> check Alcotest.string (string_of_int n) (string_of_int n) (Decimal.of_int n))
+    [ min_int; min_int + 1; max_int; max_int - 1; 0; 1; -1; 9; 10; -9; -10; 99; 100;
+      -100; 1_000_000_007; -1_000_000_007; Field61.p; -Field61.p ]
+
+let suite_decimal =
+  [ qtest ~count:500 ~long_factor:40 "of_int = string_of_int" QCheck.int (fun n ->
+        Decimal.of_int n = string_of_int n);
+    qtest ~count:500 ~long_factor:40 "of_int = string_of_int on every magnitude"
+      QCheck.(pair (int_bound 62) int)
+      (fun (bits, n) ->
+        let n = n asr (62 - bits) in
+        Decimal.of_int n = string_of_int n) ]
 
 (* --- Schnorr --------------------------------------------------------------- *)
 
@@ -285,17 +365,27 @@ let suite_schnorr_props =
         in
         Schnorr.batch_verify entries);
     qtest ~count:100 "batch verification rejects any corrupted entry"
-      QCheck.(pair (int_bound 9) (list_of_size (Gen.return 10) small_string))
-      (fun (bad, msgs) ->
+      QCheck.(list_of_size (Gen.int_range 1 12) small_string)
+      (fun msgs ->
+        (* At each position, a garbage signature and one made for another
+           message; every other entry is valid. *)
         let entries =
           List.mapi
             (fun i m ->
               let sk, pk = Schnorr.keygen_deterministic ~seed:(string_of_int i) in
-              let s = Schnorr.sign sk m in
-              if i = bad then (pk, m, Schnorr.forge_garbage ()) else (pk, m, s))
+              (sk, pk, m))
             msgs
         in
-        not (Schnorr.batch_verify entries)) ]
+        let with_forgery bad forge =
+          List.mapi
+            (fun i (sk, pk, m) -> (pk, m, if i = bad then forge sk m else Schnorr.sign sk m))
+            entries
+        in
+        List.for_all
+          (fun bad ->
+            not (Schnorr.batch_verify (with_forgery bad (fun _ _ -> Schnorr.forge_garbage ())))
+            && not (Schnorr.batch_verify (with_forgery bad (fun sk m -> Schnorr.sign sk (m ^ "'")))))
+          (List.init (List.length msgs) Fun.id)) ]
 
 let test_batch_verify_empty () = checkb "empty batch ok" true (Schnorr.batch_verify [])
 
@@ -481,12 +571,15 @@ let () =
          Alcotest.test_case "padding boundaries and splits" `Quick test_sha_boundaries;
          Alcotest.test_case "hmac rfc4231" `Quick test_hmac_rfc4231;
          Alcotest.test_case "kernel matches the CPU" `Quick test_sha_kernel;
-         Alcotest.test_case "kernel at block boundaries" `Quick test_sha_kernel_boundaries ]
+         Alcotest.test_case "kernel at block boundaries" `Quick test_sha_kernel_boundaries;
+         Alcotest.test_case "one-shot digests at every length" `Quick test_sha_one_shot ]
        @ suite_sha_props);
       ("field61",
        Alcotest.test_case "basics" `Quick test_field_basics
+       :: Alcotest.test_case "of_bytes at every length" `Quick test_field_of_bytes
        :: Alcotest.test_case "random range" `Quick test_field_random_range
        :: suite_field);
+      ("decimal", Alcotest.test_case "edges" `Quick test_decimal_edges :: suite_decimal);
       ("schnorr",
        Alcotest.test_case "roundtrip" `Quick test_schnorr_roundtrip
        :: Alcotest.test_case "deterministic" `Quick test_schnorr_deterministic

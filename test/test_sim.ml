@@ -732,6 +732,119 @@ let test_cpu_one_core_matches_serial_queue () =
      checkf "fifo job 3" 1.25 t3
    | _ -> Alcotest.fail "three completions expected")
 
+(* The sort-based waterfill [Cpu.submit] ran before it kept its lane
+   order between jobs: every parallel job sorted all lanes by (ready
+   time, index).  [Cpu] must reproduce it bit for bit. *)
+let sorted_waterfill_submit ~nf ~busy ~now ~serial:d_s ~parallel:d_p =
+  let n = Array.length nf in
+  let finish_parallel =
+    if d_p <= 0. then now
+    else begin
+      let ready = Array.map (Float.max now) nf in
+      let order = Array.init n Fun.id in
+      Array.sort
+        (fun a b ->
+          match Float.compare ready.(a) ready.(b) with
+          | 0 -> Int.compare a b
+          | c -> c)
+        order;
+      let rec level k prefix =
+        let tk = (d_p +. prefix) /. float_of_int k in
+        if k = n || tk <= ready.(order.(k)) then tk
+        else level (k + 1) (prefix +. ready.(order.(k)))
+      in
+      let tl = level 1 ready.(order.(0)) in
+      for i = 0 to n - 1 do
+        if ready.(i) < tl then begin
+          busy.(i) <- busy.(i) +. (tl -. ready.(i));
+          nf.(i) <- tl
+        end
+      done;
+      tl
+    end
+  in
+  if d_s <= 0. then finish_parallel
+  else begin
+    let j = ref 0 in
+    if d_p > 0. then
+      for i = n - 1 downto 0 do
+        if nf.(i) = finish_parallel then j := i
+      done
+    else
+      for i = 1 to n - 1 do
+        if nf.(i) < nf.(!j) then j := i
+      done;
+    let j = !j in
+    let fin = Float.max (Float.max now finish_parallel) nf.(j) +. d_s in
+    nf.(j) <- fin;
+    busy.(j) <- busy.(j) +. d_s;
+    fin
+  end
+
+(* A job: the delay before it is submitted, then its serial and parallel
+   seconds.  Short delays against long jobs leave some lanes busy and
+   others idle at each submit, so [next_free] lies on both sides of now. *)
+let cpu_jobs_gen =
+  let open QCheck.Gen in
+  let secs = oneof [ return 0.; float_bound_inclusive 0.5; float_bound_inclusive 4. ] in
+  let job =
+    let* delay = oneof [ return 0.; float_bound_inclusive 0.3; float_bound_inclusive 2. ] in
+    let* kind = int_bound 2 in
+    let* a = secs and* b = secs in
+    return
+      (match kind with
+       | 0 -> (delay, a, 0.)
+       | 1 -> (delay, 0., a)
+       | _ -> (delay, a, b))
+  in
+  pair (int_range 1 32) (list_size (int_range 1 40) job)
+
+let test_cpu_matches_sorted_waterfill (cores, jobs) =
+  let bits = Int64.bits_of_float in
+  let e = Engine.create () in
+  let cpu = Cpu.create e ~cores () in
+  let nf = Array.make cores 0. and busy = Array.make cores 0. in
+  let jobs = Array.of_list jobs in
+  let expected = Array.make (Array.length jobs) nan
+  and got = Array.make (Array.length jobs) nan in
+  let ok = ref true in
+  let agree a b = if bits a <> bits b then ok := false in
+  let rec submit i =
+    if i < Array.length jobs then begin
+      let _, serial, parallel = jobs.(i) in
+      let now = Engine.now e in
+      expected.(i) <- sorted_waterfill_submit ~nf ~busy ~now ~serial ~parallel;
+      Cpu.submit cpu ~work:(Cpu.work ~serial ~parallel) (fun () -> got.(i) <- Engine.now e);
+      for l = 0 to cores - 1 do
+        let backlog = Float.max 0. (nf.(l) -. now) in
+        agree backlog (Cpu.lane_backlog cpu l);
+        if now > 0. then
+          agree
+            (Float.min 1. ((busy.(l) -. backlog) /. now))
+            (Cpu.lane_utilization cpu ~since:(Cpu.boot cpu) l)
+      done;
+      agree (Array.fold_left ( +. ) 0. busy) (Cpu.busy_seconds cpu);
+      if i + 1 < Array.length jobs then begin
+        let delay, _, _ = jobs.(i + 1) in
+        Engine.schedule e ~delay (fun () -> submit (i + 1))
+      end
+    end
+  in
+  Engine.schedule e ~delay:(let d, _, _ = jobs.(0) in d) (fun () -> submit 0);
+  Engine.run e;
+  Array.iteri (fun i x -> agree x got.(i)) expected;
+  !ok
+
+let suite_cpu_props =
+  [ qtest ~count:300 "waterfill matches the sorted reference bit for bit"
+      (QCheck.make
+         ~print:(fun (cores, jobs) ->
+           Printf.sprintf "%d lanes: %s" cores
+             (String.concat "; "
+                (List.map (fun (d, s, p) -> Printf.sprintf "+%h s=%h p=%h" d s p) jobs)))
+         cpu_jobs_gen)
+      test_cpu_matches_sorted_waterfill ]
+
 (* --- Stats -------------------------------------------------------------------- *)
 
 let test_summary () =
@@ -1099,7 +1212,8 @@ let () =
          Alcotest.test_case "backlog accounting" `Quick
            test_cpu_backlog_accounting;
          Alcotest.test_case "one core matches serial queue" `Quick
-           test_cpu_one_core_matches_serial_queue ]);
+           test_cpu_one_core_matches_serial_queue ]
+       @ suite_cpu_props);
       ("stats",
        Alcotest.test_case "summary" `Quick test_summary
        :: Alcotest.test_case "summary empty" `Quick test_summary_empty
