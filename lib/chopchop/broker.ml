@@ -2,6 +2,7 @@ module Engine = Repro_sim.Engine
 module Cpu = Repro_sim.Cpu
 module Cost = Repro_sim.Cost
 module Token_bucket = Repro_sim.Token_bucket
+module Int_table = Repro_sim.Int_table
 module Schnorr = Repro_crypto.Schnorr
 module Multisig = Repro_crypto.Multisig
 module Merkle = Repro_crypto.Merkle
@@ -41,10 +42,10 @@ type submission = {
 
 type reducing = {
   r_entries : Batch.entry array; (* sorted by id *)
-  r_subs : (Types.client_id, submission) Hashtbl.t;
+  r_subs : submission Int_table.t; (* by client id *)
   r_agg_seq : int;
   r_tree : Merkle.t;
-  r_shares : (Types.client_id, Multisig.signature) Hashtbl.t;
+  r_shares : Multisig.signature Int_table.t; (* by client id; read in [r_entries] order *)
 }
 
 type in_flight = {
@@ -76,7 +77,7 @@ type t = {
   stob_signup : Stob_item.t -> unit;
   (* Submission intake: one pooled submission per client, the highest
      sequence number seen. *)
-  pool : (Types.client_id, submission) Hashtbl.t;
+  pool : submission Int_table.t; (* by client id; flushed in id order *)
   buckets : Types.client_id Token_bucket.t; (* per-client rate limits *)
   mutable flush_cursor : int; (* fair-queue rotation point for oversubscribed flushes *)
   mutable reducing : (string, reducing) Hashtbl.t; (* keyed by proposal root *)
@@ -109,7 +110,7 @@ let create ~engine ~cpu ~config ?membership ~directory ~certs
   in
   { engine; cpu; cfg = config; membership;
     dir = directory; certs; send_server; send_client; send_anon; stob_signup;
-    pool = Hashtbl.create 1024;
+    pool = Int_table.create 1024;
     buckets =
       Token_bucket.create ~rate:config.admission_rate
         ~burst:config.admission_burst;
@@ -135,7 +136,7 @@ let bq t = Membership.quorum t.membership
 
 let batches_in_flight t = Hashtbl.length t.flight + Hashtbl.length t.reducing
 
-let pool_depth t = Hashtbl.length t.pool
+let pool_depth t = Int_table.length t.pool
 
 let batches_completed t = t.completed
 
@@ -172,16 +173,15 @@ let reject_instant t name ~id =
    the pooled one; a retransmission or an older one is dropped.  The pool
    holds at most one submission per client whatever a client sends. *)
 let accept_submission t (sub : submission) =
-  match Hashtbl.find_opt t.pool sub.sub_id with
-  | Some pooled when pooled.sub_seq >= sub.sub_seq -> ()
-  | Some _ | None -> Hashtbl.replace t.pool sub.sub_id sub
+  match Int_table.find t.pool sub.sub_id with
+  | pooled when pooled.sub_seq >= sub.sub_seq -> ()
+  | _ | (exception Not_found) -> Int_table.replace t.pool sub.sub_id sub
 
 (* --- flush: build a proposal and ask for reductions (#3, #4) ------------- *)
 
 let rec flush t =
-  if Hashtbl.length t.pool > 0 && not t.crashed then begin
-    let subs = Hashtbl.fold (fun _ s acc -> s :: acc) t.pool []
-    in
+  if Int_table.length t.pool > 0 && not t.crashed then begin
+    let subs = Int_table.fold (fun _ s acc -> s :: acc) t.pool [] in
     let subs =
       List.sort (fun a b -> Int.compare a.sub_id b.sub_id) subs
     in
@@ -206,7 +206,7 @@ let rec flush t =
         List.sort (fun a b -> Int.compare a.sub_id b.sub_id) taken
       end
     in
-    List.iter (fun s -> Hashtbl.remove t.pool s.sub_id) subs;
+    List.iter (fun s -> Int_table.remove t.pool s.sub_id) subs;
     (* Bulk-authenticate the submissions (§5.1 EdDSA batch verification);
        on failure fall back to per-signature checks and drop forgeries.
        Completion-gated: no inclusion proof leaves before the charged
@@ -265,11 +265,11 @@ and propose t subs =
         if not t.crashed then begin
           let tree = Merkle.build leaves in
           let root = Merkle.root tree in
-          let r_subs = Hashtbl.create (List.length subs) in
-          List.iter (fun s -> Hashtbl.replace r_subs s.sub_id s) subs;
+          let r_subs = Int_table.create (Array.length entries) in
+          List.iter (fun s -> Int_table.replace r_subs s.sub_id s) subs;
           let st =
             { r_entries = entries; r_subs; r_agg_seq = agg_seq; r_tree = tree;
-              r_shares = Hashtbl.create (List.length subs) }
+              r_shares = Int_table.create (Array.length entries) }
           in
           Hashtbl.replace t.reducing root st;
           (let s = tr t in
@@ -316,10 +316,17 @@ and reduce t root =
          (§5.1 tree-search).  Aggregations are divisible work; the final
          pairing check is serial.  The batch may not launch before this
          completes on the sim clock. *)
+      (* In entry (client id) order: the search for invalid shares
+         splits this list in halves, so its order must not follow the
+         table's hash. *)
       let share_list =
-        Hashtbl.fold
-          (fun id share acc -> (id, Directory.ms_pk t.dir id, share) :: acc)
-          st.r_shares []
+        Array.fold_right
+          (fun e acc ->
+            let id = e.Batch.e_id in
+            match Int_table.find st.r_shares id with
+            | share -> (id, Directory.ms_pk t.dir id, share) :: acc
+            | exception Not_found -> acc)
+          st.r_entries []
       in
       let statement = Types.reduction_statement ~root in
       Cpu.submit t.cpu
@@ -366,15 +373,15 @@ and reduce t root =
 and distill_done t st root valid_shares =
     begin
       let reduced_ids = List.map (fun (id, _, _) -> id) valid_shares in
-      let reduced = Hashtbl.create (List.length reduced_ids) in
-      List.iter (fun id -> Hashtbl.replace reduced id ()) reduced_ids;
+      let reduced = Int_table.create (List.length reduced_ids) in
+      List.iter (fun id -> Int_table.replace reduced id ()) reduced_ids;
       let stragglers =
         Array.of_list
           (Array.to_list st.r_entries
           |> List.filter_map (fun e ->
-                 if Hashtbl.mem reduced e.Batch.e_id then None
+                 if Int_table.mem reduced e.Batch.e_id then None
                  else
-                   let s = Hashtbl.find st.r_subs e.Batch.e_id in
+                   let s = Int_table.find st.r_subs e.Batch.e_id in
                    Some { Batch.s_id = s.sub_id; s_seq = s.sub_seq; s_sig = s.sub_tsig }))
       in
       let agg_sig =
@@ -434,7 +441,7 @@ and launch_equivocal t st number =
     let stragglers =
       Array.map
         (fun e ->
-          let s = Hashtbl.find st.r_subs e.Batch.e_id in
+          let s = Int_table.find st.r_subs e.Batch.e_id in
           { Batch.s_id = s.sub_id; s_seq = s.sub_seq; s_sig = s.sub_tsig })
         entries
     in
@@ -695,7 +702,7 @@ let receive_client t msg =
       (* Sybil screening before anything else: an identity the directory
          has never issued must not reach the signature pipeline (its
          sig_pk lookup would fail) nor consume pool memory. *)
-      if Directory.find t.dir id = None then
+      if id < 0 || id >= Directory.size t.dir then
         reject_instant t "reject_unknown" ~id
       else if not (Token_bucket.admit t.buckets ~now:(Engine.now t.engine) id) then
         (* Per-client token bucket: spam past the admission rate is shed
@@ -711,9 +718,9 @@ let receive_client t msg =
       end
     | Proto.Reduction { id; root; share } ->
       (match Hashtbl.find_opt t.reducing root with
-       | Some st when Hashtbl.mem st.r_subs id ->
+       | Some st when Int_table.mem st.r_subs id ->
          (* Shares are stored now, verified in aggregate at reduce time. *)
-         Hashtbl.replace st.r_shares id share
+         Int_table.replace st.r_shares id share
        | Some _ | None -> ())
     | Proto.Signup_request { card; nonce } ->
       if not (Hashtbl.mem t.signups_seen nonce) then begin

@@ -22,8 +22,17 @@ let assemble shards =
     agg = Multisig.aggregate_signatures (List.map snd shards) }
 
 (* At least [quorum] signers, none twice, each one of the [capacity] key
-   slots: the part of {!verify} that reads no key. *)
+   slots: the part of {!verify} that reads no key.  A strictly ascending
+   list of slots (what {!assemble} makes) has no duplicate, so one walk
+   that counts it decides; any other list is sorted and judged the same
+   way. *)
 let well_formed ~capacity ~quorum qc =
+  let rec ascending prev n = function
+    | [] -> n >= quorum
+    | i :: rest -> i > prev && i < capacity && ascending i (n + 1) rest
+  in
+  ascending (-1) 0 qc.signers
+  ||
   let distinct = List.sort_uniq Int.compare qc.signers in
   List.length distinct = List.length qc.signers
   && List.length distinct >= quorum
@@ -102,7 +111,9 @@ let memo_size c = Memo.length c.memo
 let check c subject ~quorum qc statement =
   well_formed ~capacity:c.capacity ~quorum qc
   &&
-  let agg_pk = Multisig.aggregate_public_keys (List.map c.server_ms_pk qc.signers) in
+  let agg_pk =
+    List.fold_left (fun acc i -> Field61.add acc (c.server_ms_pk i)) Field61.zero qc.signers
+  in
   match Memo.find_opt c.memo subject with
   | Some v when Field61.equal v.v_agg_pk agg_pk -> v.v_ok
   | known ->

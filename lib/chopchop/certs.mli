@@ -30,6 +30,10 @@ val assemble : (int * Repro_crypto.Multisig.signature) list -> quorum_cert
 (** Aggregate shards into a certificate (signer list is deduplicated and
     sorted). *)
 
+val well_formed : capacity:int -> quorum:int -> quorum_cert -> bool
+(** The part of {!verify} that reads no key: at least [quorum] signers,
+    none twice, each a key slot in [[0, capacity)]. *)
+
 val verify :
   statement:string ->
   server_ms_pk:(int -> Repro_crypto.Multisig.public_key) ->

@@ -15,14 +15,17 @@ type config = {
 let resubmit_timeout = 8.0
 let max_resubmit_timeout = 60.0
 
+(* The last inclusion proof that checked out: its root, the sequence
+   number its leaf was made for, and the proof. *)
+type proven = { pv_root : string; pv_seq : int; pv_proof : Merkle.proof }
+
 type in_flight = {
   fl_msg : Types.message;
   fl_seq : int; (* sequence number submitted (#2) *)
   fl_tsig : Schnorr.signature; (* over (id, fl_seq, fl_msg), for every resubmission *)
   mutable fl_adopted : int; (* aggregate sequence number adopted, >= fl_seq *)
   fl_started : float;
-  mutable fl_proven : (string * string * Merkle.proof) option;
-      (* (root, leaf, proof) of the last inclusion proof that checked out *)
+  mutable fl_proven : proven option;
 }
 
 type t = {
@@ -202,7 +205,8 @@ let on_inclusion t ~root ~proof ~agg_seq ~evidence =
             Trace.Counter.incr t.c_verify;
             Certs.check_delivery t.certs ~quorum:(cquorum t) e)
     then begin
-      fl.fl_proven <- Some (root, leaf, proof);
+      fl.fl_proven <-
+        Some { pv_root = root; pv_seq = agg_seq; pv_proof = proof };
       fl.fl_adopted <- max fl.fl_adopted agg_seq;
       let share =
         if t.bad_share then Multisig.forge_garbage ()
@@ -234,14 +238,18 @@ let on_deliver_cert t ~cert ~seq ~proof =
       let ours =
         match proof with
         | Some proof ->
-          let root = cert.Certs.root and leaf = Batch.leaf ~id ~seq fl.fl_msg in
-          (* The proof that checked out under this root at inclusion
-             needs no second check; any other proof gets one. *)
+          let root = cert.Certs.root in
+          (* The proof that checked out at inclusion, under this root and
+             for this sequence number, needs no second check: the leaf
+             spells the sequence number out, so another one is another
+             leaf.  Any other proof is checked, and only then is the leaf
+             made. *)
           (match fl.fl_proven with
-           | Some (r, l, p) ->
-             String.equal r root && String.equal l leaf && Merkle.proof_equal p proof
+           | Some pv ->
+             pv.pv_seq = seq && String.equal pv.pv_root root
+             && Merkle.proof_equal pv.pv_proof proof
            | None -> false)
-          || Merkle.verify root ~leaf proof
+          || Merkle.verify root ~leaf:(Batch.leaf ~id ~seq fl.fl_msg) proof
         | None -> false
       in
       let replayed = List.mem_assoc id cert.Certs.exceptions in

@@ -8,6 +8,7 @@ module Store = Repro_store.Store
 module Disk = Repro_store.Disk
 module Fleet = Repro_fleet.Fleet
 module Rudp = Repro_sim.Rudp
+module Int_table = Repro_sim.Int_table
 module Stob = Repro_stob.Stob
 
 type underlay = Stob.underlay = Sequencer | Pbft | Hotstuff
@@ -89,16 +90,19 @@ type t = {
   stores : (Proto.checkpoint, Proto.wal_record) Store.t option array;
   mutable stobs : Stob_item.t Stob.t array;
   mutable brokers : broker_slot array;
-  broker_of_node : (int, int) Hashtbl.t;
-  client_nodes : (Types.client_id, int) Hashtbl.t; (* client id -> node *)
-  clients_by_node : (int, Client.t) Hashtbl.t;
+  (* The tables read on every client packet are keyed by int (node ids,
+     client ids, packed node pairs).  Iterating one never orders events:
+     see {!recover_broker} and {!node_of_client}. *)
+  broker_of_node : int Int_table.t; (* broker node -> broker id *)
+  client_nodes : int Int_table.t; (* client id -> node *)
+  clients_by_node : Client.t Int_table.t;
   mutable next_node : int;
   mutable next_client_region : int;
   mutable deliver_hook : int -> Proto.delivery -> unit;
   (* lib/fleet scale-out (None/unused in a classic deployment). *)
   fleet : Fleet.t option;
   client_home : (int, int) Hashtbl.t; (* client node -> home broker *)
-  links : (int * int, link) Hashtbl.t; (* (client node, broker node) *)
+  links : link Int_table.t; (* {!link_key} of (broker node, client node) *)
 }
 
 (* One client node's reliable-UDP link to one broker node (§5.1), built
@@ -111,15 +115,20 @@ and link = {
   down_recv : Proto.broker_to_client Rudp.receiver; (* at the client *)
 }
 
+(* One int for a (broker node, client node) pair: node ids are dense
+   from 0, far below 2^31, so the two halves never overlap.  A tuple key
+   would be allocated, hashed and compared generically on every packet. *)
+let link_key ~client_node ~broker_node = (broker_node lsl 31) lor client_node
+
 let link t ~client_node ~broker_node =
-  let key = (client_node, broker_node) in
-  match Hashtbl.find_opt t.links key with
-  | Some l -> l
-  | None ->
+  let key = link_key ~client_node ~broker_node in
+  match Int_table.find t.links key with
+  | l -> l
+  | exception Not_found ->
     let lossy ~src ~dst bytes m = Net.send_lossy t.net ~src ~dst ~bytes m in
     let to_broker = lossy ~src:client_node ~dst:broker_node in
     let to_client = lossy ~src:broker_node ~dst:client_node in
-    let broker = t.brokers.(Hashtbl.find t.broker_of_node broker_node).br in
+    let broker = t.brokers.(Int_table.find t.broker_of_node broker_node).br in
     let l =
       { up =
           Rudp.sender ~engine:t.engine ~transmit:(fun pkt ->
@@ -135,14 +144,14 @@ let link t ~client_node ~broker_node =
             ~deliver:(fun m ->
               (match m with
                | Proto.Signup_response { id; _ } ->
-                 Hashtbl.replace t.client_nodes id client_node
+                 Int_table.replace t.client_nodes id client_node
                | Proto.Inclusion _ | Proto.Deliver_cert _ -> ());
-              match Hashtbl.find_opt t.clients_by_node client_node with
-              | Some c -> Client.receive c m
-              | None -> ())
+              match Int_table.find t.clients_by_node client_node with
+              | c -> Client.receive c m
+              | exception Not_found -> ())
             ~send_ack:(fun seq -> to_broker Rudp.ack_wire (B2c_udp (Rudp.Ack { seq }))) }
     in
-    Hashtbl.add t.links key l;
+    Int_table.add t.links key l;
     l
 
 let engine t = t.engine
@@ -199,9 +208,9 @@ let install_broker t ~region ~flush_period ~reduce_timeout ~max_batch ?cores
       ~certs:t.certs
       ~send_server:(fun ~dst ~bytes m -> Net.send t.net ~src:node ~dst ~bytes (B2s m))
       ~send_client:(fun ~client ~bytes m ->
-        match Hashtbl.find_opt t.client_nodes client with
-        | Some dst -> Rudp.send (link t ~client_node:dst ~broker_node:node).down ~bytes m
-        | None -> ())
+        match Int_table.find t.client_nodes client with
+        | dst -> Rudp.send (link t ~client_node:dst ~broker_node:node).down ~bytes m
+        | exception Not_found -> ())
       ~send_anon:(fun ~nonce ~bytes m ->
         (* Sign-up responses route by nonce = the client's node id. *)
         Rudp.send (link t ~client_node:nonce ~broker_node:node).down ~bytes m)
@@ -232,7 +241,7 @@ let install_broker t ~region ~flush_period ~reduce_timeout ~max_batch ?cores
       | C2b_udp (Rudp.Ack _) | B2c_udp (Rudp.Data _)
       | B2s _ | S2s _ | Stob _ -> ())
     ();
-  Hashtbl.replace t.broker_of_node node broker_id;
+  Int_table.replace t.broker_of_node node broker_id;
   t.brokers <-
     Array.append t.brokers
       [| { br = b; br_node = node; br_cpu = cpu } |];
@@ -307,9 +316,9 @@ let create cfg =
       certs = Certs.checker ~capacity ~server_ms_pk:(Array.get server_pks);
       stores; stobs = [||];
       brokers = [||];
-      broker_of_node = Hashtbl.create 16;
-      client_nodes = Hashtbl.create 1024;
-      clients_by_node = Hashtbl.create 1024;
+      broker_of_node = Int_table.create 16;
+      client_nodes = Int_table.create 1024;
+      clients_by_node = Int_table.create 1024;
       next_node = capacity;
       next_client_region = 0;
       deliver_hook = (fun _ _ -> ());
@@ -318,7 +327,7 @@ let create cfg =
          | Some Fleet.Hash -> Some (Fleet.create ~seed:cfg.seed ())
          | None -> None);
       client_home = Hashtbl.create 256;
-      links = Hashtbl.create 64 }
+      links = Int_table.create 64 }
   in
   (* Server network nodes dispatch into the instances through [t]: a slot
      whose instance {!replace_server} swapped keeps its node and STOB
@@ -328,9 +337,9 @@ let create cfg =
       ~handler:(fun ~src m ->
         match m with
         | B2s m ->
-          Option.iter
-            (fun b -> Server.receive_broker t.servers.(i) ~src_broker:b m)
-            (Hashtbl.find_opt t.broker_of_node src)
+          (match Int_table.find t.broker_of_node src with
+           | b -> Server.receive_broker t.servers.(i) ~src_broker:b m
+           | exception Not_found -> ())
         | S2s m -> Server.receive_server t.servers.(i) ~src m
         | Stob m -> Stob.receive t.stobs.(i) ~src m
         | C2b_udp _ | B2c_udp _ | S2b _ -> ())
@@ -460,10 +469,10 @@ let add_client t ?region ?identity ?on_delivered ?brokers () =
       | C2b_udp (Rudp.Data _) | B2c_udp (Rudp.Ack _)
       | B2s _ | S2b _ | S2s _ | Stob _ -> ())
     ();
-  Hashtbl.replace t.clients_by_node node c;
+  Int_table.replace t.clients_by_node node c;
   (match identity with
    | Some id ->
-     Hashtbl.replace t.client_nodes id node;
+     Int_table.replace t.client_nodes id node;
      Client.force_identity c id
    | None -> ());
   c
@@ -632,8 +641,9 @@ let recover_broker t i =
   Broker.recover t.brokers.(i).br;
   (* Fleet rebalance: the clients homed on the recovered broker (only a
      fleet homes clients) point their rotation at the head of the
-     preference list again, with their backoff forgotten. *)
-  Hashtbl.iter
+     preference list again, with their backoff forgotten.  Each rehome
+     sets only its own client's fields, so the order is immaterial. *)
+  Int_table.iter
     (fun node c ->
       if Hashtbl.find_opt t.client_home node = Some i then Client.rehome c)
     t.clients_by_node
@@ -645,8 +655,10 @@ let fleet t = t.fleet
 let fleet_hottest t =
   match t.fleet with Some fl -> Fleet.hottest fl | None -> None
 
+(* A client sits at one node, so at most one binding matches and the
+   fold order is immaterial. *)
 let node_of_client t c =
-  Hashtbl.fold
+  Int_table.fold
     (fun node c' acc -> if c' == c then Some node else acc)
     t.clients_by_node None
 

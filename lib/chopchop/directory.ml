@@ -1,5 +1,6 @@
 module Field61 = Repro_crypto.Field61
 module Multisig = Repro_crypto.Multisig
+module Int_table = Repro_sim.Int_table
 
 (* Dense identities are deterministic functions of their index, so their
    keypairs and secret-scalar prefix sums are memoised — per population
@@ -14,7 +15,7 @@ let zero_sk = Multisig.aggregate_secret_keys []
 type population = {
   mutable sk_prefix : Multisig.secret_key array;
   mutable prefix_len : int;
-  keypairs : (int, Types.keypair) Hashtbl.t;
+  keypairs : Types.keypair Int_table.t; (* by dense id; never iterated *)
 }
 
 let ensure_prefix pop upto =
@@ -55,14 +56,14 @@ let create ?(dense_count = 0) () =
     { dense = dense_count; explicit = ref [||]; explicit_len = 0;
       pop =
         { sk_prefix = Array.make 1 zero_sk; prefix_len = 1;
-          keypairs = Hashtbl.create 4096 } }
+          keypairs = Int_table.create 4096 } }
 
 let dense_keypair t i =
-  match Hashtbl.find_opt t.pop.keypairs i with
-  | Some kp -> kp
-  | None ->
+  match Int_table.find t.pop.keypairs i with
+  | kp -> kp
+  | exception Not_found ->
     let kp = Types.dense_keypair i in
-    Hashtbl.add t.pop.keypairs i kp;
+    Int_table.add t.pop.keypairs i kp;
     kp
 
 let dense_count t = t.dense

@@ -26,6 +26,9 @@ type t = {
   active : bool array;
   generation : int array;
   mutable epoch : int;
+  mutable n_active : int;
+      (* the [true]s of [active]: every write to [active] below keeps it,
+         so the thresholds read one field *)
 }
 
 let create ~capacity ~initial =
@@ -33,15 +36,14 @@ let create ~capacity ~initial =
   { capacity; initial;
     active = Array.init capacity (fun i -> i < initial);
     generation = Array.make capacity 0;
-    epoch = 0 }
+    epoch = 0; n_active = initial }
 
 let capacity t = t.capacity
 let epoch t = t.epoch
 let is_active t i = i >= 0 && i < t.capacity && t.active.(i)
 let generation t i = t.generation.(i)
 
-let active_count t =
-  Array.fold_left (fun acc a -> if a then acc + 1 else acc) 0 t.active
+let active_count t = t.n_active
 
 let active_slots t =
   List.filter (fun i -> t.active.(i)) (List.init t.capacity Fun.id)
@@ -69,15 +71,21 @@ let applies t = function
   | Leave i -> is_active t i
   | Replace (i, gen) -> i >= 0 && i < t.capacity && gen > t.generation.(i)
 
+let set_active t i a =
+  if t.active.(i) <> a then begin
+    t.active.(i) <- a;
+    t.n_active <- (if a then t.n_active + 1 else t.n_active - 1)
+  end
+
 let apply t c =
   if not (applies t c) then false
   else begin
     (match c with
-     | Join i -> t.active.(i) <- true
-     | Leave i -> t.active.(i) <- false
+     | Join i -> set_active t i true
+     | Leave i -> set_active t i false
      | Replace (i, gen) ->
        t.generation.(i) <- gen;
-       t.active.(i) <- true);
+       set_active t i true);
     t.epoch <- t.epoch + 1;
     true
   end
@@ -86,7 +94,7 @@ let apply t c =
    before the checkpoint and WAL roll the membership forward again. *)
 let reset t =
   for i = 0 to t.capacity - 1 do
-    t.active.(i) <- i < t.initial;
+    set_active t i (i < t.initial);
     t.generation.(i) <- 0
   done;
   t.epoch <- 0
@@ -101,7 +109,7 @@ let restore t (epoch, members) =
   List.iteri
     (fun i (a, g) ->
       if i < t.capacity then begin
-        t.active.(i) <- a;
+        set_active t i a;
         t.generation.(i) <- g
       end)
     members;

@@ -7,6 +7,7 @@ module Multisig = Repro_crypto.Multisig
 module Trace = Repro_trace.Trace
 module Rng = Repro_sim.Rng
 module Lwm = Repro_sim.Lwm
+module Int_table = Repro_sim.Int_table
 
 type config = {
   self : int;
@@ -73,9 +74,11 @@ type t = {
   (* Verified refs ordered while catching up, in STOB order: the windows
      are stale until the transfer ends, so {!finish_catch_up} judges them. *)
   held : ordered Queue.t;
-  last_msg : (Types.client_id, Types.sequence_number * string) Hashtbl.t;
+  (* Per-client dedup, read for every delivered message; a checkpoint
+     sorts what it folds out of either table. *)
+  last_msg : (Types.sequence_number * string) Int_table.t; (* by client id *)
   (* dense ranges: first_id -> (last agg seq, last tag) *)
-  dense_last : (int, int * int) Hashtbl.t;
+  dense_last : (int * int) Int_table.t;
   mutable delivery_counter : int;
   mutable delivered_messages : int;
   peer_counters : int array;
@@ -153,7 +156,7 @@ let create ~engine ~cpu ~config ?store ?(checkpoint_every = 0)
     batches = Hashtbl.create 512; stored_bytes = 0; gc_order = Queue.create ();
     ordered_refs = Hashtbl.create 8; relayed_refs = Hashtbl.create 8;
     order_queue = Queue.create (); held = Queue.create ();
-    last_msg = Hashtbl.create 4096; dense_last = Hashtbl.create 64;
+    last_msg = Int_table.create 4096; dense_last = Int_table.create 64;
     delivery_counter = 0; delivered_messages = 0;
     peer_counters = Array.make config.n 0;
     fetching = Hashtbl.create 16; seen_signups = Hashtbl.create 64;
@@ -246,11 +249,11 @@ let take_checkpoint t s =
       ck_messages = t.delivered_messages;
       ck_last_msg =
         sorted
-          (Hashtbl.fold (fun id (seq, m) acc -> (id, seq, m) :: acc)
+          (Int_table.fold (fun id (seq, m) acc -> (id, seq, m) :: acc)
              t.last_msg []);
       ck_dense_last =
         sorted
-          (Hashtbl.fold (fun fid (seq, tag) acc -> (fid, seq, tag) :: acc)
+          (Int_table.fold (fun fid (seq, tag) acc -> (fid, seq, tag) :: acc)
              t.dense_last []);
       ck_windows = ref_windows t;
       ck_signups =
@@ -458,7 +461,7 @@ let deliver_explicit t (batch : Batch.t) entries =
     (fun i e ->
       let id = e.Batch.e_id in
       let seq = seqs.(i) in
-      let last = Hashtbl.find_opt t.last_msg id in
+      let last = Int_table.find_opt t.last_msg id in
       let fresh =
         match last with
         | None -> true
@@ -475,7 +478,7 @@ let deliver_explicit t (batch : Batch.t) entries =
 let deliver_dense t (batch : Batch.t) (d : Batch.dense) =
   (* The whole range shares one (sequence number, tag): the usual per-client
      rule collapses into a single range-level check. *)
-  let last = Hashtbl.find_opt t.dense_last d.first_id in
+  let last = Int_table.find_opt t.dense_last d.first_id in
   let fresh =
     match last with
     | None -> true
@@ -495,13 +498,13 @@ let apply_wal_ops t (op : Proto.wal_op) =
   match op with
   | Proto.Wal_ops entries ->
     Array.iter
-      (fun (id, seq, m) -> Hashtbl.replace t.last_msg id (seq, m))
+      (fun (id, seq, m) -> Int_table.replace t.last_msg id (seq, m))
       entries;
     if Array.length entries > 0 then
       t.deliver_app (Proto.Ops (Array.map (fun (id, _, m) -> (id, m)) entries));
     t.delivered_messages <- t.delivered_messages + Array.length entries
   | Proto.Wal_bulk { first_id; count; tag; msg_bytes; agg_seq } ->
-    Hashtbl.replace t.dense_last first_id (agg_seq, tag);
+    Int_table.replace t.dense_last first_id (agg_seq, tag);
     t.deliver_app (Proto.Bulk { first_id; count; tag; msg_bytes });
     t.delivered_messages <- t.delivered_messages + count
 
@@ -711,15 +714,15 @@ let replay_record t (r : Proto.wal_record) =
     end
 
 let restore_checkpoint t (ck : Proto.checkpoint) =
-  Hashtbl.reset t.last_msg;
-  Hashtbl.reset t.dense_last;
+  Int_table.reset t.last_msg;
+  Int_table.reset t.dense_last;
   Hashtbl.reset t.ordered_refs;
   Hashtbl.reset t.seen_signups;
   List.iter
-    (fun (id, seq, m) -> Hashtbl.replace t.last_msg id (seq, m))
+    (fun (id, seq, m) -> Int_table.replace t.last_msg id (seq, m))
     ck.Proto.ck_last_msg;
   List.iter
-    (fun (fid, seq, tag) -> Hashtbl.replace t.dense_last fid (seq, tag))
+    (fun (fid, seq, tag) -> Int_table.replace t.dense_last fid (seq, tag))
     ck.Proto.ck_dense_last;
   List.iter
     (fun (b, low, above) ->
@@ -797,8 +800,8 @@ let cold_restart t =
     Hashtbl.reset t.checks;
     Queue.clear t.turns;
     t.checking <- 0;
-    Hashtbl.reset t.last_msg;
-    Hashtbl.reset t.dense_last;
+    Int_table.reset t.last_msg;
+    Int_table.reset t.dense_last;
     t.delivery_counter <- 0;
     t.delivered_messages <- 0;
     Membership.reset t.membership;

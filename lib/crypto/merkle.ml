@@ -36,17 +36,16 @@ let leaf_count t = Array.length t.levels.(0)
 
 let prove t index =
   if index < 0 || index >= leaf_count t then invalid_arg "Merkle.prove: index out of range";
+  (* Root end first, so that consing leaves the path leaf to root. *)
   let path = ref [] in
-  let i = ref index in
-  for l = 0 to Array.length t.levels - 2 do
+  for l = Array.length t.levels - 2 downto 0 do
     let level = t.levels.(l) in
-    let n = Array.length level in
-    let sib = if !i land 1 = 1 then !i - 1 else !i + 1 in
+    let i = index lsr l in
+    let sib = if i land 1 = 1 then i - 1 else i + 1 in
     (* A promoted odd node has no sibling at this level. *)
-    if sib < n then path := ((!i land 1 = 1), level.(sib)) :: !path;
-    i := !i / 2
+    if sib < Array.length level then path := (i land 1 = 1, level.(sib)) :: !path
   done;
-  { index; path = List.rev !path }
+  { index; path = !path }
 
 let verify root_hash ~leaf { index = _; path } =
   let h =

@@ -379,11 +379,12 @@ let rewind t s =
   t.ring_n <- 0;
   advance_to t s
 
-let insert t time ~kind f =
-  let s = slot time in
+(* Queue row [r] (just taken, not yet in the calendar) at the time the
+   caller wrote to [r_time.(r)].  A time computed on the way in is stored
+   in place, never passed as an argument, so it is not boxed. *)
+let enqueue t r ~kind f =
+  let s = slot t.r_time.(r) in
   if s < t.cur_slot then rewind t s;
-  let r = take_row t in
-  t.r_time.(r) <- time;
   t.r_seq.(r) <- t.next_seq;
   t.r_born.(r) <- t.now;
   t.r_kind.(r) <- kind;
@@ -415,16 +416,32 @@ let rec settle t =
 (* --- scheduling ------------------------------------------------------------ *)
 
 let schedule_at ?(kind = 0) t ~time f =
-  if time < t.now then ignore (insert t t.now ~kind f)
-  else ignore (insert t time ~kind f)
+  let r = take_row t in
+  t.r_time.(r) <- (if time < t.now then t.now else time);
+  ignore (enqueue t r ~kind f)
 
-let schedule ?kind t ~delay f =
+(* An all-float record keeps its field unboxed: a caller in another
+   module writes a computed time here, where an argument would box it. *)
+type stamp = { mutable at : float }
+
+let stamp () = { at = 0. }
+
+let schedule_stamp ?(kind = 0) t s f =
+  let r = take_row t in
+  t.r_time.(r) <- (if s.at < t.now then t.now else s.at);
+  ignore (enqueue t r ~kind f)
+
+let schedule ?(kind = 0) t ~delay f =
   if delay < 0. then invalid_arg "Engine.schedule: negative delay";
-  schedule_at ?kind t ~time:(t.now +. delay) f
+  let r = take_row t in
+  t.r_time.(r) <- t.now +. delay;
+  ignore (enqueue t r ~kind f)
 
 let timer ?(kind = 0) t ~delay f =
   if delay < 0. then invalid_arg "Engine.timer: negative delay";
-  let r = insert t (t.now +. delay) ~kind f in
+  let r = take_row t in
+  t.r_time.(r) <- t.now +. delay;
+  let r = enqueue t r ~kind f in
   { tm_eng = t; tm_row = r; tm_seq = t.r_seq.(r) }
 
 let cancel tm =

@@ -57,6 +57,17 @@ val schedule : ?kind:int -> t -> delay:float -> (unit -> unit) -> unit
 val schedule_at : ?kind:int -> t -> time:float -> (unit -> unit) -> unit
 (** Run a callback at an absolute virtual time (clamped to now). *)
 
+type stamp = { mutable at : float }
+(** A time handed to {!schedule_stamp}.  A float passed to a function of
+    another module is boxed (two words on the minor heap); one written to
+    this all-float record is stored in place. *)
+
+val stamp : unit -> stamp
+
+val schedule_stamp : ?kind:int -> t -> stamp -> (unit -> unit) -> unit
+(** [schedule_at ~time:s.at], reading [s.at] at the call: the stamp can
+    be written again for the next event. *)
+
 type timer
 
 val timer : ?kind:int -> t -> delay:float -> (unit -> unit) -> timer

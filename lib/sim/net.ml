@@ -30,6 +30,8 @@ type 'msg t = {
   mutable nodes : 'msg node array;
   absent : 'msg node;
   rng : Rng.t;
+  stamp : Engine.stamp;
+      (* the time of the event being scheduled, handed over unboxed *)
   (* Fault-injection state (lib/chaos).  [groups] maps node id -> partition
      group; unlisted nodes implicitly belong to group 0.  The per-link
      tables hold directed (src, dst) overrides; [faults_active] gates the
@@ -61,6 +63,7 @@ let create engine ?(loss = 0.) () =
       sent = 0; received = 0; connected = false }
   in
   { engine; loss; nodes = [||]; absent; rng = Rng.split (Engine.rng engine);
+    stamp = Engine.stamp ();
     groups = None; link_loss = Hashtbl.create 16; link_delay = Hashtbl.create 16;
     faults_active = false;
     c_msgs = Repro_trace.Trace.Sink.counter sink ~cat:"net" ~name:"msgs";
@@ -130,20 +133,22 @@ let transmit t ~src ~dst ~bytes msg =
           Option.value (Hashtbl.find_opt t.link_delay (src, dst)) ~default:0.
         else 0.
       in
-      let arrival = out_end +. Region.latency_table.(s.row + d.col) +. extra in
       (* Ingress occupancy is decided at arrival time: delay the enqueue.
          Both events — the arrival enqueue and the handler dispatch — are
          work done on behalf of the destination, so both carry its kind.
-         The arrival event runs at [arrival], so it reads the time from the
-         clock: a float kept in its closure would cost a box of its own. *)
-      Engine.schedule_at ?kind:d.kind t.engine ~time:arrival (fun () ->
+         Neither time is boxed: each goes to the engine through [t.stamp],
+         and the arrival event reads its own from the clock, where a float
+         kept in its closure would cost a box. *)
+      t.stamp.at <- out_end +. Region.latency_table.(s.row + d.col) +. extra;
+      Engine.schedule_stamp ?kind:d.kind t.engine t.stamp (fun () ->
           if d.connected then begin
             let nic = d.nic in
             let in_start = Float.max (Engine.now t.engine) nic.in_free in
             let in_end = in_start +. (float_of_int (8 * bytes) /. nic.ingress_bps) in
             nic.in_free <- in_end;
             d.received <- d.received + bytes;
-            Engine.schedule_at ?kind:d.kind t.engine ~time:in_end (fun () ->
+            t.stamp.at <- in_end;
+            Engine.schedule_stamp ?kind:d.kind t.engine t.stamp (fun () ->
                 if d.connected then d.handler ~src msg)
           end)
     end

@@ -9,7 +9,10 @@
     - the {e sender} assigns sequence numbers, keeps a bounded in-flight
       window (rate smoothing: excess messages queue), and arms one
       cancellable {!Engine.timer} per outstanding packet (0.4 s); the ACK
-      cancels it, so a timeout that fires always retransmits (or gives up);
+      cancels it, so a timeout that fires always retransmits (or gives up).
+      The window is an {!Int_table} from sequence number to timer, read
+      once per ACK; a message sent while nothing waits and the window has
+      room goes out at once, without passing through the queue;
     - the {e receiver} acknowledges every data packet and suppresses
       duplicate deliveries with an unbounded {!Lwm}: a low-water mark
       (every sequence number below it was received) plus the set of

@@ -20,6 +20,7 @@
 
 module Engine = Repro_sim.Engine
 module Tally = Repro_sim.Tally
+module Int_table = Repro_sim.Int_table
 module Trace = Repro_trace.Trace
 
 type 'p item = 'p Replica.item = { rid : Replica.rid; payload : 'p }
@@ -49,7 +50,7 @@ type ('p, 'w) t = {
   mutable view : int;
   mutable next_seq : int;                        (* leader: next proposal slot *)
   mutable next_deliver : int;
-  slots : (int, 'p slot) Hashtbl.t;
+  slots : 'p slot Int_table.t; (* by sequence number *)
   mutable queue : 'p item list;                  (* leader: pending requests, reversed *)
   mutable queue_len : int;
   mutable flush_armed : bool;
@@ -71,7 +72,7 @@ let batch_bytes t batch =
 let create r ~batch_max ~batch_timeout ~max_outstanding =
   { r; batch_max; batch_timeout; max_outstanding;
     view = 0; next_seq = 0; next_deliver = 0;
-    slots = Hashtbl.create 128;
+    slots = Int_table.create 128;
     queue = []; queue_len = 0; flush_armed = false;
     queued_rids = Hashtbl.create 1024;
     view_changes = Hashtbl.create 4;
@@ -81,12 +82,12 @@ let is_leader t = leader_of_view ~n:t.r.n t.view = t.r.self
 let quorum t = (2 * t.r.f) + 1
 
 let slot_of t seq =
-  match Hashtbl.find_opt t.slots seq with
-  | Some s -> s
-  | None ->
+  match Int_table.find t.slots seq with
+  | s -> s
+  | exception Not_found ->
     let s = { batch = None; slot_view = -1; prepares = Tally.create t.r.n;
               commits = Tally.create t.r.n; sent_commit = false; committed = false } in
-    Hashtbl.add t.slots seq s;
+    Int_table.add t.slots seq s;
     s
 
 let request t ~dst it =
@@ -108,21 +109,25 @@ and start_view_change t new_view =
     Replica.trace_instant t.r "view_change" ~id:new_view;
     t.view <- new_view;
     (* Collect every slot we prepared (2f+1 prepare quorum reached) but not
-       yet delivered: the new leader must carry these over. *)
-    let prepared = ref [] in
-    Hashtbl.iter
-      (fun seq slot ->
-        if seq >= t.next_deliver && Tally.count slot.prepares >= quorum t then
-          match slot.batch with
-          | Some b -> prepared := (seq, b) :: !prepared
-          | None -> ())
-      t.slots;
-    let msg = View_change { new_view; prepared = !prepared } in
+       yet delivered: the new leader must carry these over.  The message
+       lists them by sequence number, whatever the table's order. *)
+    let prepared =
+      Int_table.fold
+        (fun seq slot acc ->
+          if seq >= t.next_deliver && Tally.count slot.prepares >= quorum t then
+            match slot.batch with
+            | Some b -> (seq, b) :: acc
+            | None -> acc
+          else acc)
+        t.slots []
+      |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+    in
+    let msg = View_change { new_view; prepared } in
     let bytes =
-      List.fold_left (fun a (_, b) -> a + batch_bytes t b) (header + 64) !prepared
+      List.fold_left (fun a (_, b) -> a + batch_bytes t b) (header + 64) prepared
     in
     Replica.broadcast_all t.r ~bytes msg;
-    note_view_change t ~src:t.r.self ~new_view ~prepared:!prepared;
+    note_view_change t ~src:t.r.self ~new_view ~prepared;
     (* Hand our undelivered payloads to the new leader. *)
     let new_leader = leader_of_view ~n:t.r.n new_view in
     if new_leader <> t.r.self then
@@ -280,14 +285,14 @@ and note_commit t ~src ~seq =
 
 and try_deliver t =
   let rec go () =
-    match Hashtbl.find_opt t.slots t.next_deliver with
-    | Some { committed = true; batch = Some batch; _ } ->
+    match Int_table.find t.slots t.next_deliver with
+    | { committed = true; batch = Some batch; _ } ->
       Replica.trace_instant t.r "deliver" ~id:t.next_deliver;
-      Hashtbl.remove t.slots t.next_deliver;
+      Int_table.remove t.slots t.next_deliver;
       t.next_deliver <- t.next_deliver + 1;
       Replica.deliver_once t.r batch;
       go ()
-    | Some _ | None -> ()
+    | _ | (exception Not_found) -> ()
   in
   go ();
   (* Sequential-instance mode (BFT-SMaRt-style): a pending batch may now
@@ -297,7 +302,7 @@ and try_deliver t =
   (* Keep the pressure on if work remains outstanding. *)
   let outstanding =
     t.r.own_pending <> []
-    || Hashtbl.fold (fun seq _ acc -> acc || seq >= t.next_deliver) t.slots false
+    || Int_table.fold (fun seq _ acc -> acc || seq >= t.next_deliver) t.slots false
   in
   if outstanding then arm_progress t
 
@@ -343,10 +348,10 @@ let resume_at t ~cursor =
        and deliver a second time.  [note_prepare]/[note_commit] already
        ignore seq < next_deliver, so no further votes resurrect them. *)
     let stale =
-      Hashtbl.fold (fun seq _ acc -> if seq < cursor then seq :: acc else acc)
+      Int_table.fold (fun seq _ acc -> if seq < cursor then seq :: acc else acc)
         t.slots []
     in
-    List.iter (Hashtbl.remove t.slots) stale;
+    List.iter (Int_table.remove t.slots) stale;
     t.next_deliver <- cursor;
     try_deliver t
   end

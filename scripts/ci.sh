@@ -35,10 +35,21 @@ echo "== SHA-256: the block kernel against the OCaml reference =="
 # hashed statements) run 20,000 each.  The kernel in use is printed, and
 # printed again beside the wall times below, which depend on it:
 # "sha-ni" where the CPU has the x86 SHA extensions, "ocaml" elsewhere.
+# The decimal group also runs "fields = the concatenated parts" (the
+# one-string message statement and Merkle leaf) 20,000 times.  The same
+# step runs two table properties 10,000 and 15,000 times: test_sim's
+# "agrees with Hashtbl, and spreads packed keys" (Int_table against a
+# Stdlib Hashtbl, and its bucket spread on packed node pairs) and
+# test_membership's "thresholds equal the fold after any changes" (the
+# O(1) quorum count against a fold over the active slots).
 sha_log="$(mktemp)"
 QCHECK_LONG=1 dune exec test/test_crypto.exe -- test '^(sha256|field61|decimal)$' --verbose \
   > "$sha_log" 2>&1 \
   || { cat "$sha_log"; echo "sha256: kernel differs from the reference"; exit 1; }
+QCHECK_LONG=1 dune exec test/test_sim.exe -- test '^int_table$' \
+  || { echo "int_table: differs from Hashtbl or chains packed keys"; exit 1; }
+QCHECK_LONG=1 dune exec test/test_membership.exe -- test '^state-machine$' \
+  || { echo "membership: thresholds differ from the fold"; exit 1; }
 sha_kernel="$(grep -a -o 'sha256 kernel: [a-z-]*' "$sha_log")" \
   || { echo "sha256: the kernel test printed no kernel line"; exit 1; }
 rm -f "$sha_log"

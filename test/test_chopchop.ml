@@ -224,6 +224,27 @@ let test_checker_inputs () =
     checkb "witness under another root" false (witness ~root:(root ^ string_of_int k) ())
   done
 
+(* [Certs.well_formed] walks an ascending list once and sorts any other:
+   its verdict against the sort-based rule, on ascending, shuffled,
+   duplicated and out-of-range signer lists and quorums around their
+   length. *)
+let well_formed_reference ~capacity ~quorum signers =
+  let distinct = List.sort_uniq Int.compare signers in
+  List.length distinct = List.length signers
+  && List.length distinct >= quorum
+  && List.for_all (fun i -> i >= 0 && i < capacity) distinct
+
+let well_formed_agrees =
+  qtest ~count:1000 "well_formed matches the sort-based rule"
+    QCheck.(
+      triple (int_range 0 8) (int_range 0 10)
+        (pair bool (list_of_size (Gen.int_range 0 9) (int_range (-2) 9))))
+    (fun (capacity, quorum, (ascending, signers)) ->
+      let signers = if ascending then List.sort_uniq Int.compare signers else signers in
+      let qc = { Certs.signers; agg = Multisig.forge_garbage () } in
+      Certs.well_formed ~capacity ~quorum qc
+      = well_formed_reference ~capacity ~quorum signers)
+
 (* A signer outside the key slots is rejected before any key is read. *)
 let test_certs_out_of_range_signer () =
   let keys = server_keys 4 in
@@ -498,10 +519,10 @@ let test_ceil_log2_boundaries () =
 
 (* --- delivery proofs ---------------------------------------------------------- *)
 
-(* A lone client shown [inclusion] under the root of [tree], then a
-   delivery certificate for that root carrying [delivery]: how many
-   messages it completed. *)
-let completed_after ~tree ~inclusion ~delivery =
+(* A lone client shown [inclusion] under the root of [tree] at sequence
+   number 0, then a delivery certificate for that root, at [seq],
+   carrying [delivery]: how many messages it completed. *)
+let completed_after ?(seq = 0) ~tree ~inclusion ~delivery () =
   let keys = server_keys 4 in
   let engine = Repro_sim.Engine.create () in
   let c =
@@ -521,7 +542,7 @@ let completed_after ~tree ~inclusion ~delivery =
     (Proto.Inclusion { root; proof = inclusion; agg_seq = 0; evidence = None });
   Client.receive c
     (Proto.Deliver_cert
-       { cert = delivery_cert keys ~signers:[ 0; 1 ] ~root ~counter:1; seq = 0;
+       { cert = delivery_cert keys ~signers:[ 0; 1 ] ~root ~counter:1; seq;
          proof = Some delivery });
   Client.completed c
 
@@ -531,13 +552,22 @@ let test_delivery_proof_reuse () =
      both hold. *)
   let tree = Merkle.build [| leaf; leaf; "a"; "b" |] in
   let other = Merkle.build [| leaf; "c"; "a"; "b" |] in
-  let completed delivery =
-    completed_after ~tree ~inclusion:(Merkle.prove tree 0) ~delivery
+  let completed ?seq delivery =
+    completed_after ?seq ~tree ~inclusion:(Merkle.prove tree 0) ~delivery ()
   in
   checki "the inclusion proof again" 1 (completed (Merkle.prove tree 0));
   checki "another proof that holds" 1 (completed (Merkle.prove tree 1));
   checki "another leaf's proof" 0 (completed (Merkle.prove tree 2));
-  checki "same position, another path" 0 (completed (Merkle.prove other 0))
+  checki "same position, another path" 0 (completed (Merkle.prove other 0));
+  (* The certificate names sequence number 1, whose leaf is not in the
+     tree: the inclusion's proof and root no longer vouch for it. *)
+  checki "the inclusion proof at another seq" 0
+    (completed ~seq:1 (Merkle.prove tree 0));
+  (* ... while a tree holding the seq-1 leaf proves it. *)
+  let both = Merkle.build [| leaf; Batch.leaf ~id:7 ~seq:1 "m7"; "a"; "b" |] in
+  checki "a proof of the seq-1 leaf" 1
+    (completed_after ~seq:1 ~tree:both ~inclusion:(Merkle.prove both 0)
+       ~delivery:(Merkle.prove both 1) ())
 
 (* One broker, four scripted servers and sixteen dense clients in two
    batches.  Client 2 straggles with a sequence number below its batch's,
@@ -1397,7 +1427,8 @@ let () =
          Alcotest.test_case "checker forgets a replaced key" `Quick
            test_checker_replaced_key;
          Alcotest.test_case "checker bounded under a flood" `Quick
-           test_checker_bounded ]);
+           test_checker_bounded;
+         well_formed_agrees ]);
       ("batch",
        [ Alcotest.test_case "explicit verifies" `Quick test_batch_explicit_verifies;
          Alcotest.test_case "with stragglers" `Quick test_batch_with_stragglers;

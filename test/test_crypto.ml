@@ -313,11 +313,26 @@ let test_field_random_range () =
 
 (* --- Decimal ------------------------------------------------------------- *)
 
+let decimal_edges =
+  [ min_int; min_int + 1; max_int; max_int - 1; 0; 1; -1; 9; 10; -9; -10; 99; 100;
+    -100; 1_000_000_007; -1_000_000_007; Field61.p; -Field61.p ]
+
+let fields_reference ~prefix a b rest =
+  String.concat "|" [ prefix ^ string_of_int a; string_of_int b; rest ]
+
 let test_decimal_edges () =
   List.iter
     (fun n -> check Alcotest.string (string_of_int n) (string_of_int n) (Decimal.of_int n))
-    [ min_int; min_int + 1; max_int; max_int - 1; 0; 1; -1; 9; 10; -9; -10; 99; 100;
-      -100; 1_000_000_007; -1_000_000_007; Field61.p; -Field61.p ]
+    decimal_edges;
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          check Alcotest.string "fields"
+            (fields_reference ~prefix:"message|" a b "m")
+            (Decimal.fields ~prefix:"message|" a b "m"))
+        decimal_edges)
+    decimal_edges
 
 let suite_decimal =
   [ qtest ~count:500 ~long_factor:40 "of_int = string_of_int" QCheck.int (fun n ->
@@ -326,7 +341,12 @@ let suite_decimal =
       QCheck.(pair (int_bound 62) int)
       (fun (bits, n) ->
         let n = n asr (62 - bits) in
-        Decimal.of_int n = string_of_int n) ]
+        Decimal.of_int n = string_of_int n);
+    qtest ~count:500 ~long_factor:40 "fields = the concatenated parts"
+      QCheck.(quad (oneofl [ ""; "message|" ]) int (pair (int_bound 62) int) string)
+      (fun (prefix, a, (bits, b), rest) ->
+        let b = b asr (62 - bits) in
+        Decimal.fields ~prefix a b rest = fields_reference ~prefix a b rest) ]
 
 (* --- Schnorr --------------------------------------------------------------- *)
 

@@ -104,6 +104,63 @@ let test_snapshot_restore_reset () =
     (Membership.active_slots m');
   checki "reset generations" 0 (Membership.generation m' 2)
 
+(* The thresholds read a count that every write to the active set keeps:
+   after any run of changes, resets and restores (of a peer's snapshot,
+   longer or shorter than this committee), [f], [quorum] and
+   [active_count] equal the fold over the active slots. *)
+type step =
+  | Change of Membership.change
+  | Reset
+  | Restore of int * (bool * int) list
+
+let step_print = function
+  | Change c -> Membership.describe c
+  | Reset -> "reset"
+  | Restore (e, ms) ->
+    Printf.sprintf "restore %d [%s]" e
+      (String.concat "; "
+         (List.map (fun (a, g) -> Printf.sprintf "(%b, %d)" a g) ms))
+
+let prop_thresholds_follow_the_fold =
+  let open QCheck.Gen in
+  let capacity = 7 in
+  let slot = int_range (-1) capacity in
+  let step =
+    frequency
+      [ (4, map (fun i -> Change (Membership.Join i)) slot);
+        (4, map (fun i -> Change (Membership.Leave i)) slot);
+        (2, map2 (fun i g -> Change (Membership.Replace (i, g))) slot (int_range 0 4));
+        (1, return Reset);
+        (1,
+         map2 (fun e ms -> Restore (e, ms)) (int_range 0 9)
+           (list_size (int_range 0 (capacity + 2)) (pair bool (int_range 0 4)))) ]
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300 ~long_factor:50
+       ~name:"thresholds equal the fold after any changes"
+       (QCheck.make
+          ~print:(fun (initial, steps) ->
+            Printf.sprintf "initial %d: %s" initial
+              (String.concat "; " (List.map step_print steps)))
+          (pair (int_range 1 capacity) (list_size (int_range 0 60) step)))
+       (fun (initial, steps) ->
+         let m = Membership.create ~capacity ~initial in
+         let agrees () =
+           let n = List.length (Membership.active_slots m) in
+           Membership.active_count m = n
+           && Membership.f m = (n - 1) / 3
+           && Membership.quorum m = ((n - 1) / 3) + 1
+         in
+         agrees ()
+         && List.for_all
+              (fun step ->
+                (match step with
+                 | Change c -> ignore (Membership.apply m c)
+                 | Reset -> Membership.reset m
+                 | Restore (e, ms) -> Membership.restore m (e, ms));
+                agrees ())
+              steps))
+
 (* --- deployment-level membership edges -------------------------------- *)
 
 let store_cfg trace =
@@ -239,7 +296,8 @@ let () =
          Alcotest.test_case "ordered-command idempotence" `Quick
            test_idempotence;
          Alcotest.test_case "snapshot / restore / reset" `Quick
-           test_snapshot_restore_reset ]);
+           test_snapshot_restore_reset;
+         prop_thresholds_follow_the_fold ]);
       ("epoch-edges",
        [ Alcotest.test_case "rank directory across an epoch change" `Quick
            test_rank_directory_across_epoch;

@@ -7,8 +7,8 @@ open Repro_sim
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 let checkf msg a b = Alcotest.check (Alcotest.float 1e-9) msg a b
-let qtest ?(count = 200) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)
+let qtest ?(count = 200) ?long_factor name gen prop =
+  QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ?long_factor ~name gen prop)
 
 (* --- Rng -------------------------------------------------------------- *)
 
@@ -1146,6 +1146,89 @@ let prop_lwm_is_a_set =
                (List.init 66 Fun.id))
         xs)
 
+(* --- Int_table ------------------------------------------------------------ *)
+
+(* Keys packed as [(a lsl 31) lor b], as Deployment packs a link's two
+   node ids: an identity hash would chain every key of one [b] in one
+   bucket. *)
+let packed a b = (a lsl 31) lor b
+
+type table_op =
+  | T_add of int * int
+  | T_replace of int * int
+  | T_remove of int
+  | T_find of int
+  | T_mem of int
+  | T_length
+
+let table_op_print = function
+  | T_add (k, v) -> Printf.sprintf "add %d %d" k v
+  | T_replace (k, v) -> Printf.sprintf "replace %d %d" k v
+  | T_remove k -> Printf.sprintf "remove %d" k
+  | T_find k -> Printf.sprintf "find %d" k
+  | T_mem k -> Printf.sprintf "mem %d" k
+  | T_length -> "length"
+
+let bindings fold t = List.sort compare (fold (fun k v acc -> (k, v) :: acc) t [])
+
+(* Any set of distinct keys from the 128 below, in a table grown from 16
+   buckets, has at most 9 in one bucket (the whole set's worst, at 16
+   buckets); under an identity hash half the keys share one. *)
+let prop_int_table_model =
+  let open QCheck.Gen in
+  let key = map2 packed (int_range 0 63) (int_range 0 1) in
+  let op =
+    frequency
+      [ (3, map2 (fun k v -> T_add (k, v)) key small_nat);
+        (3, map2 (fun k v -> T_replace (k, v)) key small_nat);
+        (2, map (fun k -> T_remove k) key);
+        (2, map (fun k -> T_find k) key);
+        (1, map (fun k -> T_mem k) key);
+        (1, return T_length) ]
+  in
+  qtest ~long_factor:50 "agrees with Hashtbl, and spreads packed keys"
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map table_op_print ops))
+       (list_size (int_range 0 400) op))
+    (fun ops ->
+      let t = Int_table.create 16 and model = Hashtbl.create 16 in
+      List.for_all
+        (function
+          | T_add (k, v) -> Int_table.add t k v; Hashtbl.add model k v; true
+          | T_replace (k, v) ->
+            Int_table.replace t k v; Hashtbl.replace model k v; true
+          | T_remove k -> Int_table.remove t k; Hashtbl.remove model k; true
+          | T_find k -> Int_table.find_opt t k = Hashtbl.find_opt model k
+          | T_mem k -> Int_table.mem t k = Hashtbl.mem model k
+          | T_length -> Int_table.length t = Hashtbl.length model)
+        ops
+      && bindings Int_table.fold t = bindings Hashtbl.fold model
+      &&
+      let keys = Int_table.create 16 in
+      Hashtbl.iter (fun k _ -> Int_table.replace keys k ()) model;
+      (Int_table.stats keys).Hashtbl.max_bucket_length <= 9)
+
+(* The links of 6 brokers to 1,000 clients each, packed either way round:
+   no chain much longer than a random hash's at this load (1.5 keys a
+   bucket). *)
+let test_int_table_spread () =
+  List.iter
+    (fun (name, key) ->
+      let t = Int_table.create 16 in
+      for b = 0 to 5 do
+        for c = 0 to 999 do
+          Int_table.replace t (key b c) ()
+        done
+      done;
+      checki (name ^ ": every key kept") 6000 (Int_table.length t);
+      let s = Int_table.stats t in
+      checkb
+        (Printf.sprintf "%s: longest chain %d of %d buckets" name
+           s.Hashtbl.max_bucket_length s.Hashtbl.num_buckets)
+        true
+        (s.Hashtbl.max_bucket_length <= 12))
+    [ ("broker high", fun b c -> packed b c); ("client high", fun b c -> packed c b) ]
+
 let test_rudp_packet_bytes () =
   checki "data framing" 28 (Rudp.packet_bytes (Rudp.Data { seq = 0; payload = (); bytes = 16 }));
   checki "ack framing" Rudp.ack_wire (Rudp.packet_bytes (Rudp.Ack { seq = 0 }))
@@ -1237,4 +1320,7 @@ let () =
       ("lwm",
        [ Alcotest.test_case "window slide, advance, restore" `Quick
            test_lwm_window;
-         prop_lwm_is_a_set ]) ]
+         prop_lwm_is_a_set ]);
+      ("int_table",
+       [ prop_int_table_model;
+         Alcotest.test_case "packed pairs spread" `Quick test_int_table_spread ]) ]
