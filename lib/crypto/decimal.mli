@@ -6,5 +6,5 @@ val of_int : int -> string
 
 val fields : prefix:string -> int -> int -> string -> string
 (** [fields ~prefix a b rest = prefix ^ of_int a ^ "|" ^ of_int b ^ "|" ^ rest],
-    written into one string: a statement made for every message builds
-    no part strings, list or second copy. *)
+    written into one string: a Merkle leaf, made several times per
+    message, builds no part strings, list or second copy. *)

@@ -36,7 +36,7 @@ echo "== SHA-256: the block kernel against the OCaml reference =="
 # printed again beside the wall times below, which depend on it:
 # "sha-ni" where the CPU has the x86 SHA extensions, "ocaml" elsewhere.
 # The decimal group also runs "fields = the concatenated parts" (the
-# one-string message statement and Merkle leaf) 20,000 times.  The same
+# one-string Merkle leaf) 20,000 times.  The same
 # step runs two table properties 10,000 and 15,000 times: test_sim's
 # "agrees with Hashtbl, and spreads packed keys" (Int_table against a
 # Stdlib Hashtbl, and its bucket spread on packed node pairs) and
