@@ -46,7 +46,7 @@ sha_log="$(mktemp)"
 QCHECK_LONG=1 dune exec test/test_crypto.exe -- test '^(sha256|field61|decimal)$' --verbose \
   > "$sha_log" 2>&1 \
   || { cat "$sha_log"; echo "sha256: kernel differs from the reference"; exit 1; }
-QCHECK_LONG=1 dune exec test/test_sim.exe -- test '^int_table$' \
+QCHECK_LONG=1 dune exec test/test_sim.exe -- test '^itable$' \
   || { echo "int_table: differs from Hashtbl or chains packed keys"; exit 1; }
 QCHECK_LONG=1 dune exec test/test_membership.exe -- test '^state-machine$' \
   || { echo "membership: thresholds differ from the fold"; exit 1; }

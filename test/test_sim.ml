@@ -1321,6 +1321,6 @@ let () =
        [ Alcotest.test_case "window slide, advance, restore" `Quick
            test_lwm_window;
          prop_lwm_is_a_set ]);
-      ("int_table",
+      ("itable",
        [ prop_int_table_model;
          Alcotest.test_case "packed pairs spread" `Quick test_int_table_spread ]) ]
