@@ -100,7 +100,7 @@ let dense_message d id =
   let rec pad s = if String.length s >= d.msg_bytes then String.sub s 0 d.msg_bytes else pad (s ^ s) in
   pad base
 
-let leaf ~id ~seq msg = Decimal.fields ~prefix:"" id seq msg
+let leaf ~id ~seq msg = Decimal.fields id seq msg
 
 let dense_straggler_seq d = d.tag
 (* Dense stragglers carry their own per-round sequence number (the round

@@ -111,9 +111,7 @@ let memo_size c = Memo.length c.memo
 let check c subject ~quorum qc statement =
   well_formed ~capacity:c.capacity ~quorum qc
   &&
-  let agg_pk =
-    List.fold_left (fun acc i -> Field61.add acc (c.server_ms_pk i)) Field61.zero qc.signers
-  in
+  let agg_pk = Multisig.aggregate_public_keys_by c.server_ms_pk qc.signers in
   match Memo.find_opt c.memo subject with
   | Some v when Field61.equal v.v_agg_pk agg_pk -> v.v_ok
   | known ->

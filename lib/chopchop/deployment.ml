@@ -117,7 +117,9 @@ and link = {
 
 (* One int for a (broker node, client node) pair: node ids are dense
    from 0, far below 2^31, so the two halves never overlap.  A tuple key
-   would be allocated, hashed and compared generically on every packet. *)
+   would be allocated, hashed and compared generically on every packet.
+   Every caller passes node ids the deployment made; a client's sign-up
+   nonce is checked against them first (see [send_anon]). *)
 let link_key ~client_node ~broker_node = (broker_node lsl 31) lor client_node
 
 let link t ~client_node ~broker_node =
@@ -212,8 +214,12 @@ let install_broker t ~region ~flush_period ~reduce_timeout ~max_batch ?cores
         | dst -> Rudp.send (link t ~client_node:dst ~broker_node:node).down ~bytes m
         | exception Not_found -> ())
       ~send_anon:(fun ~nonce ~bytes m ->
-        (* Sign-up responses route by nonce = the client's node id. *)
-        Rudp.send (link t ~client_node:nonce ~broker_node:node).down ~bytes m)
+        (* Sign-up responses route by nonce = the client's node id.  The
+           nonce comes from the client unchecked: one that is not a client
+           node would name no link, or, packed by {!link_key}, another
+           pair's, so its response is dropped. *)
+        if Int_table.mem t.clients_by_node nonce then
+          Rudp.send (link t ~client_node:nonce ~broker_node:node).down ~bytes m)
       ~stob_signup:(fun item ->
         (* Brokers are clients of the STOB: relay sign-ups via an *active*
            server (the hinted slot may be a spare or have left). *)

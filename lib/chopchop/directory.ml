@@ -96,7 +96,7 @@ let ms_pk t id =
   match find t id with Some c -> c.Types.ms_pk | None -> raise Not_found
 
 let aggregate_ms_pks t ids =
-  Multisig.aggregate_public_keys (List.map (ms_pk t) ids)
+  Multisig.aggregate_public_keys_by (ms_pk t) ids
 
 let sk_range name t ~first ~count =
   if first < 0 || count < 0 || count > t.dense - first then

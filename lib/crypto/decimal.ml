@@ -28,13 +28,12 @@ let of_int n =
   write b ~stop:len n;
   Bytes.unsafe_to_string b
 
-let fields ~prefix a b rest =
-  let lp = String.length prefix and la = length a and lb = length b in
-  let r = Bytes.create (lp + la + 1 + lb + 1 + String.length rest) in
-  Bytes.blit_string prefix 0 r 0 lp;
-  write r ~stop:(lp + la) a;
-  Bytes.set r (lp + la) '|';
-  write r ~stop:(lp + la + 1 + lb) b;
-  Bytes.set r (lp + la + 1 + lb) '|';
-  Bytes.blit_string rest 0 r (lp + la + 1 + lb + 1) (String.length rest);
+let fields a b rest =
+  let la = length a and lb = length b in
+  let r = Bytes.create (la + 1 + lb + 1 + String.length rest) in
+  write r ~stop:la a;
+  Bytes.set r la '|';
+  write r ~stop:(la + 1 + lb) b;
+  Bytes.set r (la + 1 + lb) '|';
+  Bytes.blit_string rest 0 r (la + 1 + lb + 1) (String.length rest);
   Bytes.unsafe_to_string r

@@ -4,7 +4,7 @@ val of_int : int -> string
 (** [of_int n = string_of_int n] for every [int], [min_int] included,
     without going through the format interpreter. *)
 
-val fields : prefix:string -> int -> int -> string -> string
-(** [fields ~prefix a b rest = prefix ^ of_int a ^ "|" ^ of_int b ^ "|" ^ rest],
+val fields : int -> int -> string -> string
+(** [fields a b rest = of_int a ^ "|" ^ of_int b ^ "|" ^ rest],
     written into one string: a Merkle leaf, made several times per
     message, builds no part strings, list or second copy. *)

@@ -24,6 +24,9 @@ let aggregate_signatures sigs = List.fold_left Field61.add Field61.zero sigs
 
 let aggregate_public_keys pks = List.fold_left Field61.add Field61.zero pks
 
+let aggregate_public_keys_by key l =
+  List.fold_left (fun acc x -> Field61.add acc (key x)) Field61.zero l
+
 (* Shares are x_i * H(m); the aggregate is (Σ x_i) * H(m).  Scaling it by G
    must equal H(m) * Σ pk_i since pk_i = x_i * G. *)
 let verify agg_pk msg agg_sig =

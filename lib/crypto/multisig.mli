@@ -36,6 +36,11 @@ val aggregate_signatures : signature list -> signature
 
 val aggregate_public_keys : public_key list -> public_key
 
+val aggregate_public_keys_by : ('a -> public_key) -> 'a list -> public_key
+(** [aggregate_public_keys_by key l = aggregate_public_keys (List.map key l)],
+    without building the list of keys: a certificate check aggregates
+    its signers' keys straight from their slot numbers. *)
+
 val verify : public_key -> string -> signature -> bool
 (** [verify agg_pk msg agg_sig] — constant-time check of an aggregate
     (or a single share, which is a singleton aggregate). *)

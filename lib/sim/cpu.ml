@@ -22,6 +22,7 @@ type t = {
   m_boot : mark;
   actor : int option;
   kind : int option; (* Engine kind of job completions, built once *)
+  stamp : Engine.stamp; (* a job's finish time on its way to the engine *)
   mutable jobs : int;
 }
 
@@ -33,7 +34,7 @@ let create engine ?(cores = 1) ?(capacity = 1.0) ?actor ?kind () =
     next_free = Array.make cores 0.; busy = Array.make cores 0.;
     order = Array.init cores Fun.id; ready = Array.make cores 0.;
     m_boot = { m_time = Engine.now engine; m_exec = Array.make cores 0. };
-    actor; kind; jobs = 0 }
+    actor; kind; stamp = Engine.stamp (); jobs = 0 }
 
 let cores t = t.n_cores
 
@@ -129,7 +130,8 @@ let submit t ~work:w k =
   in
   let job = t.jobs in
   t.jobs <- job + 1;
-  Engine.schedule_at ?kind:t.kind t.engine ~time:finish (fun () ->
+  t.stamp.at <- finish;
+  Engine.schedule_stamp ?kind:t.kind t.engine t.stamp (fun () ->
       (match t.actor with
        | Some actor ->
          let s = Engine.trace t.engine in

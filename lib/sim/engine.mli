@@ -55,12 +55,16 @@ val schedule : ?kind:int -> t -> delay:float -> (unit -> unit) -> unit
 (** Run a callback [delay] seconds from now ([delay >= 0]). *)
 
 val schedule_at : ?kind:int -> t -> time:float -> (unit -> unit) -> unit
-(** Run a callback at an absolute virtual time (clamped to now). *)
+(** Run a callback at an absolute virtual time (clamped to now).  For a
+    time fixed in advance (a fault at 20 s); a model that computes a
+    time per event uses {!schedule_stamp}. *)
 
 type stamp = { mutable at : float }
 (** A time handed to {!schedule_stamp}.  A float passed to a function of
     another module is boxed (two words on the minor heap); one written to
-    this all-float record is stored in place. *)
+    this all-float record is stored in place.  The models that compute a
+    completion or arrival time per event — {!Net}, {!Cpu} and the store's
+    disk — each own one stamp and pass every such time through it. *)
 
 val stamp : unit -> stamp
 

@@ -15,7 +15,3 @@
     generic [Hashtbl] or sorts what it folds. *)
 
 include Hashtbl.S with type key = int
-
-val hash : int -> int
-(** The bucket hash: non-negative, and every key bit reaches the low
-    bits. *)

@@ -7,6 +7,7 @@ type t = {
   write_bps : float;
   read_bps : float;
   kind : int option; (* Engine kind of I/O completions, built once *)
+  stamp : Engine.stamp; (* an operation's finish time on its way to the engine *)
   mutable next_free : float;
   mutable total_busy : float;
   mutable bytes_written : int;
@@ -20,7 +21,7 @@ let create engine ?(fsync_s = Cost.disk_fsync_s) ?(write_bps = Cost.disk_write_b
   if write_bps <= 0. || read_bps <= 0. then
     invalid_arg "Disk.create: bandwidth must be positive";
   { engine; fsync_s; write_bps; read_bps;
-    kind = Some (Engine.kind engine "disk.io");
+    kind = Some (Engine.kind engine "disk.io"); stamp = Engine.stamp ();
     next_free = 0.; total_busy = 0.;
     bytes_written = 0; bytes_read = 0; fsyncs = 0; reads = 0 }
 
@@ -32,7 +33,8 @@ let submit t ~duration k =
   let finish = start +. duration in
   t.next_free <- finish;
   t.total_busy <- t.total_busy +. duration;
-  Engine.schedule_at ?kind:t.kind t.engine ~time:finish k
+  t.stamp.at <- finish;
+  Engine.schedule_stamp ?kind:t.kind t.engine t.stamp k
 
 let write t ~bytes k =
   if bytes < 0 then invalid_arg "Disk.write: negative bytes";

@@ -779,6 +779,33 @@ let test_signup_ranks_agree () =
     (fun sv -> checki "directory size agrees" 6 (Directory.size (Server.directory sv)))
     (Deployment.servers d)
 
+(* A sign-up nonce is the client's node id, echoed back by the broker
+   unchecked.  At the broker on even node b, the nonce (1 lsl 31) lor c
+   packs to the link key of client node c and broker node b + 1: the
+   response must not go down that link to c (where it would also bind
+   the new identity to c's node). *)
+let test_forged_signup_nonce () =
+  let d = mk_deployment () in
+  let b0 = Deployment.broker_node_id d 0 in
+  checkb "brokers on nodes b, b + 1 with b even" true
+    (b0 land 1 = 0 && Deployment.broker_node_id d 1 = b0 + 1);
+  let victim = Deployment.add_client d ~brokers:[ 1 ] () in
+  Client.signup victim;
+  Deployment.run d ~until:3.0;
+  Client.broadcast victim "m";
+  Deployment.run d ~until:20.0;
+  checki "the victim completed" 1 (Client.completed victim);
+  let c = Option.get (Deployment.node_of_client d victim) in
+  let before = Deployment.server_ingress_bytes d c in
+  Broker.receive_client (Deployment.broker d 0)
+    (Proto.Signup_request
+       { card = (Types.keypair_of_seed "forger").card; nonce = (1 lsl 31) lor c });
+  Deployment.run d ~until:40.0;
+  checki "the forged sign-up was ordered" 2
+    (Directory.size (Server.directory (Deployment.servers d).(0)));
+  checki "nothing more reached the victim's node" before
+    (Deployment.server_ingress_bytes d c)
+
 let test_sequence_numbers_increase () =
   let d = mk_deployment () in
   let c = Deployment.add_client d () in
@@ -1450,6 +1477,7 @@ let () =
          Alcotest.test_case "deployments own their counters" `Quick
            test_deployments_own_counters;
          Alcotest.test_case "signup ranks agree" `Quick test_signup_ranks_agree;
+         Alcotest.test_case "forged sign-up nonce dropped" `Quick test_forged_signup_nonce;
          Alcotest.test_case "sequence numbers increase" `Quick test_sequence_numbers_increase;
          Alcotest.test_case "consecutive duplicate dropped" `Quick test_consecutive_duplicate_dropped;
          Alcotest.test_case "byzantine clients straggle" `Quick test_byzantine_clients_straggle;

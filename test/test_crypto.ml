@@ -317,8 +317,7 @@ let decimal_edges =
   [ min_int; min_int + 1; max_int; max_int - 1; 0; 1; -1; 9; 10; -9; -10; 99; 100;
     -100; 1_000_000_007; -1_000_000_007; Field61.p; -Field61.p ]
 
-let fields_reference ~prefix a b rest =
-  String.concat "|" [ prefix ^ string_of_int a; string_of_int b; rest ]
+let fields_reference a b rest = String.concat "|" [ string_of_int a; string_of_int b; rest ]
 
 let test_decimal_edges () =
   List.iter
@@ -329,8 +328,7 @@ let test_decimal_edges () =
       List.iter
         (fun b ->
           check Alcotest.string "fields"
-            (fields_reference ~prefix:"message|" a b "m")
-            (Decimal.fields ~prefix:"message|" a b "m"))
+            (fields_reference a b "m") (Decimal.fields a b "m"))
         decimal_edges)
     decimal_edges
 
@@ -343,10 +341,10 @@ let suite_decimal =
         let n = n asr (62 - bits) in
         Decimal.of_int n = string_of_int n);
     qtest ~count:500 ~long_factor:40 "fields = the concatenated parts"
-      QCheck.(quad (oneofl [ ""; "message|" ]) int (pair (int_bound 62) int) string)
-      (fun (prefix, a, (bits, b), rest) ->
+      QCheck.(triple int (pair (int_bound 62) int) string)
+      (fun (a, (bits, b), rest) ->
         let b = b asr (62 - bits) in
-        Decimal.fields ~prefix a b rest = fields_reference ~prefix a b rest) ]
+        Decimal.fields a b rest = fields_reference a b rest) ]
 
 (* --- Schnorr --------------------------------------------------------------- *)
 
