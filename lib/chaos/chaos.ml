@@ -260,7 +260,7 @@ type verdict = {
 
 let reject_names =
   [ "reject_batch"; "reject_witness"; "reject_shard"; "reject_completion";
-    "reject_cert"; "dup_ref"; "dup_submit"; "reject_unknown"; "reject_rate";
+    "reject_cert"; "dup_ref"; "dup_submit"; "reject_unknown";
     "reject_admission" ]
 
 let rejection_counts sink =
@@ -330,12 +330,11 @@ let dims = function Quick -> (4, 6, 2, 90.) | Full -> (7, 12, 3, 150.)
 
    Membership and adversarial-load knobs: [spare_servers] provisions idle
    slots for [Join_server] (size [apps] to capacity when using them);
-   [admission] = (rate, burst) arms the brokers' per-client token
-   buckets; [surge] = (time, count) signs up [count] extra clients at
-   [time], each broadcasting one message that joins the completion and
-   validity expectations (a flash crowd); [spam] = (t0, t1, greedy_rate,
-   sybil_rate) floods the brokers between [t0] and [t1] with
-   correctly-signed over-rate traffic from dense identities and with
+   [surge] = (time, count) signs up [count] extra clients at [time], each
+   broadcasting one message that joins the completion and validity
+   expectations (a flash crowd); [spam] = (t0, t1, greedy_rate,
+   sybil_rate) floods the brokers between [t0] and [t1] with a
+   correctly-signed greedy flood from dense identities and with
    unknown-identity sybil submissions ([dense_clients] > 0 required for
    the former); [duration] overrides the scale's default run length.
 
@@ -345,7 +344,7 @@ let dims = function Quick -> (4, 6, 2, 90.) | Full -> (7, 12, 3, 150.)
 let run_case ?until ~name ~seed ~scale ~underlay ~n_brokers ?client_brokers
     ~make_schedule ?(crashed_clients = []) ?(degraded_servers = [])
     ?(expect_rejects = []) ?(store = false) ?(checkpoint_every = 0) ?apps
-    ?(spare_servers = 0) ?(dense_clients = 0) ?admission ?surge ?spam
+    ?(spare_servers = 0) ?(dense_clients = 0) ?surge ?spam
     ?fleet ?duration ?(post = fun _ _ -> []) () =
   let n_servers, n_clients, msgs_each, base_duration = dims scale in
   let duration = Option.value duration ~default:base_duration in
@@ -353,14 +352,11 @@ let run_case ?until ~name ~seed ~scale ~underlay ~n_brokers ?client_brokers
      of delivery); expectations are NOT scaled down, so an early kill
      surfaces as an under-completion with a diagnosis attached. *)
   let run_until = match until with Some u -> Float.min u duration | None -> duration in
-  let admission_rate, admission_burst =
-    Option.value admission ~default:(0., 0.)
-  in
   let trace = Trace.Sink.memory () in
   let cfg =
     { Deployment.default_config with
       n_servers; spare_servers; n_brokers; underlay; seed; trace;
-      dense_clients; admission_rate; admission_burst; fleet;
+      dense_clients; fleet;
       store_enabled = store; checkpoint_every }
   in
   let d = Deployment.create cfg in
@@ -419,7 +415,8 @@ let run_case ?until ~name ~seed ~scale ~underlay ~n_brokers ?client_brokers
            surge_clients := c :: !surge_clients
          done));
   (* Spam floods: open-loop adversarial traffic through raw injector
-     nodes, shed at broker intake. *)
+     nodes.  Sybil submissions are shed at broker intake; greedy ones
+     take their client's one pool slot per flush. *)
   (match spam with
    | None -> ()
    | Some (t0, t1, greedy_rate, sybil_rate) ->
@@ -949,17 +946,17 @@ let sc_spam_sybil =
   { sc_name = "spam-sybil";
     sc_summary =
       "sybil submissions under unknown identities plus a correctly-signed \
-       greedy flood far past the per-client admission rate; both are shed \
-       at broker intake (reject_unknown / reject_rate) and the honest \
-       clients keep completing";
+       greedy flood from 64 dense identities; the sybil flood is shed at \
+       broker intake (reject_unknown), the greedy flood is ordered at one \
+       pool slot per client per flush, and the honest clients keep \
+       completing";
     sc_run =
       (fun ?until ~seed ~scale () ->
         run_case ?until ~name:"spam-sybil" ~seed ~scale
           ~underlay:Deployment.Sequencer ~n_brokers:2
           ~dense_clients:2048
-          ~admission:(2., 6.)
           ~spam:(10., 55., 250., 120.)
-          ~expect_rejects:[ "reject_unknown"; "reject_rate" ]
+          ~expect_rejects:[ "reject_unknown" ]
           ~make_schedule:(fun _ _ -> [])
           ()) }
 
@@ -1021,7 +1018,7 @@ let sc_reconfig_kitchen_sink =
       "the full membership gauntlet under adversarial load: a spare joins \
        via state transfer, a founding member leaves, a rolling upgrade \
        cold-restarts every remaining server in sequence — all under a \
-       10x flash crowd plus sybil and over-rate spam — and the epoch \
+       10x flash crowd plus sybil and greedy spam — and the epoch \
        rolls forward deterministically with bit-identical app digests";
     sc_run =
       (fun ?until ~seed ~scale () ->
@@ -1040,10 +1037,10 @@ let sc_reconfig_kitchen_sink =
           ~underlay:Deployment.Sequencer ~n_brokers:3
           ~client_brokers:[ 0; 1; 2 ]
           ~store:true ~checkpoint_every:4 ~spare_servers:1
-          ~dense_clients:2048 ~admission:(1., 4.) ~apps
+          ~dense_clients:2048 ~apps
           ~surge:(40., 10 * n_clients)
           ~spam:(15., 60., 300., 100.)
-          ~expect_rejects:[ "reject_unknown"; "reject_rate" ]
+          ~expect_rejects:[ "reject_unknown" ]
           ~duration:150.
           ~make_schedule:(fun _ _ ->
             [ (20., Join_server spare); (35., Leave_server leaver) ]

@@ -180,9 +180,10 @@ val scenarios : scenario list
 
     The reconfig-* family drives membership as an ordered command —
     joins, leaves, in-place replacement, rolling upgrades — while
-    flash-crowd and spam-sybil stress broker admission under client
-    surges and adversarial floods; reconfig-kitchen-sink combines all of
-    it in one run. *)
+    flash-crowd and spam-sybil stress broker intake under client surges
+    and adversarial floods: the sybil flood is shed as "reject_unknown",
+    and the greedy flood is ordered at one pool slot per client per
+    flush.  reconfig-kitchen-sink combines all of it in one run. *)
 
 val find : string -> scenario option
 

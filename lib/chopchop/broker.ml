@@ -1,7 +1,6 @@
 module Engine = Repro_sim.Engine
 module Cpu = Repro_sim.Cpu
 module Cost = Repro_sim.Cost
-module Token_bucket = Repro_sim.Token_bucket
 module Int_table = Repro_sim.Int_table
 module Schnorr = Repro_crypto.Schnorr
 module Multisig = Repro_crypto.Multisig
@@ -16,8 +15,6 @@ type config = {
   reduce_timeout : float;
   witness_margin : int;
   max_batch : int;
-  admission_rate : float; (* per-client token refill rate; 0 = unlimited *)
-  admission_burst : float; (* token-bucket depth *)
 }
 
 (* Extend the witnessing set when no witness has formed after this long. *)
@@ -30,7 +27,7 @@ let submit_timeout = 4.0
 let default_config ~n_servers ~clients =
   { broker_id = 0; n_servers; clients;
     flush_period = 1.0; reduce_timeout = 1.0;
-    witness_margin = 4; max_batch = 65_536; admission_rate = 0.; admission_burst = 0. }
+    witness_margin = 4; max_batch = 65_536 }
 
 type submission = {
   sub_id : Types.client_id;
@@ -76,9 +73,9 @@ type t = {
   send_anon : nonce:int -> bytes:int -> Proto.broker_to_client -> unit;
   stob_signup : Stob_item.t -> unit;
   (* Submission intake: one pooled submission per client, the highest
-     sequence number seen. *)
+     sequence number seen.  This slot is the only per-client limit: a
+     flood under one id costs one batch entry per flush. *)
   pool : submission Int_table.t; (* by client id; flushed in id order *)
-  buckets : Types.client_id Token_bucket.t; (* per-client rate limits *)
   mutable flush_cursor : int; (* fair-queue rotation point for oversubscribed flushes *)
   mutable reducing : (string, reducing) Hashtbl.t; (* keyed by proposal root *)
   mutable flight : (string, in_flight) Hashtbl.t; (* keyed by identity root *)
@@ -111,9 +108,6 @@ let create ~engine ~cpu ~config ?membership ~directory ~certs
   { engine; cpu; cfg = config; membership;
     dir = directory; certs; send_server; send_client; send_anon; stob_signup;
     pool = Int_table.create 1024;
-    buckets =
-      Token_bucket.create ~rate:config.admission_rate
-        ~burst:config.admission_burst;
     flush_cursor = 0;
     reducing = Hashtbl.create 8; flight = Hashtbl.create 32;
     number = 0; evidence = None; completed = 0;
@@ -704,10 +698,6 @@ let receive_client t msg =
          sig_pk lookup would fail) nor consume pool memory. *)
       if id < 0 || id >= Directory.size t.dir then
         reject_instant t "reject_unknown" ~id
-      else if not (Token_bucket.admit t.buckets ~now:(Engine.now t.engine) id) then
-        (* Per-client token bucket: spam past the admission rate is shed
-           at intake, before any signature or pool work. *)
-        reject_instant t "reject_rate" ~id
       else begin
         (* Legitimacy screening with the cached-best rule (§5.1). *)
         (match evidence with Some e -> note_evidence t e | None -> ());

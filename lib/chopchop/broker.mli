@@ -26,9 +26,6 @@ type config = {
   reduce_timeout : float; (* distillation timeout (1 s in §5.1) *)
   witness_margin : int; (* ask f+1+margin servers for shards (§6.2) *)
   max_batch : int; (* cap on entries per batch (65,536 in §6.2) *)
-  admission_rate : float;
-      (* per-client token-bucket refill, submissions/s (0 = no limit) *)
-  admission_burst : float; (* token-bucket depth *)
 }
 
 val default_config : n_servers:int -> clients:int -> config

@@ -27,8 +27,6 @@ type config = {
   net_loss : float;
   seed : int64;
   stob_batch_timeout : float; (* PBFT leader batching window *)
-  admission_rate : float; (* broker per-client token rate; 0 = unlimited *)
-  admission_burst : float; (* bucket depth for the above *)
   fleet : Fleet.mode option;
       (* lib/fleet scale-out: home clients on brokers by seeded hash
          (None = classic deployment) *)
@@ -42,8 +40,7 @@ let default_config =
     underlay = Sequencer; dense_clients = 0;
     flush_period = 0.2; reduce_timeout = 0.2;
     witness_margin = 1; max_batch = 65_536; net_loss = 0.; seed = 42L;
-    stob_batch_timeout = 0.05; admission_rate = 0.; admission_burst = 0.;
-    fleet = None;
+    stob_batch_timeout = 0.05; fleet = None;
     store_enabled = false; checkpoint_every = 64;
     trace = Repro_trace.Trace.Sink.null () }
 
@@ -56,7 +53,6 @@ let paper_config ~n_servers ~underlay =
     flush_period = 1.0; reduce_timeout = 1.0;
     witness_margin = margin_for_size n_servers; max_batch = 65_536;
     net_loss = 0.; seed = 42L; stob_batch_timeout = 0.1;
-    admission_rate = 0.; admission_burst = 0.;
     fleet = None;
     store_enabled = false; checkpoint_every = 1024;
     trace = Repro_trace.Trace.Sink.null () }
@@ -194,10 +190,7 @@ let install_broker t ~region ~flush_period ~reduce_timeout ~max_batch ?cores
     { Broker.broker_id; n_servers = t.cfg.n_servers;
       clients = max t.cfg.dense_clients 1024;
       flush_period; reduce_timeout;
-      witness_margin = t.cfg.witness_margin;
-      max_batch;
-      admission_rate = t.cfg.admission_rate;
-      admission_burst = t.cfg.admission_burst }
+      witness_margin = t.cfg.witness_margin; max_batch }
   in
   Option.iter (fun fl -> ignore (Fleet.register fl)) t.fleet;
   (* Every broker, in a fleet or not, reads any server's directory: all

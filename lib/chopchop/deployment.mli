@@ -27,10 +27,6 @@ type config = {
   net_loss : float;
   seed : int64;
   stob_batch_timeout : float; (* PBFT leader batching window *)
-  admission_rate : float;
-      (* per-client broker admission: token-bucket refill rate,
-         submissions/s (0 = unlimited, the default) *)
-  admission_burst : float; (* token-bucket depth *)
   fleet : Repro_fleet.Fleet.mode option;
       (* lib/fleet scale-out: home clients on brokers by seeded hash
          instead of nearest-first; every broker still reads the one Rank

@@ -1,4 +1,4 @@
-(* Adversarial client traffic against broker admission.
+(* Adversarial client traffic against broker intake.
 
    Two attack shapes, both injected through a raw network presence
    ({!Repro_chopchop.Deployment.add_injector}) so they bypass the honest
@@ -7,10 +7,11 @@
    - a {e sybil} flood of submissions under identities the directory never
      issued — screened out at intake ("reject_unknown" instants) before
      any signature or pool work;
-   - a {e greedy} flood from valid dense identities submitting far past
-     the per-client admission rate — correctly signed, so everything the
-     token bucket admits flows through the normal pipeline, and the excess
-     is shed at intake ("reject_rate" instants).
+   - a {e greedy} flood from valid dense identities submitting far faster
+     than an honest client — correctly signed, so it flows through the
+     normal pipeline; each broker pools one submission per client per
+     flush (the highest sequence number), so the flood costs one batch
+     entry per identity per flush, and what is pooled is ordered.
 
    Both floods are open-loop: they never look at replies, like a real
    packet blaster.  Rates are per-flood aggregates, spread round-robin
@@ -33,8 +34,8 @@ type t = {
 let sent t = t.sent
 
 (* Valid-identity flood: [clients] dense ids starting at [first_id], each
-   message properly signed so admitted traffic is indistinguishable from a
-   legitimate (if voracious) client's. *)
+   message properly signed so the flood is indistinguishable from a
+   legitimate (if voracious) client's traffic. *)
 let start_greedy ~deployment ~rng ~rate ~first_id ~clients ?broker ?until () =
   let engine = Deployment.engine deployment in
   let inject = Deployment.add_injector deployment () in

@@ -1,12 +1,12 @@
-(** Adversarial client traffic against broker admission control.
+(** Adversarial client traffic against broker intake.
 
     Open-loop floods injected through a raw network node
     ({!Repro_chopchop.Deployment.add_injector}), bypassing the honest
     client state machine: a {e sybil} flood under identities the
     directory never issued (shed as "reject_unknown") and a {e greedy}
-    flood from valid identities exceeding the per-client admission rate
-    (excess shed as "reject_rate"; admitted traffic is properly signed
-    and flows through the normal pipeline). *)
+    flood from valid identities submitting far faster than an honest
+    client (properly signed: each broker pools one submission per client
+    per flush, the highest sequence number, and orders it). *)
 
 type t
 

@@ -211,13 +211,11 @@ let test_scenario_determinism () =
     checkb "verdicts bit-identical across runs" true (a = b);
     checkb "and they pass" true a.Chaos.v_pass
 
-(* Acceptance for the dynamic-membership work: the kitchen-sink
-   reconfiguration scenario (join + leave + rolling restarts under a
-   flash crowd and spam) passes at quick scale under three different
-   seeds, and each run is bit-deterministic. *)
-let test_kitchen_sink_reconfig_seeds () =
-  match Chaos.find "reconfig-kitchen-sink" with
-  | None -> Alcotest.fail "scenario reconfig-kitchen-sink missing"
+(* [name] passes at quick scale under three different seeds, and each run
+   is bit-deterministic. *)
+let across_seeds name () =
+  match Chaos.find name with
+  | None -> Alcotest.failf "scenario %s missing" name
   | Some sc ->
     List.iter
       (fun seed ->
@@ -225,9 +223,18 @@ let test_kitchen_sink_reconfig_seeds () =
         let b = sc.Chaos.sc_run ~seed ~scale:Chaos.Quick () in
         checkb (Printf.sprintf "deterministic under seed %Ld" seed) true (a = b);
         if not a.Chaos.v_pass then
-          Alcotest.failf "reconfig-kitchen-sink failed under seed %Ld: %s" seed
+          Alcotest.failf "%s failed under seed %Ld: %s" name seed
             (String.concat "; " a.Chaos.v_violations))
       [ 1L; 7L; 42L ]
+
+(* Acceptance for the dynamic-membership work: the kitchen-sink
+   reconfiguration scenario (join + leave + rolling restarts under a
+   flash crowd and spam). *)
+let test_kitchen_sink_reconfig_seeds = across_seeds "reconfig-kitchen-sink"
+
+(* Sybil and greedy floods with no per-client rate limit: the sybil flood
+   is shed, the greedy one is ordered, and the honest clients complete. *)
+let test_spam_sybil_seeds = across_seeds "spam-sybil"
 
 (* Every named scenario passes at quick scale (the CI contract). *)
 let test_all_scenarios_quick () =
@@ -271,5 +278,7 @@ let () =
            test_scenario_determinism;
          Alcotest.test_case "reconfig kitchen sink across seeds" `Quick
            test_kitchen_sink_reconfig_seeds;
+         Alcotest.test_case "spam-sybil across seeds" `Quick
+           test_spam_sybil_seeds;
          Alcotest.test_case "all pass at quick scale" `Quick
            test_all_scenarios_quick ]) ]

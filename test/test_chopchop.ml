@@ -668,10 +668,9 @@ let test_broker_delivery_proofs () =
         (String.equal cert.Certs.root (Hashtbl.find included id)))
     !delivered
 
-(* The pool keeps one submission per client: a higher sequence number
-   replaces the pooled one, an equal or lower one is dropped, and nothing
-   waits behind it for the next flush. *)
-let test_broker_pools_highest_seq () =
+(* A lone broker whose servers never answer: every [Inclusion] it sends
+   after a flush is recorded as (client, root, proof, agg_seq). *)
+let inclusion_broker () =
   let keys = server_keys 4 in
   let engine = Repro_sim.Engine.create () in
   let inclusions = ref [] in
@@ -690,6 +689,13 @@ let test_broker_pools_highest_seq () =
       ~stob_signup:ignore ()
   in
   Broker.start broker;
+  (keys, engine, broker, inclusions)
+
+(* The pool keeps one submission per client: a higher sequence number
+   replaces the pooled one, an equal or lower one is dropped, and nothing
+   waits behind it for the next flush. *)
+let test_broker_pools_highest_seq () =
+  let keys, engine, broker, inclusions = inclusion_broker () in
   let evidence = Some (delivery_cert keys ~signers:[ 0; 1 ] ~root:"earlier" ~counter:5) in
   let id = 3 in
   let submit seq msg =
@@ -711,6 +717,37 @@ let test_broker_pools_highest_seq () =
     checki "the highest sequence number was pooled" 4 agg_seq;
     checkb "its message is the first one with that number" true
       (Merkle.verify root ~leaf:(Batch.leaf ~id ~seq:4 "m4") proof)
+  | l -> Alcotest.failf "expected one inclusion, got %d" (List.length l)
+
+(* Anyone can send submissions under a client's id.  Six forged ones
+   (another key's signature, an unlegitimised sequence number) must not
+   shut the client out: its own valid submission right after them is
+   pooled and included. *)
+let test_broker_forged_flood_under_id () =
+  let _, engine, broker, inclusions = inclusion_broker () in
+  let id = 3 in
+  let submit ~signer seq msg =
+    Broker.receive_client broker
+      (Proto.Submission
+         { id; seq; msg;
+           tsig =
+             Schnorr.sign (dense_kp signer).Types.sig_sk
+               (Types.message_statement ~id ~seq msg);
+           evidence = None; ctx = Trace.Ctx.make ~root:id })
+  in
+  for k = 1 to 6 do
+    submit ~signer:(id + 1) 5 (Printf.sprintf "forged%d" k)
+  done;
+  checki "no forgery pooled" 0 (Broker.pool_depth broker);
+  submit ~signer:id 0 "m0";
+  checki "the client's own submission is pooled" 1 (Broker.pool_depth broker);
+  Repro_sim.Engine.run engine ~until:3.5;
+  match !inclusions with
+  | [ (client, root, proof, agg_seq) ] ->
+    checki "included client" id client;
+    checki "its sequence number" 0 agg_seq;
+    checkb "its message" true
+      (Merkle.verify root ~leaf:(Batch.leaf ~id ~seq:0 "m0") proof)
   | l -> Alcotest.failf "expected one inclusion, got %d" (List.length l)
 
 (* --- protocol integration over the idealised sequencer ----------------------- *)
@@ -1496,6 +1533,8 @@ let () =
            test_broker_delivery_proofs;
          Alcotest.test_case "broker pools the highest sequence number" `Quick
            test_broker_pools_highest_seq;
+         Alcotest.test_case "forged flood under a client's id does not silence it"
+           `Quick test_broker_forged_flood_under_id;
          Alcotest.test_case "out-of-range evidence signer dropped" `Quick
            test_evidence_signer_out_of_range;
          Alcotest.test_case "overflowing dense range rejected" `Quick
